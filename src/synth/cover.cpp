@@ -1,68 +1,60 @@
 #include "synth/cover.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/check.hpp"
 
 namespace xatpg {
 
-std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& on,
-                                      const std::vector<std::uint32_t>& dc,
+std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& off,
                                       unsigned nvars) {
   XATPG_CHECK(nvars <= 32);
-  const std::uint32_t full_care =
-      nvars == 32 ? ~0u : ((1u << nvars) - 1);
+  const std::uint32_t all = nvars == 32 ? ~0u : ((1u << nvars) - 1);
 
-  std::set<MinCube> current;
-  for (const std::uint32_t m : on) current.insert(MinCube{full_care, m});
-  for (const std::uint32_t m : dc) current.insert(MinCube{full_care, m});
-
-  std::vector<MinCube> primes;
-  while (!current.empty()) {
-    std::set<MinCube> combined;
-    std::set<MinCube> used;
-    // Two cubes combine when they have identical care sets and differ in
-    // exactly one cared bit.
-    std::vector<MinCube> cubes(current.begin(), current.end());
-    for (std::size_t i = 0; i < cubes.size(); ++i) {
-      for (std::size_t j = i + 1; j < cubes.size(); ++j) {
-        if (cubes[i].care != cubes[j].care) continue;
-        const std::uint32_t diff = cubes[i].value ^ cubes[j].value;
-        if (__builtin_popcount(diff) != 1) continue;
-        combined.insert(MinCube{cubes[i].care & ~diff,
-                                cubes[i].value & ~diff});
-        used.insert(cubes[i]);
-        used.insert(cubes[j]);
+  // Nelson's multiply-out: ¬off is the product, over off-minterms m, of the
+  // clause "some variable differs from m".  Multiplying the clauses into the
+  // universe cube one at a time and absorbing after each keeps exactly the
+  // primes of the partial product, so the survivors are the primes of ¬off.
+  std::vector<MinCube> primes{MinCube{}};
+  std::vector<MinCube> split;
+  for (const std::uint32_t m : off) {
+    XATPG_CHECK_MSG((m & ~all) == 0, "off-minterm " << m << " exceeds "
+                                                    << nvars << " variables");
+    // A cube containing m gives way to its one-literal refinements that
+    // exclude m: one per free variable, set opposite to m's bit.
+    split.clear();
+    std::size_t kept = 0;
+    for (const MinCube& c : primes) {
+      if (!c.covers_minterm(m)) {
+        primes[kept++] = c;
+        continue;
+      }
+      for (std::uint32_t vars = all & ~c.care; vars != 0; vars &= vars - 1) {
+        const std::uint32_t bit = vars & (0u - vars);
+        split.push_back(MinCube{c.care | bit, c.value | (bit & ~m)});
       }
     }
-    for (const MinCube& c : cubes)
-      if (!used.count(c)) primes.push_back(c);
-    current = std::move(combined);
+    primes.resize(kept);
+    // Absorption.  Only a kept cube can contain a refinement: no kept cube
+    // lies inside a refinement (its parent would contain it), and a
+    // refinement c2·(x_w != m_w) contains c1·(x_v != m_v) only when v = w
+    // (c1 contains m, so otherwise the latter admits x_w = m_w) and
+    // c2 ⊇ c1, that is c2 = c1.
+    for (const MinCube& r : split)
+      if (std::none_of(primes.begin(),
+                       primes.begin() + static_cast<long>(kept),
+                       [&](const MinCube& d) { return d.contains(r); }))
+        primes.push_back(r);
   }
-  // Deduplicate and drop primes contained in other primes (can appear when
-  // combining across different care patterns is impossible but containment
-  // still holds through don't-cares).
   std::sort(primes.begin(), primes.end());
-  primes.erase(std::unique(primes.begin(), primes.end()), primes.end());
-  std::vector<MinCube> out;
-  for (const MinCube& c : primes) {
-    bool dominated = false;
-    for (const MinCube& d : primes)
-      if (!(d == c) && d.contains(c)) {
-        dominated = true;
-        break;
-      }
-    if (!dominated) out.push_back(c);
-  }
-  return out;
+  return primes;
 }
 
 std::vector<MinCube> minimize_sop(const std::vector<std::uint32_t>& on,
-                                  const std::vector<std::uint32_t>& dc,
+                                  const std::vector<std::uint32_t>& off,
                                   unsigned nvars) {
   if (on.empty()) return {};
-  const auto primes = prime_implicants(on, dc, nvars);
+  const auto primes = prime_implicants(off, nvars);
 
   // Greedy set cover over the on-set.
   std::vector<std::uint32_t> uncovered = on;

@@ -1,8 +1,8 @@
 // Two-level cover algebra: cubes over up to 32 variables as (care, value)
-// bit masks, prime generation (Quine–McCluskey) with don't-cares, greedy
-// irredundant covering, and consensus-term generation (the hazard covers
-// SIS-style synthesis inserts — the source of the redundancy that drives the
-// paper's Table 2 result).
+// bit masks, prime generation from the off-set (every code outside it is an
+// on-minterm or a don't-care), greedy irredundant covering, and
+// consensus-term generation (the hazard covers SIS-style synthesis inserts —
+// the source of the redundancy that drives the paper's Table 2 result).
 #pragma once
 
 #include <cstdint>
@@ -29,15 +29,17 @@ struct MinCube {
   int num_literals() const { return __builtin_popcount(care); }
 };
 
-/// All prime implicants of on ∪ dc (classic QM combining pass).
-std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& on,
-                                      const std::vector<std::uint32_t>& dc,
+/// All prime implicants of ¬off over `nvars` variables, sorted.  Nelson's
+/// multiply-out of the off-set: the cost follows the off-set and the prime
+/// count, never the 2^nvars codes outside it.
+std::vector<MinCube> prime_implicants(const std::vector<std::uint32_t>& off,
                                       unsigned nvars);
 
-/// Greedy minimum cover of `on` by primes of on ∪ dc (essential primes
-/// first, then largest-gain / fewest-literal cubes).
+/// Greedy minimum cover of `on` by primes of ¬off (essential primes first,
+/// then largest-gain / fewest-literal cubes).  Codes in neither set are
+/// don't-cares; `on` and `off` must be disjoint.
 std::vector<MinCube> minimize_sop(const std::vector<std::uint32_t>& on,
-                                  const std::vector<std::uint32_t>& dc,
+                                  const std::vector<std::uint32_t>& off,
                                   unsigned nvars);
 
 /// Consensus (resolvent) of two cubes if they clash in exactly one variable;

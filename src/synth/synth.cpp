@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -9,34 +10,11 @@ namespace xatpg {
 
 namespace {
 
-/// Deduplicated reachable codes of the SG as minterms (bit i = signal i).
-std::vector<std::uint32_t> reachable_codes(const StateGraph& sg) {
-  std::set<std::uint32_t> codes;
-  for (const auto& code : sg.codes) {
-    std::uint32_t m = 0;
-    for (std::size_t i = 0; i < code.size(); ++i)
-      if (code[i]) m |= 1u << i;
-    codes.insert(m);
-  }
-  return {codes.begin(), codes.end()};
-}
-
 std::uint32_t code_of(const StateGraph& sg, std::uint32_t state) {
   std::uint32_t m = 0;
   for (std::size_t i = 0; i < sg.codes[state].size(); ++i)
     if (sg.codes[state][i]) m |= 1u << i;
   return m;
-}
-
-std::vector<std::uint32_t> unreachable_codes(const StateGraph& sg) {
-  const unsigned n = static_cast<unsigned>(sg.stg->num_signals());
-  XATPG_CHECK_MSG(n <= 20, "too many STG signals for minterm enumeration");
-  const auto reach = reachable_codes(sg);
-  std::set<std::uint32_t> reach_set(reach.begin(), reach.end());
-  std::vector<std::uint32_t> out;
-  for (std::uint32_t m = 0; m < (1u << n); ++m)
-    if (!reach_set.count(m)) out.push_back(m);
-  return out;
 }
 
 /// Translate a MinCube over SG signal variables into a netlist Cube over
@@ -71,6 +49,11 @@ std::vector<std::uint32_t> cover_support(const std::vector<MinCube>& cover,
 NsFunction next_state_function(const StateGraph& sg, std::uint32_t sig) {
   NsFunction fn;
   fn.nvars = static_cast<unsigned>(sg.stg->num_signals());
+  // Codes are 32-bit minterms (MinCube's width): refuse wider STGs before
+  // code_of shifts past the word.
+  XATPG_CHECK_MSG(fn.nvars <= 32, "'" << sg.stg->name() << "' has "
+                                      << fn.nvars
+                                      << " signals; synthesis supports 32");
   std::set<std::uint32_t> on, off;
   for (std::uint32_t st = 0; st < sg.num_states(); ++st) {
     const std::uint32_t code = code_of(sg, st);
@@ -86,7 +69,6 @@ NsFunction next_state_function(const StateGraph& sg, std::uint32_t sig) {
                         << sg.stg->signal(sig).name);
   fn.on.assign(on.begin(), on.end());
   fn.off.assign(off.begin(), off.end());
-  fn.dc = unreachable_codes(sg);
   return fn;
 }
 
@@ -96,15 +78,9 @@ NsFunction set_function(const StateGraph& sg, std::uint32_t sig) {
   NsFunction ns = next_state_function(sg, sig);
   NsFunction fn;
   fn.nvars = ns.nvars;
-  fn.dc = ns.dc;
-  for (const std::uint32_t m : ns.on) {
-    if (m & (1u << sig)) {
-      fn.dc.push_back(m);
-    } else {
-      fn.on.push_back(m);
-    }
-  }
-  fn.off = ns.off;
+  for (const std::uint32_t m : ns.on)
+    if (!(m & (1u << sig))) fn.on.push_back(m);
+  fn.off = std::move(ns.off);
   return fn;
 }
 
@@ -113,15 +89,9 @@ NsFunction reset_function(const StateGraph& sg, std::uint32_t sig) {
   NsFunction ns = next_state_function(sg, sig);
   NsFunction fn;
   fn.nvars = ns.nvars;
-  fn.dc = ns.dc;
-  for (const std::uint32_t m : ns.off) {
-    if (m & (1u << sig)) {
-      fn.on.push_back(m);
-    } else {
-      fn.dc.push_back(m);
-    }
-  }
-  fn.off = ns.on;
+  for (const std::uint32_t m : ns.off)
+    if (m & (1u << sig)) fn.on.push_back(m);
+  fn.off = std::move(ns.on);
   return fn;
 }
 
@@ -235,8 +205,8 @@ SynthResult synthesize(const StateGraph& sg, const SynthOptions& options) {
     if (options.style == SynthStyle::SpeedIndependent) {
       const NsFunction set_fn = set_function(sg, sig);
       const NsFunction reset_fn = reset_function(sg, sig);
-      auto set_cover = minimize_sop(set_fn.on, set_fn.dc, n);
-      auto reset_cover = minimize_sop(reset_fn.on, reset_fn.dc, n);
+      auto set_cover = minimize_sop(set_fn.on, set_fn.off, n);
+      auto reset_cover = minimize_sop(reset_fn.on, reset_fn.off, n);
       XATPG_CHECK_MSG(!set_cover.empty() && !reset_cover.empty(),
                       "signal '" << name << "' never switches");
       result.num_cubes += set_cover.size() + reset_cover.size();
@@ -245,8 +215,8 @@ SynthResult synthesize(const StateGraph& sg, const SynthOptions& options) {
         // Decomposed standard-C architecture: the C-element rises when the
         // set function S is 1 and the reset function R is 0, and falls
         // when S=0 and R=1 — so its second input is the *complement* of R,
-        // synthesized directly from R's off-set (same don't-cares).
-        auto rstn_cover = minimize_sop(reset_fn.off, reset_fn.dc, n);
+        // synthesized with R's on- and off-sets swapped (same don't-cares).
+        auto rstn_cover = minimize_sop(reset_fn.off, reset_fn.on, n);
         XATPG_CHECK_MSG(!rstn_cover.empty(),
                         "reset of '" << name << "' is a tautology");
         TwoLevelBuilder builder(netlist, sg);
@@ -277,7 +247,7 @@ SynthResult synthesize(const StateGraph& sg, const SynthOptions& options) {
                      std::move(reset_cubes));
     } else {
       const NsFunction ns = next_state_function(sg, sig);
-      auto cover = minimize_sop(ns.on, ns.dc, n);
+      auto cover = minimize_sop(ns.on, ns.off, n);
       XATPG_CHECK_MSG(!cover.empty(), "signal '" << name << "' is constant 0");
       if (options.hazard_consensus)
         result.num_consensus_cubes += add_consensus_cubes(cover);

@@ -59,10 +59,12 @@ struct SynthResult {
 /// (throws CheckError otherwise) and at least one quiescent SG state.
 SynthResult synthesize(const StateGraph& sg, const SynthOptions& options = {});
 
-/// Helper shared with tests: on/off/dc minterm sets of signal `sig`'s
+/// Helper shared with tests: on/off minterm sets of signal `sig`'s
 /// next-state function over the SG's signal variables (bit i = signal i).
+/// Every code in neither set (unreachable, or free for a set/reset cover) is
+/// a don't-care.  Throws CheckError for STGs over 32 signals.
 struct NsFunction {
-  std::vector<std::uint32_t> on, off, dc;
+  std::vector<std::uint32_t> on, off;
   unsigned nvars = 0;
 };
 NsFunction next_state_function(const StateGraph& sg, std::uint32_t sig);

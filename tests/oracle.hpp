@@ -1,16 +1,22 @@
+// Reference implementations the production layers are checked against.
+//
 // Brute-force CSSG oracle, shared by the randomized differential suite
 // (tests/test_differential.cpp) and the structural netlist fuzzer
-// (tests/fuzz/fuzz_structural.cpp).
+// (tests/fuzz/fuzz_structural.cpp).  The oracle re-derives the
+// complete-state-signal graph by explicit search: BFS from reset over all
+// input patterns, keeping only confluent settlings (exactly one stable
+// outcome, every trajectory done within the bound) — the definition of a
+// valid synchronous test vector.  The symbolic CSSG's state and edge sets
+// must match it exactly; cssg_oracle_mismatch() reports the first
+// divergence as text so non-gtest consumers (the fuzzer harness) can use
+// the same check.
 //
-// The oracle re-derives the complete-state-signal graph by explicit search:
-// BFS from reset over all input patterns, keeping only confluent settlings
-// (exactly one stable outcome, every trajectory done within the bound) —
-// the definition of a valid synchronous test vector.  The symbolic CSSG's
-// state and edge sets must match it exactly; cssg_oracle_mismatch() reports
-// the first divergence as text so non-gtest consumers (the fuzzer harness)
-// can use the same check.
+// All-pairs Quine–McCluskey over on ∪ dc, the synthesis layer's former
+// prime generator, kept as the reference for the off-set multiply-out in
+// src/synth/cover.cpp (tests/test_synth.cpp, tests/fuzz/fuzz_cover.cpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -21,6 +27,8 @@
 #include "netlist/netlist.hpp"
 #include "sgraph/cssg.hpp"
 #include "sim/explicit.hpp"
+#include "synth/cover.hpp"
+#include "util/check.hpp"
 
 namespace xatpg::testing {
 
@@ -143,6 +151,136 @@ inline std::string cssg_oracle_mismatch(const Netlist& netlist,
     return os.str();
   }
   return {};
+}
+
+/// All prime implicants of on ∪ dc (classic QM combining pass).  The
+/// all-pairs Quine–McCluskey that prime_implicants() replaced; it walks the
+/// whole implicant lattice of on ∪ dc, so callers keep nvars small.
+inline std::vector<MinCube> oracle_prime_implicants(
+    const std::vector<std::uint32_t>& on, const std::vector<std::uint32_t>& dc,
+    unsigned nvars) {
+  XATPG_CHECK(nvars <= 32);
+  const std::uint32_t full_care =
+      nvars == 32 ? ~0u : ((1u << nvars) - 1);
+
+  std::set<MinCube> current;
+  for (const std::uint32_t m : on) current.insert(MinCube{full_care, m});
+  for (const std::uint32_t m : dc) current.insert(MinCube{full_care, m});
+
+  std::vector<MinCube> primes;
+  while (!current.empty()) {
+    std::set<MinCube> combined;
+    std::set<MinCube> used;
+    // Two cubes combine when they have identical care sets and differ in
+    // exactly one cared bit.
+    std::vector<MinCube> cubes(current.begin(), current.end());
+    for (std::size_t i = 0; i < cubes.size(); ++i) {
+      for (std::size_t j = i + 1; j < cubes.size(); ++j) {
+        if (cubes[i].care != cubes[j].care) continue;
+        const std::uint32_t diff = cubes[i].value ^ cubes[j].value;
+        if (__builtin_popcount(diff) != 1) continue;
+        combined.insert(MinCube{cubes[i].care & ~diff,
+                                cubes[i].value & ~diff});
+        used.insert(cubes[i]);
+        used.insert(cubes[j]);
+      }
+    }
+    for (const MinCube& c : cubes)
+      if (!used.count(c)) primes.push_back(c);
+    current = std::move(combined);
+  }
+  // Deduplicate and drop primes contained in other primes (can appear when
+  // combining across different care patterns is impossible but containment
+  // still holds through don't-cares).
+  std::sort(primes.begin(), primes.end());
+  primes.erase(std::unique(primes.begin(), primes.end()), primes.end());
+  std::vector<MinCube> out;
+  for (const MinCube& c : primes) {
+    bool dominated = false;
+    for (const MinCube& d : primes)
+      if (!(d == c) && d.contains(c)) {
+        dominated = true;
+        break;
+      }
+    if (!dominated) out.push_back(c);
+  }
+  return out;
+}
+
+/// Greedy minimum cover of `on` by primes of on ∪ dc (essential primes
+/// first, then largest-gain / fewest-literal cubes) — minimize_sop() as it
+/// was over oracle_prime_implicants().
+inline std::vector<MinCube> oracle_minimize_sop(
+    const std::vector<std::uint32_t>& on, const std::vector<std::uint32_t>& dc,
+    unsigned nvars) {
+  if (on.empty()) return {};
+  const auto primes = oracle_prime_implicants(on, dc, nvars);
+
+  // Greedy set cover over the on-set.
+  std::vector<std::uint32_t> uncovered = on;
+  std::sort(uncovered.begin(), uncovered.end());
+  uncovered.erase(std::unique(uncovered.begin(), uncovered.end()),
+                  uncovered.end());
+  std::vector<MinCube> cover;
+  std::vector<bool> prime_used(primes.size(), false);
+
+  // Essential primes first: an on-minterm covered by exactly one prime.
+  for (const std::uint32_t m : uncovered) {
+    int only = -1, count = 0;
+    for (std::size_t p = 0; p < primes.size(); ++p)
+      if (primes[p].covers_minterm(m)) {
+        ++count;
+        only = static_cast<int>(p);
+      }
+    XATPG_CHECK_MSG(count > 0, "on-minterm not covered by any prime");
+    if (count == 1 && !prime_used[only]) {
+      prime_used[only] = true;
+      cover.push_back(primes[only]);
+    }
+  }
+  const auto strip_covered = [&] {
+    uncovered.erase(std::remove_if(uncovered.begin(), uncovered.end(),
+                                   [&](std::uint32_t m) {
+                                     return cover_eval(cover, m);
+                                   }),
+                    uncovered.end());
+  };
+  strip_covered();
+
+  while (!uncovered.empty()) {
+    std::size_t best = primes.size();
+    long best_gain = -1;
+    for (std::size_t p = 0; p < primes.size(); ++p) {
+      if (prime_used[p]) continue;
+      long gain = 0;
+      for (const std::uint32_t m : uncovered)
+        if (primes[p].covers_minterm(m)) ++gain;
+      // Prefer more coverage; tie-break on fewer literals (bigger cube).
+      gain = gain * 64 - primes[p].num_literals();
+      if (gain > best_gain) {
+        best_gain = gain;
+        best = p;
+      }
+    }
+    XATPG_CHECK(best < primes.size());
+    prime_used[best] = true;
+    cover.push_back(primes[best]);
+    strip_covered();
+  }
+
+  // Irredundancy pass: drop cubes whose on-minterms are covered elsewhere.
+  for (std::size_t i = cover.size(); i-- > 0;) {
+    std::vector<MinCube> without = cover;
+    without.erase(without.begin() + static_cast<long>(i));
+    bool redundant = true;
+    for (const std::uint32_t m : on)
+      if (!cover_eval(without, m)) {
+        redundant = false;
+        break;
+      }
+    if (redundant) cover = std::move(without);
+  }
+  return cover;
 }
 
 }  // namespace xatpg::testing
