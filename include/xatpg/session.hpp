@@ -170,8 +170,9 @@ class Session {
   /// factor.
   [[nodiscard]] ShardBddStats bdd_stats() const;
 
-  /// BDD accounting for EVERY built symbolic shard — shard 0 plus each
-  /// worker shard a multi-threaded run lazily constructed — including
+  /// BDD accounting for EVERY symbolic shard — shard 0 plus one entry per
+  /// worker slot of a multi-threaded run (a worker the scheduler starved
+  /// built no view and reports the shared base only) — including
   /// per-shard 3-phase searches completed and work blocks stolen during the
   /// most recent run.  Accounting that must not miss worker-shard activity
   /// (e.g. total sifting passes across a parallel run) has to sum over this

@@ -10,6 +10,7 @@
 
 #include "util/check.hpp"
 #include "util/log.hpp"
+#include "util/packed.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -203,12 +204,19 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
     std::vector<std::vector<bool>> suffix;
   };
   std::deque<Node> queue;
-  std::unordered_set<std::string> visited;
-  const auto key_of = [](std::uint32_t good_id, const std::string& cand_key) {
-    return std::to_string(good_id) + "#" + cand_key;
+  // A search node is (good state, faulty candidate set); the candidates are
+  // sorted and distinct, so equal words mean equal nodes.
+  std::unordered_set<std::vector<StateWord>, StateWordsHash> visited;
+  const auto key_of = [](std::uint32_t good_id,
+                         const std::vector<StateWord>& candidates) {
+    std::vector<StateWord> key;
+    key.reserve(candidates.size() + 1);
+    key.push_back(good_id);
+    key.insert(key.end(), candidates.begin(), candidates.end());
+    return key;
   };
   queue.push_back(Node{path->back(), sim.snapshot(), {}});
-  visited.insert(key_of(path->back(), sim.candidates_key()));
+  visited.insert(key_of(path->back(), sim.candidates()));
 
   // The per-fault budget is the DETERMINISTIC pair diff_depth /
   // diff_node_cap — both depend only on (circuit, options, fault), never on
@@ -256,8 +264,7 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
         for (auto& vec : suffix) result.sequence.vectors.push_back(vec);
         return result;
       }
-      const std::string key = key_of(edge.to, sim.candidates_key());
-      if (visited.insert(key).second)
+      if (visited.insert(key_of(edge.to, sim.candidates())).second)
         queue.push_back(Node{edge.to, sim.snapshot(), std::move(suffix)});
     }
   }
@@ -501,10 +508,21 @@ std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
   // Base sifting passes belong to shard 0 (counted once across shards).
   shards.back().reorders += base_reorder_count_;
   for (std::size_t w = 0; w < extra_shards_.size(); ++w) {
-    if (!extra_shards_[w]) continue;
-    shards.push_back(snapshot_shard(w + 1, extra_shards_[w]->encoding().mgr(),
-                                    count_of(shard_done_, w + 1),
-                                    count_of(shard_steals_, w + 1)));
+    if (extra_shards_[w]) {
+      shards.push_back(snapshot_shard(w + 1, extra_shards_[w]->encoding().mgr(),
+                                      count_of(shard_done_, w + 1),
+                                      count_of(shard_steals_, w + 1)));
+      continue;
+    }
+    // A worker that never claimed a block built no view: it holds the
+    // shared base only and did nothing.  Reporting it keeps one entry per
+    // worker slot whichever worker the scheduler happened to starve.
+    ShardBddStats idle;
+    idle.shard = w + 1;
+    idle.base_nodes = base_node_count_;
+    idle.live_nodes = base_node_count_;
+    idle.peak_nodes = base_node_count_;
+    shards.push_back(idle);
   }
   return shards;
 }

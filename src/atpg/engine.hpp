@@ -121,10 +121,12 @@ class AtpgEngine {
   /// The fault universe accumulated by run()/add_faults().
   const std::vector<Fault>& universe() const { return universe_; }
 
-  /// BDD accounting for every built symbolic shard (shard 0 = the engine's
-  /// own context, then each lazily built worker shard), with faults_done /
-  /// blocks_stolen from the most recent run.  Main-thread only, between
-  /// runs — the same snapshot the final progress callback reports.
+  /// BDD accounting for every symbolic shard (shard 0 = the engine's own
+  /// context, then one entry per worker slot; a worker that never claimed a
+  /// block built no view and reports the shared base only), with
+  /// faults_done / blocks_stolen from the most recent run.  Main-thread
+  /// only, between runs — the same snapshot the final progress callback
+  /// reports.
   std::vector<ShardBddStats> shard_bdd_stats() const;
 
   /// 3-phase ATPG for a single fault; returns the test sequence (from

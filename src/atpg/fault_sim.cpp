@@ -1,6 +1,8 @@
 #include "atpg/fault_sim.hpp"
 
-#include "sim/explicit.hpp"
+#include <algorithm>
+#include <string>
+
 #include "util/check.hpp"
 
 namespace xatpg {
@@ -8,87 +10,103 @@ namespace xatpg {
 FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
                                const std::vector<bool>& reset_state,
                                const FaultSimOptions& options)
-    : good_(&good),
-      fault_(fault),
-      faulty_(apply_fault(good, fault)),
-      reset_values_(reset_state),
-      options_(options) {
-  restart();
+    : fault_(fault),
+      options_(options),
+      num_good_inputs_(good.inputs().size()),
+      outputs_(good.outputs()) {
+  XATPG_CHECK(reset_state.size() == good.num_signals());
+  const Netlist faulty = apply_fault(good, fault);
+  circuit_ = PackedCircuit(faulty);
+  const std::size_t w = circuit_.words();
+
+  // Match the faulty circuit's inputs to the good vector's positions by
+  // name once (a stuck primary input is no longer an input).
+  input_mask_.assign(w, 0);
+  for (const SignalId in : faulty.inputs()) {
+    const std::string& name = faulty.signal_name(in);
+    std::size_t i = 0;
+    while (i < good.inputs().size() &&
+           good.signal_name(good.inputs()[i]) != name)
+      ++i;
+    XATPG_CHECK_MSG(i < good.inputs().size(),
+                    "faulty input '" << name << "' unknown to good circuit");
+    input_map_.emplace_back(i, in);
+    set_bit(input_mask_.data(), in);
+  }
+  output_mask_.assign(w, 0);
+  for (const SignalId po : outputs_) set_bit(output_mask_.data(), po);
+
+  // Reset drives every (shared) signal to the good reset value; the faulty
+  // circuit then relaxes freely.  No strobe is compared at reset time.
+  const std::vector<StateWord> start =
+      pack_state(fault_initial_state(good, fault, reset_state));
+  if (!circuit_.settle(start.data(), options_.k, scratch_, reset_candidates_)) {
+    reset_candidates_.clear();
+    reset_status_ = DetectStatus::GaveUp;  // faulty circuit does not even reset
+  } else {
+    sort_unique_rows(reset_candidates_, w);
+    if (reset_candidates_.size() / w > options_.candidate_cap)
+      reset_status_ = DetectStatus::GaveUp;
+  }
+  candidates_ = reset_candidates_;
+  status_ = reset_status_;
 }
 
 void FaultSimulator::restart() {
   if (status_ == DetectStatus::Detected) return;  // sticky once proven
-  status_ = DetectStatus::Undetermined;
-  candidates_.clear();
-  // Reset drives every (shared) signal to the good reset value; the faulty
-  // circuit then relaxes freely.  No strobe is compared at reset time.
-  const std::vector<bool> start =
-      fault_initial_state(*good_, fault_, reset_values_);
-  std::vector<bool> inputs;
-  for (const SignalId in : faulty_.inputs()) inputs.push_back(start[in]);
-  std::set<std::vector<bool>> settled;
-  const ExploreResult result =
-      explore_settling(faulty_, start, inputs, options_.k);
-  if (result.exceeded_bound) {
-    status_ = DetectStatus::GaveUp;  // faulty circuit does not even reset
-    return;
-  }
-  candidates_ = result.stable_states;
-  if (candidates_.size() > options_.candidate_cap)
-    status_ = DetectStatus::GaveUp;
-}
-
-void FaultSimulator::settle_into(const std::vector<bool>& start,
-                                 const std::vector<bool>& input_values,
-                                 const std::vector<bool>* good_state,
-                                 std::set<std::vector<bool>>& out) {
-  const ExploreResult result = explore_settling(
-      faulty_, start, map_input_vector(*good_, faulty_, input_values),
-      options_.k);
-  if (result.exceeded_bound) {
-    status_ = DetectStatus::GaveUp;
-    return;
-  }
-  for (const auto& candidate : result.stable_states) {
-    if (good_state) {
-      // Strobe: executions whose primary outputs differ from the expected
-      // response have been flagged by the tester — drop them.
-      bool mismatch = false;
-      for (const SignalId po : good_->outputs())
-        if (candidate[po] != (*good_state)[po]) {
-          mismatch = true;
-          break;
-        }
-      if (mismatch) continue;
-    }
-    out.insert(candidate);
-  }
+  candidates_ = reset_candidates_;
+  status_ = reset_status_;
 }
 
 DetectStatus FaultSimulator::step(const std::vector<bool>& input_values,
                                   const std::vector<bool>& good_state) {
   if (status_ != DetectStatus::Undetermined) return status_;
-  std::set<std::vector<bool>> next;
-  for (const auto& candidate : candidates_) {
-    settle_into(candidate, input_values, &good_state, next);
-    if (status_ == DetectStatus::GaveUp) return status_;
-    if (next.size() > options_.candidate_cap) {
+  XATPG_CHECK(input_values.size() == num_good_inputs_);
+  const std::size_t w = circuit_.words();
+  applied_.assign(w, 0);
+  for (const auto& [i, in] : input_map_)
+    if (input_values[i]) set_bit(applied_.data(), in);
+  expected_.assign(w, 0);
+  for (const SignalId po : outputs_)
+    if (good_state[po]) set_bit(expected_.data(), po);
+
+  // The status is a function of sets, so candidate order does not matter:
+  // GaveUp iff some candidate's settling exceeds k or the consistent union
+  // exceeds the cap, Detected iff the union is empty.
+  next_.clear();
+  start_.resize(w);
+  for (std::size_t c = 0; c < candidates_.size(); c += w) {
+    for (std::size_t j = 0; j < w; ++j)
+      start_[j] = (candidates_[c + j] & ~input_mask_[j]) | applied_[j];
+    const std::size_t first = next_.size();
+    if (!circuit_.settle(start_.data(), options_.k, scratch_, next_)) {
       status_ = DetectStatus::GaveUp;
       return status_;
     }
+    // Strobe: executions whose primary outputs differ from the expected
+    // response have been flagged by the tester — drop them.
+    std::size_t kept = first;
+    for (std::size_t r = first; r < next_.size(); r += w) {
+      bool mismatch = false;
+      for (std::size_t j = 0; j < w; ++j)
+        mismatch |= ((next_[r + j] ^ expected_[j]) & output_mask_[j]) != 0;
+      if (mismatch) continue;
+      std::copy_n(next_.begin() + r, w, next_.begin() + kept);
+      kept += w;
+    }
+    next_.resize(kept);
+    if (next_.size() / w > options_.candidate_cap) {
+      sort_unique_rows(next_, w);
+      if (next_.size() / w > options_.candidate_cap) {
+        status_ = DetectStatus::GaveUp;
+        return status_;
+      }
+    }
   }
-  candidates_ = std::move(next);
+  sort_unique_rows(next_, w);
+  candidates_.swap(next_);
   if (candidates_.empty()) status_ = DetectStatus::Detected;
   return status_;
-}
-
-std::string FaultSimulator::candidates_key() const {
-  std::string key;
-  for (const auto& candidate : candidates_) {
-    for (const bool b : candidate) key += b ? '1' : '0';
-    key += '|';
-  }
-  return key;
 }
 
 std::vector<std::size_t> ternary_screen(

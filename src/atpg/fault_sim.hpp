@@ -26,11 +26,12 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "atpg/fault.hpp"
 #include "netlist/netlist.hpp"
+#include "sim/explicit.hpp"
 #include "xatpg/options.hpp"  // FaultSimOptions (public API type)
 
 namespace xatpg {
@@ -44,7 +45,10 @@ enum class DetectStatus : std::uint8_t {
 // FaultSimOptions (the simulator caps) is a public API type — see
 // xatpg/options.hpp.
 
-/// Exact consistent-set simulator for one fault.
+/// Exact consistent-set simulator for one fault.  The faulty circuit is
+/// compiled once into a PackedCircuit; candidates are packed states kept
+/// sorted and distinct, so equal sets are equal word vectors.  Each
+/// simulator owns its kernel buffers: use one per thread.
 class FaultSimulator {
  public:
   /// `reset_state` is the good circuit's (stable) reset state; the faulty
@@ -55,7 +59,12 @@ class FaultSimulator {
 
   DetectStatus status() const { return status_; }
   const Fault& fault() const { return fault_; }
-  std::size_t num_candidates() const { return candidates_.size(); }
+  std::size_t num_candidates() const {
+    return candidates_.size() / circuit_.words();
+  }
+  /// The consistent set: sorted, distinct packed states of the faulty
+  /// circuit (PackedCircuit::words() words each).
+  const std::vector<StateWord>& candidates() const { return candidates_; }
 
   /// Apply one test vector.  `good_state` is the good circuit's stable
   /// state after this cycle (its PO values are the expected responses).
@@ -67,7 +76,7 @@ class FaultSimulator {
 
   /// Cheap snapshot/rollback for the differentiation BFS.
   struct Snapshot {
-    std::set<std::vector<bool>> candidates;
+    std::vector<StateWord> candidates;
     DetectStatus status;
   };
   Snapshot snapshot() const { return {candidates_, status_}; }
@@ -76,22 +85,25 @@ class FaultSimulator {
     status_ = snap.status;
   }
 
-  /// Canonical serialization of the candidate set (BFS visited keys).
-  std::string candidates_key() const;
-
  private:
-  void settle_into(const std::vector<bool>& start,
-                   const std::vector<bool>& input_values,
-                   const std::vector<bool>* good_state,
-                   std::set<std::vector<bool>>& out);
-
-  const Netlist* good_;
   Fault fault_;
-  Netlist faulty_;
-  std::vector<bool> reset_values_;
   FaultSimOptions options_;
-  std::set<std::vector<bool>> candidates_;
+  PackedCircuit circuit_;
+  std::size_t num_good_inputs_ = 0;
+  /// (index into a good input vector, faulty signal it drives); a stuck
+  /// primary input is no input of the faulty circuit and is left out.
+  std::vector<std::pair<std::size_t, SignalId>> input_map_;
+  std::vector<StateWord> input_mask_;   ///< faulty signals the tester drives
+  std::vector<SignalId> outputs_;       ///< strobed signals (good PO ids)
+  std::vector<StateWord> output_mask_;
+  /// The relaxed reset: restart() copies it.
+  std::vector<StateWord> reset_candidates_;
+  DetectStatus reset_status_ = DetectStatus::Undetermined;
+  std::vector<StateWord> candidates_;
   DetectStatus status_ = DetectStatus::Undetermined;
+  // Per-step buffers, reused.
+  SettleScratch scratch_;
+  std::vector<StateWord> applied_, expected_, start_, next_;
 };
 
 /// Word-parallel ternary screen: simulate up to 63 faults against the good

@@ -3,22 +3,25 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 #include "util/log.hpp"
 
 namespace xatpg {
 
-std::string ExplicitCssg::key(const std::vector<bool>& state) {
-  std::string k(state.size(), '0');
+std::string ExplicitCssg::label(const std::vector<bool>& state) {
+  std::string text(state.size(), '0');
   for (std::size_t i = 0; i < state.size(); ++i)
-    if (state[i]) k[i] = '1';
-  return k;
+    if (state[i]) text[i] = '1';
+  return text;
 }
 
 std::optional<std::uint32_t> ExplicitCssg::find(
     const std::vector<bool>& state) const {
-  auto it = index.find(key(state));
+  if (states.empty() || state.size() != states.front().size())
+    return std::nullopt;
+  auto it = index.find(pack_state(state));
   if (it == index.end()) return std::nullopt;
   return it->second;
 }
@@ -270,21 +273,20 @@ std::optional<Justification> Cssg::justify(const Bdd& targets) const {
 
 ExplicitCssg Cssg::extract_explicit() const {
   ExplicitCssg graph;
-  const auto add_state = [&](const std::vector<bool>& state) -> std::uint32_t {
-    const std::string k = ExplicitCssg::key(state);
-    auto it = graph.index.find(k);
-    if (it != graph.index.end()) return it->second;
+  // (id, true if the state is new): one index lookup per state.
+  const auto add_state = [&](const std::vector<bool>& state) {
     const auto id = static_cast<std::uint32_t>(graph.states.size());
+    const auto [it, fresh] = graph.index.try_emplace(pack_state(state), id);
+    if (!fresh) return std::pair{it->second, false};
     XATPG_CHECK_MSG(graph.states.size() < options_.max_explicit_states,
                     "explicit CSSG exceeds state limit");
     graph.states.push_back(state);
     graph.edges.emplace_back();
-    graph.index.emplace(k, id);
-    return id;
+    return std::pair{id, true};
   };
 
   for (const auto& reset : enc_.all_states_cur(reset_set_))
-    graph.reset_ids.push_back(add_state(reset));
+    graph.reset_ids.push_back(add_state(reset).first);
 
   std::vector<std::uint32_t> worklist = graph.reset_ids;
   while (!worklist.empty()) {
@@ -295,8 +297,7 @@ ExplicitCssg Cssg::extract_explicit() const {
     const Bdd succs = enc_.next_to_cur(succs_next);
     if (succs.is_false()) continue;
     for (const auto& succ : enc_.all_states_cur(succs)) {
-      const bool fresh = !graph.find(succ).has_value();
-      const std::uint32_t to = add_state(succ);
+      const auto [to, fresh] = add_state(succ);
       graph.edges[id].push_back(
           ExplicitCssg::Edge{input_values_of(succ), to});
       if (fresh) worklist.push_back(to);
@@ -311,7 +312,7 @@ std::string Cssg::to_dot() const {
   std::ostringstream os;
   os << "digraph cssg {\n  rankdir=LR;\n";
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
-    os << "  s" << id << " [label=\"" << ExplicitCssg::key(graph.states[id])
+    os << "  s" << id << " [label=\"" << ExplicitCssg::label(graph.states[id])
        << "\"";
     if (std::find(graph.reset_ids.begin(), graph.reset_ids.end(), id) !=
         graph.reset_ids.end())

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "sgraph/encoding.hpp"
+#include "util/packed.hpp"
 #include "xatpg/types.hpp"  // CssgStats (public API type)
 
 namespace xatpg {
@@ -59,9 +60,14 @@ struct ExplicitCssg {
   std::vector<std::vector<bool>> states;           ///< full signal vectors
   std::vector<std::vector<Edge>> edges;            ///< per state id
   std::vector<std::uint32_t> reset_ids;            ///< ids of reset states
-  std::unordered_map<std::string, std::uint32_t> index;  ///< packed key -> id
+  /// pack_state(states[id]) -> id.
+  std::unordered_map<std::vector<StateWord>, std::uint32_t, StateWordsHash>
+      index;
 
-  static std::string key(const std::vector<bool>& state);
+  /// The state as '0'/'1' text, signal 0 first (the to_dot labels).
+  static std::string label(const std::vector<bool>& state);
+  /// Id of `state`; nullopt if it is absent or not as wide as the graph's
+  /// states (packed words alone do not tell 0110 from 011).
   std::optional<std::uint32_t> find(const std::vector<bool>& state) const;
 };
 

@@ -1,0 +1,96 @@
+// Packed boolean states: one bit per signal, 64 signals per 64-bit word.
+//
+// Signal s is bit s % 64 of word s / 64, and the bits past the last signal
+// are zero, so two packed states of one circuit are equal exactly when
+// their words are.  The exact settling kernel (sim/explicit), the fault
+// simulator's candidate sets (atpg/fault_sim), the differentiation search's
+// visited set (atpg/engine) and the explicit CSSG index (sgraph/cssg) all
+// key on these words.
+#pragma once
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <numeric>
+#include <vector>
+
+namespace xatpg {
+
+using StateWord = std::uint64_t;
+
+/// Words per packed state of `num_signals` signals (at least one, so a row
+/// stride is never zero).
+inline std::size_t state_words(std::size_t num_signals) {
+  return std::max<std::size_t>(1, (num_signals + 63) / 64);
+}
+
+inline bool test_bit(const StateWord* words, std::size_t i) {
+  return ((words[i / 64] >> (i % 64)) & 1) != 0;
+}
+inline void set_bit(StateWord* words, std::size_t i) {
+  words[i / 64] |= StateWord{1} << (i % 64);
+}
+inline void flip_bit(StateWord* words, std::size_t i) {
+  words[i / 64] ^= StateWord{1} << (i % 64);
+}
+
+inline std::vector<StateWord> pack_state(const std::vector<bool>& state) {
+  std::vector<StateWord> words(state_words(state.size()), 0);
+  for (std::size_t i = 0; i < state.size(); ++i)
+    if (state[i]) set_bit(words.data(), i);
+  return words;
+}
+
+inline std::vector<bool> unpack_state(const StateWord* words,
+                                      std::size_t num_signals) {
+  std::vector<bool> state(num_signals);
+  for (std::size_t i = 0; i < num_signals; ++i) state[i] = test_bit(words, i);
+  return state;
+}
+
+/// splitmix64's finalizer over every word: all output bits depend on all
+/// input bits, so masking the low bits is a fair table index.
+inline std::uint64_t hash_words(const StateWord* words, std::size_t count) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t i = 0; i < count; ++i) {
+    h ^= words[i];
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+struct StateWordsHash {
+  std::size_t operator()(const std::vector<StateWord>& words) const {
+    return static_cast<std::size_t>(hash_words(words.data(), words.size()));
+  }
+};
+
+/// Sort the `width`-word rows of `rows` lexicographically (word 0 first)
+/// and drop repeats, so equal row sets compare equal as vectors.
+inline void sort_unique_rows(std::vector<StateWord>& rows, std::size_t width) {
+  if (width == 1) {
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    return;
+  }
+  const std::size_t n = rows.size() / width;
+  const auto row = [&](std::size_t r) { return rows.begin() + r * width; };
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::lexicographical_compare(row(a), row(a) + width, row(b),
+                                        row(b) + width);
+  });
+  std::vector<StateWord> out;
+  out.reserve(rows.size());
+  for (const std::size_t r : order) {
+    if (!out.empty() && std::equal(row(r), row(r) + width, out.end() - width))
+      continue;
+    out.insert(out.end(), row(r), row(r) + width);
+  }
+  rows.swap(out);
+}
+
+}  // namespace xatpg

@@ -135,6 +135,31 @@ inline Circuit pipeline2() {
   return Circuit{std::move(synth.netlist), std::move(synth.reset_state)};
 }
 
+/// An `inputs`-input balanced XOR2 parity tree parsed from .bench text
+/// (output p), reset all-false.  At 40 inputs it has 79 signals, more than
+/// one 64-bit state word.
+inline Circuit parity_tree(std::size_t inputs) {
+  std::string text = "OUTPUT(p)\n";
+  std::vector<std::string> level;
+  for (std::size_t i = 0; i < inputs; ++i) {
+    level.push_back("x" + std::to_string(i));
+    text += "INPUT(" + level.back() + ")\n";
+  }
+  std::size_t next = 0;
+  while (level.size() > 1) {
+    std::vector<std::string> up;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      up.push_back(level.size() == 2 ? "p" : "t" + std::to_string(next++));
+      text += up.back() + " = XOR(" + level[i] + ", " + level[i + 1] + ")\n";
+    }
+    if (level.size() % 2 == 1) up.push_back(level.back());
+    level = std::move(up);
+  }
+  Circuit c{parse_bench_string(text), {}};
+  c.reset.assign(c.netlist.num_signals(), false);
+  return c;
+}
+
 // --- seeded random-netlist generator -----------------------------------------
 
 // The generator itself is a library facility now (src/netlist/

@@ -14,7 +14,11 @@
 //      re-parsing may renumber, so fuzz::sorted_lines is the identity);
 //   2. the brute-force CSSG oracle (tests/oracle.hpp): the symbolic CSSG
 //      must match explicit enumeration exactly;
-//   3. the ATPG engine must run to completion with one outcome per fault.
+//   3. the packed settling kernel and fault simulator must match their
+//      set-based oracles (tests/oracle.hpp): equal stable sets and bound
+//      flags from every oracle-reachable state under every input pattern,
+//      equal status and candidates for every fault along a walk;
+//   4. the ATPG engine must run to completion with one outcome per fault.
 //
 // Any exception at all is a violation here: every circuit is valid by
 // construction, so even CheckError (legal for hostile *text*) means a
@@ -27,11 +31,13 @@
 
 #include "atpg/engine.hpp"
 #include "atpg/fault.hpp"
+#include "atpg/fault_sim.hpp"
 #include "fuzz_common.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/random_netlist.hpp"
 #include "oracle.hpp"
 #include "sgraph/cssg.hpp"
+#include "sim/explicit.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
@@ -68,9 +74,8 @@ void check_roundtrip(const xatpg::Netlist& netlist, const std::uint8_t* data,
 
 void check_cssg_oracle(const xatpg::Netlist& netlist,
                        const std::vector<bool>& reset,
+                       const xatpg::testing::OracleCssg& oracle,
                        const std::uint8_t* data, std::size_t size) {
-  const xatpg::testing::OracleCssg oracle =
-      xatpg::testing::oracle_cssg(netlist, reset, kSettle);
   xatpg::CssgOptions options;
   options.k = kSettle;
   const std::string mismatch =
@@ -81,6 +86,72 @@ void check_cssg_oracle(const xatpg::Netlist& netlist,
          "\ncircuit:\n" + xatpg::write_xnl_string(netlist))
             .c_str(),
         data, size);
+}
+
+void check_kernel(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
+                  const xatpg::testing::OracleCssg& oracle,
+                  const std::uint8_t* data, std::size_t size) {
+  const auto fail = [&](const std::string& what) {
+    xatpg::fuzz::violation((what + "\ncircuit:\n" +
+                            xatpg::write_xnl_string(netlist))
+                               .c_str(),
+                           data, size);
+  };
+  using xatpg::testing::oracle_detail::bits;
+  const std::size_t m = netlist.inputs().size();
+  for (const std::vector<bool>& state : oracle.states) {
+    for (std::uint64_t p = 0; p < (1ull << m); ++p) {
+      std::vector<bool> pattern(m);
+      for (std::size_t i = 0; i < m; ++i) pattern[i] = (p >> i) & 1;
+      for (const std::size_t k : {std::size_t{0}, std::size_t{2}, kSettle}) {
+        const xatpg::ExploreResult got =
+            xatpg::explore_settling(netlist, state, pattern, k);
+        const xatpg::ExploreResult want =
+            xatpg::testing::oracle_explore_settling(netlist, state, pattern, k);
+        if (got.stable_states != want.stable_states ||
+            got.exceeded_bound != want.exceeded_bound)
+          fail("packed settling diverged from the set-based oracle from " +
+               bits(state) + " under " + bits(pattern) + " at k=" +
+               std::to_string(k));
+      }
+    }
+  }
+
+  // A walk of valid vectors: the oracle's edges, picked by a generator
+  // seeded from the circuit so the mutation stream stays untouched.
+  std::vector<std::pair<std::vector<bool>, std::vector<bool>>> walk;
+  xatpg::Rng pick(netlist.num_signals() * 7919 + oracle.edges.size());
+  std::vector<bool> good = reset;
+  for (int t = 0; t < 4; ++t) {
+    std::vector<const xatpg::testing::OracleCssg::Edge*> out;
+    for (const auto& edge : oracle.edges)
+      if (std::get<0>(edge) == good) out.push_back(&edge);
+    if (out.empty()) break;
+    const auto& edge = *out[pick.below(out.size())];
+    walk.emplace_back(std::get<1>(edge), std::get<2>(edge));
+    good = std::get<2>(edge);
+  }
+  std::vector<xatpg::Fault> faults = xatpg::input_stuck_faults(netlist);
+  const std::vector<xatpg::Fault> outputs = xatpg::output_stuck_faults(netlist);
+  faults.insert(faults.end(), outputs.begin(), outputs.end());
+  xatpg::FaultSimOptions options;
+  options.k = kSettle;
+  for (const xatpg::Fault& fault : faults) {
+    xatpg::FaultSimulator sim(netlist, fault, reset, options);
+    xatpg::testing::OracleFaultSimulator want(netlist, fault, reset, options);
+    for (std::size_t t = 0; t <= walk.size(); ++t) {
+      if (t > 0) {
+        sim.step(walk[t - 1].first, walk[t - 1].second);
+        want.step(walk[t - 1].first, walk[t - 1].second);
+      }
+      if (sim.status() != want.status() ||
+          xatpg::testing::unpacked_candidates(sim, netlist) !=
+              want.candidates())
+        fail("packed fault simulator diverged from the set-based oracle on " +
+             fault.describe(netlist) + " after " + std::to_string(t) +
+             " vectors");
+    }
+  }
 }
 
 void check_engine(const xatpg::Netlist& netlist,
@@ -127,8 +198,12 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       reset = std::move(mutant->reset);
 
       check_roundtrip(current, data, size);
-      if (current.num_signals() <= kOracleMaxSignals)
-        check_cssg_oracle(current, reset, data, size);
+      if (current.num_signals() <= kOracleMaxSignals) {
+        const xatpg::testing::OracleCssg oracle =
+            xatpg::testing::oracle_cssg(current, reset, kSettle);
+        check_cssg_oracle(current, reset, oracle, data, size);
+        check_kernel(current, reset, oracle, data, size);
+      }
       if (current.num_signals() <= kEngineMaxSignals)
         check_engine(current, reset, data, size);
     }

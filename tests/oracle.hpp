@@ -11,6 +11,12 @@
 // divergence as text so non-gtest consumers (the fuzzer harness) can use
 // the same check.
 //
+// The set-based exact settling kernel and fault simulator, which the packed
+// kernel in src/sim/explicit.cpp and src/atpg/fault_sim.cpp replaced, kept
+// as its reference (tests/test_sim.cpp, tests/test_atpg.cpp,
+// tests/fuzz/fuzz_structural.cpp).  The CSSG oracle settles through it too,
+// so it shares no code with the kernel under test.
+//
 // All-pairs Quine–McCluskey over on ∪ dc, the synthesis layer's former
 // prime generator, kept as the reference for the off-set multiply-out in
 // src/synth/cover.cpp (tests/test_synth.cpp, tests/fuzz/fuzz_cover.cpp).
@@ -24,6 +30,8 @@
 #include <tuple>
 #include <vector>
 
+#include "atpg/fault.hpp"
+#include "atpg/fault_sim.hpp"
 #include "netlist/netlist.hpp"
 #include "sgraph/cssg.hpp"
 #include "sim/explicit.hpp"
@@ -32,11 +40,209 @@
 
 namespace xatpg::testing {
 
+// --- set-based exact settling ---------------------------------------------
+
+/// All excited (unstable) gates in `state`.
+inline std::vector<SignalId> oracle_excited_gates(
+    const Netlist& netlist, const std::vector<bool>& state) {
+  std::vector<SignalId> out;
+  for (SignalId s = 0; s < netlist.num_signals(); ++s) {
+    if (netlist.is_input(s)) continue;
+    if (!netlist.is_gate_stable(s, state)) out.push_back(s);
+  }
+  return out;
+}
+
+/// explore_settling as it was: std::set levels of std::vector<bool> states,
+/// every signal re-evaluated in every state.
+inline ExploreResult oracle_explore_settling(
+    const Netlist& netlist, const std::vector<bool>& stable_from,
+    const std::vector<bool>& input_values, std::size_t max_transitions) {
+  XATPG_CHECK(stable_from.size() == netlist.num_signals());
+  XATPG_CHECK(input_values.size() == netlist.inputs().size());
+
+  ExploreResult result;
+  std::vector<bool> start = stable_from;
+  for (std::size_t i = 0; i < input_values.size(); ++i)
+    start[netlist.inputs()[i]] = input_values[i];
+
+  std::set<std::vector<bool>> level{start};
+  std::size_t depth = 0;
+  while (!level.empty()) {
+    std::set<std::vector<bool>> next_level;
+    for (const std::vector<bool>& state : level) {
+      const auto excited = oracle_excited_gates(netlist, state);
+      if (excited.empty()) {
+        result.stable_states.insert(state);
+        continue;
+      }
+      if (depth == max_transitions) {
+        result.exceeded_bound = true;
+        continue;
+      }
+      for (const SignalId g : excited) {
+        std::vector<bool> succ = state;
+        succ[g] = !succ[g];
+        next_level.insert(std::move(succ));
+      }
+    }
+    if (depth == max_transitions) break;
+    level = std::move(next_level);
+    ++depth;
+  }
+  return result;
+}
+
+/// explicit_stable_reachable over oracle_explore_settling.
+inline std::set<std::vector<bool>> oracle_stable_reachable(
+    const Netlist& netlist, const std::vector<bool>& reset_state,
+    std::size_t max_transitions) {
+  const std::size_t num_inputs = netlist.inputs().size();
+  std::set<std::vector<bool>> stable_seen{reset_state};
+  std::vector<std::vector<bool>> worklist{reset_state};
+  while (!worklist.empty()) {
+    const std::vector<bool> state = worklist.back();
+    worklist.pop_back();
+    for (std::uint64_t pattern = 0; pattern < (1ull << num_inputs); ++pattern) {
+      std::vector<bool> input_values(num_inputs);
+      bool same = true;
+      for (std::size_t i = 0; i < num_inputs; ++i) {
+        input_values[i] = (pattern >> i) & 1;
+        same = same && (input_values[i] == state[netlist.inputs()[i]]);
+      }
+      if (same) continue;
+      const ExploreResult explored = oracle_explore_settling(
+          netlist, state, input_values, max_transitions);
+      for (const std::vector<bool>& st : explored.stable_states)
+        if (stable_seen.insert(st).second) worklist.push_back(st);
+    }
+  }
+  return stable_seen;
+}
+
+/// FaultSimulator as it was: a std::set of candidate states, each settled
+/// by oracle_explore_settling on the materialized faulty netlist, inputs
+/// matched by name on every step.
+class OracleFaultSimulator {
+ public:
+  OracleFaultSimulator(const Netlist& good, const Fault& fault,
+                       const std::vector<bool>& reset_state,
+                       const FaultSimOptions& options = {})
+      : good_(&good),
+        fault_(fault),
+        faulty_(apply_fault(good, fault)),
+        reset_values_(reset_state),
+        options_(options) {
+    restart();
+  }
+
+  DetectStatus status() const { return status_; }
+  const std::set<std::vector<bool>>& candidates() const { return candidates_; }
+
+  void restart() {
+    if (status_ == DetectStatus::Detected) return;
+    status_ = DetectStatus::Undetermined;
+    candidates_.clear();
+    const std::vector<bool> start =
+        fault_initial_state(*good_, fault_, reset_values_);
+    std::vector<bool> inputs;
+    for (const SignalId in : faulty_.inputs()) inputs.push_back(start[in]);
+    const ExploreResult result =
+        oracle_explore_settling(faulty_, start, inputs, options_.k);
+    if (result.exceeded_bound) {
+      status_ = DetectStatus::GaveUp;
+      return;
+    }
+    candidates_ = result.stable_states;
+    if (candidates_.size() > options_.candidate_cap)
+      status_ = DetectStatus::GaveUp;
+  }
+
+  DetectStatus step(const std::vector<bool>& input_values,
+                    const std::vector<bool>& good_state) {
+    if (status_ != DetectStatus::Undetermined) return status_;
+    std::set<std::vector<bool>> next;
+    for (const auto& candidate : candidates_) {
+      settle_into(candidate, input_values, &good_state, next);
+      if (status_ == DetectStatus::GaveUp) return status_;
+      if (next.size() > options_.candidate_cap) {
+        status_ = DetectStatus::GaveUp;
+        return status_;
+      }
+    }
+    candidates_ = std::move(next);
+    if (candidates_.empty()) status_ = DetectStatus::Detected;
+    return status_;
+  }
+
+  struct Snapshot {
+    std::set<std::vector<bool>> candidates;
+    DetectStatus status;
+  };
+  Snapshot snapshot() const { return {candidates_, status_}; }
+  void restore(const Snapshot& snap) {
+    candidates_ = snap.candidates;
+    status_ = snap.status;
+  }
+
+ private:
+  void settle_into(const std::vector<bool>& start,
+                   const std::vector<bool>& input_values,
+                   const std::vector<bool>* good_state,
+                   std::set<std::vector<bool>>& out) {
+    const ExploreResult result = oracle_explore_settling(
+        faulty_, start, map_input_vector(*good_, faulty_, input_values),
+        options_.k);
+    if (result.exceeded_bound) {
+      status_ = DetectStatus::GaveUp;
+      return;
+    }
+    for (const auto& candidate : result.stable_states) {
+      if (good_state) {
+        bool mismatch = false;
+        for (const SignalId po : good_->outputs())
+          if (candidate[po] != (*good_state)[po]) {
+            mismatch = true;
+            break;
+          }
+        if (mismatch) continue;
+      }
+      out.insert(candidate);
+    }
+  }
+
+  const Netlist* good_;
+  Fault fault_;
+  Netlist faulty_;
+  std::vector<bool> reset_values_;
+  FaultSimOptions options_;
+  std::set<std::vector<bool>> candidates_;
+  DetectStatus status_ = DetectStatus::Undetermined;
+};
+
+/// The packed simulator's candidates as the oracle's set (`good` is the
+/// netlist the simulator was built on).
+inline std::set<std::vector<bool>> unpacked_candidates(
+    const FaultSimulator& sim, const Netlist& good) {
+  // A stuck pin appends one constant signal to the faulty circuit.
+  const std::size_t num_signals =
+      good.num_signals() +
+      (sim.fault().site == Fault::Site::GatePin ? 1 : 0);
+  std::set<std::vector<bool>> out;
+  const std::size_t w = state_words(num_signals);
+  for (std::size_t r = 0; r < sim.candidates().size(); r += w)
+    out.insert(unpack_state(sim.candidates().data() + r, num_signals));
+  return out;
+}
+
+// --- brute-force CSSG -----------------------------------------------------
+
 struct OracleCssg {
+  /// (from state, input pattern, to state)
+  using Edge =
+      std::tuple<std::vector<bool>, std::vector<bool>, std::vector<bool>>;
   std::set<std::vector<bool>> states;
-  // (from state, input pattern, to state)
-  std::set<std::tuple<std::vector<bool>, std::vector<bool>, std::vector<bool>>>
-      edges;
+  std::set<Edge> edges;
 };
 
 /// Brute-force CSSG from `reset` with settlement bound `k`.  Cost is
@@ -60,7 +266,7 @@ inline OracleCssg oracle_cssg(const Netlist& netlist,
       }
       if (same) continue;  // R_I: at least one input must flip
       const ExploreResult explored =
-          explore_settling(netlist, state, pattern, k);
+          oracle_explore_settling(netlist, state, pattern, k);
       if (!explored.confluent()) continue;
       const std::vector<bool>& succ = *explored.stable_states.begin();
       oracle.edges.insert({state, pattern, succ});
@@ -116,8 +322,7 @@ inline std::string cssg_oracle_mismatch(const Netlist& netlist,
     return os.str();
   }
 
-  using Edge =
-      std::tuple<std::vector<bool>, std::vector<bool>, std::vector<bool>>;
+  using Edge = OracleCssg::Edge;
   std::set<Edge> edges;
   for (std::uint32_t id = 0; id < graph.states.size(); ++id)
     for (const auto& edge : graph.edges[id])
@@ -136,7 +341,7 @@ inline std::string cssg_oracle_mismatch(const Netlist& netlist,
   }
 
   const std::set<std::vector<bool>> stable_explicit =
-      explicit_stable_reachable(netlist, reset, options.k);
+      oracle_stable_reachable(netlist, reset, options.k);
   const auto stable_symbolic_list =
       cssg.encoding().all_states_cur(cssg.stable_reachable());
   const std::set<std::vector<bool>> stable_symbolic(

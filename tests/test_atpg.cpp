@@ -8,6 +8,7 @@
 #include "atpg/fault_sim.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "fixtures.hpp"
+#include "oracle.hpp"
 #include "sim/explicit.hpp"
 
 namespace xatpg {
@@ -124,6 +125,181 @@ TEST(TernaryScreen, SoundOnChain) {
     EXPECT_TRUE(exact_detected)
         << faults[idx].describe(n) << ": ternary claimed, exact disagrees";
   }
+}
+
+// --- packed fault simulator vs the set-based oracle -----------------------
+
+/// One test sequence from reset: (vector, good state after it) per cycle.
+using Walk = std::vector<std::pair<std::vector<bool>, std::vector<bool>>>;
+
+/// Seeded random walks over the explicit CSSG (valid vectors only).
+std::vector<Walk> cssg_walks(const fixtures::Circuit& fix, std::uint64_t seed,
+                             std::size_t count, std::size_t length) {
+  const Cssg cssg(fix.netlist, {fix.reset});
+  const ExplicitCssg graph = cssg.extract_explicit();
+  const auto reset_id = graph.find(fix.reset);
+  XATPG_CHECK(reset_id.has_value());
+  Rng rng(seed);
+  std::vector<Walk> walks(count);
+  for (Walk& walk : walks) {
+    std::uint32_t id = *reset_id;
+    for (std::size_t t = 0; t < length && !graph.edges[id].empty(); ++t) {
+      const auto& edge = graph.edges[id][rng.below(graph.edges[id].size())];
+      walk.emplace_back(edge.pattern, graph.states[edge.to]);
+      id = edge.to;
+    }
+  }
+  return walks;
+}
+
+/// Status and candidate set of the packed simulator equal the oracle's.
+void expect_same(const FaultSimulator& sim,
+                 const testing::OracleFaultSimulator& oracle,
+                 const Netlist& good, const std::string& where) {
+  ASSERT_EQ(sim.status(), oracle.status()) << where;
+  ASSERT_EQ(testing::unpacked_candidates(sim, good), oracle.candidates())
+      << where;
+}
+
+/// Every fault of both universes, every walk, lockstep with the oracle.
+/// Returns how many (fault, walk) runs ended GaveUp and Detected.
+std::pair<std::size_t, std::size_t> expect_sims_match_oracle(
+    const Netlist& good, const std::vector<bool>& reset,
+    const std::vector<Walk>& walks, const FaultSimOptions& options) {
+  std::vector<Fault> faults = input_stuck_faults(good);
+  for (const Fault& f : output_stuck_faults(good)) faults.push_back(f);
+  std::size_t gave_up = 0, detected = 0;
+  for (const Fault& fault : faults) {
+    FaultSimulator sim(good, fault, reset, options);
+    testing::OracleFaultSimulator oracle(good, fault, reset, options);
+    const std::string name = good.name() + " " + fault.describe(good);
+    expect_same(sim, oracle, good, name + " at reset");
+    for (const Walk& walk : walks) {
+      sim.restart();
+      oracle.restart();
+      expect_same(sim, oracle, good, name + " after restart");
+      for (std::size_t t = 0; t < walk.size(); ++t) {
+        const auto& [vector, good_state] = walk[t];
+        EXPECT_EQ(sim.step(vector, good_state),
+                  oracle.step(vector, good_state));
+        expect_same(sim, oracle, good, name + " step " + std::to_string(t));
+        if (::testing::Test::HasFatalFailure()) return {gave_up, detected};
+      }
+      gave_up += sim.status() == DetectStatus::GaveUp;
+      detected += sim.status() == DetectStatus::Detected;
+    }
+  }
+  return {gave_up, detected};
+}
+
+std::vector<fixtures::Circuit> differential_circuits() {
+  std::vector<fixtures::Circuit> circuits{
+      fixtures::fig1a(), fixtures::fig1b(), fixtures::chain(),
+      fixtures::celem(), fixtures::async_latch(), fixtures::pipeline2()};
+  for (std::uint64_t seed = 1; circuits.size() < 18; ++seed) {
+    try {
+      circuits.push_back(fixtures::random_netlist(seed));
+    } catch (const CheckError&) {
+      // the generator refuses seeds that do not settle
+    }
+  }
+  return circuits;
+}
+
+TEST(PackedFaultSim, MatchesOracleAlongSeededWalks) {
+  std::size_t detected = 0, gave_up = 0;
+  for (const fixtures::Circuit& fix : differential_circuits()) {
+    const std::vector<Walk> walks = cssg_walks(fix, 17, 3, 8);
+    for (const std::size_t k : {std::size_t{2}, std::size_t{24}}) {
+      FaultSimOptions options;
+      options.k = k;
+      const auto [g, d] =
+          expect_sims_match_oracle(fix.netlist, fix.reset, walks, options);
+      if (HasFatalFailure()) return;
+      gave_up += g;
+      detected += d;
+    }
+  }
+  EXPECT_GT(detected, 0u);
+  EXPECT_GT(gave_up, 0u);  // k = 2 cuts fig1b's oscillation short
+}
+
+TEST(PackedFaultSim, GivesUpAtTheCapLikeTheOracle) {
+  // Cap 0 gives up at reset; caps 1-3 give up once the consistent set
+  // grows, where candidates that settle into the same state must count
+  // once.
+  std::size_t gave_up = 0;
+  for (const fixtures::Circuit& fix : differential_circuits()) {
+    const std::vector<Walk> walks = cssg_walks(fix, 5, 3, 8);
+    for (const std::size_t cap : {0u, 1u, 2u, 3u}) {
+      FaultSimOptions options;
+      options.candidate_cap = cap;
+      gave_up += expect_sims_match_oracle(fix.netlist, fix.reset, walks,
+                                          options)
+                     .first;
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(gave_up, 0u);
+}
+
+TEST(PackedFaultSim, SnapshotRestoreRoundTrip) {
+  const fixtures::Circuit fix = fixtures::pipeline2();
+  const std::vector<Walk> walks = cssg_walks(fix, 9, 2, 6);
+  ASSERT_GE(walks[0].size(), 3u);
+  ASSERT_GE(walks[1].size(), 1u);
+  for (const Fault& fault : input_stuck_faults(fix.netlist)) {
+    FaultSimulator sim(fix.netlist, fault, fix.reset);
+    testing::OracleFaultSimulator oracle(fix.netlist, fault, fix.reset);
+    const std::string name = fault.describe(fix.netlist);
+    sim.step(walks[0][0].first, walks[0][0].second);
+    oracle.step(walks[0][0].first, walks[0][0].second);
+    const FaultSimulator::Snapshot snap = sim.snapshot();
+    const auto oracle_snap = oracle.snapshot();
+    // Wander off along another walk, then roll back and continue.
+    for (const auto& [vector, good_state] : walks[1]) {
+      sim.step(vector, good_state);
+      oracle.step(vector, good_state);
+    }
+    sim.restore(snap);
+    oracle.restore(oracle_snap);
+    EXPECT_EQ(sim.candidates(), snap.candidates) << name;
+    expect_same(sim, oracle, fix.netlist, name + " restored");
+    for (std::size_t t = 1; t < walks[0].size(); ++t) {
+      EXPECT_EQ(sim.step(walks[0][t].first, walks[0][t].second),
+                oracle.step(walks[0][t].first, walks[0][t].second));
+      expect_same(sim, oracle, fix.netlist, name + " replayed");
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(PackedFaultSim, MatchesOracleOnMultiWordParityTree) {
+  // 79 good signals (80 with a stuck pin's constant): two state words.
+  const fixtures::Circuit fix = fixtures::parity_tree(40);
+  const Netlist& n = fix.netlist;
+  const std::size_t m = n.inputs().size();
+  Rng rng(79);
+  std::vector<Walk> walks(2);
+  for (Walk& walk : walks) {
+    std::vector<bool> state = fix.reset;
+    while (walk.size() < 6) {
+      std::vector<bool> pattern(m);
+      for (std::size_t i = 0; i < m; ++i) pattern[i] = state[n.inputs()[i]];
+      for (std::uint64_t flips = 1 + rng.below(2); flips > 0; --flips) {
+        const std::size_t i = rng.below(m);
+        pattern[i] = !pattern[i];
+      }
+      const ExploreResult next =
+          testing::oracle_explore_settling(n, state, pattern, 24);
+      if (!next.confluent()) continue;
+      state = *next.stable_states.begin();
+      walk.emplace_back(pattern, state);
+    }
+  }
+  const std::size_t detected =
+      expect_sims_match_oracle(n, fix.reset, walks, FaultSimOptions{}).second;
+  EXPECT_GT(detected, 0u);
 }
 
 // --- engine on a real benchmark ------------------------------------------------

@@ -226,6 +226,55 @@ TEST_F(CssgFig1a, DotExport) {
   EXPECT_NE(dot.find("digraph cssg"), std::string::npos);
 }
 
+TEST_F(CssgFig1a, DotLabelsArePinned) {
+  // Session::cssg_dot() and `xatpg cssg` print this text: states labelled
+  // by their '0'/'1' signal values (signals A B a b c y), reset doubled,
+  // edges by the inputs that flip.
+  EXPECT_EQ(cssg->to_dot(), R"(digraph cssg {
+  rankdir=LR;
+  s0 [label="010010" shape=doublecircle];
+  s1 [label="000000"];
+  s2 [label="111111"];
+  s3 [label="001000"];
+  s4 [label="011010"];
+  s5 [label="101100"];
+  s6 [label="100100"];
+  s0 -> s1 [label="B-"];
+  s0 -> s2 [label="A+"];
+  s1 -> s0 [label="B+"];
+  s1 -> s6 [label="A+"];
+  s1 -> s2 [label="A+B+"];
+  s2 -> s3 [label="A-B-"];
+  s2 -> s4 [label="A-"];
+  s2 -> s5 [label="B-"];
+  s3 -> s4 [label="B+"];
+  s3 -> s5 [label="A+"];
+  s3 -> s2 [label="A+B+"];
+  s4 -> s3 [label="B-"];
+  s4 -> s5 [label="A+B-"];
+  s4 -> s2 [label="A+"];
+  s5 -> s3 [label="A-"];
+  s5 -> s4 [label="A-B+"];
+  s5 -> s2 [label="B+"];
+  s6 -> s1 [label="A-"];
+  s6 -> s2 [label="B+"];
+}
+)");
+}
+
+TEST_F(CssgFig1a, ExplicitFindChecksTheStateWidth) {
+  const ExplicitCssg graph = cssg->extract_explicit();
+  ASSERT_EQ(graph.find(reset), graph.reset_ids.front());
+  // Same packed words, one signal more or less: not a state of this graph.
+  std::vector<bool> wider = reset;
+  wider.push_back(false);
+  EXPECT_FALSE(graph.find(wider).has_value());
+  const std::vector<bool> all_zero(reset.size(), false);
+  ASSERT_TRUE(graph.find(all_zero).has_value());
+  EXPECT_FALSE(
+      graph.find(std::vector<bool>(reset.size() - 1, false)).has_value());
+}
+
 TEST(CssgFig1b, OscillatingVectorExcluded) {
   std::vector<bool> reset;
   const Netlist netlist = fig1b_circuit(&reset);

@@ -2,6 +2,7 @@
 
 #include "fixtures.hpp"
 #include "netlist/netlist.hpp"
+#include "oracle.hpp"
 #include "sim/explicit.hpp"
 #include "sim/parallel.hpp"
 #include "sim/ternary.hpp"
@@ -187,6 +188,148 @@ TEST(ExplicitExplore, StableReachableContainsReset) {
   const auto states = explicit_stable_reachable(fix.netlist, fix.reset, 20);
   EXPECT_TRUE(states.count(fix.reset));
   EXPECT_EQ(states.size(), 2u);  // A=0 and A=1 settlements
+}
+
+// --- packed kernel vs the set-based oracle ----------------------------------
+
+constexpr std::size_t kBounds[] = {0, 1, 2, 24};
+
+/// Settle (state, pattern) under both kernels at every bound in kBounds;
+/// the stable sets and the bound flags must be equal.
+void expect_kernel_matches_oracle(const Netlist& n,
+                                  const std::vector<bool>& state,
+                                  const std::vector<bool>& pattern) {
+  for (const std::size_t k : kBounds) {
+    const ExploreResult got = explore_settling(n, state, pattern, k);
+    const ExploreResult want =
+        testing::oracle_explore_settling(n, state, pattern, k);
+    ASSERT_EQ(got.stable_states, want.stable_states)
+        << n.name() << " k=" << k;
+    ASSERT_EQ(got.exceeded_bound, want.exceeded_bound)
+        << n.name() << " k=" << k;
+  }
+}
+
+/// Every stable state × every input pattern × every bound.
+void expect_kernel_matches_oracle_exhaustively(const Netlist& n) {
+  ASSERT_LE(n.num_signals(), 16u);
+  const std::size_t m = n.inputs().size();
+  std::size_t stable_count = 0;
+  for (std::uint64_t bits = 0; bits < (1ull << n.num_signals()); ++bits) {
+    std::vector<bool> state(n.num_signals());
+    for (SignalId s = 0; s < n.num_signals(); ++s) state[s] = (bits >> s) & 1;
+    if (!n.is_stable_state(state)) continue;
+    ++stable_count;
+    for (std::uint64_t p = 0; p < (1ull << m); ++p) {
+      std::vector<bool> pattern(m);
+      for (std::size_t i = 0; i < m; ++i) pattern[i] = (p >> i) & 1;
+      expect_kernel_matches_oracle(n, state, pattern);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(stable_count, 0u) << n.name();
+}
+
+TEST(PackedKernel, MatchesOracleOnFixtures) {
+  for (const Circuit& fix :
+       {fixtures::fig1a(), fixtures::fig1b(), fixtures::chain(),
+        fixtures::celem(), fixtures::async_latch(), fixtures::pipeline2()}) {
+    SCOPED_TRACE(fix.netlist.name());
+    expect_kernel_matches_oracle_exhaustively(fix.netlist);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(PackedKernel, MatchesOracleOnRandomNetlists) {
+  Rng rng(2024);
+  std::size_t circuits = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    fixtures::RandomNetlistOptions options;
+    options.num_inputs = 2 + rng.below(2);
+    options.num_gates = 4 + rng.below(7);
+    Circuit fix;
+    try {
+      fix = fixtures::random_netlist(seed, options);
+    } catch (const CheckError&) {
+      continue;  // the generator refuses seeds that do not settle
+    }
+    ++circuits;
+    SCOPED_TRACE("random seed " + std::to_string(seed));
+    expect_kernel_matches_oracle_exhaustively(fix.netlist);
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_GE(circuits, 30u);
+}
+
+TEST(PackedKernel, MatchesOracleOnMultiWordParityTree) {
+  // 79 signals: states span two words, and gates sit on both sides of the
+  // word boundary.
+  const Circuit fix = fixtures::parity_tree(40);
+  const Netlist& n = fix.netlist;
+  ASSERT_GT(n.num_signals(), 64u);
+  const std::size_t m = n.inputs().size();
+  Rng rng(40);
+  std::vector<bool> state = fix.reset;
+  for (int trial = 0; trial < 24; ++trial) {
+    // A random stable state, then a pattern flipping one to three inputs.
+    for (const SignalId in : n.inputs()) state[in] = rng.flip();
+    ASSERT_TRUE(settle_to_stable(n, state));
+    std::vector<bool> pattern(m);
+    for (std::size_t i = 0; i < m; ++i) pattern[i] = state[n.inputs()[i]];
+    for (std::uint64_t flips = 1 + rng.below(3); flips > 0; --flips) {
+      const std::size_t i = rng.below(m);
+      pattern[i] = !pattern[i];
+    }
+    expect_kernel_matches_oracle(n, state, pattern);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(PackedKernel, MatchesOracleOnGatesWiderThanAWord) {
+  // 70-input AND, XOR, SOP and gC gates: their fanin masks take two
+  // chunks.
+  Netlist n("wide");
+  std::vector<SignalId> ins;
+  for (int i = 0; i < 70; ++i)
+    ins.push_back(n.add_input("i" + std::to_string(i)));
+  Cube low{std::vector<std::int8_t>(70, -1)};
+  low.lits[3] = 1;
+  low.lits[67] = 0;
+  Cube high{std::vector<std::int8_t>(70, -1)};
+  high.lits[66] = 1;
+  high.lits[69] = 1;
+  Cube reset{std::vector<std::int8_t>(70, -1)};
+  reset.lits[0] = 0;
+  reset.lits[65] = 0;
+  n.set_output(n.add_gate(GateType::And, "a", ins));
+  n.set_output(n.add_gate(GateType::Xor, "x", ins));
+  n.set_output(n.add_sop("s", ins, {low, high}));
+  n.set_output(n.add_gc("g", ins, {high}, {reset}));
+  n.check_invariants();
+  const std::size_t m = ins.size();
+  Rng rng(70);
+  for (int trial = 0; trial < 64; ++trial) {
+    std::vector<bool> state(n.num_signals(), false);
+    for (const SignalId in : ins) state[in] = rng.below(4) != 0;
+    state[n.signal("g")] = rng.flip();
+    ASSERT_TRUE(settle_to_stable(n, state));
+    std::vector<bool> pattern(m);
+    for (std::size_t i = 0; i < m; ++i)
+      pattern[i] = rng.below(8) == 0 ? !state[ins[i]] : state[ins[i]];
+    expect_kernel_matches_oracle(n, state, pattern);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(PackedKernel, StableReachableMatchesOracle) {
+  for (const Circuit& fix :
+       {fixtures::fig1a(), fixtures::fig1b(), fixtures::chain(),
+        fixtures::celem(), fixtures::async_latch(), fixtures::pipeline2()}) {
+    for (const std::size_t k : kBounds)
+      EXPECT_EQ(explicit_stable_reachable(fix.netlist, fix.reset, k),
+                testing::oracle_stable_reachable(fix.netlist, fix.reset, k))
+          << fix.netlist.name() << " k=" << k;
+  }
 }
 
 // --- parallel two-rail simulation -------------------------------------------
