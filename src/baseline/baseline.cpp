@@ -90,6 +90,18 @@ std::optional<std::vector<bool>> unit_delay_settle(
   return std::nullopt;  // did not settle within the bound
 }
 
+bool has_racy_vector(const Netlist& netlist,
+                     const std::vector<bool>& reset_state,
+                     const TestSequence& sequence, std::size_t k) {
+  std::vector<bool> state = reset_state;
+  for (const auto& vec : sequence.vectors) {
+    const auto exact = explore_settling(netlist, state, vec, k);
+    if (!exact.confluent()) return true;
+    state = *exact.stable_states.begin();
+  }
+  return false;
+}
+
 namespace {
 
 /// Synchronous product-machine BFS on the virtual-FF models: find the
@@ -219,20 +231,9 @@ BaselineResult run_baseline(const Netlist& netlist,
       fr.validated = ok && observed;
       if (fr.validated) ++result.validated;
 
-      // Exact-race audit (what validation cannot see): replay the sequence
-      // on the *good* circuit with exhaustive interleaving; flag vectors
-      // whose settling is non-confluent or unbounded.
       if (fr.validated) {
-        std::vector<bool> state = reset_state;
-        for (const auto& vec : fr.sequence.vectors) {
-          const auto exact =
-              explore_settling(netlist, state, vec, options.k_exact);
-          if (!exact.confluent()) {
-            fr.racy = true;
-            break;
-          }
-          state = *exact.stable_states.begin();
-        }
+        fr.racy = has_racy_vector(netlist, reset_state, fr.sequence,
+                                  options.k_exact);
         if (fr.racy) ++result.optimistic;
       }
     }

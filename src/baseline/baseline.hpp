@@ -75,6 +75,16 @@ struct BaselineResult {
   double seconds = 0;
 };
 
+/// Exact-race audit (what unit-delay validation cannot see): replay
+/// `sequence` from `reset_state` on the good circuit with exhaustive
+/// interleaving (explore_settling with bound k), stopping at the first
+/// vector whose settling is non-confluent or unbounded.  True when such a
+/// vector exists.  Applies to any sequence that starts from reset: the
+/// baseline's validated tests and the CSSG flow's AtpgResult::sequences.
+bool has_racy_vector(const Netlist& netlist,
+                     const std::vector<bool>& reset_state,
+                     const TestSequence& sequence, std::size_t k);
+
 /// Run the baseline flow on a fault universe.
 BaselineResult run_baseline(const Netlist& netlist,
                             const std::vector<bool>& reset_state,

@@ -162,9 +162,7 @@ double BenchRecord::total_cpu_ms() const {
   return n;
 }
 
-CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options) {
-  // The timed window starts before Session construction: CSSG building is
-  // part of the paper's CPU column (same convention as bench_table1/2).
+SessionRun run_session(const CorpusEntry& entry, const AtpgOptions& options) {
   Timer timer;
   Expected<Session> session = [&]() -> Expected<Session> {
     switch (entry.kind) {
@@ -190,34 +188,40 @@ CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options) {
                                            << entry.id << "' failed to build: "
                                            << session.error().to_string());
 
-  const Expected<AtpgResult> out_result =
+  Expected<AtpgResult> out_result =
       session->run(session->output_stuck_faults());
   XATPG_CHECK_MSG(out_result.has_value(),
                   "corpus entry '" << entry.id << "' output-stuck run failed: "
                                    << out_result.error().to_string());
-  const Expected<AtpgResult> in_result =
-      session->run(session->input_stuck_faults());
+  Expected<AtpgResult> in_result = session->run(session->input_stuck_faults());
   XATPG_CHECK_MSG(in_result.has_value(),
                   "corpus entry '" << entry.id << "' input-stuck run failed: "
                                    << in_result.error().to_string());
+  const double cpu_ms = timer.millis();
+  const ShardBddStats bdd = session->bdd_stats();
+  return SessionRun{std::move(*session), std::move(*out_result),
+                    std::move(*in_result), bdd, cpu_ms};
+}
 
+CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options) {
+  SessionRun run = run_session(entry, options);
+  const AtpgStats& out_stats = run.output_stuck.stats;
+  const AtpgStats& in_stats = run.input_stuck.stats;
   CircuitRecord record;
   record.id = entry.id;
-  record.signals = session->num_signals();
-  record.pins = session->num_pins();
-  record.faults_total =
-      out_result->stats.total_faults + in_result->stats.total_faults;
-  record.faults_covered =
-      out_result->stats.covered + in_result->stats.covered;
+  record.signals = run.session.num_signals();
+  record.pins = run.session.num_pins();
+  record.faults_total = out_stats.total_faults + in_stats.total_faults;
+  record.faults_covered = out_stats.covered + in_stats.covered;
   record.coverage = record.faults_total == 0
                         ? 0.0
                         : static_cast<double>(record.faults_covered) /
                               static_cast<double>(record.faults_total);
-  record.gave_up = out_result->stats.gave_up + in_result->stats.gave_up;
-  record.sequences = in_result->sequences.size();
-  record.cpu_ms = timer.millis();
+  record.gave_up = out_stats.gave_up + in_stats.gave_up;
+  record.sequences = run.input_stuck.sequences.size();
+  record.cpu_ms = run.cpu_ms;
 
-  const ShardBddStats bdd = session->bdd_stats();
+  const ShardBddStats& bdd = run.bdd;
   record.peak_nodes = bdd.peak_nodes;
   record.live_nodes = bdd.live_nodes;
   record.base_nodes = bdd.base_nodes;
@@ -226,7 +230,7 @@ CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options) {
   record.cache_hits = bdd.cache_hits;
   record.cache_hit_rate = bdd.cache_hit_rate();
   record.unique_load = bdd.unique_load;
-  record.post_sift_nodes = session->sift_now();
+  record.post_sift_nodes = run.session.sift_now();
   // Count sifting passes LAST and across EVERY shard: the explicit pass
   // behind post_sift_nodes is a real reorder the record used to miss, and
   // on a multi-threaded run the worker shards sift independently of shard 0
@@ -236,7 +240,7 @@ CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options) {
   // base_nodes are the same frozen arena, and summing them per shard is the
   // N x double count schema 3 exists to fix.
   record.peak_resident_nodes = record.base_nodes;
-  for (const ShardBddStats& shard : session->shard_bdd_stats()) {
+  for (const ShardBddStats& shard : run.session.shard_bdd_stats()) {
     record.reorders += shard.reorders;
     record.peak_resident_nodes += shard.delta_peak;
   }
@@ -341,28 +345,24 @@ BenchRecord run_sweep(const std::vector<CorpusEntry>& corpus,
 // JSON writing
 // ---------------------------------------------------------------------------
 
-std::string json_escape(const std::string& s) { return json::escape(s); }
-
-std::string json_double(double value) { return json::number(value); }
-
 void write_json(const BenchRecord& record, std::ostream& out) {
   out << "{\n"
       << "  \"schema\": " << record.schema << ",\n"
-      << "  \"kernel\": \"" << json_escape(record.kernel) << "\",\n"
-      << "  \"host\": \"" << json_escape(record.host) << "\",\n"
+      << "  \"kernel\": \"" << json::escape(record.kernel) << "\",\n"
+      << "  \"host\": \"" << json::escape(record.host) << "\",\n"
       << "  \"threads\": " << record.threads << ",\n"
       << "  \"host_cores\": " << record.host_cores << ",\n"
       << "  \"circuits\": [\n";
   for (std::size_t i = 0; i < record.circuits.size(); ++i) {
     const CircuitRecord& c = record.circuits[i];
-    out << "    {\"id\": \"" << json_escape(c.id) << "\""
+    out << "    {\"id\": \"" << json::escape(c.id) << "\""
         << ", \"signals\": " << c.signals << ", \"pins\": " << c.pins
         << ", \"faults_total\": " << c.faults_total
         << ", \"faults_covered\": " << c.faults_covered
-        << ", \"coverage\": " << json_double(c.coverage)
+        << ", \"coverage\": " << json::number(c.coverage)
         << ", \"gave_up\": " << c.gave_up
         << ", \"sequences\": " << c.sequences
-        << ", \"cpu_ms\": " << json_double(c.cpu_ms)
+        << ", \"cpu_ms\": " << json::number(c.cpu_ms)
         << ", \"peak_nodes\": " << c.peak_nodes
         << ", \"live_nodes\": " << c.live_nodes
         << ", \"base_nodes\": " << c.base_nodes
@@ -372,8 +372,8 @@ void write_json(const BenchRecord& record, std::ostream& out) {
         << ", \"reorders\": " << c.reorders
         << ", \"cache_lookups\": " << c.cache_lookups
         << ", \"cache_hits\": " << c.cache_hits
-        << ", \"cache_hit_rate\": " << json_double(c.cache_hit_rate)
-        << ", \"unique_load\": " << json_double(c.unique_load) << "}"
+        << ", \"cache_hit_rate\": " << json::number(c.cache_hit_rate)
+        << ", \"unique_load\": " << json::number(c.unique_load) << "}"
         << (i + 1 < record.circuits.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
@@ -382,30 +382,19 @@ void write_json(const BenchRecord& record, std::ostream& out) {
     for (std::size_t i = 0; i < record.sweep.size(); ++i) {
       const SweepPoint& p = record.sweep[i];
       out << "    {\"threads\": " << p.threads
-          << ", \"cpu_ms\": " << json_double(p.cpu_ms)
-          << ", \"speedup\": " << json_double(p.speedup)
-          << ", \"efficiency\": " << json_double(p.efficiency)
+          << ", \"cpu_ms\": " << json::number(p.cpu_ms)
+          << ", \"speedup\": " << json::number(p.speedup)
+          << ", \"efficiency\": " << json::number(p.efficiency)
           << ", \"peak_resident_nodes\": " << p.peak_resident_nodes << "}"
           << (i + 1 < record.sweep.size() ? "," : "") << "\n";
     }
     out << "  ],\n";
   }
-  if (record.serve.requests > 0) {
-    const ServeRecord& s = record.serve;
-    out << "  \"serve\": {\"requests\": " << s.requests
-        << ", \"circuits\": " << s.circuits << ", \"workers\": " << s.workers
-        << ", \"cold_rps\": " << json_double(s.cold_rps)
-        << ", \"cold_p50_ms\": " << json_double(s.cold_p50_ms)
-        << ", \"cold_p99_ms\": " << json_double(s.cold_p99_ms)
-        << ", \"cached_rps\": " << json_double(s.cached_rps)
-        << ", \"cached_p50_ms\": " << json_double(s.cached_p50_ms)
-        << ", \"cached_p99_ms\": " << json_double(s.cached_p99_ms) << "},\n";
-  }
   out << "  \"totals\": {\"faults_total\": " << record.total_faults()
       << ", \"faults_covered\": " << record.total_covered()
       << ", \"gave_up\": " << record.total_gave_up()
       << ", \"peak_nodes\": " << record.total_peak_nodes()
-      << ", \"cpu_ms\": " << json_double(record.total_cpu_ms()) << "}\n"
+      << ", \"cpu_ms\": " << json::number(record.total_cpu_ms()) << "}\n"
       << "}\n";
 }
 
@@ -487,20 +476,6 @@ BenchRecord parse_record(const std::string& json_text) {
           size_field(entry, "peak_resident_nodes");  // 0 pre-schema-3
       record.sweep.push_back(point);
     }
-  }
-  if (const JsonValue* serve = root.find("serve")) {  // absent pre-schema-4
-    XATPG_CHECK_MSG(serve->type == JsonValue::Type::Object,
-                    "perf record: 'serve' is not an object");
-    ServeRecord& s = record.serve;
-    s.requests = size_field(*serve, "requests");
-    s.circuits = size_field(*serve, "circuits");
-    s.workers = size_field(*serve, "workers");
-    s.cold_rps = num_field(*serve, "cold_rps", 0);
-    s.cold_p50_ms = num_field(*serve, "cold_p50_ms", 0);
-    s.cold_p99_ms = num_field(*serve, "cold_p99_ms", 0);
-    s.cached_rps = num_field(*serve, "cached_rps", 0);
-    s.cached_p50_ms = num_field(*serve, "cached_p50_ms", 0);
-    s.cached_p99_ms = num_field(*serve, "cached_p99_ms", 0);
   }
   return record;
 }

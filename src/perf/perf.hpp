@@ -1,9 +1,11 @@
 // Corpus performance harness + machine-readable perf records + regression
-// comparator.  `xatpg bench` (tools/xatpg_cli.cpp) is the front end; the CI
-// perf-smoke job runs it on every push and diffs the produced record against
-// the checked-in bench/baseline.json.
+// comparator, and the registry of the paper's reproductions (families.cpp).
+// `xatpg bench` (tools/xatpg_cli.cpp) is the front end; the CI perf-smoke job
+// runs it on every push and diffs the produced record against the
+// checked-in bench/baseline.json, and `xatpg bench --family NAME` prints one
+// reproduction.
 //
-// The corpus covers three workload families, all driven through the public
+// The corpus covers three kinds of workload, all driven through the public
 // Session facade:
 //   * every named benchmark reconstruction, in both synthesis styles
 //     (Table 1 speed-independent, Table 2 hazard-free bounded-delay);
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "xatpg/options.hpp"
+#include "xatpg/session.hpp"
 
 namespace xatpg::perf {
 
@@ -49,12 +52,10 @@ namespace xatpg::perf {
 //       finite-checked max_digits10 formatter (schema-2 records could emit
 //       invalid `nan`/`inf` tokens and drop digits on round-trip).  The
 //       parser defaults the new keys when reading schema-1/2 records.
-//   4 — adds the optional `serve` object (`xatpg bench --serve`): the
-//       NDJSON daemon driven over the corpus, requests/sec plus p50/p99
-//       per-request latency for a cold pass (every request an engine run)
-//       and a cached pass (every request a result-cache hit).  Absent
-//       unless the serve benchmark ran; the parser defaults it when
-//       reading schema-1/2/3 records.
+//   4 — added an optional `serve` object (daemon requests/sec and p50/p99
+//       latency, cold vs cached).  It is no longer written: perfbench's
+//       `serve` workload measures the daemon instead.  Records that carry
+//       it still parse; the parser ignores the key like any unknown one.
 inline constexpr int kSchemaVersion = 4;
 /// Identifies the kernel generation a record was produced by (recorded in
 /// the JSON so a cross-kernel diff is visible in the comparator output).
@@ -133,23 +134,6 @@ struct SweepPoint {
   std::size_t peak_resident_nodes = 0;
 };
 
-/// `xatpg bench --serve`: the serve daemon measured end to end (admission,
-/// queue, worker execution, cache, frame serialization) through real
-/// socketpair byte streams.  Latencies are submit-to-result per request.
-struct ServeRecord {
-  std::size_t requests = 0;  ///< total requests measured (0 = no serve bench)
-  std::size_t circuits = 0;  ///< distinct corpus circuits driven
-  std::size_t workers = 0;   ///< daemon worker-pool size
-  /// Cold pass: fresh daemon, every request pays a full engine run.
-  double cold_rps = 0;
-  double cold_p50_ms = 0;
-  double cold_p99_ms = 0;
-  /// Cached pass: same circuits re-requested, every request a cache hit.
-  double cached_rps = 0;
-  double cached_p50_ms = 0;
-  double cached_p99_ms = 0;
-};
-
 struct BenchRecord {
   int schema = kSchemaVersion;
   std::string kernel = kKernelName;
@@ -165,9 +149,6 @@ struct BenchRecord {
   /// Threads-sweep scaling curve (empty unless recorded with
   /// `xatpg bench --threads-sweep`).
   std::vector<SweepPoint> sweep;
-  /// Serve-daemon throughput/latency (requests == 0 unless recorded with
-  /// `xatpg bench --serve`).
-  ServeRecord serve;
 
   std::size_t total_faults() const;
   std::size_t total_covered() const;
@@ -176,9 +157,25 @@ struct BenchRecord {
   double total_cpu_ms() const;
 };
 
-/// Run one corpus entry through a fresh Session.  Throws CheckError when the
-/// entry does not build or the run fails — the harness is in-tree tooling
-/// and a broken corpus is a bug, not an input error.
+/// One corpus entry run through a fresh Session: output-stuck, then
+/// input-stuck, then shard 0's BDD statistics.  `cpu_ms` is the wall clock
+/// from before Session construction (CSSG building is part of the paper's
+/// CPU column) to the end of the second run.
+struct SessionRun {
+  Session session;
+  AtpgResult output_stuck;
+  AtpgResult input_stuck;
+  ShardBddStats bdd;
+  double cpu_ms = 0;
+};
+
+/// Build and run `entry`.  Throws CheckError when the entry does not build
+/// or a run fails — the harness is in-tree tooling and a broken corpus is a
+/// bug, not an input error.
+SessionRun run_session(const CorpusEntry& entry, const AtpgOptions& options);
+
+/// run_session, summarised as the record's row (plus one explicit sift pass
+/// for post_sift_nodes, and reorders / resident nodes over every shard).
 CircuitRecord run_entry(const CorpusEntry& entry, const AtpgOptions& options);
 
 /// Run the corpus in order.  `progress` (optional) receives one line per
@@ -197,28 +194,27 @@ BenchRecord run_sweep(const std::vector<CorpusEntry>& corpus,
                       const std::vector<std::size_t>& thread_counts,
                       std::ostream* progress = nullptr);
 
-/// Drive an in-process serve daemon (src/serve) over the corpus through a
-/// real socketpair byte stream: one cold pass (every request a full engine
-/// run) then `cached_repeats` passes of the same requests (every one a
-/// result-cache hit — verified: a miss on the repeat pass throws
-/// CheckError).  Implemented in serve_bench.cpp.
-ServeRecord run_serve_bench(const std::vector<CorpusEntry>& corpus,
-                            const AtpgOptions& options,
-                            std::size_t cached_repeats = 4,
-                            std::ostream* progress = nullptr);
+// --- paper reproductions (families.cpp) ---------------------------------------
+
+/// One reproduction of the paper's evidence — a table, a figure, an
+/// ablation or the §6.1 baseline — printed as text to `out`.  Each family
+/// runs its experiment's fixed settings and prints the same table on every
+/// run except for its timing columns.  Only table1 and table2 read
+/// `options` (threads, seed, k, reorder.enabled), and ablation_ordering
+/// reads reorder.enabled; every other family ignores it.
+/// Throws CheckError when a circuit fails to build or run.
+struct Family {
+  const char* name;
+  void (*run)(const AtpgOptions& options, std::ostream& out);
+};
+
+/// Every reproduction, in registry order.
+const std::vector<Family>& families();
+
+/// The family called `name`, or nullptr.
+const Family* find_family(const std::string& name);
 
 // --- JSON -------------------------------------------------------------------
-
-/// Escape a string for embedding in a JSON double-quoted literal (shared by
-/// the record writer and the CLI's run --json output).
-std::string json_escape(const std::string& s);
-
-/// Format a double as a valid JSON number token: non-finite values — which
-/// operator<< would emit as the invalid tokens `nan`/`inf` — clamp to 0,
-/// and finite values print with max_digits10 precision so every record
-/// round-trips parse(emit(x)) == x bit-exactly.  Shared by the record
-/// writer and the CLI's run --json output.
-std::string json_double(double value);
 
 void write_json(const BenchRecord& record, std::ostream& out);
 std::string to_json(const BenchRecord& record);

@@ -9,10 +9,10 @@
 //
 // The group/variable interleaving is selectable — the paper lists BDD
 // variable ordering as the main lever on 3-phase ATPG cost (§6), and
-// bench_ablation_ordering measures exactly this choice.  On top of the
-// static choices, the BDD kernel supports dynamic (Rudell sifting)
-// reordering: VarOrder::Sifted starts from the interleaved layout and lets
-// the manager re-sort as structures grow.  The encoding declares each
+// `xatpg bench --family ablation_ordering` measures exactly this choice.
+// On top of the static choices, the BDD kernel supports dynamic (Rudell
+// sifting) reordering: VarOrder::Sifted starts from the interleaved layout
+// and lets the manager re-sort as structures grow.  The encoding declares each
 // signal's (cur, next, aux) triple as one sifting GROUP, so reordering
 // moves whole signals: the triples stay adjacent, which keeps the
 // cur<->next/aux renaming permutations local and the quantification cubes

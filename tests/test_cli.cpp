@@ -72,6 +72,13 @@ TEST(CliContract, SuccessExitsZeroWithSilentStderr) {
   EXPECT_NE(result.out.find("\"coverage\""), std::string::npos);
 }
 
+TEST(CliContract, BenchFamilyPrintsTheReproductionWithSilentStderr) {
+  const CliResult result = run_cli("bench --family fig1");
+  EXPECT_EQ(result.exit_code, 0);
+  EXPECT_TRUE(result.err.empty()) << result.err;
+  EXPECT_EQ(result.out.rfind("Figure 1: ", 0), 0u) << result.out;
+}
+
 TEST(CliContract, UnknownBenchmarkIsOptionErrorJson) {
   const CliResult result = run_cli("run --circuit no_such_benchmark");
   EXPECT_EQ(result.exit_code, 1);
@@ -83,6 +90,10 @@ TEST(CliContract, DegenerateOptionsAreOptionErrorJson) {
   const CliResult result = run_cli("run --circuit fig1a --k 0");
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_EQ(error_code_of(result), "OptionError");
+  // The paper's tables take the same options and the same gate.
+  const CliResult family = run_cli("bench --family table1 --k 0");
+  EXPECT_EQ(family.exit_code, 1);
+  EXPECT_EQ(error_code_of(family), "OptionError");
 }
 
 TEST(CliContract, MalformedCircuitIsParseErrorJson) {
@@ -121,6 +132,17 @@ TEST(CliContract, UsageErrorsExitTwo) {
   // Transport selection for the daemon commands is a usage question too.
   EXPECT_EQ(run_cli("serve").exit_code, 2);
   EXPECT_EQ(run_cli("client --pipe").exit_code, 2);
+  // A reproduction is a named fixed experiment, not a corpus record; the
+  // flags no family reads are refused, not dropped.
+  EXPECT_EQ(run_cli("bench --family no_such_family").exit_code, 2);
+  EXPECT_EQ(run_cli("bench --family fig1 --threads-sweep").exit_code, 2);
+  EXPECT_EQ(run_cli("bench --family fig1 --filter si/").exit_code, 2);
+  EXPECT_EQ(run_cli("bench --family fig1 --json").exit_code, 2);
+  EXPECT_EQ(run_cli("bench --family fig1 --host ci").exit_code, 2);
+  EXPECT_EQ(run_cli("bench --family table1 --random-budget 64").exit_code, 2);
+  EXPECT_EQ(run_cli("bench --family ablation_classify --classify").exit_code,
+            2);
+  EXPECT_EQ(run_cli("bench --family fig1 --progress").exit_code, 2);
 }
 
 }  // namespace

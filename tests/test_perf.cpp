@@ -1,5 +1,6 @@
 // Perf-harness suite: corpus shape, record determinism, JSON round-trip,
-// and the regression comparator the CI perf gate runs (xatpg bench-compare).
+// the regression comparator the CI perf gate runs (xatpg bench-compare), and
+// the paper reproductions (xatpg bench --family) with the facts they show.
 #include "perf/perf.hpp"
 
 #include <gtest/gtest.h>
@@ -7,9 +8,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
+#include <sstream>
 
+#include "benchmarks/benchmarks.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "xatpg/progress.hpp"
 #include "xatpg/session.hpp"
 
@@ -115,53 +120,16 @@ TEST(PerfJson, RoundTripPreservesEveryGatedField) {
   }
 }
 
-TEST(PerfJson, ServeSectionRoundTripsAndDefaultsWhenAbsent) {
-  BenchRecord record;
-  record.host = "ci";
-  record.serve.requests = 120;
-  record.serve.circuits = 24;
-  record.serve.workers = 2;
-  record.serve.cold_rps = 3.25;
-  record.serve.cold_p50_ms = 10.5;
-  record.serve.cold_p99_ms = 3200.75;
-  record.serve.cached_rps = 12000.5;
-  record.serve.cached_p50_ms = 0.078;
-  record.serve.cached_p99_ms = 0.141;
-  const BenchRecord parsed = parse_record(to_json(record));
-  EXPECT_EQ(parsed.serve.requests, record.serve.requests);
-  EXPECT_EQ(parsed.serve.circuits, record.serve.circuits);
-  EXPECT_EQ(parsed.serve.workers, record.serve.workers);
-  EXPECT_NEAR(parsed.serve.cold_rps, record.serve.cold_rps, 1e-9);
-  EXPECT_NEAR(parsed.serve.cold_p50_ms, record.serve.cold_p50_ms, 1e-9);
-  EXPECT_NEAR(parsed.serve.cold_p99_ms, record.serve.cold_p99_ms, 1e-9);
-  EXPECT_NEAR(parsed.serve.cached_rps, record.serve.cached_rps, 1e-9);
-  EXPECT_NEAR(parsed.serve.cached_p50_ms, record.serve.cached_p50_ms, 1e-9);
-  EXPECT_NEAR(parsed.serve.cached_p99_ms, record.serve.cached_p99_ms, 1e-9);
-
-  // A record without a serve bench emits no "serve" key at all, and
-  // pre-schema-4 records parse with the section defaulted to absent.
-  BenchRecord plain;
-  plain.host = "ci";
-  EXPECT_EQ(to_json(plain).find("\"serve\""), std::string::npos);
-  EXPECT_EQ(parse_record(to_json(plain)).serve.requests, 0u);
-}
-
-TEST(PerfRun, ServeBenchMeasuresColdThenCachedThroughTheDaemon) {
-  // One tiny circuit, one repeat pass: 2 requests end to end through a real
-  // in-process daemon.  run_serve_bench itself throws CheckError if the
-  // cold request hits the cache or the repeat request misses it.
-  const std::vector<CorpusEntry> corpus{entry_by_id("bench/c17")};
-  const ServeRecord serve =
-      run_serve_bench(corpus, AtpgOptions{}, /*cached_repeats=*/1);
-  EXPECT_EQ(serve.requests, 2u);
-  EXPECT_EQ(serve.circuits, 1u);
-  EXPECT_GT(serve.cold_p50_ms, 0.0);
-  EXPECT_GT(serve.cached_p50_ms, 0.0);
-  EXPECT_GT(serve.cold_rps, 0.0);
-  EXPECT_GT(serve.cached_rps, 0.0);
-  // The cache hit does no engine work; even on a noisy host it must be far
-  // faster than the cold run that built the result.
-  EXPECT_LT(serve.cached_p50_ms, serve.cold_p50_ms);
+TEST(PerfJson, LegacyServeSectionStillParses) {
+  // Schema-4 records could carry a `serve` object; it is no longer written,
+  // and the parser skips it like any unknown key.
+  const BenchRecord record = parse_record(
+      "{\"schema\": 4, \"circuits\": [{\"id\": \"si/chu150\", "
+      "\"faults_total\": 14}], \"serve\": {\"requests\": 120, "
+      "\"cold_rps\": 3.25}}");
+  ASSERT_EQ(record.circuits.size(), 1u);
+  EXPECT_EQ(record.circuits[0].faults_total, 14u);
+  EXPECT_EQ(to_json(record).find("\"serve\""), std::string::npos);
 }
 
 TEST(PerfJson, MalformedRecordsThrowLoudly) {
@@ -495,10 +463,10 @@ TEST(PerfJson, DoublesRoundTripBitExactly) {
 TEST(PerfJson, NonFiniteDoublesClampToValidJson) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(json_double(kNan), "0");
-  EXPECT_EQ(json_double(kInf), "0");
-  EXPECT_EQ(json_double(-kInf), "0");
-  EXPECT_EQ(json_double(0.25), "0.25");
+  EXPECT_EQ(json::number(kNan), "0");
+  EXPECT_EQ(json::number(kInf), "0");
+  EXPECT_EQ(json::number(-kInf), "0");
+  EXPECT_EQ(json::number(0.25), "0.25");
 
   // A poisoned record must still emit parseable JSON (operator<< would have
   // written the invalid tokens `nan` / `inf`).
@@ -579,6 +547,220 @@ TEST(PerfRun, Schema3MemoryFieldsArePopulatedAndComposed) {
       << "corpus resident = base once + every shard's delta peak";
   EXPECT_GE(record.live_nodes, record.base_nodes)
       << "base nodes are permanently live";
+}
+
+// --- paper reproductions -----------------------------------------------------
+
+/// One family's output at default options, run once per test binary.
+const std::string& family_output(const std::string& name) {
+  static std::map<std::string, std::string> outputs;
+  auto it = outputs.find(name);
+  if (it == outputs.end()) {
+    std::ostringstream out;
+    if (const Family* family = find_family(name))
+      family->run(AtpgOptions{}, out);
+    else
+      ADD_FAILURE() << "family '" << name << "' is not registered";
+    it = outputs.emplace(name, out.str()).first;
+  }
+  return it->second;
+}
+
+/// The lines of `text` that start with `prefix`.
+std::vector<std::string> lines_starting(const std::string& text,
+                                        const std::string& prefix) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind(prefix, 0) == 0) lines.push_back(line);
+  return lines;
+}
+
+/// The whitespace-separated tokens of every '|'-separated cell of a row.
+std::vector<std::vector<std::string>> cells(const std::string& row) {
+  std::vector<std::vector<std::string>> result;
+  std::istringstream in(row);
+  for (std::string cell; std::getline(in, cell, '|');) {
+    std::istringstream tokens(cell);
+    result.emplace_back();
+    for (std::string token; tokens >> token;) result.back().push_back(token);
+  }
+  return result;
+}
+
+/// The single row of `family` that starts with `name` and a space.
+std::vector<std::vector<std::string>> row_of(const std::string& family,
+                                             const std::string& name) {
+  const auto rows = lines_starting(family_output(family), name + " ");
+  EXPECT_EQ(rows.size(), 1u) << family << ": rows for '" << name << "'";
+  return rows.empty() ? std::vector<std::vector<std::string>>{}
+                      : cells(rows.front());
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1))
+    ++count;
+  return count;
+}
+
+TEST(PerfFamilies, RegistryHoldsTheElevenReproductions) {
+  std::set<std::string> names;
+  for (const Family& family : families()) names.insert(family.name);
+  EXPECT_EQ(names, (std::set<std::string>{
+                       "table1", "table2", "fig1", "fig2", "baseline",
+                       "ablation_architecture", "ablation_classify",
+                       "ablation_detector", "ablation_k", "ablation_ordering",
+                       "ablation_random"}));
+  EXPECT_EQ(families().size(), names.size());
+  EXPECT_EQ(find_family("no_such_family"), nullptr);
+  EXPECT_STREQ(find_family("fig2")->name, "fig2");
+}
+
+TEST(PerfFamilies, EveryFamilyPrintsATitledTableAtDefaultOptions) {
+  for (const Family& family : families()) {
+    const std::string& text = family_output(family.name);
+    const std::string title = text.substr(0, text.find('\n'));
+    EXPECT_TRUE(title.rfind("Table ", 0) == 0 ||
+                title.rfind("Figure ", 0) == 0 ||
+                title.rfind("Baseline ", 0) == 0 ||
+                title.rfind("Ablation: ", 0) == 0)
+        << family.name << ": " << title;
+    std::size_t rows = 0;
+    for (const std::string& line : lines_starting(text, ""))
+      if (line.find('|') != std::string::npos) ++rows;
+    EXPECT_GE(rows, 8u) << family.name;
+  }
+}
+
+TEST(PerfFamilies, Table1CoversEveryOutputFault) {
+  const auto total = row_of("table1", "Total FC");
+  ASSERT_GE(total.size(), 3u);
+  EXPECT_EQ(total[1], std::vector<std::string>{"100.00%"});
+  EXPECT_EQ(total[2], std::vector<std::string>{"95.74%"});
+}
+
+TEST(PerfFamilies, Table2DropsOnTheRedundantDesigns) {
+  const auto total = row_of("table2", "Total FC");
+  ASSERT_GE(total.size(), 3u);
+  EXPECT_EQ(total[1], std::vector<std::string>{"50.58%"});
+  EXPECT_EQ(total[2], std::vector<std::string>{"37.80%"});
+}
+
+TEST(PerfFamilies, Fig1ShowsRacesAndOscillations) {
+  const std::string& text = family_output("fig1");
+  EXPECT_EQ(count_of(text, "NON-CONFLUENT"), 2u);
+  EXPECT_EQ(count_of(text, "OSCILLATES/UNSETTLED"), 5u);
+}
+
+TEST(PerfFamilies, Fig2PrunesTheFig1aTcsg) {
+  EXPECT_EQ(lines_starting(family_output("fig2"), "fig1a circuit:"),
+            std::vector<std::string>{
+                "fig1a circuit: 7 stable states, 23 TCR pairs, 4 "
+                "non-confluent pruned, 19 CSSG edges"});
+}
+
+TEST(PerfFamilies, BaselineIsOptimisticOnlyWhereTheCssgFlowIsNot) {
+  // Columns: example | faults | gen valid optimistic | covered racy.
+  EXPECT_EQ(row_of("baseline", "fig1a")[2],
+            (std::vector<std::string>{"12", "12", "2"}));
+  const auto rows = lines_starting(family_output("baseline"), "");
+  std::size_t audited = 0;
+  for (const std::string& row : rows) {
+    const auto cols = cells(row);
+    if (cols.size() != 4 || cols[3].size() != 2 || cols[3][1] == "racy")
+      continue;
+    EXPECT_EQ(cols[3][1], "0") << row;
+    ++audited;
+  }
+  EXPECT_EQ(audited, 9u);
+}
+
+TEST(PerfFamilies, StandardCDecompositionOfVbe5bCoversNothing) {
+  // Columns: example | pins cov cov% (atomic gC) | pins cov cov% (standard-C).
+  const auto vbe5b = row_of("ablation_architecture", "vbe5b");
+  ASSERT_EQ(vbe5b.size(), 3u);
+  EXPECT_EQ(vbe5b[2], (std::vector<std::string>{"19", "0", "0.0%"}));
+  EXPECT_NE(vbe5b[1][1], "0");
+}
+
+TEST(PerfFamilies, ClassifierNeverChangesCoverage) {
+  std::size_t rows = 0;
+  for (const std::string& name : bd_benchmark_names()) {
+    const auto row = row_of("ablation_classify", name);
+    ASSERT_EQ(row.size(), 4u) << name;
+    EXPECT_EQ(row[2].front(), row[3].front()) << name;
+    ++rows;
+  }
+  EXPECT_EQ(rows, 9u);
+}
+
+TEST(PerfFamilies, RandomTpgBudgetNeverChangesFinalCoverage) {
+  // Columns: budget | rnd-cov% | final-cov% | 3-ph faults.
+  std::size_t budgets = 0;
+  for (const std::string& row :
+       lines_starting(family_output("ablation_random"), "")) {
+    const auto cols = cells(row);
+    if (cols.size() != 4 || cols[0].size() != 1 || cols[0][0] == "budget")
+      continue;
+    EXPECT_EQ(cols[2], std::vector<std::string>{"95.7%"}) << row;
+    ++budgets;
+  }
+  EXPECT_EQ(budgets, 8u);
+}
+
+TEST(PerfFamilies, ExactDetectorOutprovesTheTernaryScreen) {
+  const auto total = row_of("ablation_detector", "Total");
+  ASSERT_EQ(total.size(), 4u);
+  EXPECT_EQ(total[2], std::vector<std::string>{"68.2%"});
+  EXPECT_EQ(total[3], std::vector<std::string>{"95.7%"});
+}
+
+TEST(PerfFamilies, SettleBoundSaturatesByThree) {
+  // Columns: example | k | edges | states | coverage.
+  const auto rows = lines_starting(family_output("ablation_k"), "");
+  std::size_t saturated = 0, short_cycle = 0;
+  for (const std::string& row : rows) {
+    const auto cols = cells(row);
+    if (cols.size() != 5 || cols[1].empty() || cols[1][0] == "k") continue;
+    if (std::stoul(cols[1][0]) >= 3) {
+      EXPECT_EQ(cols[4][0], "100.0%") << row;
+      ++saturated;
+    } else if (std::stoul(cols[1][0]) == 1 && cols[4][0] != "100.0%") {
+      ++short_cycle;  // chu150, ebergen, mmu
+    }
+  }
+  EXPECT_EQ(saturated, 30u);
+  EXPECT_EQ(short_cycle, 3u);
+}
+
+TEST(PerfFamilies, BlockedOrderPeaksHighestAndReorderReachesTheTitle) {
+  // Columns: example | order | peak nodes | final live | post-sift | ...
+  const auto rows = lines_starting(family_output("ablation_ordering"), "");
+  std::map<std::string, std::map<std::string, std::size_t>> peak;
+  for (const std::string& row : rows) {
+    const auto cols = cells(row);
+    if (cols.size() == 8 && cols[0].size() == 1 && cols[2].size() == 1 &&
+        cols[2][0] != "peak")
+      peak[cols[0][0]][cols[1][0]] = std::stoul(cols[2][0]);
+  }
+  ASSERT_EQ(peak.size(), 5u);
+  for (const auto& [circuit, by_order] : peak) {
+    ASSERT_EQ(by_order.size(), 4u) << circuit;
+    for (const auto& [order, nodes] : by_order)
+      EXPECT_LE(nodes, by_order.at("blocked")) << circuit << " " << order;
+  }
+
+  AtpgOptions reorder;
+  reorder.reorder.enabled = true;
+  std::ostringstream out;
+  find_family("ablation_ordering")->run(reorder, out);
+  EXPECT_EQ(out.str().rfind("Ablation: BDD variable ordering for the CSSG "
+                            "construction (dynamic reordering on static "
+                            "orders too)\n",
+                            0),
+            0u);
 }
 
 }  // namespace

@@ -1,13 +1,11 @@
-// Portable fallback implementation of the xatpg clang-tidy checks.
+// The xatpg-* lint checks: invariants of this code base that a generic
+// linter cannot know, named like clang-tidy checks.
 //
-// The authoritative implementations live in this directory as a clang-tidy
-// plugin (XatpgTidyModule) and reason over the AST.  But the plugin can only
-// be built where clang-tidy development headers exist, and the project must
-// stay testable on a bare gcc toolchain — so this tool re-implements each
-// check as a conservative token-level scanner sharing the same check names,
-// the same fixture files, and the same NOLINT escape hatch.  `ctest -R lint`
-// drives it everywhere; CI additionally runs the real plugin where it can be
-// built.
+// Each check is a conservative token-level scanner, so the tool builds with
+// nothing but a C++20 compiler and the project stays testable on a bare gcc
+// toolchain.  It honours clang-tidy's NOLINT escape hatch and verifies
+// itself against the lit-style fixtures in fixtures/.  `ctest -R lint`
+// drives it on every host, in tier-1 and in the CI lint job.
 //
 // The checks (see README "Static analysis" for the invariants they guard):
 //

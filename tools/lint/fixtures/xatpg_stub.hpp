@@ -1,9 +1,9 @@
 // Minimal self-contained stand-ins for the xatpg types the lint fixtures
-// exercise.  The fixtures must compile as ordinary C++ (the clang-tidy
-// plugin's tests parse them with the real AST), but they must not drag the
-// whole library into the lint suite — so this stub mirrors just the shapes
-// the checks reason about: Bdd handles bound to a BddManager, packed edge
-// words, and the Expected<T> error carrier.
+// exercise.  The fixtures stay ordinary C++ that any compiler or AST-based
+// tool can parse, but they must not drag the whole library into the lint
+// suite — so this stub mirrors just the shapes the checks reason about:
+// Bdd handles bound to a BddManager, packed edge words, and the Expected<T>
+// error carrier.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Run clang-tidy over the xatpg tree with the project .clang-tidy config,
-# loading the custom xatpg-* plugin when it has been built.
+# Run clang-tidy over the xatpg tree with the project .clang-tidy config.
+# The project's own xatpg-* checks run separately: `ctest -R lint`.
 #
 # Usage: tools/lint/run_clang_tidy.sh [build-dir] [file...]
 #
@@ -25,28 +25,11 @@ if [ ! -f "$BUILD_DIR/compile_commands.json" ]; then
     exit 2
 fi
 
-LOAD_ARGS=""
-for candidate in \
-    "$BUILD_DIR/tools/lint/libXatpgTidyModule.so" \
-    "$BUILD_DIR/tools/lint/libXatpgTidyModule.dylib"; do
-    if [ -f "$candidate" ]; then
-        LOAD_ARGS="--load=$candidate"
-        echo "run_clang_tidy: loading xatpg plugin $candidate" >&2
-        break
-    fi
-done
-if [ -z "$LOAD_ARGS" ]; then
-    echo "run_clang_tidy: xatpg plugin not built — running base checks only" \
-         "(configure with -DXATPG_BUILD_TIDY_PLUGIN=ON where clang-tidy" \
-         "dev headers exist)" >&2
-fi
-
 if [ $# -eq 0 ]; then
     set -- $(find src tools/xatpg_cli.cpp -name '*.cpp' 2>/dev/null)
 fi
 
-# shellcheck disable=SC2086  # LOAD_ARGS is intentionally word-split (0/1 arg)
-clang-tidy $LOAD_ARGS -p "$BUILD_DIR" --quiet "$@"
+clang-tidy -p "$BUILD_DIR" --quiet "$@"
 status=$?
 [ $status -eq 0 ] && echo "run_clang_tidy: clean ($# file(s))"
 exit $status

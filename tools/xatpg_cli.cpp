@@ -2,8 +2,8 @@
 // (run/cssg/export) are driven exclusively through the installed public API
 // (include/xatpg; no src/ internals), which makes them a living proof that
 // the facade is complete; the perf commands (bench/bench-compare)
-// additionally link the in-tree corpus harness (src/perf), which itself
-// drives every circuit through the same Session facade.
+// additionally link the in-tree corpus harness and the paper reproductions
+// (src/perf).
 //
 //   xatpg run    --circuit <name|file.xnl|file.bench> [--style si|bd]
 //                [--faults input|output|both] [--threads N] [--seed N]
@@ -13,6 +13,8 @@
 //   xatpg export --circuit ... [--out FILE] [run flags]
 //   xatpg bench  [--threads N | --threads-sweep] [--seed N] [--reorder]
 //                [--filter SUBSTR] [--host TAG] [--json] [--out FILE]
+//   xatpg bench  --family NAME [--threads N] [--seed N] [--k N] [--reorder]
+//                [--out FILE]
 //   xatpg bench-compare BASELINE.json CURRENT.json
 //                [--max-regress PCT] [--min-cpu-ms MS]
 //   xatpg serve  (--pipe | --socket PATH) [--serve-workers N]
@@ -24,6 +26,10 @@
 // `run --json` emits the paper's table columns (tot/cov per universe,
 // rnd/3-ph/sim, BDD node accounting, CPU time) as a single JSON object.
 // `bench --json` emits the versioned perf record (see src/perf/perf.hpp);
+// `bench --family NAME` prints one of the paper's tables, figures or
+// ablations (src/perf/families.cpp) instead of running the corpus, at the
+// experiment's fixed settings: only table1/table2 read --threads --seed
+// --k --reorder, and ablation_ordering reads --reorder;
 // `bench-compare` diffs two records and exits 1 on any regression — the CI
 // perf gate is exactly this command against bench/baseline.json.
 // `serve` runs the long-lived ATPG daemon (src/serve, docs/PROTOCOL.md);
@@ -40,6 +46,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
@@ -50,7 +57,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "perf/perf.hpp"
@@ -72,7 +78,8 @@ int usage(const char* argv0) {
       << "  run     full ATPG flow (random TPG -> 3-phase -> fault sim)\n"
       << "  cssg    CSSG abstraction statistics (--dot for graphviz)\n"
       << "  export  generate and print the synchronous test program\n"
-      << "  bench   run the perf corpus; --json emits the versioned record\n"
+      << "  bench   run the perf corpus (--json emits the versioned\n"
+      << "          record), or print one paper reproduction (--family)\n"
       << "  bench-compare BASELINE CURRENT   diff two records; exit 1 on\n"
       << "          coverage drop or node/CPU regression (the CI perf gate)\n"
       << "  serve   long-lived ATPG daemon (NDJSON protocol, see\n"
@@ -101,8 +108,13 @@ int usage(const char* argv0) {
       << "  --dot              cssg: graphviz dump instead of statistics\n"
       << "  --out FILE         write output to FILE instead of stdout\n"
       << "  --filter SUBSTR    bench: only corpus ids containing SUBSTR\n"
-      << "  --serve            bench: measure the serve daemon over the\n"
-      << "                     corpus (req/s, p50/p99 cold vs cached)\n"
+      << "  --family NAME      bench: print one paper reproduction (table1,\n"
+      << "                     fig2, ablation_k, ...) instead of running the\n"
+      << "                     corpus; an unknown NAME lists them all.  Each\n"
+      << "                     runs fixed settings: table1/table2 read\n"
+      << "                     --threads --seed --k --reorder,\n"
+      << "                     ablation_ordering reads --reorder, and the\n"
+      << "                     rest read none of them\n"
       << "  --host TAG         bench: host tag stored in the record (CPU\n"
       << "                     gates only fire between equal tags; default\n"
       << "                     $XATPG_BENCH_HOST)\n"
@@ -131,9 +143,10 @@ struct CliArgs {
   bool dot = false;
   bool progress = false;
   bool threads_sweep = false;          ///< bench: record the scaling curve
-  bool serve_bench = false;            ///< bench: daemon throughput/latency
   std::string out;
   std::string filter;                  ///< bench: corpus id substring
+  std::string family;                  ///< bench: paper reproduction name
+  std::vector<std::string> flags;      ///< every argument, for --family
   std::string host;                    ///< bench: record host tag
   double max_regress = 0.25;           ///< bench-compare: node/CPU bound
   double min_cpu_ms = 25.0;            ///< bench-compare: CPU gate floor
@@ -178,6 +191,7 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
     args.host = host_env;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
+    args.flags.push_back(flag);
     const auto value = [&]() -> std::optional<std::string> {
       if (i + 1 >= argc) {
         std::cerr << flag << " needs a value\n";
@@ -236,8 +250,6 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       args.options.random_budget = static_cast<std::size_t>(*v);
     } else if (flag == "--threads-sweep") {
       args.threads_sweep = true;
-    } else if (flag == "--serve") {
-      args.serve_bench = true;
     } else if (flag == "--reorder") {
       args.options.reorder.enabled = true;
     } else if (flag == "--classify") {
@@ -256,6 +268,10 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       const auto v = value();
       if (!v) return false;
       args.filter = *v;
+    } else if (flag == "--family") {
+      const auto v = value();
+      if (!v) return false;
+      args.family = *v;
     } else if (flag == "--host") {
       const auto v = value();
       if (!v) return false;
@@ -334,10 +350,25 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       return false;
     }
   } else if (args.command == "bench") {
-    if (args.serve_bench && args.threads_sweep) {
-      std::cerr << "--serve and --threads-sweep are separate recordings; "
-                   "run them as two bench invocations\n";
-      return false;
+    if (!args.family.empty()) {
+      // A reproduction is a fixed experiment, not a corpus record: flags
+      // that no family reads are refused rather than silently dropped.
+      for (const char* flag : {"--threads-sweep", "--filter", "--json",
+                               "--host", "--random-budget", "--classify",
+                               "--progress"}) {
+        if (std::ranges::find(args.flags, flag) != args.flags.end()) {
+          std::cerr << "--family prints a fixed reproduction: it takes no "
+                    << flag << "\n";
+          return false;
+        }
+      }
+      if (perf::find_family(args.family) == nullptr) {
+        std::cerr << "unknown --family '" << args.family << "' (want one of";
+        for (const perf::Family& family : perf::families())
+          std::cerr << " " << family.name;
+        std::cerr << ")\n";
+        return false;
+      }
     }
   } else if (args.circuit.empty()) {
     std::cerr << "--circuit is required\n";
@@ -358,8 +389,6 @@ bool looks_like_bench_file(const std::string& circuit) {
   return circuit.size() >= 6 &&
          circuit.compare(circuit.size() - 6, 6, ".bench") == 0;
 }
-
-using perf::json_escape;
 
 /// Stderr observer for --progress: phase transitions and a coarse heartbeat.
 class StderrObserver : public RunObserver {
@@ -395,7 +424,7 @@ void print_universe_json(std::ostream& out, const char* key,
       << ", \"undetected\": " << stats.undetected
       << ", \"proven_redundant\": " << stats.proven_redundant
       << ", \"gave_up\": " << stats.gave_up
-      << ", \"coverage\": " << perf::json_double(stats.coverage()) << "}";
+      << ", \"coverage\": " << json::number(stats.coverage()) << "}";
 }
 
 void print_universe_text(std::ostream& out, const char* title,
@@ -439,7 +468,7 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
   const ShardBddStats bdd = session.bdd_stats();
 
   if (args.json) {
-    out << "{\n  \"circuit\": \"" << json_escape(session.circuit_name())
+    out << "{\n  \"circuit\": \"" << json::escape(session.circuit_name())
         << "\",\n  \"style\": \""
         << (args.style == SynthStyle::SpeedIndependent ? "si" : "bd")
         << "\",\n  \"signals\": " << session.num_signals()
@@ -470,9 +499,9 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
         << ", \"reorders\": " << bdd.reorders
         << ", \"cache_lookups\": " << bdd.cache_lookups
         << ", \"cache_hits\": " << bdd.cache_hits
-        << ", \"cache_hit_rate\": " << perf::json_double(bdd.cache_hit_rate())
-        << ", \"unique_load\": " << perf::json_double(bdd.unique_load) << "}"
-        << ",\n  \"cpu_ms\": " << perf::json_double(cpu_ms) << "\n}\n";
+        << ", \"cache_hit_rate\": " << json::number(bdd.cache_hit_rate())
+        << ", \"unique_load\": " << json::number(bdd.unique_load) << "}"
+        << ",\n  \"cpu_ms\": " << json::number(cpu_ms) << "\n}\n";
   } else {
     out << "circuit '" << session.circuit_name() << "': "
         << session.num_inputs() << " inputs, " << session.num_outputs()
@@ -496,7 +525,7 @@ int cmd_cssg(Session& session, const CliArgs& args, std::ostream& out) {
   }
   const CssgStats& stats = session.cssg_stats();
   if (args.json) {
-    out << "{\n  \"circuit\": \"" << json_escape(session.circuit_name())
+    out << "{\n  \"circuit\": \"" << json::escape(session.circuit_name())
         << "\",\n  \"reachable_states\": " << stats.reachable_states
         << ",\n  \"stable_states\": " << stats.stable_states
         << ",\n  \"tcr_pairs\": " << stats.tcr_pairs
@@ -520,6 +549,17 @@ int cmd_cssg(Session& session, const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_bench(const CliArgs& args, std::ostream& out) {
+  if (!args.family.empty()) {
+    if (const Expected<void> valid = args.options.validate(); !valid)
+      return fail(valid.error());
+    try {
+      perf::find_family(args.family)->run(args.options, out);
+    } catch (const CheckError& e) {
+      std::cerr << "xatpg bench: " << e.what() << "\n";
+      return 1;
+    }
+    return 0;
+  }
   std::vector<perf::CorpusEntry> corpus = perf::default_corpus();
   if (!args.filter.empty()) {
     std::erase_if(corpus, [&](const perf::CorpusEntry& entry) {
@@ -532,33 +572,13 @@ int cmd_bench(const CliArgs& args, std::ostream& out) {
     }
   }
   try {
-    perf::BenchRecord record;
-    if (args.serve_bench) {
-      // Daemon throughput/latency: the engine numbers for these circuits
-      // are the regular corpus record's job; this record carries only the
-      // serve section (plus host/threads tags for the comparator).
-      record.host = args.host;
-      record.threads = args.options.threads;
-      record.host_cores = std::thread::hardware_concurrency();
-      record.serve = perf::run_serve_bench(corpus, args.options,
-                                           /*cached_repeats=*/4, &std::cerr);
-    } else {
-      record = args.threads_sweep
-                   ? perf::run_sweep(corpus, args.options, args.host,
-                                     {1, 2, 4, 8}, &std::cerr)
-                   : perf::run_corpus(corpus, args.options, args.host,
-                                      &std::cerr);
-    }
+    const perf::BenchRecord record =
+        args.threads_sweep
+            ? perf::run_sweep(corpus, args.options, args.host, {1, 2, 4, 8},
+                              &std::cerr)
+            : perf::run_corpus(corpus, args.options, args.host, &std::cerr);
     if (args.json) {
       perf::write_json(record, out);
-    } else if (args.serve_bench) {
-      const perf::ServeRecord& s = record.serve;
-      out << "serve: " << s.requests << " requests over " << s.circuits
-          << " circuits (" << s.workers << " worker)\n"
-          << "  cold:   " << s.cold_rps << " req/s, p50 " << s.cold_p50_ms
-          << " ms, p99 " << s.cold_p99_ms << " ms\n"
-          << "  cached: " << s.cached_rps << " req/s, p50 " << s.cached_p50_ms
-          << " ms, p99 " << s.cached_p99_ms << " ms\n";
     } else {
       out << "corpus: " << record.circuits.size() << " circuits, "
           << record.total_covered() << "/" << record.total_faults()
