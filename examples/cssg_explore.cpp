@@ -33,6 +33,6 @@ int main(int argc, char** argv) {
             << "\n# CSSG edges (valid vectors):  " << stats.cssg_edges
             << "\n# CSSG-reachable states:       "
             << stats.cssg_reachable_states << "\n\n";
-  std::cout << "# CSSG (Graphviz):\n" << cssg.to_dot();
+  std::cout << "# CSSG (Graphviz):\n" << cssg.to_dot(cssg.extract_explicit());
   return 0;
 }

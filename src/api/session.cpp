@@ -240,7 +240,9 @@ const AtpgOptions& Session::options() const { return impl_->options; }
 const CssgStats& Session::cssg_stats() const {
   return impl_->engine->cssg().stats();
 }
-std::string Session::cssg_dot() const { return impl_->engine->cssg().to_dot(); }
+std::string Session::cssg_dot() const {
+  return impl_->engine->cssg().to_dot(impl_->engine->graph());
+}
 
 std::vector<Fault> Session::input_stuck_faults() const {
   return xatpg::input_stuck_faults(impl_->netlist);

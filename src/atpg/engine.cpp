@@ -1,5 +1,6 @@
 #include "atpg/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <deque>
@@ -149,15 +150,12 @@ std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
     const TestSequence& seq) const {
   std::vector<std::uint32_t> path{reset_id_};
   for (const auto& vec : seq.vectors) {
-    bool advanced = false;
-    for (const auto& edge : graph_.edges[path.back()]) {
-      if (edge.pattern == vec) {
-        path.push_back(edge.to);
-        advanced = true;
-        break;
-      }
-    }
-    if (!advanced) return std::nullopt;
+    const auto& succs = graph_.edges[path.back()];
+    const auto next = std::find_if(
+        succs.begin(), succs.end(),
+        [&](std::uint32_t to) { return graph_.inputs[to] == vec; });
+    if (next == succs.end()) return std::nullopt;
+    path.push_back(*next);
   }
   return path;
 }
@@ -201,7 +199,8 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
   struct Node {
     std::uint32_t good_id;
     FaultSimulator::Snapshot sim_state;
-    std::vector<std::vector<bool>> suffix;
+    /// Good-state ids of the extension; it applies their input parts.
+    std::vector<std::uint32_t> suffix;
   };
   std::deque<Node> queue;
   // A search node is (good state, faulty candidate set); the candidates are
@@ -244,28 +243,31 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
       result.truncated = true;
       return result;
     }
-    for (const auto& edge : graph_.edges[node.good_id]) {
+    for (const std::uint32_t to : graph_.edges[node.good_id]) {
       if (++expanded > options_.diff_node_cap) {
         result.truncated = true;
         return result;
       }
       sim.restore(node.sim_state);
       const DetectStatus status =
-          sim.step(edge.pattern, graph_.states[edge.to]);
+          sim.step(graph_.inputs[to], graph_.states[to]);
       if (status == DetectStatus::GaveUp) {
         result.truncated = true;  // this branch is abandoned, not refuted
         continue;
       }
-      auto suffix = node.suffix;
-      suffix.push_back(edge.pattern);
       if (status == DetectStatus::Detected) {
         result.found = true;
         result.sequence = applied;
-        for (auto& vec : suffix) result.sequence.vectors.push_back(vec);
+        for (const std::uint32_t id : node.suffix)
+          result.sequence.vectors.push_back(graph_.inputs[id]);
+        result.sequence.vectors.push_back(graph_.inputs[to]);
         return result;
       }
-      if (visited.insert(key_of(edge.to, sim.candidates())).second)
-        queue.push_back(Node{edge.to, sim.snapshot(), std::move(suffix)});
+      if (visited.insert(key_of(to, sim.candidates())).second) {
+        auto suffix = node.suffix;
+        suffix.push_back(to);
+        queue.push_back(Node{to, sim.snapshot(), std::move(suffix)});
+      }
     }
   }
   return result;
@@ -680,16 +682,17 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     std::vector<std::size_t> walk_resolved;
     for (std::size_t step = 0; step < options_.random_walk_len && budget > 0;
          ++step) {
-      const auto& edges = graph_.edges[good_id];
-      if (edges.empty()) break;
-      const auto& edge = edges[rng.below(edges.size())];
+      const auto& succs = graph_.edges[good_id];
+      if (succs.empty()) break;
+      const std::uint32_t to = succs[rng.below(succs.size())];
       --budget;
-      walk.vectors.push_back(edge.pattern);
-      const auto& good_state = graph_.states[edge.to];
+      const auto& vec = graph_.inputs[to];
+      walk.vectors.push_back(vec);
+      const auto& good_state = graph_.states[to];
       for (std::size_t i = 0; i < sims.size(); ++i) {
         if (result.outcomes[i].covered_by != CoveredBy::None) continue;
         if (sims[i]->status() != DetectStatus::Undetermined) continue;
-        if (sims[i]->step(edge.pattern, good_state) == DetectStatus::Detected) {
+        if (sims[i]->step(vec, good_state) == DetectStatus::Detected) {
           result.outcomes[i].covered_by = CoveredBy::Random;
           result.outcomes[i].sequence_index =
               static_cast<int>(result.sequences.size());
@@ -697,7 +700,7 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
           walk_resolved.push_back(i);
         }
       }
-      good_id = edge.to;
+      good_id = to;
     }
     if (!walk_resolved.empty()) {
       result.sequences.push_back(walk);

@@ -91,12 +91,13 @@ class AtpgEngine {
              const AtpgOptions& options = {});
 
   /// The main thread's delta view of the shared abstraction.  Queries on it
-  /// (to_dot, justify, image…) allocate in the view's private delta arena;
+  /// (justify, image…) allocate in the view's private delta arena;
   /// the frozen base underneath is never mutated.  Use base_cssg() to reach
   /// the frozen substrate itself (handle reads only).
   const Cssg& cssg() const { return *shard0_; }
   /// The frozen shared base (read-only; mutating queries would throw).
   const Cssg& base_cssg() const { return *cssg_; }
+  /// The explicit CSSG, extracted once at construction.
   const ExplicitCssg& graph() const { return graph_; }
   const AtpgOptions& options() const { return options_; }
 

@@ -346,7 +346,19 @@ class BddManager {
   /// Enumerate every complete assignment over `vars` (which must be sorted
   /// by strictly ascending LEVEL — for a never-reordered manager that is
   /// ascending variable index — and cover f's support), expanding
-  /// don't-cares.  Throws CheckError if more than `limit` assignments exist.
+  /// don't-cares, straight into packed rows of `width` words appended to
+  /// `rows`: the value of vars[i] is bit bits[i] of its row (bit b is bit
+  /// b % 64 of word b / 64, the util/packed.hpp layout) and every other bit
+  /// is zero.  Rows come out in lexicographic order of the values along
+  /// `vars`, vars[0] most significant.  Throws CheckError if more than
+  /// `limit` assignments exist.
+  void append_minterm_rows(const Bdd& f, const std::vector<std::uint32_t>& vars,
+                           const std::vector<std::uint32_t>& bits,
+                           std::size_t width, std::vector<std::uint64_t>& rows,
+                           std::size_t limit = 1u << 20);
+
+  /// append_minterm_rows with vars[i] as bit i, unpacked: one vector per
+  /// assignment, indexed like `vars`, in the same order.
   [[nodiscard]] std::vector<std::vector<bool>> all_minterms(
       const Bdd& f, const std::vector<std::uint32_t>& vars,
       std::size_t limit = 1u << 20);
@@ -581,6 +593,15 @@ class BddManager {
   std::vector<std::uint32_t> level_to_var_;
   std::vector<std::uint32_t> group_of_var_;
 
+  /// Entries a new manager's cache starts with (96 KiB); maybe_grow_cache
+  /// takes it from there.  Keep it small: every manager allocates and
+  /// clears its cache up front, so a larger start makes each small manager
+  /// pay for a block it never fills, and a block of megabytes (1.5 MiB at
+  /// 2^16 entries) is returned to the kernel by glibc's malloc or kept
+  /// depending on the allocations before it: a small circuit's ATPG time
+  /// then swings by up to 60% with the order of the circuits run before it
+  /// in the same process.
+  static constexpr std::size_t kCacheFloor = 1u << 12;
   std::vector<CacheEntry> cache_;
   std::size_t cache_mask_ = 0;
   mutable std::size_t cache_lookups_ = 0;

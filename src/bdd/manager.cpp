@@ -181,7 +181,7 @@ BddManager::BddManager(std::uint32_t num_vars) {
   nodes_.reserve(1u << 12);
   // The single terminal node (TRUE); FALSE is its complemented edge.
   nodes_.push_back({kVarTerminal, 0, 0, kNil});
-  cache_.assign(1u << 16, CacheEntry{});
+  cache_.assign(kCacheFloor, CacheEntry{});
   cache_mask_ = cache_.size() - 1;
   for (std::uint32_t i = 0; i < num_vars; ++i) new_var();
 }
@@ -209,7 +209,7 @@ BddManager::BddManager(const BddManager& base, Delta) : base_(&base) {
   swap_count_ = base.swap_count_;
   subtables_.resize(num_vars_);
   for (SubTable& table : subtables_) table.buckets.assign(4, kNil);
-  cache_.assign(1u << 16, CacheEntry{});
+  cache_.assign(kCacheFloor, CacheEntry{});
   cache_mask_ = cache_.size() - 1;
 }
 

@@ -19,10 +19,12 @@
 // variable?").  The terminal sorts below every level (kLevelTerminal).
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <unordered_map>
 
 #include "bdd/bdd.hpp"
 #include "util/check.hpp"
+#include "util/packed.hpp"
 
 namespace xatpg {
 
@@ -525,41 +527,71 @@ std::vector<Tri> BddManager::pick_minterm(
   return out;
 }
 
-std::vector<std::vector<bool>> BddManager::all_minterms(
-    const Bdd& f, const std::vector<std::uint32_t>& vars, std::size_t limit) {
+void BddManager::append_minterm_rows(const Bdd& f,
+                                     const std::vector<std::uint32_t>& vars,
+                                     const std::vector<std::uint32_t>& bits,
+                                     std::size_t width,
+                                     std::vector<std::uint64_t>& rows,
+                                     std::size_t limit) {
   XATPG_CHECK_SAME_MGR1(f);
+  XATPG_CHECK(bits.size() == vars.size());
   for (std::size_t i = 1; i < vars.size(); ++i)
     XATPG_CHECK_MSG(var_to_level_[vars[i - 1]] < var_to_level_[vars[i]],
                     "vars must be strictly ascending in level");
-  std::vector<std::vector<bool>> out;
-  std::vector<bool> current(vars.size(), false);
+  for (const std::uint32_t bit : bits)
+    XATPG_CHECK_MSG(bit / 64 < width, "minterm bit outside the row");
+  // The row under construction.  A frame walks its positions in a loop and
+  // recurses only where both values are live (the 0 branch first), so a
+  // chain of forced positions costs one iteration each.  Every position
+  // writes its bit on the way down, so what deeper frames left behind is
+  // overwritten before the next row is emitted.
+  std::vector<std::uint64_t> current(width, 0);
+  std::size_t count = 0;
   auto rec = [&](auto&& self, std::uint32_t e, std::size_t pos) -> void {
-    if (e == kFalseEdge) return;
-    if (pos == vars.size()) {
-      XATPG_CHECK_MSG(e == kTrueEdge,
-                      "all_minterms: variable list does not cover support");
-      XATPG_CHECK_MSG(out.size() < limit, "all_minterms: limit exceeded");
-      out.push_back(current);
-      return;
+    for (; pos < vars.size(); ++pos) {
+      const Node& nn = node_ref(edge_node(e));
+      std::uint32_t lo = e, hi = e;  // don't-care on vars[pos]
+      if (nn.var == vars[pos]) {
+        lo = nn.lo ^ (e & 1u);
+        hi = nn.hi ^ (e & 1u);
+      } else {
+        XATPG_CHECK_MSG(level_of_edge(e) > var_to_level_[vars[pos]],
+                        "all_minterms: variable list does not cover support");
+      }
+      std::uint64_t& word = current[bits[pos] / 64];
+      const std::uint64_t mask = std::uint64_t{1} << (bits[pos] % 64);
+      // A reduced node never has two false children.
+      if (lo != kFalseEdge) {
+        word &= ~mask;
+        if (hi == kFalseEdge) {
+          e = lo;
+          continue;
+        }
+        self(self, lo, pos + 1);
+      }
+      word |= mask;
+      e = hi;
     }
-    const std::uint32_t edge_level = level_of_edge(e);
-    XATPG_CHECK_MSG(edge_level >= var_to_level_[vars[pos]],
+    XATPG_CHECK_MSG(e == kTrueEdge,
                     "all_minterms: variable list does not cover support");
-    if (edge_level == var_to_level_[vars[pos]]) {
-      const Node nn = node_ref(edge_node(e));
-      const std::uint32_t ec = e & 1u;
-      current[pos] = false;
-      self(self, nn.lo ^ ec, pos + 1);
-      current[pos] = true;
-      self(self, nn.hi ^ ec, pos + 1);
-    } else {  // don't-care on vars[pos]
-      current[pos] = false;
-      self(self, e, pos + 1);
-      current[pos] = true;
-      self(self, e, pos + 1);
-    }
+    XATPG_CHECK_MSG(count < limit, "all_minterms: limit exceeded");
+    ++count;
+    rows.insert(rows.end(), current.begin(), current.end());
   };
-  rec(rec, f.index(), 0);
+  if (f.index() != kFalseEdge) rec(rec, f.index(), 0);
+}
+
+std::vector<std::vector<bool>> BddManager::all_minterms(
+    const Bdd& f, const std::vector<std::uint32_t>& vars, std::size_t limit) {
+  std::vector<std::uint32_t> bits(vars.size());
+  std::iota(bits.begin(), bits.end(), 0u);
+  const std::size_t width = state_words(vars.size());
+  std::vector<std::uint64_t> rows;
+  append_minterm_rows(f, vars, bits, width, rows, limit);
+  std::vector<std::vector<bool>> out;
+  out.reserve(rows.size() / width);
+  for (std::size_t r = 0; r < rows.size(); r += width)
+    out.push_back(unpack_state(rows.data() + r, vars.size()));
   return out;
 }
 

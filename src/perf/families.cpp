@@ -233,7 +233,7 @@ void fig2(const AtpgOptions& /*options*/, std::ostream& out) {
         static_cast<int>(cssg.stats().stable_states), cssg.stats().tcr_pairs,
         cssg.stats().nonconfluent_pairs, cssg.stats().cssg_edges);
   print(out, "CSSG as Graphviz:\n");
-  out << cssg.to_dot();
+  out << cssg.to_dot(cssg.extract_explicit());
 }
 
 // --- §6.1 baseline ----------------------------------------------------------
@@ -404,12 +404,12 @@ void ablation_detector(const AtpgOptions& /*options*/, std::ostream& out) {
     std::vector<std::vector<bool>> good_states;
     std::uint32_t good_id = 0;
     for (int step = 0; step < 64; ++step) {
-      const auto& edges = engine.graph().edges[good_id];
-      if (edges.empty()) break;
-      const auto& edge = edges[rng.below(edges.size())];
-      vectors.push_back(edge.pattern);
-      good_states.push_back(engine.graph().states[edge.to]);
-      good_id = edge.to;
+      const auto& succs = engine.graph().edges[good_id];
+      if (succs.empty()) break;
+      const std::uint32_t to = succs[rng.below(succs.size())];
+      vectors.push_back(engine.graph().inputs[to]);
+      good_states.push_back(engine.graph().states[to]);
+      good_id = to;
     }
 
     // Ternary screen, in batches of at most 63 faults.

@@ -271,44 +271,66 @@ std::optional<Justification> Cssg::justify(const Bdd& targets) const {
   return result;
 }
 
+namespace {
+/// Safety limit for explicit state enumeration.
+constexpr std::size_t kMaxExplicitStates = 200000;
+}  // namespace
+
 ExplicitCssg Cssg::extract_explicit() const {
   ExplicitCssg graph;
-  // (id, true if the state is new): one index lookup per state.
-  const auto add_state = [&](const std::vector<bool>& state) {
-    const auto id = static_cast<std::uint32_t>(graph.states.size());
-    const auto [it, fresh] = graph.index.try_emplace(pack_state(state), id);
-    if (!fresh) return std::pair{it->second, false};
-    XATPG_CHECK_MSG(graph.states.size() < options_.max_explicit_states,
+  const std::size_t n = enc_.num_signals();
+  const std::size_t width = state_words(n);
+  const auto& inputs = enc_.netlist().inputs();
+  // The one probe buffer: the index is searched through it, so only a new
+  // state allocates.
+  std::vector<StateWord> key(width);
+  // (id, true if the state is new).
+  const auto add_state = [&](const StateWord* row) {
+    std::copy(row, row + width, key.begin());
+    const auto it = graph.index.find(key);
+    if (it != graph.index.end()) return std::pair{it->second, false};
+    XATPG_CHECK_MSG(graph.states.size() < kMaxExplicitStates,
                     "explicit CSSG exceeds state limit");
-    graph.states.push_back(state);
+    const auto id = static_cast<std::uint32_t>(graph.states.size());
+    graph.index.emplace(key, id);
+    graph.states.push_back(unpack_state(row, n));
+    std::vector<bool> values(inputs.size());
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      values[i] = test_bit(row, inputs[i]);
+    graph.inputs.push_back(std::move(values));
     graph.edges.emplace_back();
     return std::pair{id, true};
   };
 
-  for (const auto& reset : enc_.all_states_cur(reset_set_))
-    graph.reset_ids.push_back(add_state(reset).first);
+  std::vector<StateWord> rows;
+  enc_.append_state_rows_cur(reset_set_, rows);
+  for (std::size_t r = 0; r < rows.size(); r += width)
+    graph.reset_ids.push_back(add_state(rows.data() + r).first);
 
+  const Bdd cur_cube = enc_.cur_cube();
   std::vector<std::uint32_t> worklist = graph.reset_ids;
   while (!worklist.empty()) {
     const std::uint32_t id = worklist.back();
     worklist.pop_back();
-    const Bdd succs_next = enc_.mgr().and_exists(
-        cssg_, enc_.state_minterm_cur(graph.states[id]), enc_.cur_cube());
-    const Bdd succs = enc_.next_to_cur(succs_next);
-    if (succs.is_false()) continue;
-    for (const auto& succ : enc_.all_states_cur(succs)) {
-      const auto [to, fresh] = add_state(succ);
-      graph.edges[id].push_back(
-          ExplicitCssg::Edge{input_values_of(succ), to});
+    const Bdd succs = enc_.next_to_cur(enc_.mgr().and_exists(
+        cssg_, enc_.state_minterm_cur(graph.states[id]), cur_cube));
+    rows.clear();
+    enc_.append_state_rows_cur(succs, rows);
+    std::vector<std::uint32_t> succ_ids;
+    succ_ids.reserve(rows.size() / width);
+    for (std::size_t r = 0; r < rows.size(); r += width) {
+      const auto [to, fresh] = add_state(rows.data() + r);
+      succ_ids.push_back(to);
       if (fresh) worklist.push_back(to);
     }
+    graph.edges[id] = std::move(succ_ids);
   }
   return graph;
 }
 
-std::string Cssg::to_dot() const {
-  const ExplicitCssg graph = extract_explicit();
-  const auto& inputs = enc_.netlist().inputs();
+std::string Cssg::to_dot(const ExplicitCssg& graph) const {
+  const Netlist& netlist = enc_.netlist();
+  const auto& inputs = netlist.inputs();
   std::ostringstream os;
   os << "digraph cssg {\n  rankdir=LR;\n";
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
@@ -320,12 +342,12 @@ std::string Cssg::to_dot() const {
     os << "];\n";
   }
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
-    for (const auto& edge : graph.edges[id]) {
-      os << "  s" << id << " -> s" << edge.to << " [label=\"";
+    for (const std::uint32_t to : graph.edges[id]) {
+      os << "  s" << id << " -> s" << to << " [label=\"";
       for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (graph.states[id][inputs[i]] != edge.pattern[i])
-          os << enc_.netlist().signal_name(inputs[i])
-             << (edge.pattern[i] ? "+" : "-");
+        if (graph.inputs[id][i] != graph.inputs[to][i])
+          os << netlist.signal_name(inputs[i])
+             << (graph.inputs[to][i] ? "+" : "-");
       }
       os << "\"];\n";
     }

@@ -44,22 +44,25 @@ struct CssgOptions {
   /// order-independent, so enabling reordering changes node counts and
   /// timing, never results.
   ReorderPolicy reorder{};
-  /// Safety limit for explicit state enumeration.
-  std::size_t max_explicit_states = 200000;
 };
 
 // CssgStats (the Figure-2-style statistics block) is a public API type —
 // see xatpg/types.hpp.
 
 /// Explicit (enumerated) CSSG used by random TPG and differentiation.
+///
+/// An edge is a successor id: the edge id -> to applies the vector
+/// inputs[to].  R_I flips only primary inputs and R_delta never changes
+/// them, so the input part of an edge's target IS the vector the edge
+/// applies — one vector per state instead of one per edge.
 struct ExplicitCssg {
-  struct Edge {
-    std::vector<bool> pattern;  ///< input values applied (indexed like inputs())
-    std::uint32_t to = 0;       ///< successor state id
-  };
-  std::vector<std::vector<bool>> states;           ///< full signal vectors
-  std::vector<std::vector<Edge>> edges;            ///< per state id
-  std::vector<std::uint32_t> reset_ids;            ///< ids of reset states
+  std::vector<std::vector<bool>> states;  ///< full signal vectors
+  /// Primary-input values of states[id], indexed like the netlist's
+  /// inputs(): the vector every edge into id applies.
+  std::vector<std::vector<bool>> inputs;
+  /// Successor ids per state id, in the canonical order of their states.
+  std::vector<std::vector<std::uint32_t>> edges;
+  std::vector<std::uint32_t> reset_ids;  ///< ids of reset states
   /// pack_state(states[id]) -> id.
   std::unordered_map<std::vector<StateWord>, std::uint32_t, StateWordsHash>
       index;
@@ -141,11 +144,14 @@ class Cssg {
   /// `targets` (a cur-set); nullopt if unreachable via valid vectors.
   std::optional<Justification> justify(const Bdd& targets) const;
 
-  /// Enumerate the explicit CSSG reachable from the reset states.
+  /// Enumerate the explicit CSSG reachable from the reset states: ids in
+  /// depth-first discovery order from the reset states, each successor list
+  /// in lexicographic signal order.  Throws CheckError past 200,000 states.
   ExplicitCssg extract_explicit() const;
 
-  /// Graphviz dump of the explicit CSSG (stable states and valid vectors).
-  std::string to_dot() const;
+  /// Graphviz dump of `graph`, this CSSG's explicit graph (stable states
+  /// labelled by their signal values, edges by the inputs they flip).
+  std::string to_dot(const ExplicitCssg& graph) const;
 
  private:
   void build_relations();

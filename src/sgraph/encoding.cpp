@@ -1,8 +1,8 @@
 #include "sgraph/encoding.hpp"
 
-#include <cmath>
-
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 
 #include "util/check.hpp"
 
@@ -121,11 +121,6 @@ Bdd SymbolicEncoding::state_minterm_cur(const std::vector<bool>& state) const {
   return mgr_.make_minterm(cur_vars_, state);
 }
 
-Bdd SymbolicEncoding::state_minterm_next(const std::vector<bool>& state) const {
-  XATPG_CHECK(state.size() == num_signals());
-  return mgr_.make_minterm(next_vars_, state);
-}
-
 std::vector<bool> SymbolicEncoding::pick_state_cur(const Bdd& set) const {
   XATPG_CHECK_MSG(!set.is_false(), "cannot pick a state from the empty set");
   // Fast path: an allocation-free root-to-leaf descent (lo preferred)
@@ -158,49 +153,43 @@ std::vector<bool> SymbolicEncoding::pick_state_cur(const Bdd& set) const {
   return state;
 }
 
-namespace {
-std::vector<std::vector<bool>> enum_states_over(
-    BddManager& mgr, const Bdd& set, const std::vector<std::uint32_t>& vars,
-    std::size_t limit) {
-  // all_minterms wants variables in strictly ascending LEVEL order (which
-  // tracks the dynamic order, not the variable indices); sort the group and
-  // remember which signal each position corresponds to.
-  std::vector<std::pair<std::uint32_t, SignalId>> order;
-  order.reserve(vars.size());
-  for (SignalId s = 0; s < vars.size(); ++s)
-    order.emplace_back(mgr.level_of(vars[s]), s);
-  std::sort(order.begin(), order.end());
-  std::vector<std::uint32_t> sorted_vars;
-  sorted_vars.reserve(order.size());
-  for (const auto& [lvl, s] : order) sorted_vars.push_back(vars[s]);
-
-  const auto raw = mgr.all_minterms(set, sorted_vars, limit);
-  std::vector<std::vector<bool>> out;
-  out.reserve(raw.size());
-  for (const auto& assignment : raw) {
-    std::vector<bool> state(vars.size());
-    for (std::size_t pos = 0; pos < order.size(); ++pos)
-      state[order[pos].second] = assignment[pos];
-    out.push_back(std::move(state));
-  }
-  // The raw enumeration follows the level order; canonicalize to
-  // lexicographic signal order so state ids, edge lists and everything
-  // derived from them are identical for every static layout and at any
-  // point of a dynamic-reordering run.  (A no-op for the default
-  // interleaved layout, whose level order already enumerates this way.)
-  std::sort(out.begin(), out.end());
-  return out;
+void SymbolicEncoding::append_state_rows_cur(const Bdd& set,
+                                             std::vector<StateWord>& rows,
+                                             std::size_t limit) const {
+  // The enumerator wants variables in strictly ascending LEVEL order (which
+  // tracks the dynamic order, not the variable indices): list the signals
+  // by the level of their cur variable.
+  std::vector<std::uint32_t> signals(num_signals());
+  std::iota(signals.begin(), signals.end(), 0u);
+  std::sort(signals.begin(), signals.end(), [&](SignalId a, SignalId b) {
+    return mgr_.level_of(cur_vars_[a]) < mgr_.level_of(cur_vars_[b]);
+  });
+  std::vector<std::uint32_t> vars(signals.size());
+  for (std::size_t i = 0; i < signals.size(); ++i)
+    vars[i] = cur_vars_[signals[i]];
+  const std::size_t first = rows.size();
+  const std::size_t width = state_words(num_signals());
+  mgr_.append_minterm_rows(set, vars, signals, width, rows, limit);
+  // The rows follow the level order, which is already signal order when
+  // cur levels ascend with the signal index (the interleaved and blocked
+  // layouts before any reordering); otherwise one sort canonicalizes them,
+  // so state ids, edge lists and everything derived from them are
+  // identical for every static layout and at any point of a
+  // dynamic-reordering run.
+  if (!std::is_sorted(signals.begin(), signals.end()))
+    sort_rows_signal_order(rows, first, width);
 }
-}  // namespace
 
 std::vector<std::vector<bool>> SymbolicEncoding::all_states_cur(
     const Bdd& set, std::size_t limit) const {
-  return enum_states_over(mgr_, set, cur_vars_, limit);
-}
-
-std::vector<std::vector<bool>> SymbolicEncoding::all_states_next(
-    const Bdd& set, std::size_t limit) const {
-  return enum_states_over(mgr_, set, next_vars_, limit);
+  std::vector<StateWord> rows;
+  append_state_rows_cur(set, rows, limit);
+  const std::size_t width = state_words(num_signals());
+  std::vector<std::vector<bool>> out;
+  out.reserve(rows.size() / width);
+  for (std::size_t r = 0; r < rows.size(); r += width)
+    out.push_back(unpack_state(rows.data() + r, num_signals()));
+  return out;
 }
 
 Bdd SymbolicEncoding::target(SignalId s) const {

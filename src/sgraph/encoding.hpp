@@ -28,6 +28,7 @@
 
 #include "bdd/bdd.hpp"
 #include "netlist/netlist.hpp"
+#include "util/packed.hpp"
 #include "xatpg/options.hpp"  // VarOrder (public API type)
 
 namespace xatpg {
@@ -91,9 +92,8 @@ class SymbolicEncoding {
   Bdd aux_to_next(const Bdd& f) const { return mgr_.permute(f, perm_next_aux_); }
   Bdd cur_to_aux(const Bdd& f) const { return mgr_.permute(f, perm_cur_aux_); }
 
-  /// Minterm of a complete state over the chosen group's variables.
+  /// Minterm of a complete state over the cur variables.
   Bdd state_minterm_cur(const std::vector<bool>& state) const;
-  Bdd state_minterm_next(const std::vector<bool>& state) const;
 
   /// Pick one complete state from a non-empty set over cur variables: the
   /// lexicographically smallest member (by signal index).  Canonical — the
@@ -102,12 +102,16 @@ class SymbolicEncoding {
   /// static layouts and dynamic reordering.
   std::vector<bool> pick_state_cur(const Bdd& set) const;
 
-  /// Enumerate all complete states in a set over cur (or next) variables,
-  /// in lexicographic signal order — again canonical under reordering (the
-  /// explicit CSSG's state ids and edge order inherit this determinism).
+  /// Enumerate all complete states in a set over cur variables as packed
+  /// rows (util/packed.hpp, state_words(num_signals()) words each) appended
+  /// to `rows`, in lexicographic signal order, signal 0 most significant —
+  /// again canonical under reordering (the explicit CSSG's state ids and
+  /// edge order inherit this determinism).  Throws CheckError past `limit`
+  /// states.
+  void append_state_rows_cur(const Bdd& set, std::vector<StateWord>& rows,
+                             std::size_t limit = 1u << 20) const;
+  /// append_state_rows_cur, unpacked: one vector per state, same order.
   std::vector<std::vector<bool>> all_states_cur(
-      const Bdd& set, std::size_t limit = 1u << 20) const;
-  std::vector<std::vector<bool>> all_states_next(
       const Bdd& set, std::size_t limit = 1u << 20) const;
 
   /// Target (settled) value of gate s as a function of cur variables; for

@@ -5,7 +5,8 @@
 // their words are.  The exact settling kernel (sim/explicit), the fault
 // simulator's candidate sets (atpg/fault_sim), the differentiation search's
 // visited set (atpg/engine) and the explicit CSSG index (sgraph/cssg) all
-// key on these words.
+// key on these words, and the BDD minterm enumerator writes its rows in
+// this layout.
 #pragma once
 
 #include <algorithm>
@@ -66,6 +67,39 @@ struct StateWordsHash {
     return static_cast<std::size_t>(hash_words(words.data(), words.size()));
   }
 };
+
+/// True when row `a` comes before row `b` in the order of the
+/// std::vector<bool> states they pack (signal 0 most significant): at their
+/// lowest differing bit, `a` holds the 0.
+inline bool signal_order_less(const StateWord* a, const StateWord* b,
+                              std::size_t width) {
+  for (std::size_t w = 0; w < width; ++w) {
+    const StateWord diff = a[w] ^ b[w];
+    if (diff != 0) return (a[w] & diff & (~diff + 1)) == 0;
+  }
+  return false;
+}
+
+/// Sort the `width`-word rows of rows[first..] into signal order (see
+/// signal_order_less).
+inline void sort_rows_signal_order(std::vector<StateWord>& rows,
+                                   std::size_t first, std::size_t width) {
+  const std::size_t n = (rows.size() - first) / width;
+  const auto row = [&](std::size_t r) {
+    return rows.data() + first + r * width;
+  };
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return signal_order_less(row(a), row(b), width);
+  });
+  std::vector<StateWord> sorted;
+  sorted.reserve(n * width);
+  for (const std::size_t r : order)
+    sorted.insert(sorted.end(), row(r), row(r) + width);
+  std::copy(sorted.begin(), sorted.end(),
+            rows.begin() + static_cast<std::ptrdiff_t>(first));
+}
 
 /// Sort the `width`-word rows of `rows` lexicographically (word 0 first)
 /// and drop repeats, so equal row sets compare equal as vectors.

@@ -13,7 +13,9 @@
 //      the circuit's line set (the serve cache keys on canonical bytes;
 //      re-parsing may renumber, so fuzz::sorted_lines is the identity);
 //   2. the brute-force CSSG oracle (tests/oracle.hpp): the symbolic CSSG
-//      must match explicit enumeration exactly;
+//      must match explicit enumeration exactly, and on every mutant the
+//      packed explicit extraction must equal the oracle extraction id for
+//      id;
 //   3. the packed settling kernel and fault simulator must match their
 //      set-based oracles (tests/oracle.hpp): equal stable sets and bound
 //      flags from every oracle-reachable state under every input pattern,
@@ -86,6 +88,32 @@ void check_cssg_oracle(const xatpg::Netlist& netlist,
          "\ncircuit:\n" + xatpg::write_xnl_string(netlist))
             .c_str(),
         data, size);
+}
+
+void check_extraction(const xatpg::Netlist& netlist,
+                      const std::vector<bool>& reset, const std::uint8_t* data,
+                      std::size_t size) {
+  // The interleaved layout enumerates rows in signal order already; the
+  // reversed one needs the canonicalizing sort.
+  std::optional<xatpg::testing::OracleExplicitCssg> oracle;
+  for (const xatpg::VarOrder order :
+       {xatpg::VarOrder::Interleaved, xatpg::VarOrder::ReverseInterleaved}) {
+    xatpg::CssgOptions options;
+    options.k = kSettle;
+    options.order = order;
+    const xatpg::Cssg cssg(netlist, {reset}, options);
+    if (!oracle) oracle = xatpg::testing::oracle_extract_explicit(cssg);
+    const std::string mismatch = xatpg::testing::explicit_oracle_mismatch(
+        cssg.extract_explicit(), *oracle);
+    if (!mismatch.empty())
+      xatpg::fuzz::violation(
+          (std::string("packed explicit CSSG diverged from the oracle "
+                       "extraction under ") +
+           xatpg::var_order_name(order) + ": " + mismatch + "\ncircuit:\n" +
+           xatpg::write_xnl_string(netlist))
+              .c_str(),
+          data, size);
+  }
 }
 
 void check_kernel(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
@@ -198,6 +226,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       reset = std::move(mutant->reset);
 
       check_roundtrip(current, data, size);
+      check_extraction(current, reset, data, size);
       if (current.num_signals() <= kOracleMaxSignals) {
         const xatpg::testing::OracleCssg oracle =
             xatpg::testing::oracle_cssg(current, reset, kSettle);

@@ -17,6 +17,11 @@
 // tests/fuzz/fuzz_structural.cpp).  The CSSG oracle settles through it too,
 // so it shares no code with the kernel under test.
 //
+// The explicit CSSG extraction as it was before packed rows (std::vector<bool>
+// enumeration, a pattern on every edge), kept as the reference for the
+// packed extraction in src/sgraph/cssg.cpp (tests/test_sgraph.cpp,
+// tests/fuzz/fuzz_structural.cpp).
+//
 // All-pairs Quine–McCluskey over on ∪ dc, the synthesis layer's former
 // prime generator, kept as the reference for the off-set multiply-out in
 // src/synth/cover.cpp (tests/test_synth.cpp, tests/fuzz/fuzz_cover.cpp).
@@ -24,10 +29,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "atpg/fault.hpp"
@@ -325,8 +333,8 @@ inline std::string cssg_oracle_mismatch(const Netlist& netlist,
   using Edge = OracleCssg::Edge;
   std::set<Edge> edges;
   for (std::uint32_t id = 0; id < graph.states.size(); ++id)
-    for (const auto& edge : graph.edges[id])
-      edges.insert({graph.states[id], edge.pattern, graph.states[edge.to]});
+    for (const std::uint32_t to : graph.edges[id])
+      edges.insert({graph.states[id], graph.inputs[to], graph.states[to]});
   if (edges != oracle.edges) {
     std::ostringstream os;
     os << "edge sets differ (symbolic " << edges.size() << ", oracle "
@@ -354,6 +362,130 @@ inline std::string cssg_oracle_mismatch(const Netlist& netlist,
               stable_symbolic, stable_explicit,
               +[](const std::vector<bool>& s) { return oracle_detail::bits(s); });
     return os.str();
+  }
+  return {};
+}
+
+// --- explicit CSSG extraction ---------------------------------------------
+
+/// The explicit CSSG as Cssg::extract_explicit built it before packed rows:
+/// every state a std::vector<bool>, every edge carrying its own pattern.
+struct OracleExplicitCssg {
+  struct Edge {
+    std::vector<bool> pattern;  ///< input values applied, like inputs()
+    std::uint32_t to = 0;       ///< successor state id
+  };
+  std::vector<std::vector<bool>> states;
+  std::vector<std::vector<Edge>> edges;
+  std::vector<std::uint32_t> reset_ids;
+};
+
+/// SymbolicEncoding::all_states_cur as it was: enumerate over the cur
+/// variables in level order, move each position to its signal, then sort
+/// the vectors into signal order.
+inline std::vector<std::vector<bool>> oracle_all_states_cur(
+    const SymbolicEncoding& enc, const Bdd& set) {
+  std::vector<std::pair<std::uint32_t, SignalId>> order;
+  for (SignalId s = 0; s < enc.num_signals(); ++s)
+    order.emplace_back(enc.mgr().level_of(enc.cur_var(s)), s);
+  std::sort(order.begin(), order.end());
+  std::vector<std::uint32_t> vars;
+  for (const auto& [level, s] : order) vars.push_back(enc.cur_var(s));
+  std::vector<std::vector<bool>> out;
+  for (const auto& assignment : enc.mgr().all_minterms(set, vars)) {
+    std::vector<bool> state(order.size());
+    for (std::size_t pos = 0; pos < order.size(); ++pos)
+      state[order[pos].second] = assignment[pos];
+    out.push_back(std::move(state));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Cssg::extract_explicit as it was: depth-first from the reset states
+/// (ring 0 of the onion rings), successors in signal order, each edge's
+/// pattern the input values of its target.
+inline OracleExplicitCssg oracle_extract_explicit(const Cssg& cssg) {
+  const SymbolicEncoding& enc = cssg.encoding();
+  OracleExplicitCssg graph;
+  std::unordered_map<std::vector<StateWord>, std::uint32_t, StateWordsHash>
+      index;
+  const auto add_state = [&](const std::vector<bool>& state) {
+    const auto id = static_cast<std::uint32_t>(graph.states.size());
+    const auto [it, fresh] = index.try_emplace(pack_state(state), id);
+    if (!fresh) return std::pair{it->second, false};
+    graph.states.push_back(state);
+    graph.edges.emplace_back();
+    return std::pair{id, true};
+  };
+  for (const auto& reset : oracle_all_states_cur(enc, cssg.rings().front()))
+    graph.reset_ids.push_back(add_state(reset).first);
+  std::vector<std::uint32_t> worklist = graph.reset_ids;
+  while (!worklist.empty()) {
+    const std::uint32_t id = worklist.back();
+    worklist.pop_back();
+    const Bdd succs = cssg.image(enc.state_minterm_cur(graph.states[id]));
+    for (const auto& succ : oracle_all_states_cur(enc, succs)) {
+      const auto [to, fresh] = add_state(succ);
+      std::vector<bool> pattern;
+      for (const SignalId in : enc.netlist().inputs())
+        pattern.push_back(succ[in]);
+      graph.edges[id].push_back({std::move(pattern), to});
+      if (fresh) worklist.push_back(to);
+    }
+  }
+  return graph;
+}
+
+/// Diff a packed extraction against the oracle's, id for id: the same
+/// states in id order, the same reset ids, the same successor lists in the
+/// same order, inputs[to] equal to each oracle edge's pattern, and an index
+/// that finds every state under its id.  Returns "" on a perfect match,
+/// else a one-line description of the first divergence.
+inline std::string explicit_oracle_mismatch(const ExplicitCssg& graph,
+                                            const OracleExplicitCssg& oracle) {
+  using oracle_detail::bits;
+  std::ostringstream os;
+  if (graph.states.size() != oracle.states.size()) {
+    os << "state counts differ (packed " << graph.states.size() << ", oracle "
+       << oracle.states.size() << ")";
+    return os.str();
+  }
+  if (graph.inputs.size() != graph.states.size() ||
+      graph.edges.size() != graph.states.size() ||
+      graph.index.size() != graph.states.size())
+    return "packed inputs, edges or index not one per state";
+  if (graph.reset_ids != oracle.reset_ids) return "reset ids differ";
+  for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
+    if (graph.states[id] != oracle.states[id]) {
+      os << "state " << id << " is " << bits(graph.states[id]) << ", oracle "
+         << bits(oracle.states[id]);
+      return os.str();
+    }
+    if (graph.find(graph.states[id]) != std::optional<std::uint32_t>(id)) {
+      os << "index does not find state " << id;
+      return os.str();
+    }
+    const auto& got = graph.edges[id];
+    const auto& want = oracle.edges[id];
+    if (got.size() != want.size()) {
+      os << "state " << id << " has " << got.size() << " successors, oracle "
+         << want.size();
+      return os.str();
+    }
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      if (got[j] != want[j].to) {
+        os << "successor " << j << " of state " << id << " is " << got[j]
+           << ", oracle " << want[j].to;
+        return os.str();
+      }
+      if (graph.inputs[got[j]] != want[j].pattern) {
+        os << "edge " << id << " -> " << got[j] << " applies "
+           << bits(graph.inputs[got[j]]) << ", oracle "
+           << bits(want[j].pattern);
+        return os.str();
+      }
+    }
   }
   return {};
 }

@@ -144,9 +144,10 @@ std::vector<Walk> cssg_walks(const fixtures::Circuit& fix, std::uint64_t seed,
   for (Walk& walk : walks) {
     std::uint32_t id = *reset_id;
     for (std::size_t t = 0; t < length && !graph.edges[id].empty(); ++t) {
-      const auto& edge = graph.edges[id][rng.below(graph.edges[id].size())];
-      walk.emplace_back(edge.pattern, graph.states[edge.to]);
-      id = edge.to;
+      const auto& succs = graph.edges[id];
+      const std::uint32_t to = succs[rng.below(succs.size())];
+      walk.emplace_back(graph.inputs[to], graph.states[to]);
+      id = to;
     }
   }
   return walks;
@@ -349,6 +350,54 @@ TEST_F(EngineFixture, SequencesAreCssgValid) {
   const auto result = engine->run(input_stuck_faults(netlist));
   for (const auto& seq : result.sequences)
     EXPECT_TRUE(engine->follow(seq).has_value());
+}
+
+// --- follow on vectors that are not edges ------------------------------------
+
+class FollowFig1a : public ::testing::Test {
+ protected:
+  FollowFig1a() {
+    AtpgOptions options;
+    options.k = 20;
+    engine = std::make_unique<AtpgEngine>(fix.netlist, fix.reset, options);
+  }
+  /// One cycle's input vector (A, B), indexed like the netlist's inputs().
+  std::vector<bool> ab(bool a, bool b) const {
+    std::vector<bool> vec;
+    for (const SignalId in : fix.netlist.inputs())
+      vec.push_back(in == fix.netlist.signal("A") ? a : b);
+    return vec;
+  }
+  fixtures::Circuit fix = fixtures::fig1a();
+  std::unique_ptr<AtpgEngine> engine;
+};
+
+TEST_F(FollowFig1a, RacingVectorIsNoEdge) {
+  // From reset (A=0, B=1) AB=11 is an edge; AB=10 races
+  // (CssgFig1a.RacingVectorExcludedFromCssg), so it has none.
+  ASSERT_TRUE(engine->follow(TestSequence{{ab(true, true)}}).has_value());
+  EXPECT_FALSE(engine->follow(TestSequence{{ab(true, false)}}).has_value());
+}
+
+TEST_F(FollowFig1a, WrongWidthIsNoEdge) {
+  std::vector<bool> wider = ab(true, true);
+  wider.push_back(false);
+  EXPECT_FALSE(engine->follow(TestSequence{{wider}}).has_value());
+  EXPECT_FALSE(
+      engine->follow(TestSequence{{std::vector<bool>{true}}}).has_value());
+  EXPECT_FALSE(
+      engine->follow(TestSequence{{std::vector<bool>{}}}).has_value());
+}
+
+TEST_F(FollowFig1a, ValidPrefixThenNonEdge) {
+  // B- then B+ returns to reset; the racing AB=10 then ends the path.
+  TestSequence seq{{ab(false, false), ab(false, true)}};
+  const auto prefix = engine->follow(seq);
+  ASSERT_TRUE(prefix.has_value());
+  ASSERT_EQ(prefix->size(), 3u);
+  EXPECT_EQ(engine->graph().states[prefix->back()], fix.reset);
+  seq.vectors.push_back(ab(true, false));
+  EXPECT_FALSE(engine->follow(seq).has_value());
 }
 
 TEST_F(EngineFixture, EverySequenceDetectsItsFault) {

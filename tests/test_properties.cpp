@@ -4,6 +4,7 @@
 // injection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "atpg/fault.hpp"
@@ -14,6 +15,7 @@
 #include "sim/explicit.hpp"
 #include "sim/parallel.hpp"
 #include "sim/ternary.hpp"
+#include "util/packed.hpp"
 #include "util/random.hpp"
 
 namespace xatpg {
@@ -86,6 +88,51 @@ TEST_P(BddProperty, MintermsAllSatisfyAndAreDistinct) {
   std::set<std::vector<bool>> unique(minterms.begin(), minterms.end());
   EXPECT_EQ(unique.size(), minterms.size());
   for (const auto& m : minterms) EXPECT_TRUE(mgr.eval(f, m));
+  // vars ascend in level, so the enumeration is lexicographic, vars[0] first.
+  EXPECT_TRUE(std::is_sorted(minterms.begin(), minterms.end()));
+}
+
+TEST_P(BddProperty, MintermRowsScatterBitsAcrossWords) {
+  // vars[v] goes to bit 127 - 9v of a two-word row (127 down to 28, across
+  // the word boundary); every other bit stays zero, rows already in the
+  // buffer stay, and the rows unpack to all_minterms in the same order.
+  const Bdd f = random_function(4);
+  std::vector<std::uint32_t> vars, bits;
+  for (std::uint32_t v = 0; v < 12; ++v) {
+    vars.push_back(v);
+    bits.push_back(127 - 9 * v);
+  }
+  const std::vector<StateWord> kept{~StateWord{0}, 7};
+  std::vector<StateWord> rows = kept;
+  mgr.append_minterm_rows(f, vars, bits, 2, rows, 1u << 13);
+  const auto minterms = mgr.all_minterms(f, vars, 1u << 13);
+  ASSERT_EQ(rows.size(), 2 * (minterms.size() + 1));
+  EXPECT_TRUE(std::equal(kept.begin(), kept.end(), rows.begin()));
+  for (std::size_t m = 0; m < minterms.size(); ++m) {
+    const StateWord* row = rows.data() + 2 * (m + 1);
+    std::vector<bool> expected(128, false);
+    for (std::size_t v = 0; v < vars.size(); ++v)
+      expected[bits[v]] = minterms[m][v];
+    EXPECT_EQ(unpack_state(row, 128), expected) << "row " << m;
+  }
+}
+
+TEST(BddMintermRows, CheckLimitSupportAndWidth) {
+  BddManager mgr(6);
+  Bdd f = mgr.var(0);
+  for (std::uint32_t v = 1; v < 6; ++v) f |= mgr.var(v);  // 63 of 64
+  std::vector<std::uint32_t> vars{0, 1, 2, 3, 4, 5};
+  std::vector<std::uint32_t> bits{0, 1, 2, 3, 4, 5};
+  std::vector<StateWord> rows;
+  mgr.append_minterm_rows(f, vars, bits, 1, rows, 63);
+  EXPECT_EQ(rows.size(), 63u);
+  rows.clear();
+  EXPECT_THROW(mgr.append_minterm_rows(f, vars, bits, 1, rows, 62),
+               CheckError);
+  EXPECT_THROW(mgr.append_minterm_rows(f, {0, 1, 2}, {0, 1, 2}, 1, rows),
+               CheckError);  // vars do not cover the support
+  EXPECT_THROW(mgr.append_minterm_rows(f, vars, {0, 1, 2, 3, 4, 64}, 1, rows),
+               CheckError);  // bit 64 is outside a one-word row
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BddProperty,

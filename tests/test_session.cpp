@@ -208,9 +208,19 @@ TEST(SessionFlow, CircuitXnlRoundTrips) {
 }
 
 TEST(SessionFlow, CssgDotIsWellFormed) {
+  // The session renders the engine's graph; a standalone Cssg built with the
+  // session's options renders the same text.
   auto session = Session::from_benchmark("fig1a");
   ASSERT_TRUE(session.has_value());
+  const fixtures::Circuit fix = fixtures::fig1a();
+  ASSERT_EQ(session->reset_state(), fix.reset);
+  CssgOptions options;
+  options.k = session->options().k;
+  options.order = session->options().order;
+  options.reorder = session->options().reorder;
+  const Cssg cssg(fix.netlist, {fix.reset}, options);
   const std::string dot = session->cssg_dot();
+  EXPECT_EQ(dot, cssg.to_dot(cssg.extract_explicit()));
   EXPECT_NE(dot.find("digraph"), std::string::npos);
 }
 

@@ -6,6 +6,7 @@
 
 #include "benchmarks/benchmarks.hpp"
 #include "fixtures.hpp"
+#include "oracle.hpp"
 #include "sim/explicit.hpp"
 #include "sim/ternary.hpp"
 
@@ -142,8 +143,8 @@ TEST_F(CssgFig1a, CssgEdgesAreDeterministic) {
   const ExplicitCssg graph = cssg->extract_explicit();
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
     std::set<std::vector<bool>> patterns;
-    for (const auto& e : graph.edges[id])
-      EXPECT_TRUE(patterns.insert(e.pattern).second)
+    for (const std::uint32_t to : graph.edges[id])
+      EXPECT_TRUE(patterns.insert(graph.inputs[to]).second)
           << "duplicate pattern from state " << id;
   }
 }
@@ -156,12 +157,12 @@ TEST_F(CssgFig1a, CssgEdgesValidatedByExplicitExploration) {
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
     const auto& state = graph.states[id];
     std::set<std::vector<bool>> edge_patterns;
-    for (const auto& e : graph.edges[id]) {
-      edge_patterns.insert(e.pattern);
+    for (const std::uint32_t to : graph.edges[id]) {
+      edge_patterns.insert(graph.inputs[to]);
       const auto exact =
-          explore_settling(netlist, state, e.pattern, cssg->options().k);
+          explore_settling(netlist, state, graph.inputs[to], cssg->options().k);
       ASSERT_TRUE(exact.confluent());
-      EXPECT_EQ(*exact.stable_states.begin(), graph.states[e.to]);
+      EXPECT_EQ(*exact.stable_states.begin(), graph.states[to]);
     }
     // Completeness: any confluent pattern must appear as an edge.
     for (std::uint64_t bits = 0; bits < (1ull << m); ++bits) {
@@ -222,7 +223,7 @@ TEST_F(CssgFig1a, StatsAreConsistent) {
 }
 
 TEST_F(CssgFig1a, DotExport) {
-  const std::string dot = cssg->to_dot();
+  const std::string dot = cssg->to_dot(cssg->extract_explicit());
   EXPECT_NE(dot.find("digraph cssg"), std::string::npos);
 }
 
@@ -230,7 +231,7 @@ TEST_F(CssgFig1a, DotLabelsArePinned) {
   // Session::cssg_dot() and `xatpg cssg` print this text: states labelled
   // by their '0'/'1' signal values (signals A B a b c y), reset doubled,
   // edges by the inputs that flip.
-  EXPECT_EQ(cssg->to_dot(), R"(digraph cssg {
+  EXPECT_EQ(cssg->to_dot(cssg->extract_explicit()), R"(digraph cssg {
   rankdir=LR;
   s0 [label="010010" shape=doublecircle];
   s1 [label="000000"];
@@ -317,11 +318,11 @@ TEST_P(CssgBenchmark, ExplicitGraphMatchesOracle) {
   // the recorded successor (full exploration on the first 10 states).
   const std::size_t check = std::min<std::size_t>(graph.states.size(), 10);
   for (std::uint32_t id = 0; id < check; ++id) {
-    for (const auto& e : graph.edges[id]) {
+    for (const std::uint32_t to : graph.edges[id]) {
       const auto exact = explore_settling(r.netlist, graph.states[id],
-                                          e.pattern, options.k);
+                                          graph.inputs[to], options.k);
       ASSERT_TRUE(exact.confluent()) << GetParam();
-      EXPECT_EQ(*exact.stable_states.begin(), graph.states[e.to]);
+      EXPECT_EQ(*exact.stable_states.begin(), graph.states[to]);
     }
   }
 }
@@ -382,6 +383,139 @@ INSTANTIATE_TEST_SUITE_P(SmallBenchmarks, CssgBenchmark,
                              if (c == '-') c = '_';
                            return name;
                          });
+
+// --- packed extraction vs the oracle extraction ------------------------------
+// extract_explicit enumerates successors straight into packed rows and keeps
+// one input vector per state; the extraction it replaced (std::vector<bool>
+// states, a pattern on every edge) lives on in tests/oracle.hpp.  The
+// oracle's graph does not depend on the variable order, so it is built once
+// per circuit and every order's packed graph must equal it id for id and
+// edge for edge.
+
+const std::vector<VarOrder> kAllOrders{VarOrder::Interleaved, VarOrder::Blocked,
+                                       VarOrder::ReverseInterleaved,
+                                       VarOrder::Sifted};
+
+/// The aggressive policy test_differential uses, so sifting fires during
+/// construction and extraction and the enumerator's sort path runs.
+ReorderPolicy aggressive_reorder() {
+  ReorderPolicy policy;
+  policy.enabled = true;
+  policy.trigger_nodes = 256;
+  return policy;
+}
+
+void expect_extraction_matches_oracle(
+    const Netlist& netlist, const std::vector<bool>& reset, std::size_t k,
+    const std::vector<VarOrder>& orders = kAllOrders,
+    const ReorderPolicy& reorder = aggressive_reorder()) {
+  std::optional<testing::OracleExplicitCssg> oracle;
+  for (const VarOrder order : orders) {
+    SCOPED_TRACE(std::string("order=") + var_order_name(order));
+    CssgOptions options;
+    options.k = k;
+    options.order = order;
+    options.reorder = reorder;
+    const Cssg cssg(netlist, {reset}, options);
+    const ExplicitCssg graph = cssg.extract_explicit();
+    if (!oracle) oracle = testing::oracle_extract_explicit(cssg);
+    EXPECT_EQ(std::string(), testing::explicit_oracle_mismatch(graph, *oracle));
+  }
+}
+
+class ExtractionFixture
+    : public ::testing::TestWithParam<std::pair<const char*,
+                                                fixtures::Circuit (*)()>> {};
+
+TEST_P(ExtractionFixture, PackedMatchesOracleForEveryOrder) {
+  const fixtures::Circuit fix = GetParam().second();
+  expect_extraction_matches_oracle(fix.netlist, fix.reset, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixtures, ExtractionFixture,
+    ::testing::Values(std::pair{"fig1a", &fixtures::fig1a},
+                      std::pair{"fig1b", &fixtures::fig1b},
+                      std::pair{"chain", &fixtures::chain},
+                      std::pair{"celem", &fixtures::celem},
+                      std::pair{"latch", &fixtures::async_latch},
+                      std::pair{"pipeline2", &fixtures::pipeline2}),
+    [](const auto& param_info) { return std::string(param_info.param.first); });
+
+TEST(ExtractionBenchmarks, PackedMatchesOracleForEveryOrder) {
+  // Both suites, up to the 12 signals the CSSG oracles stop at (only
+  // bd/trimos-send, bd/vbe10b and bd/vbe6a are wider: under the blocked
+  // order their symbolic construction alone takes 2-180 s).
+  const auto check = [](const std::string& name, SynthStyle style) {
+    SCOPED_TRACE(name);
+    const SynthResult r = benchmark_circuit(name, style);
+    if (r.netlist.num_signals() > 12) return;
+    expect_extraction_matches_oracle(r.netlist, r.reset_state, 24);
+  };
+  for (const std::string& name : si_benchmark_names())
+    check(name, SynthStyle::SpeedIndependent);
+  for (const std::string& name : bd_benchmark_names())
+    check(name, SynthStyle::BoundedDelay);
+}
+
+class ExtractionParity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ExtractionParity, PackedMatchesOracle) {
+  // From 7 inputs on, the blocked order's symbolic construction takes
+  // seconds (7 s at 8 inputs) before extraction starts; the other three
+  // orders cover the level-order and sort paths.
+  const fixtures::Circuit fix = fixtures::parity_tree(GetParam());
+  expect_extraction_matches_oracle(
+      fix.netlist, fix.reset, 24,
+      GetParam() <= 6 ? kAllOrders
+                      : std::vector<VarOrder>{VarOrder::Interleaved,
+                                              VarOrder::ReverseInterleaved,
+                                              VarOrder::Sifted});
+}
+
+INSTANTIATE_TEST_SUITE_P(Inputs, ExtractionParity,
+                         ::testing::Range<std::size_t>(2, 11));
+
+class ExtractionRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ExtractionRandom, PackedMatchesOracleForEveryOrder) {
+  fixtures::RandomNetlistOptions options;
+  options.num_inputs = 3;
+  options.num_gates = 3 + GetParam() % 3;
+  const fixtures::Circuit fix = fixtures::random_netlist(GetParam(), options);
+  expect_extraction_matches_oracle(fix.netlist, fix.reset, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExtractionRandom,
+                         ::testing::Range<std::uint64_t>(1, 31));
+
+TEST(ExtractionTwoWords, PackedMatchesOracle) {
+  // Two inputs fanning out to 70 AND/OR gates: 72 signals, so every row
+  // takes two words; 4 states and 12 edges.  The reversed order sorts
+  // two-word rows.  Reordering stays off and the blocked order out: one
+  // sift of these 44k-node tables takes about a second, and the blocked
+  // layout cannot build the relations at all.
+  std::string text = "INPUT(a)\nINPUT(b)\n";
+  for (int g = 0; g < 70; ++g) {
+    const std::string name = "g" + std::to_string(g);
+    text += "OUTPUT(" + name + ")\n" + name +
+            (g % 2 == 0 ? " = AND(a, b)\n" : " = OR(a, b)\n");
+  }
+  const Netlist netlist = parse_bench_string(text);
+  ASSERT_EQ(netlist.num_signals(), 72u);
+  const std::vector<bool> reset(netlist.num_signals(), false);
+  expect_extraction_matches_oracle(
+      netlist, reset, 80,
+      {VarOrder::Interleaved, VarOrder::ReverseInterleaved}, ReorderPolicy{});
+
+  CssgOptions options;
+  options.k = 80;
+  const ExplicitCssg graph = Cssg(netlist, {reset}, options).extract_explicit();
+  EXPECT_EQ(graph.states.size(), 4u);
+  std::size_t edges = 0;
+  for (const auto& succs : graph.edges) edges += succs.size();
+  EXPECT_EQ(edges, 12u);
+}
 
 TEST(CssgOrdering, AllOrdersAgreeOnCounts) {
   const auto [netlist, reset] = fixtures::fig1a();

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "util/check.hpp"
+#include "util/packed.hpp"
 #include "util/random.hpp"
 #include "util/strings.hpp"
 
@@ -102,6 +104,39 @@ TEST(Rng, UniformInUnitInterval) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
+}
+
+// --- packed rows -------------------------------------------------------------
+
+TEST(Packed, SignalOrderSortMatchesVectorOrder) {
+  // Random 70-signal rows (two words, the second partly used) after a kept
+  // prefix row: sorting the packed rows in signal order must give the
+  // std::vector<bool> order of the states they pack, and leave the prefix.
+  constexpr std::size_t kSignals = 70;
+  const std::size_t width = state_words(kSignals);
+  Rng rng(11);
+  std::vector<std::vector<bool>> states;
+  for (int r = 0; r < 200; ++r) {
+    std::vector<bool> state(kSignals);
+    // Few distinct low signals, so rows often tie on a long prefix.
+    for (std::size_t s = 0; s < kSignals; ++s)
+      state[s] = s < 60 ? (s % 7 == 0 && rng.flip()) : rng.flip();
+    states.push_back(state);
+  }
+  const std::vector<StateWord> prefix(width, ~StateWord{0});
+  std::vector<StateWord> rows = prefix;
+  for (const auto& state : states) {
+    const auto words = pack_state(state);
+    rows.insert(rows.end(), words.begin(), words.end());
+  }
+  sort_rows_signal_order(rows, width, width);
+  std::sort(states.begin(), states.end());
+  ASSERT_TRUE(std::equal(prefix.begin(), prefix.end(), rows.begin()));
+  for (std::size_t r = 0; r < states.size(); ++r)
+    EXPECT_EQ(unpack_state(rows.data() + (r + 1) * width, kSignals),
+              states[r])
+        << "row " << r;
+  EXPECT_FALSE(signal_order_less(rows.data(), rows.data(), width));
 }
 
 TEST(Strings, SplitWs) {

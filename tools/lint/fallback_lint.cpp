@@ -487,7 +487,7 @@ void check_same_manager(const std::string& file,
       R"(\b(?:Bdd|auto)\s+(\w+)\s*=\s*(\w+)\s*[;&|^])");
   static const std::regex binop_re(R"((\w+)\s*[&|^]\s*(\w+))");
   static const std::regex recv_call_re(
-      R"((\w+)\.(?:ite|apply_and|apply_or|apply_xor|apply_not|exists|forall|and_exists|permute|compose|cofactor|sat_count|pick_minterm|eval|all_minterms|support_cube|support_vars)\s*\(([^;]*))");
+      R"((\w+)\.(?:ite|apply_and|apply_or|apply_xor|apply_not|exists|forall|and_exists|permute|compose|cofactor|sat_count|pick_minterm|eval|all_minterms|append_minterm_rows|support_cube|support_vars)\s*\(([^;]*))");
 
   auto is_manager = [&](const std::string& name) {
     return std::find(managers.begin(), managers.end(), name) != managers.end();
