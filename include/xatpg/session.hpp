@@ -179,14 +179,6 @@ class Session {
   /// rather than read bdd_stats() alone.
   [[nodiscard]] std::vector<ShardBddStats> shard_bdd_stats() const;
 
-  /// Run one dynamic-reordering (sifting) pass on the engine's own symbolic
-  /// context now, regardless of the session's ReorderPolicy, and return the
-  /// live node count after the pass.  Results of past and future runs are
-  /// unaffected (every engine query is canonicalized to be order-
-  /// independent); only node counts and timing change.  The perf harness
-  /// records this as the post-sift size.
-  std::size_t sift_now();
-
  private:
   struct Impl;
   explicit Session(std::unique_ptr<Impl> impl);

@@ -334,8 +334,4 @@ std::vector<ShardBddStats> Session::shard_bdd_stats() const {
   return impl_->engine->shard_bdd_stats();
 }
 
-std::size_t Session::sift_now() {
-  return impl_->engine->cssg().encoding().sift_now().size_after;
-}
-
 }  // namespace xatpg

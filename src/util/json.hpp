@@ -1,11 +1,11 @@
 // Minimal self-contained JSON document model + recursive-descent parser,
-// shared by the perf-record reader (src/perf) and the serve protocol
-// (src/serve).  No external dependency; malformed input throws CheckError
-// with an offset diagnostic, which both consumers translate at their own
-// boundary (perf: harness bug; serve: typed ParseError back to the client).
+// shared by the serve protocol (src/serve), the CLI client's frame reader
+// and perfbench's driver.  No external dependency; malformed input throws
+// CheckError with an offset diagnostic, which each consumer translates at
+// its own boundary (serve: typed ParseError back to the client).
 //
 // The model keeps object keys in insertion order and does not deduplicate
-// them — find() returns the first match, which is what both consumers want
+// them — find() returns the first match, which is what every consumer wants
 // for forward-compatible "unknown keys are ignored" reading.
 #pragma once
 
@@ -40,7 +40,7 @@ struct Value {
 
 // --- typed field accessors --------------------------------------------------
 // Missing keys return the fallback (or zero); present keys with the wrong
-// type throw CheckError.  Shared reading discipline for records and requests.
+// type throw CheckError.  Shared reading discipline for requests and specs.
 
 [[nodiscard]] double num_field(const Value& object, const char* key,
                                double fallback);

@@ -132,8 +132,8 @@ TEST(CliContract, UsageErrorsExitTwo) {
   // Transport selection for the daemon commands is a usage question too.
   EXPECT_EQ(run_cli("serve").exit_code, 2);
   EXPECT_EQ(run_cli("client --pipe").exit_code, 2);
-  // A reproduction is a named fixed experiment, not a corpus record; the
-  // flags no family reads are refused, not dropped.
+  // A reproduction is a named fixed experiment; the flags no family reads
+  // are refused, not dropped.
   EXPECT_EQ(run_cli("bench --family no_such_family").exit_code, 2);
   EXPECT_EQ(run_cli("bench --family fig1 --threads-sweep").exit_code, 2);
   EXPECT_EQ(run_cli("bench --family fig1 --filter si/").exit_code, 2);
@@ -143,6 +143,18 @@ TEST(CliContract, UsageErrorsExitTwo) {
   EXPECT_EQ(run_cli("bench --family ablation_classify --classify").exit_code,
             2);
   EXPECT_EQ(run_cli("bench --family fig1 --progress").exit_code, 2);
+  // Every command refuses a flag it does not read, naming the command.
+  const CliResult dot = run_cli("run --circuit fig1a --dot");
+  EXPECT_EQ(dot.exit_code, 2);
+  EXPECT_EQ(dot.err.rfind("run takes no flag '--dot'", 0), 0u) << dot.err;
+  EXPECT_EQ(run_cli("run --circuit fig1a --pipe").exit_code, 2);
+  EXPECT_EQ(run_cli("cssg --circuit fig1a --repeat 3").exit_code, 2);
+  EXPECT_EQ(run_cli("bench --family fig1 --style bd").exit_code, 2);
+  // bench prints a reproduction; without --family it lists them.
+  const CliResult bare = run_cli("bench");
+  EXPECT_EQ(bare.exit_code, 2);
+  EXPECT_NE(bare.err.find("table1"), std::string::npos) << bare.err;
+  EXPECT_EQ(run_cli("bench-compare a.json b.json").exit_code, 2);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Golden-value regression tests: exact BDD-manager node counts and CSSG
-// state/edge counts for the fixture circuits.
+// state/edge counts for the fixture circuits, and the per-circuit outcome of
+// every perf corpus entry.
 //
 // These lock in the paper-table semantics: the CSSG statistics are what the
 // Figure 2 / Table 1 columns are computed from, and the BDD counts pin the
@@ -9,8 +10,14 @@
 // must be reviewed, not papered over.
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "bdd/bdd.hpp"
 #include "fixtures.hpp"
+#include "perf/perf.hpp"
 #include "sgraph/cssg.hpp"
 #include "util/random.hpp"
 
@@ -162,6 +169,101 @@ TEST(GeneratorGolden, Seed7Shape) {
   EXPECT_EQ(r.netlist.num_signals(), 11u);
   EXPECT_EQ(r.netlist.num_pins(), 18u);
   EXPECT_TRUE(r.netlist.is_stable_state(r.reset));
+}
+
+// --- the perf corpus ----------------------------------------------------------
+
+/// One perf::default_corpus() entry run by perf::run_session at default
+/// options: both stuck-at universes summed, as the paper's tables count
+/// them, and shard 0's peak BDD nodes.
+struct CorpusRow {
+  const char* id;
+  std::size_t faults_total, faults_covered, gave_up, peak_nodes;
+};
+
+/// Peak nodes may grow by at most 25% over the recorded value; the fault
+/// counts are exact.
+constexpr double kPeakNodeSlack = 1.25;
+
+// Totals: 1,008 of 1,446 faults covered, 21 gave up, 38,357 peak nodes.
+// To re-record after an intended change, copy each failing entry's printed
+// `now:` row over its line here and say in the commit why it moved.
+constexpr CorpusRow kCorpus[] = {
+    {"si/alloc-outbound", 20, 20, 0, 216},
+    {"si/atod", 18, 18, 0, 323},
+    {"si/chu150", 14, 14, 0, 90},
+    {"si/converta", 16, 16, 0, 160},
+    {"si/dff", 10, 10, 0, 55},
+    {"si/ebergen", 20, 20, 0, 239},
+    {"si/hazard", 24, 24, 0, 353},
+    {"si/master-read", 32, 32, 0, 534},
+    {"si/mmu", 28, 28, 0, 339},
+    {"si/mp-forward-pkt", 22, 22, 0, 390},
+    {"si/mr1", 30, 30, 0, 3657},
+    {"si/nak-pa", 30, 28, 0, 254},
+    {"si/nowick", 16, 16, 0, 129},
+    {"si/ram-read-sbuf", 28, 28, 0, 1247},
+    {"si/rcv-setup", 12, 12, 0, 100},
+    {"si/rpdft", 10, 10, 0, 54},
+    {"si/sbuf-ram-write", 28, 26, 0, 581},
+    {"si/sbuf-send-ctl", 32, 32, 0, 1888},
+    {"si/sbuf-send-pkt2", 26, 26, 0, 716},
+    {"si/seq4", 24, 24, 0, 1054},
+    {"si/trimos-send", 42, 39, 0, 283},
+    {"si/vbe10b", 28, 28, 0, 271},
+    {"si/vbe5b", 24, 22, 0, 104},
+    {"si/vbe6a", 28, 26, 0, 153},
+    {"bd/chu150", 34, 34, 0, 311},
+    {"bd/converta", 16, 16, 0, 160},
+    {"bd/ebergen", 20, 20, 0, 239},
+    {"bd/hazard", 48, 48, 0, 938},
+    {"bd/nowick", 16, 16, 0, 129},
+    {"bd/rpdft", 30, 30, 0, 235},
+    {"bd/trimos-send", 98, 0, 2, 4631},
+    {"bd/vbe10b", 86, 16, 15, 3119},
+    {"bd/vbe6a", 70, 0, 4, 1450},
+    {"rand/s11", 56, 14, 0, 1758},
+    {"rand/s12", 58, 36, 0, 1188},
+    {"rand/s13", 60, 22, 0, 1165},
+    {"rand/s24", 72, 26, 0, 2904},
+    {"rand/s25", 70, 29, 0, 3735},
+    {"bench/c17", 46, 46, 0, 1107},
+    {"bench/parity5", 34, 34, 0, 658},
+    {"bench/mux4", 70, 70, 0, 1440},
+};
+
+TEST(CorpusGolden, IdsAreTheDefaultCorpusInOrder) {
+  // A circuit added to or dropped from the corpus must be recorded here.
+  std::vector<std::string> recorded, corpus;
+  for (const CorpusRow& row : kCorpus) recorded.emplace_back(row.id);
+  for (const perf::CorpusEntry& entry : perf::default_corpus())
+    corpus.push_back(entry.id);
+  EXPECT_EQ(corpus, recorded);
+}
+
+TEST(CorpusGolden, CoverageIsExactAndPeakNodesStayInBound) {
+  const std::vector<perf::CorpusEntry> corpus = perf::default_corpus();
+  ASSERT_EQ(corpus.size(), std::size(kCorpus));
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    const CorpusRow& was = kCorpus[i];
+    ASSERT_EQ(corpus[i].id, was.id);
+    const perf::SessionRun run = perf::run_session(corpus[i], AtpgOptions{});
+    const AtpgStats& out = run.output_stuck.stats;
+    const AtpgStats& in = run.input_stuck.stats;
+    const CorpusRow now{was.id, out.total_faults + in.total_faults,
+                        out.covered + in.covered, out.gave_up + in.gave_up,
+                        run.bdd.peak_nodes};
+    std::ostringstream row;
+    row << "now: {\"" << now.id << "\", " << now.faults_total << ", "
+        << now.faults_covered << ", " << now.gave_up << ", "
+        << now.peak_nodes << "},";
+    SCOPED_TRACE(row.str());
+    EXPECT_EQ(now.faults_total, was.faults_total);
+    EXPECT_EQ(now.faults_covered, was.faults_covered);
+    EXPECT_EQ(now.gave_up, was.gave_up);
+    EXPECT_LE(static_cast<double>(now.peak_nodes),
+              kPeakNodeSlack * static_cast<double>(was.peak_nodes));
+  }
 }
 
 }  // namespace

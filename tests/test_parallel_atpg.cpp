@@ -9,6 +9,9 @@
 // AND cross-deque steals, including the owner/thief race on a deque's last
 // block), the per-worker shard build, and every shared read-only path
 // (netlist, explicit CSSG).
+//
+// It also holds the shared-base memory bound: four workers must stay far
+// below four private copies of the frozen BDD substrate.
 #include "atpg/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include "atpg/fault.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "fixtures.hpp"
+#include "perf/perf.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_queue.hpp"
 
@@ -405,6 +409,51 @@ TEST(ParallelDeterminism, DisabledWallClockMatchesHugeWallClockBudget) {
   AtpgEngine a(synth.netlist, synth.reset_state, disabled);
   AtpgEngine b(synth.netlist, synth.reset_state, huge);
   expect_identical(a.run(faults), b.run(faults), 4, "mmu/bd wall-clock");
+}
+
+// --- shared-base memory -------------------------------------------------------
+// Every worker shard is a delta view over one frozen base arena, so the
+// resident BDD footprint is the base once plus each shard's delta peak.  A
+// design with private shards would hold T copies of the base at T workers.
+
+/// The base arena once plus every shard's delta peak.
+std::size_t resident_nodes(const Session& session) {
+  const ShardBddStats shard0 = session.bdd_stats();
+  EXPECT_GT(shard0.base_nodes, 0u);
+  EXPECT_EQ(shard0.peak_nodes, shard0.base_nodes + shard0.delta_peak);
+  std::size_t nodes = shard0.base_nodes;
+  for (const ShardBddStats& shard : session.shard_bdd_stats())
+    nodes += shard.delta_peak;
+  return nodes;
+}
+
+TEST(SharedBase, FourWorkersHoldFarLessThanFourCopies) {
+  // The seeded random netlists leave dozens of faults to the 3-phase
+  // search, so the workers' deltas are real; on the speed-independent
+  // benchmarks random TPG leaves the workers almost nothing.
+  AtpgOptions serial;
+  AtpgOptions four = serial;
+  four.threads = 4;
+  std::size_t members = 0;
+  for (const perf::CorpusEntry& entry : perf::default_corpus()) {
+    if (entry.kind != perf::CorpusEntry::Kind::RandomNetlist) continue;
+    SCOPED_TRACE(entry.id);
+    ++members;
+    const perf::SessionRun one = perf::run_session(entry, serial);
+    const perf::SessionRun par = perf::run_session(entry, four);
+    for (const auto& [a, b] : {std::pair{&one.output_stuck, &par.output_stuck},
+                               std::pair{&one.input_stuck, &par.input_stuck}}) {
+      EXPECT_EQ(a->stats.covered, b->stats.covered);
+      EXPECT_EQ(a->stats.gave_up, b->stats.gave_up);
+      EXPECT_EQ(a->sequences, b->sequences);
+    }
+    ASSERT_EQ(par.session.shard_bdd_stats().size(), 4u);
+    const std::size_t single = resident_nodes(one.session);
+    const std::size_t shared = resident_nodes(par.session);
+    EXPECT_LT(static_cast<double>(shared),
+              0.6 * 4 * static_cast<double>(single));
+  }
+  EXPECT_EQ(members, 5u);
 }
 
 // --- the concurrency primitives themselves -----------------------------------

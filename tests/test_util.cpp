@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 #include "util/packed.hpp"
 #include "util/random.hpp"
 #include "util/strings.hpp"
@@ -173,6 +175,20 @@ TEST(Strings, Padding) {
   EXPECT_EQ(pad_left("ab", 5), "   ab");
   EXPECT_EQ(pad_right("ab", 5), "ab   ");
   EXPECT_EQ(pad_left("abcdef", 3), "abcdef");
+}
+
+TEST(JsonNumber, NonFiniteClampsAndFiniteRoundTripsBitExactly) {
+  // operator<< would write the invalid tokens `nan` / `inf`.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(json::number(kNan), "0");
+  EXPECT_EQ(json::number(kInf), "0");
+  EXPECT_EQ(json::number(-kInf), "0");
+  EXPECT_EQ(json::number(0.25), "0.25");
+  // max_digits10 formatting: parse(number(x)) == x, not merely "close".
+  for (const double x : {1.0 / 3.0, 0.1 + 0.2, 0.7234567890123456, 1e-17,
+                         1.9900497512437811})
+    EXPECT_EQ(json::parse(json::number(x)).number, x) << json::number(x);
 }
 
 }  // namespace

@@ -1,41 +1,41 @@
 // xatpg — command-line front end of the library.  The circuit commands
 // (run/cssg/export) are driven exclusively through the installed public API
 // (include/xatpg; no src/ internals), which makes them a living proof that
-// the facade is complete; the perf commands (bench/bench-compare)
-// additionally link the in-tree corpus harness and the paper reproductions
-// (src/perf).
+// the facade is complete; `bench` additionally links the paper
+// reproductions (src/perf).
 //
 //   xatpg run    --circuit <name|file.xnl|file.bench> [--style si|bd]
-//                [--faults input|output|both] [--threads N] [--seed N]
-//                [--k N] [--random-budget N] [--reorder] [--classify]
-//                [--progress] [--json]
-//   xatpg cssg   --circuit ... [--json | --dot] [--out FILE]
-//   xatpg export --circuit ... [--out FILE] [run flags]
-//   xatpg bench  [--threads N | --threads-sweep] [--seed N] [--reorder]
-//                [--filter SUBSTR] [--host TAG] [--json] [--out FILE]
+//                [--faults input|output|both] [run option flags]
+//                [--progress] [--json] [--out FILE]
+//   xatpg cssg   --circuit ... [--style si|bd] [--k N] [--reorder]
+//                [--json | --dot] [--out FILE]
+//   xatpg export --circuit ... [--style si|bd] [--faults input|output|both]
+//                [run option flags] [--progress] [--out FILE]
 //   xatpg bench  --family NAME [--threads N] [--seed N] [--k N] [--reorder]
 //                [--out FILE]
-//   xatpg bench-compare BASELINE.json CURRENT.json
-//                [--max-regress PCT] [--min-cpu-ms MS]
 //   xatpg serve  (--pipe | --socket PATH) [--serve-workers N]
 //                [--queue-capacity N] [--cache-bytes N]
 //                [--max-job-seconds N] [run option flags as defaults]
-//   xatpg client (--pipe | --socket PATH) --circuit ... [--repeat N]
-//                [--progress] [--shutdown op|sigterm] [run option flags]
+//   xatpg client (--pipe | --socket PATH) --circuit ... [--style si|bd]
+//                [--faults input|output|both] [--repeat N] [--progress]
+//                [--shutdown op|sigterm] [run option flags]
+//                [--serve-workers N] [--queue-capacity N] [--cache-bytes N]
+//
+// The run option flags are --threads N, --seed N, --k N, --random-budget N,
+// --reorder and --classify.  A command refuses every flag its line does not
+// list.
 //
 // `run --json` emits the paper's table columns (tot/cov per universe,
 // rnd/3-ph/sim, BDD node accounting, CPU time) as a single JSON object.
-// `bench --json` emits the versioned perf record (see src/perf/perf.hpp);
 // `bench --family NAME` prints one of the paper's tables, figures or
-// ablations (src/perf/families.cpp) instead of running the corpus, at the
-// experiment's fixed settings: only table1/table2 read --threads --seed
-// --k --reorder, and ablation_ordering reads --reorder;
-// `bench-compare` diffs two records and exits 1 on any regression — the CI
-// perf gate is exactly this command against bench/baseline.json.
+// ablations (src/perf/families.cpp) at the experiment's fixed settings:
+// only table1/table2 read --threads --seed --k --reorder, and
+// ablation_ordering reads --reorder.
 // `serve` runs the long-lived ATPG daemon (src/serve, docs/PROTOCOL.md);
 // `client` drives one — in --pipe mode it forks its own binary as the
-// daemon — echoing every received frame to stdout (the CI smoke validates
-// them) and propagating the daemon's exit status.
+// daemon, passing it --serve-workers, --queue-capacity and --cache-bytes —
+// echoing every received frame to stdout (the CI smoke validates them) and
+// propagating the daemon's exit status.
 //
 // Exit-code contract: every typed failure (xatpg::Error, any taxonomy code)
 // prints ONE protocol error frame — {"v":1,"type":"error","error":{"code":
@@ -46,15 +46,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -78,26 +80,20 @@ int usage(const char* argv0) {
       << "  run     full ATPG flow (random TPG -> 3-phase -> fault sim)\n"
       << "  cssg    CSSG abstraction statistics (--dot for graphviz)\n"
       << "  export  generate and print the synchronous test program\n"
-      << "  bench   run the perf corpus (--json emits the versioned\n"
-      << "          record), or print one paper reproduction (--family)\n"
-      << "  bench-compare BASELINE CURRENT   diff two records; exit 1 on\n"
-      << "          coverage drop or node/CPU regression (the CI perf gate)\n"
+      << "  bench   print one paper reproduction (--family NAME)\n"
       << "  serve   long-lived ATPG daemon (NDJSON protocol, see\n"
       << "          docs/PROTOCOL.md); --pipe serves stdin/stdout,\n"
       << "          --socket PATH serves an AF_UNIX socket\n"
       << "  client  drive a daemon (forks one in --pipe mode), echoing\n"
       << "          every received frame to stdout\n"
       << "\n"
-      << "flags:\n"
+      << "flags (a command refuses any flag it does not read):\n"
       << "  --circuit X        benchmark name (chu150, ebergen, fig1a, ...)\n"
       << "                     or a .xnl / .bench netlist file path\n"
       << "  --style si|bd      speed-independent (default) or bounded-delay\n"
       << "  --faults F         input|output|both (run default: both;\n"
       << "                     export default: input)\n"
       << "  --threads N        fault-parallel workers (0 = hardware)\n"
-      << "  --threads-sweep    bench: run the corpus at threads 1,2,4,8 and\n"
-      << "                     record the scaling curve (speedup/efficiency\n"
-      << "                     per thread count)\n"
       << "  --seed N           random TPG seed\n"
       << "  --k N              settle bound per test cycle\n"
       << "  --random-budget N  vectors spent in random TPG\n"
@@ -107,25 +103,18 @@ int usage(const char* argv0) {
       << "  --json             machine-readable output\n"
       << "  --dot              cssg: graphviz dump instead of statistics\n"
       << "  --out FILE         write output to FILE instead of stdout\n"
-      << "  --filter SUBSTR    bench: only corpus ids containing SUBSTR\n"
-      << "  --family NAME      bench: print one paper reproduction (table1,\n"
-      << "                     fig2, ablation_k, ...) instead of running the\n"
-      << "                     corpus; an unknown NAME lists them all.  Each\n"
-      << "                     runs fixed settings: table1/table2 read\n"
-      << "                     --threads --seed --k --reorder,\n"
-      << "                     ablation_ordering reads --reorder, and the\n"
-      << "                     rest read none of them\n"
-      << "  --host TAG         bench: host tag stored in the record (CPU\n"
-      << "                     gates only fire between equal tags; default\n"
-      << "                     $XATPG_BENCH_HOST)\n"
-      << "  --max-regress PCT  bench-compare: node/CPU bound (default 25)\n"
-      << "  --min-cpu-ms MS    bench-compare: per-circuit CPU gate floor\n"
-      << "                     (default 25)\n"
+      << "  --family NAME      bench: the paper reproduction to print\n"
+      << "                     (table1, fig2, ablation_k, ...); a missing or\n"
+      << "                     unknown NAME lists them all.  Each runs fixed\n"
+      << "                     settings: table1/table2 read --threads --seed\n"
+      << "                     --k --reorder, ablation_ordering reads\n"
+      << "                     --reorder, and the rest read none of them\n"
       << "  --pipe             serve/client: daemon over stdin/stdout\n"
       << "  --socket PATH      serve/client: daemon over an AF_UNIX socket\n"
       << "  --serve-workers N  serve: worker pool size (default 1)\n"
       << "  --queue-capacity N serve: bounded job-queue depth (default 16)\n"
-      << "  --cache-bytes N    serve: result-cache byte cap (default 8MiB)\n"
+      << "  --cache-bytes N    serve: result-cache byte cap (default 8MiB);\n"
+      << "                     client --pipe passes these three to its daemon\n"
       << "  --max-job-seconds N  serve: per-job time budget (0 = unlimited)\n"
       << "  --repeat N         client: submit the request N times (a repeat\n"
       << "                     exercises the daemon's result cache)\n"
@@ -142,15 +131,8 @@ struct CliArgs {
   bool json = false;
   bool dot = false;
   bool progress = false;
-  bool threads_sweep = false;          ///< bench: record the scaling curve
   std::string out;
-  std::string filter;                  ///< bench: corpus id substring
   std::string family;                  ///< bench: paper reproduction name
-  std::vector<std::string> flags;      ///< every argument, for --family
-  std::string host;                    ///< bench: record host tag
-  double max_regress = 0.25;           ///< bench-compare: node/CPU bound
-  double min_cpu_ms = 25.0;            ///< bench-compare: CPU gate floor
-  std::vector<std::string> positional; ///< bench-compare: the two records
   bool pipe = false;                   ///< serve/client: stdin/stdout daemon
   std::string socket_path;             ///< serve/client: AF_UNIX daemon
   std::size_t serve_workers = 1;
@@ -177,21 +159,55 @@ std::optional<std::uint64_t> parse_u64(const std::string& text,
   return value;
 }
 
+using FlagSet = std::set<std::string, std::less<>>;
+
+/// The flags `command` reads — its usage line in the file header — or
+/// nullptr for an unknown command.
+const FlagSet* accepted_flags(const std::string& command) {
+  // Adds the run option flags (the AtpgOptions fields).
+  const auto with_options = [](FlagSet flags) {
+    flags.insert({"--threads", "--seed", "--k", "--random-budget", "--reorder",
+                  "--classify"});
+    return flags;
+  };
+  static const std::map<std::string, FlagSet, std::less<>> kAccepted = {
+      {"run", with_options({"--circuit", "--style", "--faults", "--progress",
+                            "--json", "--out"})},
+      {"cssg", {"--circuit", "--style", "--k", "--reorder", "--json", "--dot",
+                "--out"}},
+      {"export", with_options({"--circuit", "--style", "--faults",
+                               "--progress", "--out"})},
+      {"bench", {"--family", "--threads", "--seed", "--k", "--reorder",
+                 "--out"}},
+      {"serve", with_options({"--pipe", "--socket", "--serve-workers",
+                              "--queue-capacity", "--cache-bytes",
+                              "--max-job-seconds"})},
+      {"client", with_options({"--pipe", "--socket", "--circuit", "--style",
+                               "--faults", "--repeat", "--progress",
+                               "--shutdown", "--serve-workers",
+                               "--queue-capacity", "--cache-bytes"})},
+  };
+  const auto it = kAccepted.find(command);
+  return it == kAccepted.end() ? nullptr : &it->second;
+}
+
 /// Parses argv into `args`; returns false (after a diagnostic) on bad input.
 bool parse_args(int argc, char** argv, CliArgs& args) {
   args.command = argv[1];
-  if (args.command != "run" && args.command != "cssg" &&
-      args.command != "export" && args.command != "bench" &&
-      args.command != "bench-compare" && args.command != "serve" &&
-      args.command != "client") {
+  const FlagSet* accepted = accepted_flags(args.command);
+  if (accepted == nullptr) {
     std::cerr << "unknown command '" << args.command << "'\n";
     return false;
   }
-  if (const char* host_env = std::getenv("XATPG_BENCH_HOST"))
-    args.host = host_env;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
-    args.flags.push_back(flag);
+    if (!accepted->contains(flag)) {
+      std::cerr << args.command << " takes no flag '" << flag
+                << "' (it reads";
+      for (const std::string& known : *accepted) std::cerr << " " << known;
+      std::cerr << ")\n";
+      return false;
+    }
     const auto value = [&]() -> std::optional<std::string> {
       if (i + 1 >= argc) {
         std::cerr << flag << " needs a value\n";
@@ -248,8 +264,6 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       const auto v = count(1u << 30);
       if (!v) return false;
       args.options.random_budget = static_cast<std::size_t>(*v);
-    } else if (flag == "--threads-sweep") {
-      args.threads_sweep = true;
     } else if (flag == "--reorder") {
       args.options.reorder.enabled = true;
     } else if (flag == "--classify") {
@@ -264,26 +278,10 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       const auto v = value();
       if (!v) return false;
       args.out = *v;
-    } else if (flag == "--filter") {
-      const auto v = value();
-      if (!v) return false;
-      args.filter = *v;
     } else if (flag == "--family") {
       const auto v = value();
       if (!v) return false;
       args.family = *v;
-    } else if (flag == "--host") {
-      const auto v = value();
-      if (!v) return false;
-      args.host = *v;
-    } else if (flag == "--max-regress") {
-      const auto v = count(1000);
-      if (!v) return false;
-      args.max_regress = static_cast<double>(*v) / 100.0;
-    } else if (flag == "--min-cpu-ms") {
-      const auto v = count(1u << 30);
-      if (!v) return false;
-      args.min_cpu_ms = static_cast<double>(*v);
     } else if (flag == "--pipe") {
       args.pipe = true;
     } else if (flag == "--socket") {
@@ -318,21 +316,9 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
         return false;
       }
       args.shutdown_mode = *v;
-    } else if (!flag.empty() && flag[0] != '-' &&
-               args.command == "bench-compare") {
-      args.positional.push_back(flag);
-    } else {
-      std::cerr << "unknown flag '" << flag << "'\n";
-      return false;
     }
   }
-  if (args.command == "bench-compare") {
-    if (args.positional.size() != 2) {
-      std::cerr << "bench-compare needs exactly two record files "
-                   "(baseline, current)\n";
-      return false;
-    }
-  } else if (args.command == "serve" || args.command == "client") {
+  if (args.command == "serve" || args.command == "client") {
     if (args.pipe == !args.socket_path.empty()) {
       // Exactly one transport: neither or both is a usage error.
       std::cerr << args.command << " needs exactly one of --pipe or "
@@ -350,25 +336,16 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       return false;
     }
   } else if (args.command == "bench") {
-    if (!args.family.empty()) {
-      // A reproduction is a fixed experiment, not a corpus record: flags
-      // that no family reads are refused rather than silently dropped.
-      for (const char* flag : {"--threads-sweep", "--filter", "--json",
-                               "--host", "--random-budget", "--classify",
-                               "--progress"}) {
-        if (std::ranges::find(args.flags, flag) != args.flags.end()) {
-          std::cerr << "--family prints a fixed reproduction: it takes no "
-                    << flag << "\n";
-          return false;
-        }
-      }
-      if (perf::find_family(args.family) == nullptr) {
-        std::cerr << "unknown --family '" << args.family << "' (want one of";
-        for (const perf::Family& family : perf::families())
-          std::cerr << " " << family.name;
-        std::cerr << ")\n";
-        return false;
-      }
+    if (perf::find_family(args.family) == nullptr) {
+      if (args.family.empty())
+        std::cerr << "bench needs --family NAME";
+      else
+        std::cerr << "unknown --family '" << args.family << "'";
+      std::cerr << " (want one of";
+      for (const perf::Family& family : perf::families())
+        std::cerr << " " << family.name;
+      std::cerr << ")\n";
+      return false;
     }
   } else if (args.circuit.empty()) {
     std::cerr << "--circuit is required\n";
@@ -549,92 +526,15 @@ int cmd_cssg(Session& session, const CliArgs& args, std::ostream& out) {
 }
 
 int cmd_bench(const CliArgs& args, std::ostream& out) {
-  if (!args.family.empty()) {
-    if (const Expected<void> valid = args.options.validate(); !valid)
-      return fail(valid.error());
-    try {
-      perf::find_family(args.family)->run(args.options, out);
-    } catch (const CheckError& e) {
-      std::cerr << "xatpg bench: " << e.what() << "\n";
-      return 1;
-    }
-    return 0;
-  }
-  std::vector<perf::CorpusEntry> corpus = perf::default_corpus();
-  if (!args.filter.empty()) {
-    std::erase_if(corpus, [&](const perf::CorpusEntry& entry) {
-      return entry.id.find(args.filter) == std::string::npos;
-    });
-    if (corpus.empty()) {
-      std::cerr << "--filter '" << args.filter
-                << "' matches no corpus entry\n";
-      return 2;
-    }
-  }
+  if (const Expected<void> valid = args.options.validate(); !valid)
+    return fail(valid.error());
   try {
-    const perf::BenchRecord record =
-        args.threads_sweep
-            ? perf::run_sweep(corpus, args.options, args.host, {1, 2, 4, 8},
-                              &std::cerr)
-            : perf::run_corpus(corpus, args.options, args.host, &std::cerr);
-    if (args.json) {
-      perf::write_json(record, out);
-    } else {
-      out << "corpus: " << record.circuits.size() << " circuits, "
-          << record.total_covered() << "/" << record.total_faults()
-          << " faults covered";
-      if (record.total_gave_up() > 0)
-        out << " (" << record.total_gave_up() << " gave up)";
-      out << ", " << record.total_peak_nodes() << " summed peak nodes, "
-          << record.total_cpu_ms() << " ms\n";
-      for (const perf::SweepPoint& point : record.sweep)
-        out << "  threads " << point.threads << ": " << point.cpu_ms
-            << " ms, speedup " << point.speedup << "x, efficiency "
-            << point.efficiency << ", peak resident "
-            << point.peak_resident_nodes << " nodes (host_cores "
-            << record.host_cores << ")\n";
-    }
+    perf::find_family(args.family)->run(args.options, out);
   } catch (const CheckError& e) {
     std::cerr << "xatpg bench: " << e.what() << "\n";
     return 1;
   }
   return 0;
-}
-
-int cmd_bench_compare(const CliArgs& args, std::ostream& out) {
-  const auto load = [](const std::string& path)
-      -> std::optional<perf::BenchRecord> {
-    std::ifstream in(path);
-    if (!in) {
-      std::cerr << "cannot open '" << path << "' for reading\n";
-      return std::nullopt;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    try {
-      return perf::parse_record(text.str());
-    } catch (const CheckError& e) {
-      std::cerr << path << ": " << e.what() << "\n";
-      return std::nullopt;
-    }
-  };
-  const auto baseline = load(args.positional[0]);
-  const auto current = load(args.positional[1]);
-  if (!baseline || !current) return 1;
-
-  perf::CompareOptions options;
-  options.max_node_regression = args.max_regress;
-  options.max_cpu_regression = args.max_regress;
-  options.min_cpu_ms = args.min_cpu_ms;
-  const perf::Comparison comparison = perf::compare(*baseline, *current, options);
-  for (const std::string& message : comparison.notes)
-    out << "note: " << message << "\n";
-  for (const std::string& message : comparison.failures)
-    out << "FAIL: " << message << "\n";
-  out << (comparison.ok ? "perf gate: OK (" : "perf gate: FAILED (")
-      << comparison.failures.size() << " failures, "
-      << comparison.notes.size() << " notes)\n";
-  return comparison.ok ? 0 : 1;
 }
 
 int cmd_export(Session& session, const CliArgs& args, std::ostream& out) {
@@ -890,7 +790,6 @@ int main(int argc, char** argv) {
   std::ostream& out = args.out.empty() ? std::cout : file;
 
   if (args.command == "bench") return cmd_bench(args, out);
-  if (args.command == "bench-compare") return cmd_bench_compare(args, out);
   if (args.command == "serve") return cmd_serve(args);
   if (args.command == "client") return cmd_client(args);
 
