@@ -60,23 +60,13 @@ struct AtpgOptions {
   std::size_t random_budget = 512;       ///< vectors spent in random TPG
   std::size_t random_walk_len = 48;      ///< restart interval (reset pulses)
   std::uint64_t seed = 1;
+  /// The per-fault search budget is deterministic: the differentiation BFS
+  /// is cut off by diff_depth / diff_node_cap (and the simulator by `sim`'s
+  /// caps), which depend only on (circuit, options, fault), so outcomes are
+  /// byte-identical across machines, load, and thread counts.
   std::size_t diff_depth = 16;           ///< differentiation BFS depth
   std::size_t diff_node_cap = 20000;     ///< differentiation BFS nodes
-  /// Wall-clock FALLBACK budget per fault for the 3-phase search.  The
-  /// binding per-fault budget is deterministic — the differentiation BFS is
-  /// cut off by diff_depth / diff_node_cap, which depend only on (circuit,
-  /// options, fault) — so outcomes are byte-identical across machines,
-  /// load, and thread counts.  0 (the default) disables the wall clock
-  /// entirely.  A positive value arms a last-resort timeout for exploratory
-  /// runs with the deterministic caps raised: a search that trips it is
-  /// abandoned (fault left undetected, counted as gave_up) and the engine
-  /// logs a loud warning, because any run that trips it is machine-
-  /// dependent and its results must not be treated as reproducible.
-  double per_fault_seconds = 0;
   FaultSimOptions sim;
-  /// Phase 1+2 enabled (ablation: false forces pure differentiation BFS
-  /// from reset for every fault).
-  bool use_activation = true;
   /// A-priori undetectable-fault classification (§6's proposed
   /// improvement): before searching, prove a fault redundant when its
   /// faulted line never carries the opposite of the stuck value in *any*
@@ -93,11 +83,9 @@ struct AtpgOptions {
 
   /// Boundary validation: rejects the degenerate values every layer above
   /// used to accept silently (k = 0 makes every vector "oscillate",
-  /// diff_depth = 0 disables phase 3 entirely, per_fault_seconds < 0 or
-  /// NaN is meaningless — 0 means "wall clock disabled", threads > 4096 is
-  /// a typo).  Returns an OptionError listing *all* violations.  The
-  /// Session facade calls this for every run; AtpgEngine's constructor
-  /// enforces it loudly.
+  /// diff_depth = 0 disables phase 3 entirely, threads > 4096 is a typo).
+  /// Returns an OptionError listing *all* violations.  The Session facade
+  /// calls this for every run; AtpgEngine's constructor enforces it loudly.
   [[nodiscard]] Expected<void> validate() const;
 };
 

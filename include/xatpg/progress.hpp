@@ -13,11 +13,9 @@
 //  * on_fault_resolved fires exactly once per fault whose outcome becomes
 //    final during the run (covered by any phase, or proven redundant);
 //    faults left undetected get no event.  Events arrive in deterministic
-//    order for a fixed fault list, independent of the thread count.  One
-//    caveat for incremental runs (add_faults): a FaultSim event for a fault
-//    whose 3-phase search has not run yet reports the sequence that covered
-//    it at that moment; the final result may attribute an *earlier*
-//    sequence once the search status is known (coverage itself is final).
+//    order for a fixed fault list, independent of the thread count, and an
+//    incremental run (add_faults) fires exactly the events a from-scratch
+//    run on its union universe fires.
 //  * A CancelToken may be fired from any thread (it is a thread-safe shared
 //    flag), including from inside an observer callback.  The run stops at
 //    the next between-faults checkpoint and returns the deterministic
@@ -35,9 +33,9 @@
 namespace xatpg {
 
 /// numerator / denominator with a uniform guard: 0 when the denominator is
-/// zero or the quotient is non-finite.  Every derived rate in the public
-/// surface (cache hit rate, sweep speedup/efficiency) goes through this so
-/// zero-work runs and degenerate inputs can never produce NaN/inf.
+/// zero or the quotient is non-finite.  Derived rates in the public surface
+/// (the cache hit rate) go through this so zero-work runs and degenerate
+/// inputs can never produce NaN/inf.
 [[nodiscard]] inline double safe_ratio(double numerator, double denominator) {
   if (denominator == 0.0) return 0.0;
   const double ratio = numerator / denominator;

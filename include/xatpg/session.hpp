@@ -20,12 +20,13 @@
 //     full flow (random TPG -> 3-phase symbolic ATPG -> cross fault
 //     simulation), optionally streaming progress to a RunObserver and
 //     honouring a CancelToken (see xatpg/progress.hpp for the contract).
-//  3. add_faults(more) grows the universe *incrementally*: new faults are
-//     first cross-simulated against the already-committed sequences, and
-//     only the still-uncovered ones pay for a 3-phase search.  The combined
-//     result is byte-identical to a from-scratch run on the union universe.
-//     add_faults({}) after a cancelled run resumes it: cached searches are
-//     reused and the final result is byte-identical to an uncancelled run.
+//  3. add_faults(more) grows the universe *incrementally*: it runs the full
+//     flow on the union universe, reusing every 3-phase search an earlier
+//     run on this Session completed, so only the faults no earlier run
+//     searched pay for one.  The result and its observer events are
+//     byte-identical to a from-scratch run on the union universe.
+//     add_faults({}) after a cancelled run resumes it the same way, and the
+//     final result is byte-identical to an uncancelled run.
 //  4. Results, test-program export and statistics are read back at any
 //     time; the expensive artifacts (CSSG, shards, generated tests) persist
 //     across runs on the same Session.
@@ -145,7 +146,7 @@ class Session {
 
   /// Grow the universe incrementally (see the file header).  The returned
   /// result covers the whole union universe and is byte-identical to a
-  /// from-scratch run on it.
+  /// from-scratch run on it; cached searches are not paid for again.
   [[nodiscard]] Expected<AtpgResult> add_faults(const std::vector<Fault>& faults,
                                   RunObserver* observer = nullptr,
                                   const CancelToken* cancel = nullptr);

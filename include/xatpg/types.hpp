@@ -84,11 +84,11 @@ struct FaultOutcome {
   /// Proven undetectable by the a-priori classifier (covered_by == None).
   bool proven_redundant = false;
   /// The 3-phase search for this fault was truncated by a resource cap
-  /// (BFS depth, node cap, simulator candidate cap, or the wall-clock
-  /// fallback) before exhausting the space, and no test was found.  False
-  /// for an uncovered fault means the search ran to completion — the fault
-  /// is genuinely untestable under the caps' search space, not a victim of
-  /// them.  Always false for covered or proven-redundant faults.
+  /// (BFS depth, node cap, or simulator candidate cap) before exhausting
+  /// the space, and no test was found.  False for an uncovered fault means
+  /// the search ran to completion — the fault is genuinely untestable under
+  /// the caps' search space, not a victim of them.  Always false for
+  /// covered or proven-redundant faults.
   bool gave_up = false;
 
   bool operator==(const FaultOutcome&) const = default;

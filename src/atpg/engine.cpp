@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
 #include "util/packed.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
@@ -220,28 +219,14 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
   // The per-fault budget is the DETERMINISTIC pair diff_depth /
   // diff_node_cap — both depend only on (circuit, options, fault), never on
   // machine speed, load, or scheduling, which is what makes outcomes
-  // byte-identical across hosts and thread counts.  per_fault_seconds > 0
-  // additionally arms a wall-clock fallback for exploratory runs with the
-  // deterministic caps raised; tripping it is loudly logged because that
-  // run's results are machine-dependent.
+  // byte-identical across hosts and thread counts.
   std::size_t expanded = 0;
-  Timer budget_timer;
   while (!queue.empty()) {
     const Node node = std::move(queue.front());
     queue.pop_front();
     if (node.suffix.size() >= options_.diff_depth) {
       result.truncated = true;  // deeper extensions exist but are unexplored
       continue;
-    }
-    if (options_.per_fault_seconds > 0 &&
-        budget_timer.seconds() > options_.per_fault_seconds) {
-      XATPG_WARN("per-fault wall-clock fallback ("
-                 << options_.per_fault_seconds << "s) tripped after "
-                 << expanded
-                 << " expansions — this outcome is machine-dependent; raise "
-                    "per_fault_seconds (or set 0) for reproducible results");
-      result.truncated = true;
-      return result;
     }
     for (const std::uint32_t to : graph_.edges[node.good_id]) {
       if (++expanded > options_.diff_node_cap) {
@@ -296,35 +281,25 @@ AtpgEngine::SearchOutcome AtpgEngine::generate_test_on(
   // Phase 1 — fault activation (§5.1): stable, valid-vector-reachable
   // states in which the faulted line carries the opposite of its stuck
   // value.
-  TestSequence prefix;
-  bool have_prefix = false;
-  if (options_.use_activation) {
-    const SymbolicEncoding& enc = shard.encoding();
-    const SignalId src = fault.site == Fault::Site::GatePin
-                             ? netlist_->gate(fault.gate).fanins[fault.pin]
-                             : fault.gate;
-    const Bdd lit = enc.cur(src);
-    const Bdd excited = fault.stuck_value ? !lit : lit;
-    const Bdd activation = excited & shard.cssg_reachable();
-    if (!activation.is_false()) {
-      // Phase 2 — state justification via the onion rings (§5.2).  The
-      // justification is a pure function of the canonical activation set,
-      // so every shard computes the identical prefix.
-      const auto just = shard.justify(activation);
-      if (just) {
-        prefix.vectors = just->vectors;
-        have_prefix = true;
-      }
-    }
-    // Faults with no stable excitation state go directly to phase 3
-    // (§5.1's "left directly to the last phase").
-  }
-
+  const SignalId src = fault.site == Fault::Site::GatePin
+                           ? netlist_->gate(fault.gate).fanins[fault.pin]
+                           : fault.gate;
+  const Bdd lit = shard.encoding().cur(src);
+  const Bdd excited = fault.stuck_value ? !lit : lit;
+  const Bdd activation = excited & shard.cssg_reachable();
+  // Phase 2 — state justification via the onion rings (§5.2).  The
+  // justification is a pure function of the canonical activation set, so
+  // every shard computes the identical prefix.  Faults with no stable
+  // excitation state go directly to phase 3 (§5.1's "left directly to the
+  // last phase").
   bool truncated = false;
-  if (have_prefix) {
-    const DiffResult with_prefix = differentiate(fault, prefix);
-    if (with_prefix.found) return SearchOutcome{with_prefix.sequence, false};
-    truncated = with_prefix.truncated;
+  if (!activation.is_false()) {
+    if (auto just = shard.justify(activation)) {
+      const DiffResult with_prefix =
+          differentiate(fault, TestSequence{std::move(just->vectors)});
+      if (with_prefix.found) return SearchOutcome{with_prefix.sequence, false};
+      truncated = with_prefix.truncated;
+    }
   }
   // Fall back to a full differentiation search from reset: complete within
   // the caps, subsumes any choice of activation state.
@@ -337,16 +312,11 @@ AtpgEngine::SearchOutcome AtpgEngine::generate_test_on(
   return SearchOutcome{std::nullopt, truncated || from_reset.truncated};
 }
 
-std::optional<TestSequence> AtpgEngine::generate_test(
-    const Fault& fault) const {
-  return generate_test_on(*shard0_, fault).sequence;
-}
-
 // ---------------------------------------------------------------------------
 // Fault-parallel generation
 // ---------------------------------------------------------------------------
 
-void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
+bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
                                    const std::vector<std::size_t>& todo,
                                    const CancelToken* cancel,
                                    RunObserver* observer,
@@ -440,9 +410,8 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
             RunProgress progress = make_base();
             progress.shards.push_back(snapshot_shard(
                 0, shard0_->encoding().mgr(),
-                shard_done_[0] +
-                    counters[0].done.load(std::memory_order_relaxed),
-                shard_steals_[0] + queue.steals(0)));
+                counters[0].done.load(std::memory_order_relaxed),
+                queue.steals(0)));
             // Base sifting passes belong to shard 0 (counted once).
             progress.shards.back().reorders += base_reorder_count_;
             for (std::size_t w = 1; w < workers; ++w) {
@@ -460,7 +429,6 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
               stats.reorders =
                   counters[w].reorders.load(std::memory_order_relaxed);
               stats.faults_done =
-                  shard_done_[w] +
                   counters[w].done.load(std::memory_order_relaxed);
               stats.cache_lookups =
                   counters[w].cache_lookups.load(std::memory_order_relaxed);
@@ -469,7 +437,6 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
               stats.unique_load = bits_to_double(
                   counters[w].unique_load_bits.load(std::memory_order_relaxed));
               stats.blocks_stolen =
-                  shard_steals_[w] +
                   counters[w].steals.load(std::memory_order_relaxed);
               progress.shards.push_back(stats);
             }
@@ -484,19 +451,25 @@ void AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
     }
     for (const std::exception_ptr& error : errors)
       if (error) std::rethrow_exception(error);
-    // Fold this batch's per-shard completions into the run-level totals so
-    // snapshots emitted after the join keep reporting them.  Steal counts
-    // come straight from the queue — exact after the join.
+    // Publish the per-shard completions so snapshots emitted after the join
+    // keep reporting them.  Steal counts come straight from the queue —
+    // exact after the join.
     for (std::size_t w = 0; w < workers; ++w) {
-      shard_done_[w] += counters[w].done.load(std::memory_order_relaxed);
-      shard_steals_[w] += queue.steals(w);
+      shard_done_[w] = counters[w].done.load(std::memory_order_relaxed);
+      shard_steals_[w] = queue.steals(w);
     }
   }
 
   // Memoize completed searches (single-threaded again).  Faults skipped by
   // a fired CancelToken stay unmemoized and are attempted by a later run.
-  for (const std::size_t i : todo)
-    if (attempted[i]) generated_cache_.emplace(faults[i], std::move(generated[i]));
+  bool complete = true;
+  for (const std::size_t i : todo) {
+    if (attempted[i])
+      generated_cache_.emplace(faults[i], std::move(generated[i]));
+    else
+      complete = false;
+  }
+  return complete;
 }
 
 std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
@@ -548,37 +521,24 @@ void AtpgEngine::cross_simulate(
   }
   if (remaining.empty()) return;
 
-  // Word-parallel ternary screen, 64 lanes per batch (lane 0 carries the
-  // fault-free circuit, up to 63 lanes carry faults).  Sound: a ternary
-  // flag means every execution of the faulty circuit mismatches a strobe.
-  std::vector<bool> flagged(faults.size(), false);
-  for (std::size_t begin = 0; begin < remaining.size(); begin += 63) {
-    const std::size_t count = std::min<std::size_t>(63, remaining.size() - begin);
-    std::vector<Fault> batch;
-    batch.reserve(count);
-    for (std::size_t b = 0; b < count; ++b)
-      batch.push_back(faults[remaining[begin + b]]);
-    for (const std::size_t hit :
-         ternary_screen(*netlist_, reset_state_, batch, seq.vectors))
-      flagged[remaining[begin + hit]] = true;
-  }
+  // Word-parallel ternary screen.  Sound: a ternary flag means every
+  // execution of the faulty circuit mismatches a strobe.
+  std::vector<Fault> screened;
+  screened.reserve(remaining.size());
+  for (const std::size_t j : remaining) screened.push_back(faults[j]);
+  std::vector<bool> flagged(remaining.size(), false);
+  for (const std::size_t hit :
+       ternary_screen(*netlist_, reset_state_, screened, seq.vectors))
+    flagged[hit] = true;
 
-  for (const std::size_t j : remaining) {
+  for (std::size_t r = 0; r < remaining.size(); ++r) {
+    const std::size_t j = remaining[r];
     // Exact pass for ternary flags (confirmation before attribution) and
-    // for faults whose own 3-phase search already completed and failed —
-    // for those the exact simulator is the only remaining chance at
-    // coverage, exactly as in the serial engine; skipping it would regress
-    // coverage where ternary is too conservative.  Faults whose search has
-    // not run yet (incremental growth) are screened by ternary only here;
-    // the post-generation catch-up in run_universe replays the committed
-    // sequences for any of them that turn out search-exhausted, which keeps
-    // incremental results byte-identical to a from-scratch union run.
-    if (!flagged[j]) {
-      const auto it = generated_cache_.find(faults[j]);
-      const bool search_exhausted =
-          it != generated_cache_.end() && !it->second.sequence.has_value();
-      if (!search_exhausted) continue;
-    }
+    // for faults whose own 3-phase search found no test — for those the
+    // exact simulator is the only remaining chance at coverage; skipping it
+    // would regress coverage where ternary is too conservative.  Every
+    // remaining fault was searched before the first commit.
+    if (!flagged[r] && generated_cache_.at(faults[j]).sequence) continue;
     FaultSimulator& sim = *sims[j];
     sim.restart();
     DetectStatus status = sim.status();
@@ -727,84 +687,38 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   }
 
   // --- fault-parallel 3-phase ATPG (§5.1–§5.3) -------------------------------
+  // Every remaining fault is searched before the first commit, as the
+  // paper's flow orders it.  A search is a pure function of the fault, so a
+  // memo left by an earlier run on this engine (add_faults, or a cancelled
+  // run being resumed) stands in for it exactly.
   Timer three_phase_timer;
   if (observer != nullptr) observer->on_phase(RunPhase::ThreePhase);
   std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    if (result.outcomes[i].covered_by == CoveredBy::None &&
-        !result.outcomes[i].proven_redundant)
-      todo.push_back(i);
+  std::vector<std::size_t> unsearched;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (result.outcomes[i].covered_by != CoveredBy::None ||
+        result.outcomes[i].proven_redundant)
+      continue;
+    todo.push_back(i);
+    if (!generated_cache_.contains(faults[i])) unsearched.push_back(i);
+  }
+  // A token that fires before or during the batch skips the merge, so the
+  // merge never meets a fault without a search.
+  if (!unsearched.empty() && !is_cancelled() &&
+      !generate_parallel(faults, unsearched, cancel, observer, [&] {
+        return progress_snapshot(RunPhase::ThreePhase);
+      }))
+    result.cancelled = true;
 
   // --- deterministic merge + cross fault simulation (§5.4) -------------------
   // Commit strictly in fault-list order; a fault already picked up by an
   // earlier committed sequence's cross simulation discards its own test.
-  // Generation is batched lazily *inside* the merge: the first fault whose
-  // search is not memoized triggers one parallel fan-out over every
-  // still-uncovered unmemoized fault.  On a fresh universe that batch is
-  // the entire todo list before any commit (identical to generating up
-  // front); on an incrementally grown universe the committed prefix runs
-  // from the cache first, its cross simulation covers new faults for free,
-  // and only the survivors pay for a search.
-  std::vector<std::vector<std::uint32_t>> committed_paths;  // 3-phase commits
-  std::vector<int> committed_indices;                       // their seq indices
-  // Unmemoized faults that cross simulation covers get a *tentative*
-  // FaultSim attribution: once their search status is known (see the
-  // fix-up after the merge loop) the attributed sequence may move earlier.
-  std::vector<std::pair<std::size_t, std::size_t>> tentative;  // (fault, commit#)
-  // Exact replay of one committed sequence (by commit position) for fault
-  // j; true if the fault is detected.
-  const auto replays_detect = [&](std::size_t j, std::size_t commit) {
-    const TestSequence& seq = result.sequences[committed_indices[commit]];
-    const auto& path = committed_paths[commit];
-    FaultSimulator& sim = *sims[j];
-    sim.restart();
-    DetectStatus status = sim.status();
-    for (std::size_t t = 0;
-         t < seq.vectors.size() && status == DetectStatus::Undetermined; ++t)
-      status = sim.step(seq.vectors[t], graph_.states[path[t + 1]]);
-    return status == DetectStatus::Detected;
-  };
   for (const std::size_t i : todo) {
-    if (is_cancelled()) break;
+    if (result.cancelled || is_cancelled()) break;
     if (result.outcomes[i].covered_by != CoveredBy::None) continue;
-    auto cached = generated_cache_.find(faults[i]);
-    if (cached == generated_cache_.end()) {
-      std::vector<std::size_t> batch;
-      for (const std::size_t j : todo)
-        if (result.outcomes[j].covered_by == CoveredBy::None &&
-            !generated_cache_.contains(faults[j]))
-          batch.push_back(j);
-      generate_parallel(faults, batch, cancel, observer,
-                        [&] { return progress_snapshot(RunPhase::ThreePhase); });
-
-      // Catch-up for byte-identity with a from-scratch run: a batch fault
-      // whose search turned out exhausted would — in the from-scratch run —
-      // have had the exact-fallback replay at *every* earlier commit.  Redo
-      // that now against this run's committed sequences, in commit order;
-      // the earliest detection wins.  (Batch faults were all uncovered at
-      // batch time, so any detection here is their first.)
-      for (const std::size_t j : batch) {
-        const auto it = generated_cache_.find(faults[j]);
-        if (it == generated_cache_.end() || it->second.sequence.has_value())
-          continue;
-        for (std::size_t c = 0; c < committed_paths.size(); ++c) {
-          if (!replays_detect(j, c)) continue;
-          ++result.stats.by_fault_sim;
-          result.outcomes[j].covered_by = CoveredBy::FaultSim;
-          result.outcomes[j].sequence_index = committed_indices[c];
-          notify_resolved(j);
-          break;
-        }
-      }
-
-      if (is_cancelled()) break;
-      cached = generated_cache_.find(faults[i]);
-      // The batch itself was cut short by a cancel before reaching fault i.
-      if (cached == generated_cache_.end()) break;
-      if (result.outcomes[i].covered_by != CoveredBy::None) continue;
-    }
-    if (!cached->second.sequence) continue;  // undetected (redundant or gave up)
-    const TestSequence& seq = *cached->second.sequence;
+    const auto& sequence = generated_cache_.at(faults[i]).sequence;
+    if (!sequence) continue;  // undetected (redundant or gave up)
+    const TestSequence& seq = *sequence;
     const int seq_index = static_cast<int>(result.sequences.size());
     result.outcomes[i].covered_by = CoveredBy::ThreePhase;
     result.outcomes[i].sequence_index = seq_index;
@@ -815,40 +729,9 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     std::vector<std::size_t> resolved;
     cross_simulate(faults, sims, i, seq, *path, seq_index, result, resolved);
     result.sequences.push_back(seq);
-    committed_paths.push_back(*path);
-    committed_indices.push_back(seq_index);
-    for (const std::size_t j : resolved)
-      if (!generated_cache_.contains(faults[j]))
-        tentative.emplace_back(j, committed_paths.size() - 1);
     notify_resolved(i);
     for (const std::size_t j : resolved) notify_resolved(j);
     emit_progress(RunPhase::ThreePhase);
-  }
-
-  // Attribution fix-up for the tentatively covered faults.  A from-scratch
-  // run knows every fault's search status before its first commit, so a
-  // search-exhausted fault is FaultSim-attributed to the earliest commit
-  // its *exact* replay detects — which can precede the flagged commit that
-  // covered it here (the ternary screen is conservative).  Replay the
-  // earlier commits; only if one detects does the search status matter, and
-  // only then is the (memoized, per-fault-pure, main-thread — so still
-  // deterministic) search actually paid for.
-  for (const auto& [j, covered_at] : tentative) {
-    std::optional<int> earlier;
-    for (std::size_t c = 0; c < covered_at; ++c) {
-      if (replays_detect(j, c)) {
-        earlier = committed_indices[c];
-        break;
-      }
-    }
-    if (!earlier) continue;  // attribution already matches from-scratch
-    auto it = generated_cache_.find(faults[j]);
-    if (it == generated_cache_.end())
-      it = generated_cache_
-               .emplace(faults[j], generate_test_on(*shard0_, faults[j]))
-               .first;
-    if (!it->second.sequence.has_value())
-      result.outcomes[j].sequence_index = *earlier;
   }
   result.stats.three_phase_seconds = three_phase_timer.seconds();
 

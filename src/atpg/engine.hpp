@@ -40,10 +40,9 @@
 //     strictly in fault-list order, and cross fault simulation of each
 //     committed sequence (the paper's "sim" column) runs as a post-merge
 //     word-parallel ternary pass in 64-lane batches (+ exact confirmation).
-//     Every search cutoff is deterministic too (diff_depth/diff_node_cap;
-//     the wall clock is an off-by-default fallback).  Results are therefore
-//     byte-identical for any thread count and any steal interleaving,
-//     including threads=1.
+//     Every search cutoff is deterministic too (diff_depth/diff_node_cap and
+//     the simulator caps).  Results are therefore byte-identical for any
+//     thread count and any steal interleaving, including threads=1.
 //
 // Streaming, cancellation, incrementality:
 //   * run(faults, observer, cancel) fires RunObserver callbacks from the
@@ -53,12 +52,13 @@
 //     prefix of the uncancelled run's, and every committed outcome is
 //     final.
 //   * Generated tests are memoized per fault across runs (each test is a
-//     pure function of the fault given the circuit/options), so
-//     add_faults() — which re-runs the cheap phases on the grown universe
-//     and reuses every cached search — produces a result byte-identical to
-//     a from-scratch run on the union universe while paying 3-phase cost
-//     only for genuinely new, still-uncovered faults.  add_faults({}) after
-//     a cancelled run resumes it for the same reason.
+//     pure function of the fault given the circuit/options).  A run searches
+//     every uncovered fault before its first commit, so add_faults() — which
+//     re-runs the whole flow on the grown universe and reuses every cached
+//     search — produces the result and the observer events of a
+//     from-scratch run on the union universe without repeating a completed
+//     search.  add_faults({}) after a cancelled run resumes it for the same
+//     reason.
 #pragma once
 
 #include <cstdint>
@@ -112,9 +112,9 @@ class AtpgEngine {
                  const CancelToken* cancel = nullptr);
 
   /// Grow the current universe by `faults` and run the flow on the union.
-  /// New faults are cross-simulated against the committed sequences before
-  /// any 3-phase search; cached searches are reused, so the result is
-  /// byte-identical to run(union) at a fraction of the cost.
+  /// Cached searches are reused, so the result is byte-identical to
+  /// run(union) and only the faults no earlier run searched pay for a
+  /// 3-phase search.
   AtpgResult add_faults(const std::vector<Fault>& faults,
                         RunObserver* observer = nullptr,
                         const CancelToken* cancel = nullptr);
@@ -129,11 +129,6 @@ class AtpgEngine {
   /// only, between runs — the same snapshot the final progress callback
   /// reports.
   std::vector<ShardBddStats> shard_bdd_stats() const;
-
-  /// 3-phase ATPG for a single fault; returns the test sequence (from
-  /// reset) or nullopt if the search space is exhausted (fault redundant or
-  /// beyond the caps).
-  std::optional<TestSequence> generate_test(const Fault& fault) const;
 
   /// True if the a-priori classifier proves the fault undetectable: the
   /// faulted line equals the stuck value in every state any legal test can
@@ -151,8 +146,8 @@ class AtpgEngine {
     bool found = false;
     TestSequence sequence;
     /// Some part of the space was cut off by a cap (depth, node count,
-    /// simulator candidate cap, wall-clock fallback) — "not found" means
-    /// "gave up", not "proved absent".
+    /// simulator candidate cap) — "not found" means "gave up", not "proved
+    /// absent".
     bool truncated = false;
   };
   /// A completed 3-phase search: the test (nullopt = none found) plus
@@ -185,20 +180,21 @@ class AtpgEngine {
   /// The full deterministic flow over universe_ (shared by run/add_faults).
   AtpgResult run_universe(RunObserver* observer, const CancelToken* cancel);
   /// Fan the 3-phase search for `todo` (fault indices) out over the worker
-  /// shards, memoizing each completed search in generated_cache_.  Faults
-  /// skipped because `cancel` fired are left unmemoized (a later run
-  /// attempts them again).  Progress snapshots stream from the calling
+  /// shards, memoizing each completed search in generated_cache_.  Called
+  /// once per run, before the first commit.  Faults skipped because
+  /// `cancel` fired are left unmemoized (a later run attempts them again);
+  /// returns false if any was.  Progress snapshots stream from the calling
   /// thread between its own work blocks; `make_base` supplies a fresh
   /// run-level snapshot (elapsed time, resolved counts) per emission, and
-  /// `shard_done` accumulates per-shard completed-search counts across
-  /// batches so later snapshots keep reporting them.
-  void generate_parallel(const std::vector<Fault>& faults,
+  /// the run's per-shard search and steal counts land in shard_done_ /
+  /// shard_steals_.
+  bool generate_parallel(const std::vector<Fault>& faults,
                          const std::vector<std::size_t>& todo,
                          const CancelToken* cancel, RunObserver* observer,
                          const std::function<RunProgress()>& make_base);
   /// Post-merge cross fault simulation of one committed sequence: 64-lane
   /// ternary screen over the remaining uncovered faults, exact confirmation
-  /// of every flag, exact fallback for faults with no generated test.
+  /// of every flag, exact fallback for faults whose search found no test.
   /// `sims` are the long-lived per-fault exact simulators (restart()ed per
   /// sequence, as in the random phase).  `resolved` collects the indices
   /// whose outcome this call finalized (for observer events).
@@ -232,8 +228,8 @@ class AtpgEngine {
   std::vector<Fault> universe_;
   /// Per-shard 3-phase searches completed / blocks stolen during the most
   /// recent run (index = worker slot).  Reset at the start of run_universe,
-  /// accumulated across its generation batches, reported by progress
-  /// snapshots and shard_bdd_stats().
+  /// filled by its generate_parallel call, reported by progress snapshots
+  /// and shard_bdd_stats().
   std::vector<std::size_t> shard_done_;
   std::vector<std::size_t> shard_steals_;
   /// Memoized 3-phase searches: presence means the search was *completed*

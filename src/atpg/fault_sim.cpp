@@ -113,30 +113,33 @@ std::vector<std::size_t> ternary_screen(
     const Netlist& netlist, const std::vector<bool>& reset_state,
     const std::vector<Fault>& faults,
     const std::vector<std::vector<bool>>& vectors) {
-  XATPG_CHECK_MSG(faults.size() <= 63, "ternary screen handles <= 63 faults");
-  std::vector<LaneInjection> injections;
-  injections.reserve(faults.size());
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    injections.push_back(faults[i].to_injection(1ull << (i + 1)));
-
-  ParallelTernarySim sim(netlist, injections);
-  sim.load_state(reset_state);
-
-  std::uint64_t detected = 0;
-  for (const auto& vec : vectors) {
-    sim.settle(vec);
-    for (const SignalId po : netlist.outputs()) {
-      // Lane 0 is the fault-free circuit; a faulty lane is caught when both
-      // values are definite and differ.
-      const std::uint64_t good1 = sim.lanes_definite(po, true);
-      const std::uint64_t good0 = sim.lanes_definite(po, false);
-      if (good1 & 1ull) detected |= good0;
-      if (good0 & 1ull) detected |= good1;
-    }
-  }
   std::vector<std::size_t> out;
-  for (std::size_t i = 0; i < faults.size(); ++i)
-    if (detected & (1ull << (i + 1))) out.push_back(i);
+  // One 64-lane pass per slice of up to 63 faults: lane 0 carries the
+  // fault-free circuit, lane i + 1 the slice's i-th fault.
+  for (std::size_t begin = 0; begin < faults.size(); begin += 63) {
+    const std::size_t count = std::min<std::size_t>(63, faults.size() - begin);
+    std::vector<LaneInjection> injections;
+    injections.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+      injections.push_back(faults[begin + i].to_injection(1ull << (i + 1)));
+
+    ParallelTernarySim sim(netlist, injections);
+    sim.load_state(reset_state);
+
+    std::uint64_t detected = 0;
+    for (const auto& vec : vectors) {
+      sim.settle(vec);
+      for (const SignalId po : netlist.outputs()) {
+        // A faulty lane is caught when both values are definite and differ.
+        const std::uint64_t good1 = sim.lanes_definite(po, true);
+        const std::uint64_t good0 = sim.lanes_definite(po, false);
+        if (good1 & 1ull) detected |= good0;
+        if (good0 & 1ull) detected |= good1;
+      }
+    }
+    for (std::size_t i = 0; i < count; ++i)
+      if (detected & (1ull << (i + 1))) out.push_back(begin + i);
+  }
   return out;
 }
 

@@ -59,9 +59,6 @@ class FaultSimulator {
 
   DetectStatus status() const { return status_; }
   const Fault& fault() const { return fault_; }
-  std::size_t num_candidates() const {
-    return candidates_.size() / circuit_.words();
-  }
   /// The consistent set: sorted, distinct packed states of the faulty
   /// circuit (PackedCircuit::words() words each).
   const std::vector<StateWord>& candidates() const { return candidates_; }
@@ -106,9 +103,10 @@ class FaultSimulator {
   std::vector<StateWord> applied_, expected_, start_, next_;
 };
 
-/// Word-parallel ternary screen: simulate up to 63 faults against the good
-/// circuit (lane 0) along a vector sequence; returns the faults *provably*
-/// detected by ternary analysis.  Sound but conservative (§5.4).
+/// Word-parallel ternary screen: simulate `faults` against the good circuit
+/// along a vector sequence, one 64-lane pass per 63 faults (lane 0 is the
+/// good circuit); returns the ascending indices into `faults` of those
+/// *provably* detected by ternary analysis.  Sound but conservative (§5.4).
 std::vector<std::size_t> ternary_screen(
     const Netlist& netlist, const std::vector<bool>& reset_state,
     const std::vector<Fault>& faults,

@@ -271,7 +271,7 @@ class BddManager {
   /// decreasing-size order, is walked to every position in the order and
   /// parked at its minimum-size position.  The final table is never larger
   /// than the starting one; transient growth during a walk is bounded by
-  /// reorder_policy().max_growth.  Runs a garbage collection first and
+  /// the reorder policy's max_growth.  Runs a garbage collection first and
   /// invalidates the computed cache.  Must only be called between
   /// operations (like GC, never from inside a recursion).
   ReorderStats sift();
@@ -283,7 +283,6 @@ class BddManager {
   ReorderStats reorder_to(const std::vector<std::uint32_t>& order);
 
   void set_reorder_policy(const ReorderPolicy& policy);
-  [[nodiscard]] const ReorderPolicy& reorder_policy() const { return reorder_policy_; }
   /// Sifting passes performed (explicit + auto-triggered).
   [[nodiscard]] std::size_t reorder_count() const { return reorder_count_; }
   /// Adjacent-level swaps performed over the manager's lifetime.
@@ -561,7 +560,6 @@ class BddManager {
                                    std::uint64_t b, std::uint64_t c);
   void cache_insert(Op op, std::uint64_t a, std::uint64_t b, std::uint64_t c,
                     std::uint32_t result);
-  void cache_clear();
   /// Invalidate only the entries that reference a dead (about-to-be-recycled)
   /// node; everything else survives a collection.  Sound because an entry
   /// maps operand FUNCTIONS to a result function, node indices keep their

@@ -598,10 +598,6 @@ void BddManager::cache_insert(Op op, std::uint64_t a, std::uint64_t b,
   cache_[slot] = CacheEntry{key_hi, key_lo, result, true};
 }
 
-void BddManager::cache_clear() {
-  for (CacheEntry& e : cache_) e.valid = false;
-}
-
 void BddManager::cache_scrub_dead(const std::vector<bool>& marked) {
   // Per-op key layouts (see the pack sites in ops.cpp): operand `a` and the
   // result are always edges; `b` and `c` are edges or small scalars

@@ -414,17 +414,9 @@ void ablation_detector(const AtpgOptions& /*options*/, std::ostream& out) {
       good_id = to;
     }
 
-    // Ternary screen, in batches of at most 63 faults.
-    std::size_t ternary_detected = 0;
-    for (std::size_t first = 0; first < faults.size(); first += 63) {
-      const std::vector<Fault> chunk(
-          faults.begin() + static_cast<long>(first),
-          faults.begin() +
-              static_cast<long>(std::min(first + 63, faults.size())));
-      ternary_detected +=
-          ternary_screen(synth.netlist, synth.reset_state, chunk, vectors)
-              .size();
-    }
+    const std::size_t ternary_detected =
+        ternary_screen(synth.netlist, synth.reset_state, faults, vectors)
+            .size();
 
     std::size_t exact_detected = 0;
     for (const Fault& fault : faults) {

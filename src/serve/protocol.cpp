@@ -42,7 +42,7 @@ Expected<void> parse_options(const json::Value& options, AtpgOptions& out) {
   static constexpr const char* kKnown[] = {
       "threads",       "seed",     "k",       "random_budget",
       "random_walk_len", "diff_depth", "diff_node_cap", "reorder",
-      "classify",      "use_activation"};
+      "classify"};
   for (const auto& [key, value] : options.object) {
     (void)value;
     bool known = false;
@@ -51,7 +51,7 @@ Expected<void> parse_options(const json::Value& options, AtpgOptions& out) {
       return option_error("unknown option '" + key +
                           "' (known: threads, seed, k, random_budget, "
                           "random_walk_len, diff_depth, diff_node_cap, "
-                          "reorder, classify, use_activation)");
+                          "reorder, classify)");
   }
   out.threads = count_option(options, "threads", out.threads);
   out.seed = count_option(options, "seed", static_cast<std::size_t>(out.seed));
@@ -66,8 +66,6 @@ Expected<void> parse_options(const json::Value& options, AtpgOptions& out) {
       json::bool_field(options, "reorder", out.reorder.enabled);
   out.classify_undetectable =
       json::bool_field(options, "classify", out.classify_undetectable);
-  out.use_activation =
-      json::bool_field(options, "use_activation", out.use_activation);
   return {};
 }
 
@@ -275,9 +273,7 @@ std::string options_fingerprint(const AtpgOptions& options) {
   os << "k=" << options.k << ";seed=" << options.seed
      << ";rb=" << options.random_budget << ";rwl=" << options.random_walk_len
      << ";dd=" << options.diff_depth << ";dnc=" << options.diff_node_cap
-     << ";pfs=" << json::number(options.per_fault_seconds)
      << ";simk=" << options.sim.k << ";cc=" << options.sim.candidate_cap
-     << ";act=" << (options.use_activation ? 1 : 0)
      << ";cls=" << (options.classify_undetectable ? 1 : 0);
   return os.str();
 }

@@ -429,11 +429,6 @@ void Server::admit_submit(const std::shared_ptr<Connection>& conn,
     }
   }
 
-  // Per-job node budget: clamp, don't reject — the job still runs, just
-  // under the server's ceiling.
-  if (config_.max_diff_node_cap != 0 &&
-      request.options.diff_node_cap > config_.max_diff_node_cap)
-    request.options.diff_node_cap = config_.max_diff_node_cap;
   if (const auto valid = request.options.validate(); !valid) {
     conn->send(error_frame(request.id, valid.error()));
     return;

@@ -62,9 +62,6 @@ struct ServeConfig {
   /// progress callbacks (0 = unlimited).  A job over budget is cancelled
   /// and reported with reason "budget".
   double max_job_seconds = 0;
-  /// Per-job node-budget ceiling: a request's diff_node_cap is clamped to
-  /// this at admission (0 = no clamp).
-  std::size_t max_diff_node_cap = 0;
   /// Longest accepted request line; longer lines are a typed error and the
   /// connection is closed (a client that overflows this is not framing).
   std::size_t max_request_bytes = std::size_t{4} << 20;

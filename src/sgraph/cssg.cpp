@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/log.hpp"
 
 namespace xatpg {
 

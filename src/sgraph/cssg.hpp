@@ -110,10 +110,8 @@ class Cssg {
 
   // --- symbolic artifacts (cur / (cur,next) variable supports) -------------
   const Bdd& r_delta() const { return r_delta_; }
-  const Bdd& r_input() const { return r_input_; }
   const Bdd& reachable() const { return reachable_; }         ///< TCSG states
   const Bdd& stable_reachable() const { return stable_reachable_; }
-  const Bdd& tcr() const { return tcr_; }                     ///< TCR_k
   const Bdd& relation() const { return cssg_; }               ///< CSSG_k
   /// States reachable from reset using valid vectors only; rings()[i] is the
   /// onion ring at distance i (ring 0 = reset states).

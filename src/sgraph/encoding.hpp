@@ -89,7 +89,6 @@ class SymbolicEncoding {
   Bdd cur_to_next(const Bdd& f) const { return mgr_.permute(f, perm_cur_next_); }
   Bdd next_to_cur(const Bdd& f) const { return mgr_.permute(f, perm_cur_next_); }
   Bdd next_to_aux(const Bdd& f) const { return mgr_.permute(f, perm_next_aux_); }
-  Bdd aux_to_next(const Bdd& f) const { return mgr_.permute(f, perm_next_aux_); }
   Bdd cur_to_aux(const Bdd& f) const { return mgr_.permute(f, perm_cur_aux_); }
 
   /// Minterm of a complete state over the cur variables.
@@ -130,8 +129,6 @@ class SymbolicEncoding {
 
  private:
   void build_layout(VarOrder order);
-  std::vector<bool> reorder_by_level(const std::vector<std::uint32_t>& vars,
-                                     const std::vector<bool>& by_signal) const;
 
   const Netlist* netlist_;
   mutable BddManager mgr_;

@@ -59,12 +59,6 @@ void ParallelTernarySim::load_state(const std::vector<bool>& state) {
   inject_output_faults();
 }
 
-void ParallelTernarySim::load_rails(const std::vector<Rail>& rails) {
-  XATPG_CHECK(rails.size() == netlist_->num_signals());
-  state_ = rails;
-  inject_output_faults();
-}
-
 Rail ParallelTernarySim::eval_target(SignalId s) const {
   const Gate& g = netlist_->gate(s);
   std::vector<Rail> fanin_vals;

@@ -75,8 +75,6 @@ class ParallelTernarySim {
 
   /// Load the same starting boolean state into every lane.
   void load_state(const std::vector<bool>& state);
-  /// Load a per-lane ternary state.
-  void load_rails(const std::vector<Rail>& rails);
 
   /// Apply an input vector to all lanes and settle (Algorithm A + B).
   void settle(const std::vector<bool>& input_values);

@@ -34,13 +34,6 @@ std::vector<bool> SettleResult::final_state() const {
   return out;
 }
 
-std::size_t SettleResult::num_unknown() const {
-  std::size_t n = 0;
-  for (const Ternary t : state)
-    if (t == Ternary::X) ++n;
-  return n;
-}
-
 TernarySim::TernarySim(const Netlist& netlist) : netlist_(&netlist) {}
 
 Ternary TernarySim::eval_gate_ternary(SignalId s,

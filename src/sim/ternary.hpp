@@ -44,8 +44,6 @@ struct SettleResult {
 
   /// Final state as booleans; precondition: confluent.
   std::vector<bool> final_state() const;
-  /// Number of signals left at Φ.
-  std::size_t num_unknown() const;
 };
 
 /// Scalar ternary simulator over a netlist.

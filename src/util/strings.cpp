@@ -41,14 +41,4 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
-std::string pad_left(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
-std::string pad_right(const std::string& s, std::size_t width) {
-  if (s.size() >= width) return s;
-  return s + std::string(width - s.size(), ' ');
-}
-
 }  // namespace xatpg

@@ -1,4 +1,4 @@
-// Small string helpers shared by the netlist/STG parsers and report writers.
+// Small string helpers for the netlist parser.
 #pragma once
 
 #include <string>
@@ -18,9 +18,5 @@ std::string_view trim(std::string_view text);
 
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
-
-/// Render a fixed-width table cell, left- or right-aligned.
-std::string pad_left(const std::string& s, std::size_t width);
-std::string pad_right(const std::string& s, std::size_t width);
 
 }  // namespace xatpg

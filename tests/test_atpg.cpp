@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "atpg/fault.hpp"
@@ -125,6 +126,32 @@ TEST(TernaryScreen, SoundOnChain) {
     EXPECT_TRUE(exact_detected)
         << faults[idx].describe(n) << ": ternary claimed, exact disagrees";
   }
+
+  // A fault list that needs two 64-lane passes flags exactly what
+  // screening each slice of at most 63 faults separately flags, as indices
+  // into the whole list.
+  const fixtures::Circuit tree = fixtures::parity_tree(12);
+  std::vector<Fault> many = input_stuck_faults(tree.netlist);
+  const std::vector<Fault> outputs = output_stuck_faults(tree.netlist);
+  many.insert(many.end(), outputs.begin(), outputs.end());
+  ASSERT_GT(many.size(), 63u);
+  Rng rng(3);
+  std::vector<std::vector<bool>> vectors(4);
+  for (auto& vec : vectors)
+    for (std::size_t i = 0; i < tree.netlist.inputs().size(); ++i)
+      vec.push_back(rng.flip());
+  std::vector<std::size_t> sliced;
+  for (std::size_t begin = 0; begin < many.size(); begin += 63) {
+    const std::vector<Fault> slice(
+        many.begin() + static_cast<long>(begin),
+        many.begin() + static_cast<long>(std::min(begin + 63, many.size())));
+    for (const std::size_t hit :
+         ternary_screen(tree.netlist, tree.reset, slice, vectors))
+      sliced.push_back(begin + hit);
+  }
+  ASSERT_FALSE(sliced.empty());
+  EXPECT_GE(sliced.back(), 63u);  // the second pass flags faults too
+  EXPECT_EQ(ternary_screen(tree.netlist, tree.reset, many, vectors), sliced);
 }
 
 // --- packed fault simulator vs the set-based oracle -----------------------

@@ -110,7 +110,6 @@ AtpgOptions engine_options(VarOrder order, bool reorder, std::size_t threads) {
   options.random_walk_len = 6;
   options.seed = 5;
   options.threads = threads;
-  // per_fault_seconds stays 0 (wall clock off): the caps stay deterministic.
   if (reorder) options.reorder = test_reorder_policy();
   return options;
 }

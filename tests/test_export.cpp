@@ -19,8 +19,6 @@ AtpgOptions export_options() {
   options.random_budget = 24;
   options.random_walk_len = 6;
   options.seed = 5;
-  // per_fault_seconds stays 0 (wall clock disabled) so the output is
-  // deterministic even on slow machines — the deterministic caps bind.
   return options;
 }
 

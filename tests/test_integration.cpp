@@ -110,7 +110,6 @@ TEST(EndToEndShape, Table2RedundantCircuitsCollapse) {
     AtpgOptions options;
     options.random_budget = 24;
     options.random_walk_len = 6;
-    options.per_fault_seconds = 0.5;
     auto session =
         Session::from_benchmark(name, SynthStyle::BoundedDelay, options);
     XATPG_CHECK(session.has_value());

@@ -35,10 +35,6 @@ AtpgOptions determinism_options(std::size_t threads) {
   options.random_walk_len = 6;
   options.seed = 5;
   options.threads = threads;
-  // The wall-clock fallback (the one machine-dependent knob) is disabled by
-  // default; state it explicitly — this suite is the byte-identity
-  // guarantee, and it must hold even under slow sanitizers.
-  options.per_fault_seconds = 0;
   return options;
 }
 
@@ -282,9 +278,18 @@ TEST(Cancellation, TokenAlreadyFiredYieldsEmptyRun) {
 
 // --- incremental runs ---------------------------------------------------------
 // add_faults() must behave as if the union universe had been run from
-// scratch: committed sequences are reused by cross-simulating the new
-// faults first, cached searches are never redone, and the merged result is
-// byte-identical — at every thread count.
+// scratch: cached searches are never redone, and the merged result and its
+// on_fault_resolved stream are byte-identical — at every thread count.
+
+/// Records every on_fault_resolved event, in order.
+class ResolvedLog : public RunObserver {
+ public:
+  void on_fault_resolved(std::size_t index,
+                         const FaultOutcome& outcome) override {
+    events.emplace_back(index, outcome);
+  }
+  std::vector<std::pair<std::size_t, FaultOutcome>> events;
+};
 
 void check_incremental(const Netlist& netlist, const std::vector<bool>& reset,
                        const std::vector<Fault>& faults,
@@ -298,14 +303,18 @@ void check_incremental(const Netlist& netlist, const std::vector<bool>& reset,
     AtpgOptions options = determinism_options(threads);
     options.random_budget = random_budget;
     AtpgEngine fresh(netlist, reset, options);
-    const AtpgResult full = fresh.run(faults);
+    ResolvedLog full_log;
+    const AtpgResult full = fresh.run(faults, &full_log);
 
     AtpgEngine grown(netlist, reset, options);
     grown.run(first);
-    const AtpgResult incremental = grown.add_faults(rest);
+    ResolvedLog incremental_log;
+    const AtpgResult incremental = grown.add_faults(rest, &incremental_log);
     ASSERT_EQ(grown.universe().size(), faults.size());
     expect_identical(full, incremental, threads, name + "/incremental");
     EXPECT_EQ(full.sequences.size(), incremental.sequences.size());
+    EXPECT_EQ(full_log.events, incremental_log.events)
+        << name << " threads=" << threads;
   }
 }
 
@@ -317,8 +326,8 @@ TEST(Incremental, MatchesFromScratchOnMmuBoundedDelay) {
 
 TEST(Incremental, MatchesFromScratchWithoutRandomPhase) {
   // random_budget = 0 forces everything through the 3-phase merge, so the
-  // incremental run exercises the cached-commit + catch-up machinery (and
-  // vbe5b has two search-exhausted faults that must stay undetected).
+  // incremental run commits from memoized searches (and vbe5b has two
+  // search-exhausted faults that must stay undetected).
   const auto synth = benchmark_circuit("vbe5b", SynthStyle::SpeedIndependent);
   check_incremental(synth.netlist, synth.reset_state,
                     input_stuck_faults(synth.netlist), "vbe5b/si",
@@ -342,27 +351,75 @@ TEST(Incremental, OutputFaultsJoinInputUniverse) {
   }
 }
 
+/// Fires the token as the 3-phase step begins, or at its first progress
+/// snapshot.  With two or more workers that snapshot comes between the
+/// main thread's work blocks, in the middle of the search batch.
+class CancelInThreePhase : public RunObserver {
+ public:
+  CancelInThreePhase(CancelToken token, bool at_progress)
+      : token_(std::move(token)), at_progress_(at_progress) {}
+  void on_phase(RunPhase phase) override {
+    if (!at_progress_ && phase == RunPhase::ThreePhase) token_.request_cancel();
+  }
+  void on_progress(const RunProgress& progress) override {
+    if (at_progress_ && progress.phase == RunPhase::ThreePhase)
+      token_.request_cancel();
+  }
+
+ private:
+  CancelToken token_;
+  bool at_progress_;
+};
+
+/// 3-phase searches the engine's most recent run paid for.
+std::size_t searches_of(const AtpgEngine& engine) {
+  std::size_t searches = 0;
+  for (const ShardBddStats& shard : engine.shard_bdd_stats())
+    searches += shard.faults_done;
+  return searches;
+}
+
 TEST(Incremental, ResumeAfterCancelReproducesFullRun) {
   // The acceptance contract: cancel mid-run, then add_faults() on the
   // remainder (here: an empty delta — the universe is already complete)
   // finishes the job byte-identically to an uncancelled run, reusing every
-  // search the cancelled run already paid for.
+  // search the cancelled run already paid for.  The token fires at the
+  // second 3-phase commit (every search done, the merge cut short), as the
+  // 3-phase step begins (no search done, the merge skipped), or at the
+  // step's first progress snapshot.
   const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
   const auto faults = input_stuck_faults(synth.netlist);
+  const char* const points[] = {"commit 2", "three-phase start",
+                                "three-phase progress"};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     AtpgOptions options = determinism_options(threads);
     AtpgEngine fresh(synth.netlist, synth.reset_state, options);
     const AtpgResult full = fresh.run(faults);
+    const std::size_t full_searches = searches_of(fresh);
 
-    AtpgEngine engine(synth.netlist, synth.reset_state, options);
-    CancelToken token;
-    CancelAtCommit observer(token, 2);
-    const AtpgResult partial = engine.run(faults, &observer, &token);
-    ASSERT_TRUE(partial.cancelled);
-    const AtpgResult resumed = engine.add_faults({});
-    EXPECT_FALSE(resumed.cancelled);
-    expect_identical(full, resumed, threads, "mmu/bd resume");
+    for (std::size_t point = 0; point < 3; ++point) {
+      SCOPED_TRACE(std::string("cancel at ") + points[point]);
+      AtpgEngine engine(synth.netlist, synth.reset_state, options);
+      CancelToken token;
+      CancelAtCommit at_commit(token, 2);
+      CancelInThreePhase at_start(token, /*at_progress=*/false);
+      CancelInThreePhase at_progress(token, /*at_progress=*/true);
+      RunObserver* const observers[] = {&at_commit, &at_start, &at_progress};
+      const AtpgResult partial = engine.run(faults, observers[point], &token);
+      ASSERT_TRUE(partial.cancelled);
+      const std::size_t paid = searches_of(engine);
+      if (point == 0) {
+        EXPECT_EQ(paid, full_searches);
+      } else if (point == 1) {
+        EXPECT_EQ(paid, 0u);
+        EXPECT_EQ(partial.stats.by_three_phase, 0u);
+      }
+      const AtpgResult resumed = engine.add_faults({});
+      EXPECT_FALSE(resumed.cancelled);
+      expect_identical(full, resumed, threads, "mmu/bd resume");
+      EXPECT_EQ(paid + searches_of(engine), full_searches);
+    }
   }
 }
 
@@ -394,21 +451,6 @@ TEST(ParallelDeterminism, TightDeterministicCapsGiveUpIdenticallyAcrossThreads) 
     else
       expect_identical(*base, result, threads, "mmu/bd tight-caps");
   }
-}
-
-TEST(ParallelDeterminism, DisabledWallClockMatchesHugeWallClockBudget) {
-  // per_fault_seconds = 0 (disabled) and a budget no search can ever trip
-  // must be indistinguishable: the wall clock is a fallback, never the
-  // binding cap on a healthy run.
-  const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
-  const auto faults = input_stuck_faults(synth.netlist);
-  AtpgOptions disabled = determinism_options(4);
-  disabled.per_fault_seconds = 0;
-  AtpgOptions huge = determinism_options(4);
-  huge.per_fault_seconds = 1e9;
-  AtpgEngine a(synth.netlist, synth.reset_state, disabled);
-  AtpgEngine b(synth.netlist, synth.reset_state, huge);
-  expect_identical(a.run(faults), b.run(faults), 4, "mmu/bd wall-clock");
 }
 
 // --- shared-base memory -------------------------------------------------------

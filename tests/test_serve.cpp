@@ -225,6 +225,12 @@ TEST(Serve, MalformedAndUnknownRequestsGetTypedErrors) {
   frame = client.expect_frame("error");
   EXPECT_EQ(json::string_field(*frame.find("error"), "code"), "OptionError");
 
+  // So is a key the protocol no longer knows.
+  client.send(submit_benchmark("j3", "fig1a", "si", false,
+                               "\"use_activation\":false"));
+  frame = client.expect_frame("error");
+  EXPECT_EQ(json::string_field(*frame.find("error"), "code"), "OptionError");
+
   // Unknown benchmark names surface the Session factory's taxonomy.
   client.send(submit_benchmark("j2", "no_such_circuit"));
   frame = client.expect_frame("error");

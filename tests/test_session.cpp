@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <thread>
 
 #include "atpg/engine.hpp"  // cross-checks + the loud legacy constructor
@@ -23,8 +22,6 @@ AtpgOptions session_options(std::size_t threads = 1) {
   options.random_walk_len = 6;
   options.seed = 5;
   options.threads = threads;
-  // per_fault_seconds stays at 0: the wall-clock fallback is disabled and
-  // the deterministic caps bind, so results are stable under slow sanitizers.
   return options;
 }
 
@@ -69,7 +66,7 @@ TEST(SessionErrors, MissingFileIsResourceError) {
 TEST(SessionErrors, DegenerateOptionsAreOptionErrors) {
   AtpgOptions bad = session_options();
   bad.k = 0;
-  bad.per_fault_seconds = -1;
+  bad.diff_depth = 0;
   const auto session = Session::from_benchmark("chu150",
                                                SynthStyle::SpeedIndependent,
                                                bad);
@@ -77,7 +74,7 @@ TEST(SessionErrors, DegenerateOptionsAreOptionErrors) {
   EXPECT_EQ(session.error().code, ErrorCode::OptionError);
   // validate() aggregates: both violations are named.
   EXPECT_NE(session.error().message.find("k = 0"), std::string::npos);
-  EXPECT_NE(session.error().message.find("per_fault_seconds"),
+  EXPECT_NE(session.error().message.find("diff_depth = 0"),
             std::string::npos);
 }
 
@@ -124,10 +121,6 @@ TEST(OptionValidation, EachDegenerateKnobIsRejected) {
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.diff_node_cap = 0; }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.random_walk_len = 0; }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.threads = 4097; }));
-  EXPECT_TRUE(rejects([](AtpgOptions& o) { o.per_fault_seconds = -1.0; }));
-  EXPECT_TRUE(rejects([](AtpgOptions& o) {
-    o.per_fault_seconds = std::numeric_limits<double>::quiet_NaN();
-  }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.k = 0; }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.candidate_cap = 0; }));
   // Boundary values stay valid.

@@ -171,12 +171,6 @@ TEST(Strings, StartsWith) {
   EXPECT_FALSE(starts_with("IN", "INPUT("));
 }
 
-TEST(Strings, Padding) {
-  EXPECT_EQ(pad_left("ab", 5), "   ab");
-  EXPECT_EQ(pad_right("ab", 5), "ab   ");
-  EXPECT_EQ(pad_left("abcdef", 3), "abcdef");
-}
-
 TEST(JsonNumber, NonFiniteClampsAndFiniteRoundTripsBitExactly) {
   // operator<< would write the invalid tokens `nan` / `inf`.
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
