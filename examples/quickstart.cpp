@@ -16,7 +16,7 @@ namespace {
 
 /// Minimal observer: one line per phase transition (see xatpg/progress.hpp
 /// for the full streaming contract — per-fault events, periodic snapshots
-/// with per-shard BDD statistics, cooperative cancellation).
+/// with BDD statistics, cooperative cancellation).
 class PhasePrinter : public xatpg::RunObserver {
  public:
   void on_phase(xatpg::RunPhase phase) override {
@@ -38,7 +38,7 @@ int main() {
   options.threads = 2;       // fault-parallel 3-phase search (0 = all cores);
                              // outcomes are identical for any thread count
   options.reorder.enabled = true;  // dynamic BDD reordering (Rudell sifting)
-                                   // on every symbolic shard; like threads,
+                                   // on the engine's manager; like threads,
                                    // it never changes outcomes — only node
                                    // counts and timing
   Expected<Session> session =

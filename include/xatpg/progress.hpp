@@ -1,6 +1,7 @@
 // Streaming run model of the public xatpg API: phase transitions, per-fault
-// resolution events, periodic progress snapshots (including per-shard BDD
-// statistics), and cooperative cancellation.
+// resolution events, periodic progress snapshots (including per-worker
+// search counts and the engine's BDD statistics), and cooperative
+// cancellation.
 //
 // Observer contract
 // -----------------
@@ -79,38 +80,36 @@ constexpr const char* run_phase_name(RunPhase phase) {
   return "?";
 }
 
-/// BDD accounting for one symbolic shard.  Shard 0 is the engine's own
-/// context (the main thread's worker); shards 1..N-1 are the worker shards,
-/// reported only once they have been built (lazy workers that never claim a
-/// fault block stay at zero).
+/// Accounting for one worker slot of a run.  The engine owns one BDD
+/// manager, used only by the thread that calls run() (worker 0), so only
+/// shard 0 carries BDD counters; slots 1..N-1 report just faults_done and
+/// blocks_stolen, and their node and cache counters stay 0.
 struct ShardBddStats {
   std::size_t shard = 0;
-  /// Resident nodes this shard can reference: the frozen shared base arena
-  /// plus its private delta arena (live + uncollected).
+  /// Nodes allocated in the engine's manager (live + uncollected).
   std::size_t live_nodes = 0;
-  /// Resident-node watermark: base_nodes + delta_peak.  NOTE: the base
-  /// arena is SHARED — summing peak_nodes across shards counts it once per
-  /// shard.  Corpus-level totals must use base_nodes once + Σ delta_peak.
+  /// The manager's lifetime allocated-node watermark.  It includes the
+  /// transient of CSSG construction, so it can exceed the resident size
+  /// of the finished abstraction several times over.
   std::size_t peak_nodes = 0;
-  /// Nodes in the frozen shared base arena this shard's delta resolves
-  /// against (identical for every shard of one engine; 0 for a monolithic
-  /// manager).
+  /// Always 0.  Kept only for existing readers of the struct.
   std::size_t base_nodes = 0;
-  /// This shard's private delta-arena allocated-node watermark.
+  /// Always equal to peak_nodes.  Kept only for existing readers of the
+  /// struct.
   std::size_t delta_peak = 0;
   std::size_t reorders = 0;     ///< sifting passes performed
-  std::size_t faults_done = 0;  ///< 3-phase searches completed on this shard
+  std::size_t faults_done = 0;  ///< 3-phase searches this worker completed
   std::size_t cache_lookups = 0;  ///< computed-cache probes (cumulative)
   std::size_t cache_hits = 0;     ///< probes answered from the cache
-  /// Work blocks this shard's worker claimed by stealing from another
-  /// worker's deque (scheduler telemetry; results never depend on it).
+  /// Work blocks this worker claimed by stealing from another worker's
+  /// deque (scheduler telemetry; results never depend on it).
   std::size_t blocks_stolen = 0;
   /// Unique-table load factor (chained entries / buckets, in [0, 2];
   /// subtables double at 2).
   double unique_load = 0;
 
-  /// Fraction of computed-cache probes answered from the cache (0 when the
-  /// shard has not probed yet).
+  /// Fraction of computed-cache probes answered from the cache (0 when no
+  /// probe was made).
   [[nodiscard]] double cache_hit_rate() const {
     return safe_ratio(static_cast<double>(cache_hits),
                       static_cast<double>(cache_lookups));

@@ -1,7 +1,7 @@
 // xatpg::Session — the stable public facade of the library.
 //
 // A Session owns one circuit, its test-mode reset state, and the symbolic
-// ATPG engine (CSSG abstraction + per-worker BDD shards) built for it.  It
+// ATPG engine (the CSSG abstraction on one BDD manager) built for it.  It
 // is the supported way to drive the paper's flow from outside the library:
 //
 //   auto session = xatpg::Session::from_benchmark("chu150",
@@ -28,8 +28,8 @@
 //     add_faults({}) after a cancelled run resumes it the same way, and the
 //     final result is byte-identical to an uncancelled run.
 //  4. Results, test-program export and statistics are read back at any
-//     time; the expensive artifacts (CSSG, shards, generated tests) persist
-//     across runs on the same Session.
+//     time; the expensive artifacts (CSSG, explicit graph, generated
+//     tests) persist across runs on the same Session.
 //
 // Concurrency contract — ONE SESSION PER JOB
 // ------------------------------------------
@@ -165,19 +165,17 @@ class Session {
   /// paths of this circuit yield OptionError.
   [[nodiscard]] Expected<std::string> test_program(const AtpgResult& result) const;
 
-  /// BDD accounting of the engine's own symbolic context (shard 0):
-  /// allocated-node watermark, live nodes after a garbage collection,
-  /// sifting passes, computed-cache hit counters, and the unique-table load
-  /// factor.
+  /// BDD accounting of the engine's one manager, after a garbage
+  /// collection: shard_bdd_stats()[0] with live_nodes counting live nodes
+  /// only.  peak_nodes is the manager's lifetime watermark, which includes
+  /// the transient of CSSG construction.
   [[nodiscard]] ShardBddStats bdd_stats() const;
 
-  /// BDD accounting for EVERY symbolic shard — shard 0 plus one entry per
-  /// worker slot of a multi-threaded run (a worker the scheduler starved
-  /// built no view and reports the shared base only) — including
-  /// per-shard 3-phase searches completed and work blocks stolen during the
-  /// most recent run.  Accounting that must not miss worker-shard activity
-  /// (e.g. total sifting passes across a parallel run) has to sum over this
-  /// rather than read bdd_stats() alone.
+  /// One entry per worker slot of the most recent run, with the 3-phase
+  /// searches each worker completed and the work blocks it stole.  Entry 0
+  /// also carries the BDD accounting of the engine's one manager; worker
+  /// threads hold no BDD state, so the other entries' node and cache
+  /// counters stay 0.
   [[nodiscard]] std::vector<ShardBddStats> shard_bdd_stats() const;
 
  private:

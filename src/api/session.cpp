@@ -7,7 +7,6 @@
 // process.
 #include "xatpg/session.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -309,25 +308,8 @@ Expected<std::string> Session::test_program(const AtpgResult& result) const {
 }
 
 ShardBddStats Session::bdd_stats() const {
-  // The engine's context is a delta view over the frozen shared base: its
-  // own counters cover the private delta arena only, so the engine-context
-  // stats compose the base in.  The base is immutable after the engine
-  // constructor (its counters stopped moving at freeze), so reading it here
-  // — main thread, between runs — is race-free.
-  BddManager& mgr = impl_->engine->cssg().encoding().mgr();
-  const BddManager& base = impl_->engine->base_cssg().encoding().mgr();
-  ShardBddStats stats;
-  stats.shard = 0;
-  stats.base_nodes = base.allocated_nodes();
-  stats.delta_peak = mgr.peak_nodes();
-  stats.peak_nodes = stats.base_nodes + stats.delta_peak;
-  mgr.collect_garbage();
-  stats.live_nodes = stats.base_nodes + mgr.allocated_nodes();
-  stats.reorders = base.reorder_count() + mgr.reorder_count();
-  stats.cache_lookups = base.cache_lookups() + mgr.cache_lookups();
-  stats.cache_hits = base.cache_hits() + mgr.cache_hits();
-  stats.unique_load = std::max(base.unique_load(), mgr.unique_load());
-  return stats;
+  impl_->engine->cssg().encoding().mgr().collect_garbage();
+  return impl_->engine->shard_bdd_stats().front();
 }
 
 std::vector<ShardBddStats> Session::shard_bdd_stats() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <deque>
 #include <exception>
 #include <ostream>
@@ -45,72 +44,6 @@ std::size_t AtpgEngine::FaultHash::operator()(const Fault& fault) const {
   return static_cast<std::size_t>(h);
 }
 
-/// Published by each worker at fault granularity; read by the run's calling
-/// thread to stream per-shard BDD statistics while generation is running.
-///
-/// Publication protocol (lock-free; outside the scope of the mutex-based
-/// thread-safety annotations in util/annotations.hpp, verified by the TSan
-/// CI job instead): every field is an independent monotonic counter written
-/// by exactly one worker with relaxed stores and read by the progress
-/// thread with relaxed loads.  Readers may observe a torn *set* of counters
-/// (e.g. done advanced but cache_hits not yet) — each individual value is
-/// still a real point-in-time value, which is all the streaming progress
-/// display needs.  Nothing downstream derives control flow from a
-/// cross-field invariant.
-struct AtpgEngine::ShardCounters {
-  std::atomic<std::size_t> live{0};
-  std::atomic<std::size_t> peak{0};
-  std::atomic<std::size_t> reorders{0};
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> steals{0};
-  std::atomic<std::size_t> cache_lookups{0};
-  std::atomic<std::size_t> cache_hits{0};
-  /// Unique-table load factor, published as its raw bit pattern so the
-  /// counter stays a lock-free word on every platform.
-  std::atomic<std::uint64_t> unique_load_bits{0};
-};
-
-namespace {
-
-/// Snapshot one manager's BDD accounting into the public stats struct —
-/// only safe on the thread that owns the manager (the worker publishing its
-/// own shard, or the main thread reading its own context / idle shards).
-ShardBddStats snapshot_shard(std::size_t shard, const BddManager& mgr,
-                             std::size_t faults_done,
-                             std::size_t blocks_stolen = 0) {
-  ShardBddStats stats;
-  stats.shard = shard;
-  // For a delta manager allocated_nodes()/peak_nodes() cover the private
-  // delta arena only; the resident totals add the frozen shared base once.
-  // A monolithic manager has base_nodes() == 0, so the old semantics hold.
-  stats.base_nodes = mgr.base_nodes();
-  stats.delta_peak = mgr.peak_nodes();
-  stats.live_nodes = mgr.base_nodes() + mgr.allocated_nodes();
-  stats.peak_nodes = mgr.base_nodes() + mgr.peak_nodes();
-  stats.reorders = mgr.reorder_count();
-  stats.faults_done = faults_done;
-  stats.cache_lookups = mgr.cache_lookups();
-  stats.cache_hits = mgr.cache_hits();
-  stats.unique_load = mgr.unique_load();
-  stats.blocks_stolen = blocks_stolen;
-  return stats;
-}
-
-std::uint64_t double_to_bits(double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof value);
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
-}
-
-double bits_to_double(std::uint64_t bits) {
-  double value = 0;
-  std::memcpy(&value, &bits, sizeof value);
-  return value;
-}
-
-}  // namespace
-
 AtpgEngine::AtpgEngine(const Netlist& netlist,
                        const std::vector<bool>& reset_state,
                        const AtpgOptions& options)
@@ -118,31 +51,16 @@ AtpgEngine::AtpgEngine(const Netlist& netlist,
   const Expected<void> valid = options_.validate();
   XATPG_CHECK_MSG(valid.has_value(),
                   "invalid AtpgOptions — " << valid.error().message);
-  cssg_ = build_shard();
-  graph_ = cssg_->extract_explicit();
-  const auto reset_id = graph_.find(reset_state);
-  XATPG_CHECK(reset_id.has_value());
-  reset_id_ = *reset_id;
-  // Publication point: freeze the substrate before any worker thread can
-  // exist, so thread creation's happens-before edge covers the whole frozen
-  // arena.  Everything after this runs on delta views.
-  cssg_->freeze();
-  base_node_count_ = cssg_->encoding().mgr().allocated_nodes();
-  base_reorder_count_ = cssg_->encoding().mgr().reorder_count();
-  shard0_ = build_delta();
-}
-
-std::unique_ptr<Cssg> AtpgEngine::build_shard() const {
   CssgOptions cssg_options;
   cssg_options.k = options_.k;
   cssg_options.order = options_.order;
   cssg_options.reorder = options_.reorder;
-  return std::make_unique<Cssg>(
-      *netlist_, std::vector<std::vector<bool>>{reset_state_}, cssg_options);
-}
-
-std::unique_ptr<Cssg> AtpgEngine::build_delta() const {
-  return std::make_unique<Cssg>(*cssg_, BddManager::Delta{});
+  cssg_ = std::make_unique<Cssg>(
+      netlist, std::vector<std::vector<bool>>{reset_state_}, cssg_options);
+  graph_ = cssg_->extract_explicit();
+  const auto reset_id = graph_.find(reset_state);
+  XATPG_CHECK(reset_id.has_value());
+  reset_id_ = *reset_id;
 }
 
 std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
@@ -258,48 +176,48 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
   return result;
 }
 
-bool AtpgEngine::provably_redundant_on(const Cssg& shard,
-                                       const Fault& fault) const {
-  const SymbolicEncoding& enc = shard.encoding();
+bool AtpgEngine::provably_redundant(const Fault& fault) const {
   const SignalId src = fault.site == Fault::Site::GatePin
                            ? netlist_->gate(fault.gate).fanins[fault.pin]
                            : fault.gate;
-  const Bdd lit = enc.cur(src);
+  const Bdd lit = cssg_->encoding().cur(src);
   const Bdd differs = fault.stuck_value ? !lit : lit;
   // The line never differs from the stuck value in any test-mode-reachable
   // state => the faulty circuit is trajectory-equivalent to the good one
   // (inductively: identical states produce identical successor sets).
-  return (shard.test_mode_reachable() & differs).is_false();
+  return (cssg_->test_mode_reachable() & differs).is_false();
 }
 
-bool AtpgEngine::provably_redundant(const Fault& fault) const {
-  return provably_redundant_on(*shard0_, fault);
-}
-
-AtpgEngine::SearchOutcome AtpgEngine::generate_test_on(
-    const Cssg& shard, const Fault& fault) const {
+std::optional<TestSequence> AtpgEngine::activation_prefix(
+    const Fault& fault) const {
   // Phase 1 — fault activation (§5.1): stable, valid-vector-reachable
   // states in which the faulted line carries the opposite of its stuck
   // value.
   const SignalId src = fault.site == Fault::Site::GatePin
                            ? netlist_->gate(fault.gate).fanins[fault.pin]
                            : fault.gate;
-  const Bdd lit = shard.encoding().cur(src);
+  const Bdd lit = cssg_->encoding().cur(src);
   const Bdd excited = fault.stuck_value ? !lit : lit;
-  const Bdd activation = excited & shard.cssg_reachable();
+  const Bdd activation = excited & cssg_->cssg_reachable();
   // Phase 2 — state justification via the onion rings (§5.2).  The
-  // justification is a pure function of the canonical activation set, so
-  // every shard computes the identical prefix.  Faults with no stable
-  // excitation state go directly to phase 3 (§5.1's "left directly to the
-  // last phase").
+  // justification is a pure function of the canonical activation set.
+  // Faults with no stable excitation state go directly to phase 3 (§5.1's
+  // "left directly to the last phase").
+  if (activation.is_false()) return std::nullopt;
+  auto just = cssg_->justify(activation);
+  if (!just) return std::nullopt;
+  return TestSequence{std::move(just->vectors)};
+}
+
+AtpgEngine::SearchOutcome AtpgEngine::search(
+    const Fault& fault, const std::optional<TestSequence>& prefix) const {
+  // Phase 3 — differentiation (§5.3), first from the justified activation
+  // state.
   bool truncated = false;
-  if (!activation.is_false()) {
-    if (auto just = shard.justify(activation)) {
-      const DiffResult with_prefix =
-          differentiate(fault, TestSequence{std::move(just->vectors)});
-      if (with_prefix.found) return SearchOutcome{with_prefix.sequence, false};
-      truncated = with_prefix.truncated;
-    }
+  if (prefix) {
+    const DiffResult with_prefix = differentiate(fault, *prefix);
+    if (with_prefix.found) return SearchOutcome{with_prefix.sequence, false};
+    truncated = with_prefix.truncated;
   }
   // Fall back to a full differentiation search from reset: complete within
   // the caps, subsumes any choice of activation state.
@@ -319,8 +237,16 @@ AtpgEngine::SearchOutcome AtpgEngine::generate_test_on(
 bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
                                    const std::vector<std::size_t>& todo,
                                    const CancelToken* cancel,
-                                   RunObserver* observer,
-                                   const std::function<RunProgress()>& make_base) {
+                                   const std::function<void()>& on_block) {
+  // Phases 1-2 run here, on the one thread that uses the BDD manager, in
+  // fault-list order.  A token that fires during this pass skips the
+  // search, so no search ever runs without its prefix.
+  std::vector<std::optional<TestSequence>> prefixes(faults.size());
+  for (const std::size_t i : todo) {
+    if (cancel_fired(cancel)) return false;
+    prefixes[i] = activation_prefix(faults[i]);
+  }
+
   const std::size_t workers =
       std::min(resolved_threads(options_.threads),
                todo.empty() ? std::size_t{1} : todo.size());
@@ -336,112 +262,65 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
   if (workers <= 1) {
     for (const std::size_t i : todo) {
       if (cancel_fired(cancel)) break;
-      generated[i] = generate_test_on(*shard0_, faults[i]);
+      generated[i] = search(faults[i], prefixes[i]);
       attempted[i] = 1;
       ++shard_done_[0];
     }
   } else {
-    // Work-stealing fan-out: the batch is pre-split into coarse blocks of
-    // fault indices dealt out across per-worker deques; a worker drains its
-    // own deque first and steals whole blocks from a victim once dry, so a
-    // whale fault pinning one worker donates that worker's untouched blocks
-    // instead of stranding them.  Each block is processed on the claiming
-    // worker's private shard.  Writing generated[i] is race-free: every
-    // index is claimed by exactly one block, every block by exactly one
-    // worker (the queue's single-CAS claim).
+    // Work-stealing fan-out of the explicit search: the batch is pre-split
+    // into coarse blocks of fault indices dealt out across per-worker
+    // deques; a worker drains its own deque first and steals whole blocks
+    // from a victim once dry, so a whale fault pinning one worker donates
+    // that worker's untouched blocks instead of stranding them.  A search
+    // reads only the netlist, the explicit graph and its own simulator.
+    // Writing generated[i] is race-free: every index is claimed by exactly
+    // one block, every block by exactly one worker (the queue's single-CAS
+    // claim).
     StealingWorkQueue<std::size_t> queue(
         todo, work_block_size(todo.size(), workers), workers);
-    if (extra_shards_.size() < workers - 1) extra_shards_.resize(workers - 1);
-    std::vector<ShardCounters> counters(workers);
+    // Searches completed per worker.  Each counter has one writer (its
+    // worker) and is read by the calling thread with relaxed loads: a
+    // progress snapshot may lag the workers, and the counts are exact once
+    // the pool has joined.
+    std::vector<std::atomic<std::size_t>> done(workers);
     std::vector<std::exception_ptr> errors(workers);
+    const auto run_block = [&](std::size_t w,
+                               const StealingWorkQueue<std::size_t>::Block&
+                                   block) {
+      for (const std::size_t i : block) {
+        if (cancel_fired(cancel)) return false;
+        generated[i] = search(faults[i], prefixes[i]);
+        attempted[i] = 1;
+        done[w].fetch_add(1, std::memory_order_relaxed);
+      }
+      return true;
+    };
+    const auto record_counts = [&] {
+      for (std::size_t w = 0; w < workers; ++w) {
+        shard_done_[w] = done[w].load(std::memory_order_relaxed);
+        shard_steals_[w] = queue.steals(w);
+      }
+    };
     {
       ThreadPool pool(workers - 1);
       for (std::size_t w = 1; w < workers; ++w) {
         pool.submit([&, w] {
           try {
-            // Claim a block before (lazily) building the delta view: a
-            // worker that never gets work pays nothing at all.  View
-            // construction is cheap (handle adoption, no node copies) and
-            // reads only the frozen base, which thread creation published.
-            while (const auto block = queue.pop_block(w)) {
-              if (!extra_shards_[w - 1]) extra_shards_[w - 1] = build_delta();
-              const Cssg& shard = *extra_shards_[w - 1];
-              counters[w].steals.store(queue.steals(w),
-                                       std::memory_order_relaxed);
-              for (const std::size_t i : *block) {
-                if (cancel_fired(cancel)) return;
-                generated[i] = generate_test_on(shard, faults[i]);
-                attempted[i] = 1;
-                const BddManager& mgr = shard.encoding().mgr();
-                counters[w].live.store(mgr.allocated_nodes(),
-                                       std::memory_order_relaxed);
-                counters[w].peak.store(mgr.peak_nodes(),
-                                       std::memory_order_relaxed);
-                counters[w].reorders.store(mgr.reorder_count(),
-                                           std::memory_order_relaxed);
-                counters[w].cache_lookups.store(mgr.cache_lookups(),
-                                                std::memory_order_relaxed);
-                counters[w].cache_hits.store(mgr.cache_hits(),
-                                             std::memory_order_relaxed);
-                counters[w].unique_load_bits.store(
-                    double_to_bits(mgr.unique_load()),
-                    std::memory_order_relaxed);
-                counters[w].done.fetch_add(1, std::memory_order_relaxed);
-              }
-            }
+            while (const auto block = queue.pop_block(w))
+              if (!run_block(w, *block)) return;
           } catch (...) {
             errors[w] = std::current_exception();
           }
         });
       }
-      // The main thread is worker 0, on the engine's own context.  Between
-      // its own blocks it streams a progress snapshot assembled from the
-      // workers' published counters (observer contract: callbacks fire on
-      // the calling thread only).
+      // The calling thread is worker 0.  Between its own blocks it streams
+      // a progress snapshot (observer contract: callbacks fire on the
+      // calling thread only).
       try {
         while (const auto block = queue.pop_block(0)) {
-          for (const std::size_t i : *block) {
-            if (cancel_fired(cancel)) break;
-            generated[i] = generate_test_on(*shard0_, faults[i]);
-            attempted[i] = 1;
-            counters[0].done.fetch_add(1, std::memory_order_relaxed);
-          }
-          if (observer != nullptr) {
-            RunProgress progress = make_base();
-            progress.shards.push_back(snapshot_shard(
-                0, shard0_->encoding().mgr(),
-                counters[0].done.load(std::memory_order_relaxed),
-                queue.steals(0)));
-            // Base sifting passes belong to shard 0 (counted once).
-            progress.shards.back().reorders += base_reorder_count_;
-            for (std::size_t w = 1; w < workers; ++w) {
-              ShardBddStats stats;
-              stats.shard = w;
-              // Workers publish delta-arena counters only; the shared-base
-              // size is a frozen constant the main thread composes in.
-              stats.base_nodes = base_node_count_;
-              stats.delta_peak =
-                  counters[w].peak.load(std::memory_order_relaxed);
-              stats.live_nodes =
-                  base_node_count_ +
-                  counters[w].live.load(std::memory_order_relaxed);
-              stats.peak_nodes = base_node_count_ + stats.delta_peak;
-              stats.reorders =
-                  counters[w].reorders.load(std::memory_order_relaxed);
-              stats.faults_done =
-                  counters[w].done.load(std::memory_order_relaxed);
-              stats.cache_lookups =
-                  counters[w].cache_lookups.load(std::memory_order_relaxed);
-              stats.cache_hits =
-                  counters[w].cache_hits.load(std::memory_order_relaxed);
-              stats.unique_load = bits_to_double(
-                  counters[w].unique_load_bits.load(std::memory_order_relaxed));
-              stats.blocks_stolen =
-                  counters[w].steals.load(std::memory_order_relaxed);
-              progress.shards.push_back(stats);
-            }
-            observer->on_progress(progress);
-          }
+          run_block(0, *block);
+          record_counts();
+          on_block();
           if (cancel_fired(cancel)) break;
         }
       } catch (...) {
@@ -451,13 +330,8 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
     }
     for (const std::exception_ptr& error : errors)
       if (error) std::rethrow_exception(error);
-    // Publish the per-shard completions so snapshots emitted after the join
-    // keep reporting them.  Steal counts come straight from the queue —
-    // exact after the join.
-    for (std::size_t w = 0; w < workers; ++w) {
-      shard_done_[w] = counters[w].done.load(std::memory_order_relaxed);
-      shard_steals_[w] = queue.steals(w);
-    }
+    // Exact after the join; snapshots emitted later keep reporting them.
+    record_counts();
   }
 
   // Memoize completed searches (single-threaded again).  Faults skipped by
@@ -473,32 +347,26 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
 }
 
 std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
-  const auto count_of = [](const std::vector<std::size_t>& v, std::size_t w) {
-    return w < v.size() ? v[w] : std::size_t{0};
-  };
-  std::vector<ShardBddStats> shards;
-  shards.push_back(snapshot_shard(0, shard0_->encoding().mgr(),
-                                  count_of(shard_done_, 0),
-                                  count_of(shard_steals_, 0)));
-  // Base sifting passes belong to shard 0 (counted once across shards).
-  shards.back().reorders += base_reorder_count_;
-  for (std::size_t w = 0; w < extra_shards_.size(); ++w) {
-    if (extra_shards_[w]) {
-      shards.push_back(snapshot_shard(w + 1, extra_shards_[w]->encoding().mgr(),
-                                      count_of(shard_done_, w + 1),
-                                      count_of(shard_steals_, w + 1)));
-      continue;
+  const BddManager& mgr = cssg_->encoding().mgr();
+  std::vector<ShardBddStats> shards(
+      std::max<std::size_t>(shard_done_.size(), 1));
+  for (std::size_t w = 0; w < shards.size(); ++w) {
+    shards[w].shard = w;
+    if (w < shard_done_.size()) {  // shard_steals_ has the same size
+      shards[w].faults_done = shard_done_[w];
+      shards[w].blocks_stolen = shard_steals_[w];
     }
-    // A worker that never claimed a block built no view: it holds the
-    // shared base only and did nothing.  Reporting it keeps one entry per
-    // worker slot whichever worker the scheduler happened to starve.
-    ShardBddStats idle;
-    idle.shard = w + 1;
-    idle.base_nodes = base_node_count_;
-    idle.live_nodes = base_node_count_;
-    idle.peak_nodes = base_node_count_;
-    shards.push_back(idle);
   }
+  // Slot 0 reports the engine's one manager; the other worker slots hold
+  // no BDD state.
+  ShardBddStats& stats = shards.front();
+  stats.live_nodes = mgr.allocated_nodes();
+  stats.peak_nodes = mgr.peak_nodes();
+  stats.delta_peak = stats.peak_nodes;
+  stats.reorders = mgr.reorder_count();
+  stats.cache_lookups = mgr.cache_lookups();
+  stats.cache_hits = mgr.cache_hits();
+  stats.unique_load = mgr.unique_load();
   return shards;
 }
 
@@ -593,7 +461,12 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     if (observer != nullptr)
       observer->on_fault_resolved(index, result.outcomes[index]);
   };
-  const auto progress_snapshot = [&](RunPhase phase) {
+  // Per-worker completion/steal counters restart with each run (filled by
+  // generate_parallel, reported by every later snapshot).
+  shard_done_.assign(shard_done_.size(), 0);
+  shard_steals_.assign(shard_steals_.size(), 0);
+  const auto emit_progress = [&](RunPhase phase) {
+    if (observer == nullptr) return;
     RunProgress progress;
     progress.phase = phase;
     progress.faults_total = faults.size();
@@ -602,17 +475,6 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
                        result.stats.by_fault_sim;
     progress.sequences_committed = result.sequences.size();
     progress.elapsed_seconds = total_timer.seconds();
-    return progress;
-  };
-  // Per-shard completion/steal counters restart with each run (filled by
-  // generate_parallel, reported by every later snapshot).
-  shard_done_.assign(shard_done_.size(), 0);
-  shard_steals_.assign(shard_steals_.size(), 0);
-  // Full snapshot incl. shard stats — only safe while no workers run (the
-  // parallel fan-out assembles its own snapshots from published counters).
-  const auto emit_progress = [&](RunPhase phase) {
-    if (observer == nullptr) return;
-    RunProgress progress = progress_snapshot(phase);
     progress.shards = shard_bdd_stats();
     observer->on_progress(progress);
   };
@@ -705,9 +567,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   // A token that fires before or during the batch skips the merge, so the
   // merge never meets a fault without a search.
   if (!unsearched.empty() && !is_cancelled() &&
-      !generate_parallel(faults, unsearched, cancel, observer, [&] {
-        return progress_snapshot(RunPhase::ThreePhase);
-      }))
+      !generate_parallel(faults, unsearched, cancel,
+                         [&] { emit_progress(RunPhase::ThreePhase); }))
     result.cancelled = true;
 
   // --- deterministic merge + cross fault simulation (§5.4) -------------------

@@ -10,22 +10,19 @@
 // include/xatpg/; the engine itself is internal — out-of-tree consumers
 // drive it through xatpg::Session.
 //
-// Parallel architecture: the 3-phase search is embarrassingly parallel
-// across the fault list, so run() fans it out over `threads` workers.
-//   * The constructor builds the shared symbolic substrate (encoding +
-//     CSSG relations + reachable sets) ONCE, then freezes its BddManager:
-//     the node arena, unique subtables and variable order become immutable
-//     and lock-free readable (the freeze is the publication point — see
-//     bdd/bdd.hpp's base/delta layering).  Each worker owns a lightweight
-//     *delta view* over that frozen base: substrate nodes resolve against
-//     the shared arena, fault-specific nodes allocate in a private delta
-//     arena, and GC runs on the delta only.  Workers therefore pay for the
-//     substrate zero times instead of once each — the old private-shard
-//     design multiplied the paper's peak-node accounting by the worker
-//     count.  BDD managers stay single-threaded by contract (bdd/bdd.hpp);
-//     only the read-only base is shared.
-//   * The explicit CSSG and the netlist are shared read-only by all workers
-//     (the const query path: ExplicitCssg lookups, FaultSimulator replay).
+// Parallel architecture: the explicit differentiation search is
+// embarrassingly parallel across the fault list, so run() fans it out over
+// `threads` workers.
+//   * The engine owns ONE Cssg on one BddManager, built by the constructor,
+//     and only the thread that calls run() touches it.  Before the fan-out
+//     that thread computes every searched fault's symbolic phases 1-2 —
+//     activation ∧ CSSG-reachable, then justify() — serially, in fault-list
+//     order, so the same BDD operations run in the same order at any thread
+//     count.
+//   * The workers run only phase 3, differentiate() from each justified
+//     prefix and then from reset.  It reads the netlist and the explicit
+//     CSSG (shared read-only) and a private FaultSimulator per search; no
+//     worker holds a BDD node.
 //   * Faults are distributed through a work-stealing scheduler
 //     (util/work_queue.hpp): the fault batch is pre-split into coarse
 //     blocks dealt out to per-worker deques; each worker drains its own
@@ -36,7 +33,7 @@
 //     owner's common path (they only collide on a deque's last block).
 //   * The merge is deterministic: every still-uncovered fault's test is
 //     generated up front (each fault's search depends only on the fault, not
-//     on scheduling or which shard ran it), then outcomes are committed
+//     on scheduling or which worker ran it), then outcomes are committed
 //     strictly in fault-list order, and cross fault simulation of each
 //     committed sequence (the paper's "sim" column) runs as a post-merge
 //     word-parallel ternary pass in 64-lane batches (+ exact confirmation).
@@ -80,8 +77,8 @@ namespace xatpg {
 
 /// ATPG driver bound to one circuit + reset state.  The CSSG is computed
 /// once and shared across fault universes (run() can be called repeatedly);
-/// worker shards and memoized 3-phase searches are likewise reused by later
-/// run()/add_faults() calls on the same engine.
+/// memoized 3-phase searches are likewise reused by later run()/add_faults()
+/// calls on the same engine.
 class AtpgEngine {
  public:
   /// Rejects degenerate options loudly: throws CheckError when
@@ -90,13 +87,9 @@ class AtpgEngine {
   AtpgEngine(const Netlist& netlist, const std::vector<bool>& reset_state,
              const AtpgOptions& options = {});
 
-  /// The main thread's delta view of the shared abstraction.  Queries on it
-  /// (justify, image…) allocate in the view's private delta arena;
-  /// the frozen base underneath is never mutated.  Use base_cssg() to reach
-  /// the frozen substrate itself (handle reads only).
-  const Cssg& cssg() const { return *shard0_; }
-  /// The frozen shared base (read-only; mutating queries would throw).
-  const Cssg& base_cssg() const { return *cssg_; }
+  /// The symbolic abstraction.  Its BddManager belongs to the thread that
+  /// calls run(): query it from that thread, between runs.
+  const Cssg& cssg() const { return *cssg_; }
   /// The explicit CSSG, extracted once at construction.
   const ExplicitCssg& graph() const { return graph_; }
   const AtpgOptions& options() const { return options_; }
@@ -122,12 +115,11 @@ class AtpgEngine {
   /// The fault universe accumulated by run()/add_faults().
   const std::vector<Fault>& universe() const { return universe_; }
 
-  /// BDD accounting for every symbolic shard (shard 0 = the engine's own
-  /// context, then one entry per worker slot; a worker that never claimed a
-  /// block built no view and reports the shared base only), with
-  /// faults_done / blocks_stolen from the most recent run.  Main-thread
-  /// only, between runs — the same snapshot the final progress callback
-  /// reports.
+  /// One entry per worker slot of the most recent run, with its
+  /// faults_done / blocks_stolen.  Slot 0 also carries the BDD accounting
+  /// of the engine's one manager; the other slots hold no BDD state, so
+  /// their node and cache counters stay 0.  Calling thread only, between
+  /// runs — the same snapshot the final progress callback reports.
   std::vector<ShardBddStats> shard_bdd_stats() const;
 
   /// True if the a-priori classifier proves the fault undetectable: the
@@ -161,37 +153,33 @@ class AtpgEngine {
   struct FaultHash {
     std::size_t operator()(const Fault& fault) const;
   };
-  /// Per-worker progress counters published at fault granularity so the
-  /// main thread can stream per-shard BDD statistics while workers run.
-  struct ShardCounters;
-
   /// Phase 3 BFS.  Touches only shared read-only state (netlist, explicit
   /// graph) — safe from any worker.
   DiffResult differentiate(const Fault& fault, const TestSequence& prefix) const;
-  /// 3-phase search against a specific symbolic shard (phases 1+2 run on
-  /// the shard's BddManager; phase 3 on the shared explicit graph).
-  SearchOutcome generate_test_on(const Cssg& shard, const Fault& fault) const;
-  bool provably_redundant_on(const Cssg& shard, const Fault& fault) const;
-  /// The full monolithic Cssg the constructor builds (and then freezes into
-  /// the shared base).
-  std::unique_ptr<Cssg> build_shard() const;
-  /// A fresh delta view over the frozen base — what every worker gets.
-  std::unique_ptr<Cssg> build_delta() const;
+  /// Phases 1-2 on the engine's BddManager (calling thread only): the
+  /// justification of the fault's activation states, nullopt when no
+  /// CSSG-reachable stable state activates it.
+  std::optional<TestSequence> activation_prefix(const Fault& fault) const;
+  /// Phase 3 from `prefix` (if any), then from reset.  Explicit only, so
+  /// safe from any worker.
+  SearchOutcome search(const Fault& fault,
+                       const std::optional<TestSequence>& prefix) const;
   /// The full deterministic flow over universe_ (shared by run/add_faults).
   AtpgResult run_universe(RunObserver* observer, const CancelToken* cancel);
-  /// Fan the 3-phase search for `todo` (fault indices) out over the worker
-  /// shards, memoizing each completed search in generated_cache_.  Called
-  /// once per run, before the first commit.  Faults skipped because
-  /// `cancel` fired are left unmemoized (a later run attempts them again);
-  /// returns false if any was.  Progress snapshots stream from the calling
-  /// thread between its own work blocks; `make_base` supplies a fresh
-  /// run-level snapshot (elapsed time, resolved counts) per emission, and
-  /// the run's per-shard search and steal counts land in shard_done_ /
-  /// shard_steals_.
+  /// The 3-phase search for `todo` (fault indices): every activation
+  /// prefix on this thread first, then the explicit searches fanned out
+  /// over the workers, memoizing each completed search in generated_cache_.
+  /// Called once per run, before the first commit.  A token that fires
+  /// during the prefix pass skips the fan-out; faults skipped because
+  /// `cancel` fired are left unmemoized (a later run attempts them again),
+  /// and the call returns false if any was.  The run's per-worker search
+  /// and steal counts land in shard_done_ / shard_steals_; with more than
+  /// one worker, the calling thread updates them and calls `on_block`
+  /// after each of its own work blocks, to stream progress.
   bool generate_parallel(const std::vector<Fault>& faults,
                          const std::vector<std::size_t>& todo,
-                         const CancelToken* cancel, RunObserver* observer,
-                         const std::function<RunProgress()>& make_base);
+                         const CancelToken* cancel,
+                         const std::function<void()>& on_block);
   /// Post-merge cross fault simulation of one committed sequence: 64-lane
   /// ternary screen over the remaining uncovered faults, exact confirmation
   /// of every flag, exact fallback for faults whose search found no test.
@@ -208,25 +196,14 @@ class AtpgEngine {
   const Netlist* netlist_;
   std::vector<bool> reset_state_;
   AtpgOptions options_;
-  /// The shared symbolic substrate: built once by the constructor, then
-  /// frozen (immutable, lock-free readable).  Must outlive every delta view.
+  /// The symbolic abstraction on the engine's one BddManager, used only by
+  /// the thread that calls run().
   std::unique_ptr<Cssg> cssg_;
-  /// The main thread's delta view over cssg_ (worker slot 0).
-  std::unique_ptr<Cssg> shard0_;
-  /// Frozen-base arena size and sifting-pass count, captured at freeze time
-  /// so worker-snapshot composition never touches the base manager from
-  /// another thread.  Base reorders are attributed to shard 0 (once), so
-  /// summing shard reorders across shards counts the base exactly once.
-  std::size_t base_node_count_ = 0;
-  std::size_t base_reorder_count_ = 0;
   ExplicitCssg graph_;
   std::uint32_t reset_id_ = 0;
-  /// Lazily built per-worker delta views (slot w serves pool worker w); the
-  /// main thread always works on shard0_.  Reused by subsequent run() calls.
-  std::vector<std::unique_ptr<Cssg>> extra_shards_;
   /// The current fault universe (run() replaces, add_faults() extends).
   std::vector<Fault> universe_;
-  /// Per-shard 3-phase searches completed / blocks stolen during the most
+  /// Per-worker 3-phase searches completed / blocks stolen during the most
   /// recent run (index = worker slot).  Reset at the start of run_universe,
   /// filled by its generate_parallel call, reported by progress snapshots
   /// and shard_bdd_stats().

@@ -19,7 +19,7 @@
 //  * The computed cache is a direct-mapped hash cache keyed by
 //    (operation, operands); permutations get a per-permutation id so
 //    distinct variable maps never alias cache entries.  Hit/lookup counters
-//    feed the perf harness (src/perf) and the per-shard progress stats.
+//    feed the perf harness (src/perf) and the engine's progress stats.
 //  * Variable order is DYNAMIC: a level<->variable indirection separates a
 //    variable's identity (the `var` stored in nodes, stable for the life of
 //    the manager) from its position in the order (its level).  A fresh
@@ -37,32 +37,6 @@
 //    moves as blocks; the ordering ablation bench measures both the static
 //    assignments and dynamic sifting.
 //
-// Base/delta layering (the shared-kernel memory model):
-//  * A manager can be FROZEN (freeze()): its node arena, unique subtables,
-//    variable order and complement-edge invariants become immutable.  Every
-//    mutating entry point on a frozen manager fails loudly via XATPG_CHECK.
-//    Freezing first collects garbage, materializes every literal node and
-//    scrubs the computed cache, so the frozen state is self-consistently
-//    live.
-//  * A DELTA manager (the `BddManager(base, Delta{})` constructor) layers a
-//    private mutable arena over a frozen base.  The global node-index space
-//    is partitioned at `base_limit_` (the base's arena size at freeze time):
-//    an edge word whose node index is below the limit targets the shared
-//    base arena, anything at or above it targets the delta's local arena.
-//    make_node/unique_lookup probe the base's unique subtables first, so any
-//    function already built in the base resolves to the shared node — the
-//    substrate (encoding literals, transition relations, CSSG sets) is paid
-//    for exactly once no matter how many deltas exist.  The delta's computed
-//    cache likewise falls back to read-only probes of the base cache.
-//  * GC on a delta marks and sweeps the LOCAL arena only (base nodes are
-//    permanently live).  The variable order is pinned at freeze time: base
-//    nodes are structured for that order, so deltas never swap levels —
-//    sift() on a delta degenerates to a garbage collection and reorder_to()
-//    is rejected.
-//  * Handles into the base remain valid words in every delta (the index
-//    spaces agree below base_limit_); adopt() rebinds a base handle to a
-//    delta so delta-side operations accept it.
-//
 // Thread-safety contract:
 //  * A BddManager and every Bdd handle attached to it are confined to ONE
 //    thread at a time.  There is no internal synchronization: every
@@ -72,25 +46,12 @@
 //    alone writes the manager's registry list.  Dynamic reordering mutates
 //    node labels in place and is likewise confined to the owning thread.
 //  * Concurrent use of DIFFERENT managers from different threads is safe;
-//    managers share no global state.  This is the sharding model the
-//    fault-parallel ATPG engine uses: one delta manager (inside one
-//    SymbolicEncoding + Cssg view) per worker thread, all layered over one
-//    frozen base built on the main thread (see src/atpg/engine.cpp).
-//  * Publication protocol for the base/delta split: freeze() is the
-//    documented publication point.  The freezing thread must
-//    happens-before-publish the frozen manager to the worker threads (the
-//    engine does this by freezing before std::thread construction, whose
-//    completion synchronizes-with the start of the thread function).  After
-//    publication the frozen base is READ-ONLY and lock-free: concurrent
-//    deltas on different threads may probe its arena, subtables and cache
-//    freely, but nothing — including the owning thread — may call mutating
-//    operations on it, create/copy/destroy Bdd handles attached to it, or
-//    bump its statistics counters while deltas are live on other threads.
-//  * Handles must never outlive their manager on another thread, a delta
-//    must never outlive its base, and a Bdd from one manager must never be
-//    passed to another manager's operations (enforced by XATPG_CHECK at
-//    every public entry point; adopt() is the explicit base-to-delta
-//    crossing).
+//    managers share no global state.  The fault-parallel ATPG engine uses
+//    one manager, only on the thread that calls run(); its worker threads
+//    hold no BDD state at all (see src/atpg/engine.hpp).
+//  * Handles must never outlive their manager, and a Bdd from one manager
+//    must never be passed to another manager's operations (enforced by
+//    XATPG_CHECK at every public entry point).
 #pragma once
 
 #include <cstdint>
@@ -195,46 +156,12 @@ struct ReorderStats {
 /// and the dynamic variable order.
 class BddManager {
  public:
-  /// Tag type selecting the delta-manager constructor.
-  struct Delta {};
-
   /// Create a manager with `num_vars` pre-allocated variables.
   explicit BddManager(std::uint32_t num_vars = 0);
-  /// Create a lightweight delta manager layered over `base`, which must be
-  /// frozen and must outlive this manager.  The delta shares the base's
-  /// variable set, order, groups and registered permutations; its own arena,
-  /// unique subtables, computed cache and statistics start empty.  See the
-  /// base/delta design notes at the top of this header.
-  BddManager(const BddManager& base, Delta);
   ~BddManager();
 
   BddManager(const BddManager&) = delete;
   BddManager& operator=(const BddManager&) = delete;
-
-  // --- base/delta layering -------------------------------------------------
-  /// Make this manager immutable: collect garbage, materialize every literal
-  /// node, scrub the computed cache, and reject every subsequent mutating
-  /// operation via XATPG_CHECK.  Freezing is the publication point for
-  /// sharing the manager read-only across threads (see the thread-safety
-  /// contract above).  Idempotent is NOT supported: freezing twice, freezing
-  /// a delta, or mutating after freeze all fail loudly.
-  void freeze();
-  /// True once freeze() has run.
-  [[nodiscard]] bool frozen() const { return frozen_; }
-  /// True for a delta manager (constructed over a frozen base).
-  [[nodiscard]] bool is_delta() const { return base_ != nullptr; }
-  /// The frozen base of a delta manager; nullptr for a monolithic manager.
-  [[nodiscard]] const BddManager* base() const { return base_; }
-  /// Live nodes in the shared base arena (0 for a monolithic manager).
-  /// Constant after freeze, so safe to read concurrently.
-  [[nodiscard]] std::size_t base_nodes() const {
-    return base_ == nullptr ? 0 : base_->allocated_nodes();
-  }
-  /// Rebind a handle owned by this delta's frozen base to this delta (the
-  /// node-index spaces agree below base_limit_, so the edge word transfers
-  /// verbatim).  Handles owned by this manager pass through unchanged;
-  /// invalid handles stay invalid.
-  [[nodiscard]] Bdd adopt(const Bdd& h);
 
   /// Append a fresh variable at the bottom of the order; returns its index.
   std::uint32_t new_var();
@@ -369,9 +296,7 @@ class BddManager {
   [[nodiscard]] Bdd make_minterm(const std::vector<std::uint32_t>& vars,
                    const std::vector<bool>& values);
 
-  /// Nodes currently allocated in THIS manager's arena (live + garbage not
-  /// yet collected).  For a delta this counts only the local fault-specific
-  /// nodes; the shared substrate is reported by base_nodes().
+  /// Nodes currently allocated (live + garbage not yet collected).
   [[nodiscard]] std::size_t allocated_nodes() const { return nodes_.size() - free_count_; }
   /// Force a mark-and-sweep collection now; returns nodes freed.
   std::size_t collect_garbage();
@@ -391,18 +316,15 @@ class BddManager {
   /// validate the "GC only at op entry" invariant the recursive cores rely
   /// on.
   void set_gc_threshold(std::size_t threshold) {
-    check_mutable();
     gc_threshold_ = threshold;
     gc_adaptive_ = false;
   }
 
-  /// Peak allocated node count observed in THIS manager's arena (statistic).
-  /// For a delta this is the fault-specific watermark; a shard's true
-  /// resident peak is base_nodes() + peak_nodes().
+  /// Peak allocated node count over the manager's lifetime (statistic).
   [[nodiscard]] std::size_t peak_nodes() const { return peak_nodes_; }
 
   // --- cache / table statistics --------------------------------------------
-  // Fed to the perf harness (src/perf), the per-shard progress snapshots
+  // Fed to the perf harness (src/perf), the engine's progress snapshots
   // (ShardBddStats) and the CLI JSON records.  Counters are cumulative over
   // the manager's lifetime; rates are computed by the consumer so two
   // snapshots can be diffed.
@@ -461,28 +383,9 @@ class BddManager {
   static constexpr std::uint32_t kNoGroup = 0xffffffffu;
   static constexpr std::uint32_t kLevelTerminal = 0xffffffffu;
 
-  /// Arena-spanning node access: indices below base_limit_ resolve into the
-  /// frozen base's arena, everything else into the local one.  For a
-  /// monolithic manager base_limit_ is 0 and this is a plain nodes_ read.
-  const Node& node_ref(std::uint32_t n) const {
-    return n < base_limit_ ? base_->nodes_[n] : nodes_[n - base_limit_];
-  }
-  /// Local arena slot of a global node index; precondition n >= base_limit_.
-  std::uint32_t local_of(std::uint32_t n) const { return n - base_limit_; }
-  /// Global node index of a local arena slot.
-  std::uint32_t global_of(std::uint32_t local) const {
-    return base_limit_ + local;
-  }
-  /// One past the largest global node index in use (sizes `seen` vectors).
-  std::size_t global_node_limit() const {
-    return base_limit_ + nodes_.size();
-  }
-  /// XATPG_CHECK that this manager still accepts mutating operations.
-  void check_mutable() const;
-
   /// Level of the node's top variable; the terminal sorts below everything.
   std::uint32_t level_of_node(std::uint32_t n) const {
-    const Node& node = node_ref(n);
+    const Node& node = nodes_[n];
     return node.var == kVarTerminal ? kLevelTerminal : var_to_level_[node.var];
   }
   /// Level of the edge's target node.
@@ -553,11 +456,6 @@ class BddManager {
   };
   std::uint32_t cache_lookup(Op op, std::uint64_t a, std::uint64_t b,
                              std::uint64_t c) const;
-  /// Read-only probe of one cache array (shared by the local lookup and the
-  /// delta's fallback probe into the frozen base; never touches counters).
-  static std::uint32_t cache_probe(const std::vector<CacheEntry>& cache,
-                                   std::size_t mask, Op op, std::uint64_t a,
-                                   std::uint64_t b, std::uint64_t c);
   void cache_insert(Op op, std::uint64_t a, std::uint64_t b, std::uint64_t c,
                     std::uint32_t result);
   /// Invalidate only the entries that reference a dead (about-to-be-recycled)
@@ -574,13 +472,7 @@ class BddManager {
   void maybe_grow_cache();
 
   // --- data ----------------------------------------------------------------
-  // Base/delta layering.  For a monolithic manager all three stay at their
-  // defaults and every code path below degenerates to the single-arena case.
-  const BddManager* base_ = nullptr;  // frozen base arena (deltas only)
-  std::uint32_t base_limit_ = 0;      // global indices below this are base's
-  bool frozen_ = false;               // set by freeze(); rejects mutation
-
-  std::vector<Node> nodes_;  // LOCAL arena (global index base_limit_ + slot)
+  std::vector<Node> nodes_;             // node arena, indexed by node index
   std::vector<SubTable> subtables_;     // one unique subtable per variable
   std::uint32_t free_head_ = kNil;      // free list through Node::next
   std::size_t free_count_ = 0;

@@ -105,18 +105,18 @@ bool Bdd::is_true() const {
 
 std::uint32_t Bdd::top_var() const {
   XATPG_CHECK(valid() && !is_const());
-  return mgr_->node_ref(BddManager::edge_node(idx_)).var;
+  return mgr_->nodes_[BddManager::edge_node(idx_)].var;
 }
 
 Bdd Bdd::low() const {
   XATPG_CHECK(valid() && !is_const());
-  const BddManager::Node& n = mgr_->node_ref(BddManager::edge_node(idx_));
+  const BddManager::Node& n = mgr_->nodes_[BddManager::edge_node(idx_)];
   return Bdd(mgr_, n.lo ^ (idx_ & 1u));
 }
 
 Bdd Bdd::high() const {
   XATPG_CHECK(valid() && !is_const());
-  const BddManager::Node& n = mgr_->node_ref(BddManager::edge_node(idx_));
+  const BddManager::Node& n = mgr_->nodes_[BddManager::edge_node(idx_)];
   return Bdd(mgr_, n.hi ^ (idx_ & 1u));
 }
 
@@ -156,7 +156,7 @@ bool Bdd::implies(const Bdd& rhs) const {
 std::size_t Bdd::node_count() const {
   if (!valid()) return 0;
   std::vector<std::uint32_t> stack{BddManager::edge_node(idx_)};
-  std::vector<bool> seen(mgr_->global_node_limit(), false);
+  std::vector<bool> seen(mgr_->nodes_.size(), false);
   std::size_t count = 0;
   while (!stack.empty()) {
     const std::uint32_t n = stack.back();
@@ -164,7 +164,7 @@ std::size_t Bdd::node_count() const {
     if (seen[n]) continue;
     seen[n] = true;
     ++count;
-    const BddManager::Node& node = mgr_->node_ref(n);
+    const BddManager::Node& node = mgr_->nodes_[n];
     if (node.var != BddManager::kVarTerminal) {
       stack.push_back(BddManager::edge_node(node.lo));
       stack.push_back(BddManager::edge_node(node.hi));
@@ -186,68 +186,6 @@ BddManager::BddManager(std::uint32_t num_vars) {
   for (std::uint32_t i = 0; i < num_vars; ++i) new_var();
 }
 
-BddManager::BddManager(const BddManager& base, Delta) : base_(&base) {
-  XATPG_CHECK_MSG(base.frozen(), "delta manager requires a frozen base");
-  XATPG_CHECK_MSG(!base.is_delta(), "cannot layer a delta over a delta");
-  // Global node indices below base_limit_ address the shared base arena
-  // (including its terminal at index 0); the local arena starts empty and
-  // holds only fault-specific nodes.
-  base_limit_ = static_cast<std::uint32_t>(base.nodes_.size());
-  num_vars_ = base.num_vars_;
-  var_nodes_ = base.var_nodes_;  // literals resolve into the base arena
-  var_to_level_ = base.var_to_level_;
-  level_to_var_ = base.level_to_var_;
-  group_of_var_ = base.group_of_var_;
-  // Permutation-id alignment: ids the base registered keep their meaning, so
-  // base cache entries for Permute stay valid under delta fallback probes;
-  // perms first registered by this delta get fresh, delta-local ids.
-  registered_perms_ = base.registered_perms_;
-  next_perm_id_ = base.next_perm_id_;
-  // The base order is pinned at freeze time.  Inherit the swap history so
-  // order-dependent fast paths (src/sgraph pick_state canonicity) make the
-  // same decision the base would have; reordering itself stays disabled.
-  swap_count_ = base.swap_count_;
-  subtables_.resize(num_vars_);
-  for (SubTable& table : subtables_) table.buckets.assign(4, kNil);
-  cache_.assign(kCacheFloor, CacheEntry{});
-  cache_mask_ = cache_.size() - 1;
-}
-
-void BddManager::freeze() {
-  XATPG_CHECK_MSG(!frozen_, "freeze() called twice on one BddManager");
-  XATPG_CHECK_MSG(!is_delta(), "cannot freeze a delta manager");
-  XATPG_CHECK_MSG(!reordering_, "freeze() during a reordering pass");
-  // Materialize every literal so deltas never have to allocate one (their
-  // var_nodes_ copies must all resolve into this arena).
-  for (std::uint32_t v = 0; v < num_vars_; ++v)
-    if (var_nodes_[v] == kNil)
-      var_nodes_[v] = make_node(v, kFalseEdge, kTrueEdge);
-  // Drop garbage and scrub the cache so every table-resident node is live.
-  // Free-list slots surviving this sweep are wasted for the lifetime of the
-  // freeze (nothing allocates here again); the pre-freeze GC keeps that
-  // waste to dead-since-last-sweep nodes only.
-  collect_garbage();
-  frozen_ = true;
-}
-
-Bdd BddManager::adopt(const Bdd& h) {
-  if (!h.valid()) return {};
-  if (h.manager() == this) return h;
-  XATPG_CHECK_MSG(is_delta() && h.manager() == base_,
-                  "adopt() accepts handles of this delta's frozen base only");
-  // The edge word transfers verbatim: base indices are below base_limit_ in
-  // this delta's global index space.  Note h itself is only read — adoption
-  // must never touch the (possibly concurrently shared) base registry.
-  return Bdd(this, h.index());
-}
-
-void BddManager::check_mutable() const {
-  XATPG_CHECK_MSG(!frozen_,
-                  "mutating operation on a frozen BddManager — the base "
-                  "arena is immutable after freeze(); run the operation on "
-                  "a delta manager layered over it instead");
-}
-
 BddManager::~BddManager() {
   // Orphan any handles that outlive the manager (programming error, but do
   // not crash in their destructors).
@@ -260,10 +198,6 @@ BddManager::~BddManager() {
 }
 
 std::uint32_t BddManager::new_var() {
-  check_mutable();
-  XATPG_CHECK_MSG(!is_delta(),
-                  "new_var() on a delta manager — the variable set is fixed "
-                  "by the frozen base");
   const std::uint32_t v = num_vars_++;
   var_nodes_.push_back(kNil);  // created lazily in var()
   var_to_level_.push_back(v);  // fresh variables join at the bottom
@@ -276,11 +210,8 @@ std::uint32_t BddManager::new_var() {
 
 Bdd BddManager::var(std::uint32_t v) {
   XATPG_CHECK_MSG(v < num_vars_, "variable " << v << " not allocated");
-  if (var_nodes_[v] == kNil) {
-    check_mutable();  // freeze() materializes every literal, so frozen
-                      // managers never reach this allocation
+  if (var_nodes_[v] == kNil)
     var_nodes_[v] = make_node(v, kFalseEdge, kTrueEdge);
-  }
   return Bdd(this, var_nodes_[v]);
 }
 
@@ -303,28 +234,12 @@ std::uint32_t BddManager::make_node(std::uint32_t var, std::uint32_t lo,
 std::uint32_t BddManager::unique_lookup(std::uint32_t var, std::uint32_t lo,
                                         std::uint32_t hi) {
   const std::uint64_t h = hash_children(lo, hi);
-  // Substrate sharing: a delta probes the frozen base's subtable first, so
-  // any function the base already holds resolves to the shared node — the
-  // encoding/CSSG substrate is paid for once across every delta.  The probe
-  // is a pure read; post-freeze the base chains never change.
-  if (base_ != nullptr) {
-    const SubTable& base_table = base_->subtables_[var];
-    const auto base_bucket =
-        static_cast<std::uint32_t>(h & (base_table.buckets.size() - 1));
-    for (std::uint32_t n = base_table.buckets[base_bucket]; n != kNil;
-         n = base_->nodes_[n].next) {
-      const Node& node = base_->nodes_[n];
-      if (node.lo == lo && node.hi == hi) return make_edge(n, false);
-    }
-  }
   SubTable& table = subtables_[var];
-  // The local arena uses LOCAL slot indices internally (buckets, chain
-  // links, free list); only the returned edge is global.
   const auto bucket =
       static_cast<std::uint32_t>(h & (table.buckets.size() - 1));
   for (std::uint32_t n = table.buckets[bucket]; n != kNil; n = nodes_[n].next) {
     const Node& node = nodes_[n];
-    if (node.lo == lo && node.hi == hi) return make_edge(global_of(n), false);
+    if (node.lo == lo && node.hi == hi) return make_edge(n, false);
   }
   std::uint32_t idx;
   if (free_head_ != kNil) {
@@ -335,8 +250,7 @@ std::uint32_t BddManager::unique_lookup(std::uint32_t var, std::uint32_t lo,
     // Edges pack a node index plus the complement bit into 32 bits, and the
     // all-ones edge is reserved as kNil (the cache sentinel); past 2^31-1
     // nodes the packing would silently alias, so refuse loudly instead.
-    // For a delta the GLOBAL index (base arena + local slot) must fit.
-    XATPG_CHECK_MSG(global_node_limit() < static_cast<std::size_t>((1u << 31) - 1),
+    XATPG_CHECK_MSG(nodes_.size() < static_cast<std::size_t>((1u << 31) - 1),
                     "BDD node arena exhausted (2^31-1 nodes)");
     idx = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back({});
@@ -346,7 +260,7 @@ std::uint32_t BddManager::unique_lookup(std::uint32_t var, std::uint32_t lo,
   ++table.count;
   peak_nodes_ = std::max(peak_nodes_, allocated_nodes());
   if (table.count > 2 * table.buckets.size()) grow_subtable(var);
-  return make_edge(global_of(idx), false);
+  return make_edge(idx, false);
 }
 
 void BddManager::subtable_insert(std::uint32_t var, std::uint32_t n) {
@@ -396,9 +310,6 @@ void BddManager::grow_subtable(std::uint32_t var) {
 }
 
 void BddManager::maybe_gc() {
-  // Every node-allocating public operation funnels through here at entry, so
-  // this is also where a frozen manager rejects mutation wholesale.
-  check_mutable();
   if (allocated_nodes() > gc_threshold_) {
     collect_garbage();
     if (gc_adaptive_) {
@@ -433,33 +344,22 @@ void BddManager::maybe_reorder() {
 }
 
 void BddManager::mark(std::uint32_t edge, std::vector<bool>& marked) const {
-  // `marked` covers the LOCAL arena only; base nodes are permanently live,
-  // so the walk stops at the base_limit_ boundary.
-  if (edge_node(edge) < base_limit_) return;
-  std::vector<std::uint32_t> stack{local_of(edge_node(edge))};
+  std::vector<std::uint32_t> stack{edge_node(edge)};
   while (!stack.empty()) {
     const std::uint32_t n = stack.back();
     stack.pop_back();
     if (marked[n]) continue;
     marked[n] = true;
     if (nodes_[n].var != kVarTerminal) {
-      const std::uint32_t lo = edge_node(nodes_[n].lo);
-      const std::uint32_t hi = edge_node(nodes_[n].hi);
-      if (lo >= base_limit_) stack.push_back(local_of(lo));
-      if (hi >= base_limit_) stack.push_back(local_of(hi));
+      stack.push_back(edge_node(nodes_[n].lo));
+      stack.push_back(edge_node(nodes_[n].hi));
     }
   }
 }
 
 std::size_t BddManager::sweep_dead() {
   std::vector<bool> marked(nodes_.size(), false);
-  // The terminal lives at local slot 0 only in a monolithic manager; a
-  // delta's slot 0 (if any) is an ordinary node and earns its mark.
-  std::uint32_t first = 0;
-  if (base_limit_ == 0) {
-    marked[0] = true;
-    first = 1;
-  }
+  marked[0] = true;  // the terminal
   for (const Bdd* h = registry_head_; h != nullptr; h = h->reg_next_)
     mark(h->idx_, marked);
   for (const std::uint32_t vn : var_nodes_)
@@ -473,7 +373,7 @@ std::size_t BddManager::sweep_dead() {
   free_head_ = kNil;
   free_count_ = 0;
   std::size_t freed = 0;
-  for (std::uint32_t n = first; n < nodes_.size(); ++n) {
+  for (std::uint32_t n = 1; n < nodes_.size(); ++n) {
     if (!marked[n]) {
       nodes_[n].var = kVarTerminal;
       nodes_[n].next = free_head_;
@@ -495,7 +395,6 @@ std::size_t BddManager::sweep_dead() {
 }
 
 std::size_t BddManager::collect_garbage() {
-  check_mutable();
   const std::size_t freed = sweep_dead();
   ++gc_count_;
   return freed;
@@ -558,35 +457,21 @@ inline void check_cache_key_widths(std::uint64_t a, std::uint64_t b,
 }
 }  // namespace
 
-std::uint32_t BddManager::cache_probe(const std::vector<CacheEntry>& cache,
-                                      std::size_t mask, Op op, std::uint64_t a,
-                                      std::uint64_t b, std::uint64_t c) {
-  const std::uint64_t key_lo = a | (b << 32);
-  const std::uint64_t key_hi = (static_cast<std::uint64_t>(op) << 40) | c;
-  const std::size_t slot = hash3(key_lo, key_hi, 0) & mask;
-  const CacheEntry& e = cache[slot];
-  if (e.valid && e.key_lo == key_lo && e.key_hi == key_hi) return e.result;
-  return kNil;
-}
-
 std::uint32_t BddManager::cache_lookup(Op op, std::uint64_t a, std::uint64_t b,
                                        std::uint64_t c) const {
   static_assert(static_cast<std::uint64_t>(Op::Cofactor) < (1ull << 24),
                 "op tag must survive the 40-bit shift in key_hi");
   check_cache_key_widths(a, b, c);
   ++cache_lookups_;
-  std::uint32_t result = cache_probe(cache_, cache_mask_, op, a, b, c);
-  // Cross-fault reuse: a delta falls back to a read-only probe of its frozen
-  // base's cache.  Sound because the base cache was scrubbed against the
-  // freeze-time GC (every referenced node is permanently live), edges and
-  // permutation ids mean the same thing in both index spaces, and the entry
-  // array never changes after freeze.  The base's (mutable) counters are
-  // deliberately NOT touched: they are not synchronized, and concurrent
-  // deltas on other threads probe the same array.
-  if (result == kNil && base_ != nullptr)
-    result = cache_probe(base_->cache_, base_->cache_mask_, op, a, b, c);
-  if (result != kNil) ++cache_hits_;
-  return result;
+  const std::uint64_t key_lo = a | (b << 32);
+  const std::uint64_t key_hi = (static_cast<std::uint64_t>(op) << 40) | c;
+  const std::size_t slot = hash3(key_lo, key_hi, 0) & cache_mask_;
+  const CacheEntry& e = cache_[slot];
+  if (e.valid && e.key_lo == key_lo && e.key_hi == key_hi) {
+    ++cache_hits_;
+    return e.result;
+  }
+  return kNil;
 }
 
 void BddManager::cache_insert(Op op, std::uint64_t a, std::uint64_t b,
@@ -604,8 +489,7 @@ void BddManager::cache_scrub_dead(const std::vector<bool>& marked) {
   // depending on the operation, and scalar lanes must NOT be interpreted as
   // node references.
   const auto live_edge = [&](std::uint64_t e) {
-    const std::uint32_t n = edge_node(static_cast<std::uint32_t>(e));
-    return n < base_limit_ || marked[local_of(n)];  // base nodes never die
+    return marked[edge_node(static_cast<std::uint32_t>(e))];
   };
   for (CacheEntry& entry : cache_) {
     if (!entry.valid) continue;

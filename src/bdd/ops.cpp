@@ -119,7 +119,7 @@ std::uint32_t BddManager::ite_rec(std::uint32_t f, std::uint32_t g,
   const std::uint32_t top_var = level_to_var_[top_level];
 
   const auto cof = [&](std::uint32_t e, bool hi_side) {
-    const Node& n = node_ref(edge_node(e));
+    const Node& n = nodes_[edge_node(e)];
     if (n.var != top_var) return e;
     return (hi_side ? n.hi : n.lo) ^ (e & 1u);
   };
@@ -177,15 +177,15 @@ std::uint32_t BddManager::exists_rec(std::uint32_t f, std::uint32_t cube) {
   if (edge_node(f) == 0) return f;  // constants quantify to themselves
   // Skip quantified variables above f's top level (they do not occur in f).
   while (cube != kTrueEdge && level_of_edge(cube) < level_of_edge(f))
-    cube = node_ref(edge_node(cube)).hi;
+    cube = nodes_[edge_node(cube)].hi;
   if (cube == kTrueEdge) return f;
 
   const std::uint32_t hit = cache_lookup(Op::Exists, f, cube, 0);
   if (hit != kNil) return hit;
 
   const std::uint32_t fc = f & 1u;
-  const Node nf = node_ref(edge_node(f));
-  const Node nc = node_ref(edge_node(cube));
+  const Node nf = nodes_[edge_node(f)];
+  const Node nc = nodes_[edge_node(cube)];
   const std::uint32_t lo = nf.lo ^ fc;
   const std::uint32_t hi = nf.hi ^ fc;
   std::uint32_t result;
@@ -221,7 +221,7 @@ std::uint32_t BddManager::and_exists_rec(std::uint32_t f, std::uint32_t g,
   const std::uint32_t top_level =
       std::min(level_of_edge(f), level_of_edge(g));
   while (cube != kTrueEdge && level_of_edge(cube) < top_level)
-    cube = node_ref(edge_node(cube)).hi;
+    cube = nodes_[edge_node(cube)].hi;
   if (cube == kTrueEdge) return ite_rec(f, g, kFalseEdge);
 
   // The conjunction commutes: canonicalize the operand order so (f, g) and
@@ -232,14 +232,14 @@ std::uint32_t BddManager::and_exists_rec(std::uint32_t f, std::uint32_t g,
 
   const std::uint32_t top_var = level_to_var_[top_level];
   const auto cof = [&](std::uint32_t e, bool hi_side) {
-    const Node& n = node_ref(edge_node(e));
+    const Node& n = nodes_[edge_node(e)];
     if (n.var != top_var) return e;
     return (hi_side ? n.hi : n.lo) ^ (e & 1u);
   };
 
   std::uint32_t result;
-  if (node_ref(edge_node(cube)).var == top_var) {
-    const std::uint32_t rest = node_ref(edge_node(cube)).hi;
+  if (nodes_[edge_node(cube)].var == top_var) {
+    const std::uint32_t rest = nodes_[edge_node(cube)].hi;
     const std::uint32_t r0 = and_exists_rec(cof(f, false), cof(g, false), rest);
     if (r0 == kTrueEdge) {
       result = kTrueEdge;
@@ -278,7 +278,7 @@ std::uint32_t BddManager::permute_rec(
   const std::uint32_t fr = edge_regular(f);
   const std::uint32_t hit = cache_lookup(Op::Permute, fr, perm_id, 0);
   if (hit != kNil) return hit ^ fc;
-  const Node nf = node_ref(edge_node(f));
+  const Node nf = nodes_[edge_node(f)];
   const std::uint32_t l = permute_rec(nf.lo, perm_id, var_map);
   const std::uint32_t r = permute_rec(nf.hi, perm_id, var_map);
   // The renamed variable may fall anywhere in the order relative to the
@@ -308,7 +308,7 @@ Bdd BddManager::compose(const Bdd& f, std::uint32_t v, const Bdd& g) {
 std::uint32_t BddManager::compose_rec(std::uint32_t f, std::uint32_t v,
                                       std::uint32_t g) {
   if (edge_node(f) == 0) return f;
-  const Node nf = node_ref(edge_node(f));
+  const Node nf = nodes_[edge_node(f)];
   if (var_to_level_[nf.var] > var_to_level_[v]) return f;  // v cannot occur below
   // Composition commutes with complement on f (not on g): strip f's bit for
   // the cache, re-apply on return.
@@ -346,7 +346,7 @@ Bdd BddManager::cofactor(const Bdd& f, std::uint32_t v, bool phase) {
 std::uint32_t BddManager::cofactor_rec(std::uint32_t f, std::uint32_t v,
                                        bool phase) {
   if (edge_node(f) == 0) return f;
-  const Node nf = node_ref(edge_node(f));
+  const Node nf = nodes_[edge_node(f)];
   if (var_to_level_[nf.var] > var_to_level_[v]) return f;
   const std::uint32_t fc = f & 1u;
   if (nf.var == v) return (phase ? nf.hi : nf.lo) ^ fc;
@@ -369,7 +369,7 @@ std::uint32_t BddManager::cofactor_rec(std::uint32_t f, std::uint32_t v,
 std::vector<std::uint32_t> BddManager::support_vars(const Bdd& f) {
   XATPG_CHECK_SAME_MGR1(f);
   std::vector<bool> in_support(num_vars_, false);
-  std::vector<bool> seen(global_node_limit(), false);
+  std::vector<bool> seen(nodes_.size(), false);
   std::vector<std::uint32_t> stack;
   if (f.valid()) stack.push_back(edge_node(f.index()));
   while (!stack.empty()) {
@@ -377,7 +377,7 @@ std::vector<std::uint32_t> BddManager::support_vars(const Bdd& f) {
     stack.pop_back();
     if (n == 0 || seen[n]) continue;
     seen[n] = true;
-    const Node& node = node_ref(n);
+    const Node& node = nodes_[n];
     in_support[node.var] = true;
     stack.push_back(edge_node(node.lo));
     stack.push_back(edge_node(node.hi));
@@ -393,7 +393,6 @@ Bdd BddManager::support_cube(const Bdd& f) {
 }
 
 Bdd BddManager::make_cube(const std::vector<std::uint32_t>& vars) {
-  check_mutable();  // allocates via make_node without a maybe_gc entry
   // Build bottom-up (deepest level first) so each step is O(1).
   std::vector<std::uint32_t> sorted = vars;
   std::sort(sorted.begin(), sorted.end(),
@@ -408,7 +407,6 @@ Bdd BddManager::make_cube(const std::vector<std::uint32_t>& vars) {
 
 Bdd BddManager::make_minterm(const std::vector<std::uint32_t>& vars,
                              const std::vector<bool>& values) {
-  check_mutable();  // allocates via make_node without a maybe_gc entry
   XATPG_CHECK(vars.size() == values.size());
   std::vector<std::pair<std::uint32_t, bool>> lits;
   lits.reserve(vars.size());
@@ -467,14 +465,14 @@ double BddManager::sat_count(const Bdd& f, std::uint32_t nvars,
   // that satisfy e; the terminal behaves as level == num_vars_.
   auto level_of = [&](std::uint32_t e) -> std::uint32_t {
     return edge_node(e) == 0 ? num_vars_
-                             : var_to_level_[node_ref(edge_node(e)).var];
+                             : var_to_level_[nodes_[edge_node(e)].var];
   };
   auto rec = [&](auto&& self, std::uint32_t e) -> Scaled {
     if (e == kFalseEdge) return Scaled{0, 0};
     if (e == kTrueEdge) return Scaled{0.5, 1};
     auto it = memo.find(e);
     if (it != memo.end()) return it->second;
-    const Node nn = node_ref(edge_node(e));
+    const Node nn = nodes_[edge_node(e)];
     const std::uint32_t ec = e & 1u;
     const std::uint32_t lo = nn.lo ^ ec;
     const std::uint32_t hi = nn.hi ^ ec;
@@ -511,7 +509,7 @@ std::vector<Tri> BddManager::pick_minterm(
   std::vector<Tri> by_var(num_vars_, Tri::DontCare);
   std::uint32_t e = f.index();
   while (edge_node(e) != 0) {
-    const Node nn = node_ref(edge_node(e));
+    const Node nn = nodes_[edge_node(e)];
     const std::uint32_t lo = nn.lo ^ (e & 1u);
     if (lo != kFalseEdge) {
       by_var[nn.var] = Tri::Zero;
@@ -549,7 +547,7 @@ void BddManager::append_minterm_rows(const Bdd& f,
   std::size_t count = 0;
   auto rec = [&](auto&& self, std::uint32_t e, std::size_t pos) -> void {
     for (; pos < vars.size(); ++pos) {
-      const Node& nn = node_ref(edge_node(e));
+      const Node& nn = nodes_[edge_node(e)];
       std::uint32_t lo = e, hi = e;  // don't-care on vars[pos]
       if (nn.var == vars[pos]) {
         lo = nn.lo ^ (e & 1u);
@@ -599,7 +597,7 @@ bool BddManager::eval(const Bdd& f, const std::vector<bool>& assignment) {
   XATPG_CHECK_SAME_MGR1(f);
   std::uint32_t e = f.index();
   while (edge_node(e) != 0) {
-    const Node& nn = node_ref(edge_node(e));
+    const Node& nn = nodes_[edge_node(e)];
     XATPG_CHECK(nn.var < assignment.size());
     e = (assignment[nn.var] ? nn.hi : nn.lo) ^ (e & 1u);
   }

@@ -109,7 +109,6 @@ void BddManager::block_at(std::uint32_t level, std::uint32_t* first,
 
 void BddManager::set_var_groups(
     const std::vector<std::vector<std::uint32_t>>& groups) {
-  check_mutable();
   std::vector<std::uint32_t> assignment(num_vars_, kNoGroup);
   for (std::uint32_t g = 0; g < groups.size(); ++g) {
     XATPG_CHECK_MSG(!groups[g].empty(), "empty variable group");
@@ -129,7 +128,6 @@ void BddManager::set_var_groups(
 }
 
 void BddManager::clear_var_groups() {
-  check_mutable();
   group_of_var_.assign(num_vars_, kNoGroup);
 }
 
@@ -208,17 +206,12 @@ void BddManager::sift_block(std::uint32_t first, std::uint32_t size,
 }
 
 ReorderStats BddManager::sift() {
-  check_mutable();
   ReorderStats stats;
   reordering_ = true;
   sweep_dead();
   stats.size_before = allocated_nodes();
   stats.size_after = stats.size_before;
-  // The order is pinned at freeze time: base-arena nodes are structured for
-  // it and cannot be restructured, so a delta's sift degenerates to the
-  // garbage collection above (zero swaps, zero blocks) instead of failing —
-  // callers polling sift() for live sizes keep working unchanged.
-  if (is_delta() || num_vars_ < 2) {
+  if (num_vars_ < 2) {
     reordering_ = false;
     return stats;
   }
@@ -264,10 +257,6 @@ ReorderStats BddManager::sift() {
 }
 
 ReorderStats BddManager::reorder_to(const std::vector<std::uint32_t>& order) {
-  check_mutable();
-  XATPG_CHECK_MSG(!is_delta(),
-                  "reorder_to() on a delta manager — the variable order is "
-                  "pinned by the frozen base");
   XATPG_CHECK_MSG(order.size() == num_vars_,
                   "reorder_to: order must list every variable");
   std::vector<bool> seen(num_vars_, false);
@@ -297,10 +286,6 @@ ReorderStats BddManager::reorder_to(const std::vector<std::uint32_t>& order) {
 }
 
 void BddManager::set_reorder_policy(const ReorderPolicy& policy) {
-  check_mutable();
-  XATPG_CHECK_MSG(!is_delta() || !policy.enabled,
-                  "cannot enable dynamic reordering on a delta manager — the "
-                  "variable order is pinned by the frozen base");
   reorder_policy_ = policy;
   next_reorder_at_ = policy.trigger_nodes;
 }

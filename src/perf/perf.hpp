@@ -2,8 +2,9 @@
 // (families.cpp).  `xatpg bench --family NAME` prints one reproduction,
 // perfbench/driver.cpp reads the corpus's embedded .bench circuits, and two
 // tier-1 gates run the corpus: test_golden's CorpusGolden.* holds every
-// entry's coverage and peak BDD nodes, and test_parallel_atpg's SharedBase.*
-// holds the shared-base memory bound on the random members.
+// entry's coverage and peak BDD nodes, and test_parallel_atpg's
+// OneManager.* holds, on the random members, that worker threads hold no
+// BDD nodes.
 //
 // The corpus covers three kinds of workload, all driven through the public
 // Session facade:
@@ -49,7 +50,7 @@ struct CorpusEntry {
 std::vector<CorpusEntry> default_corpus();
 
 /// One corpus entry run through a fresh Session: output-stuck, then
-/// input-stuck, then shard 0's BDD statistics.  `wall_ms` is steady-clock
+/// input-stuck, then the engine manager's BDD statistics.  `wall_ms` is steady-clock
 /// wall time from before Session construction (CSSG building is part of
 /// the paper's CPU column) to the end of the second run.
 struct SessionRun {

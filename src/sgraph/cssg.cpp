@@ -43,28 +43,6 @@ Cssg::Cssg(const Netlist& netlist,
   stats_.peak_bdd_nodes = enc_.mgr().peak_nodes();
 }
 
-Cssg::Cssg(const Cssg& base, BddManager::Delta tag)
-    : enc_(base.enc_, tag), options_(base.options_), stats_(base.stats_) {
-  BddManager& m = enc_.mgr();
-  r_delta_ = m.adopt(base.r_delta_);
-  r_input_ = m.adopt(base.r_input_);
-  reachable_ = m.adopt(base.reachable_);
-  stable_reachable_ = m.adopt(base.stable_reachable_);
-  tcr_ = m.adopt(base.tcr_);
-  cssg_ = m.adopt(base.cssg_);
-  cssg_reachable_ = m.adopt(base.cssg_reachable_);
-  rings_.reserve(base.rings_.size());
-  for (const Bdd& ring : base.rings_) rings_.push_back(m.adopt(ring));
-  reset_set_ = m.adopt(base.reset_set_);
-  test_mode_reachable_ = m.adopt(base.test_mode_reachable_);
-  test_mode_reachable_built_ = base.test_mode_reachable_built_;
-}
-
-void Cssg::freeze() {
-  test_mode_reachable();  // force the lazy artifact while still mutable
-  enc_.mgr().freeze();
-}
-
 void Cssg::build_relations() {
   BddManager& mgr = enc_.mgr();
   const std::size_t n = enc_.num_signals();

@@ -88,21 +88,6 @@ class Cssg {
   Cssg(const Netlist& netlist, const std::vector<std::vector<bool>>& reset_states,
        const CssgOptions& options = {});
 
-  /// Delta view over a *frozen* Cssg: every symbolic artifact (relations,
-  /// reachable sets, rings) is adopted by handle from the base's read-only
-  /// arena, and all new nodes produced by queries on this view live in a
-  /// private delta arena.  One view per worker thread; the base must be
-  /// frozen first (see freeze()) and must outlive every view.
-  Cssg(const Cssg& base, BddManager::Delta);
-
-  /// Freeze the underlying BddManager, publishing the abstraction for
-  /// delta-view construction.  Forces the lazily-computed artifacts first
-  /// (a frozen arena rejects allocation).  After this call the only legal
-  /// uses of *this* object are const handle reads and delta-view
-  /// construction — run queries on a view instead.
-  void freeze();
-  [[nodiscard]] bool frozen() const { return enc_.mgr().frozen(); }
-
   const Netlist& netlist() const { return enc_.netlist(); }
   SymbolicEncoding& encoding() { return enc_; }
   const SymbolicEncoding& encoding() const { return enc_; }
@@ -132,7 +117,8 @@ class Cssg {
   // All queries are `const` in the same logical sense as SymbolicEncoding's:
   // results depend only on the constructed abstraction, while BDD caches
   // mutate underneath.  They are NOT concurrency-safe — one thread per Cssg
-  // (the fault-parallel engine builds one shard per worker).
+  // (the fault-parallel engine queries its Cssg from the thread that calls
+  // run() only).
   /// Successor states (over cur) of `states` (over cur) via CSSG edges.
   Bdd image(const Bdd& states) const;
   /// Predecessor states of `states` via CSSG edges.

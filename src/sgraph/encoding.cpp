@@ -55,27 +55,6 @@ SymbolicEncoding::SymbolicEncoding(const Netlist& netlist, VarOrder order,
   if (policy.enabled) mgr_.set_reorder_policy(policy);
 }
 
-SymbolicEncoding::SymbolicEncoding(const SymbolicEncoding& base,
-                                   BddManager::Delta tag)
-    : netlist_(base.netlist_),
-      mgr_(base.mgr_, tag),
-      pick_descent_is_canonical_(base.pick_descent_is_canonical_),
-      cur_vars_(base.cur_vars_),
-      next_vars_(base.next_vars_),
-      aux_vars_(base.aux_vars_),
-      perm_cur_next_(base.perm_cur_next_),
-      perm_next_aux_(base.perm_next_aux_),
-      perm_cur_aux_(base.perm_cur_aux_) {
-  // Adopt (not copy!) the base's cached artifacts: adopt() rebinds the edge
-  // word to this view's manager without touching the base's handle registry,
-  // which is what keeps view construction safe while other views run.
-  target_cache_.resize(base.target_cache_.size());
-  for (std::size_t s = 0; s < base.target_cache_.size(); ++s)
-    target_cache_[s] = mgr_.adopt(base.target_cache_[s]);
-  stable_cache_ = mgr_.adopt(base.stable_cache_);
-  stable_built_ = base.stable_built_;
-}
-
 void SymbolicEncoding::build_layout(VarOrder order) {
   const auto n = static_cast<std::uint32_t>(netlist_->num_signals());
   cur_vars_.resize(n);

@@ -41,7 +41,8 @@ namespace xatpg {
 /// caches internally — hence the mutable members.  `const` here means
 /// "logically read-only", NOT "safe to call concurrently": the manager's
 /// thread-safety contract (one thread per manager, see bdd/bdd.hpp) still
-/// applies.  Cross-thread users shard — one SymbolicEncoding per worker.
+/// applies.  The ATPG engine queries its encoding from the thread that
+/// calls run() only.
 class SymbolicEncoding {
  public:
   /// `reorder` configures dynamic sifting on the underlying manager.  For
@@ -54,15 +55,6 @@ class SymbolicEncoding {
   SymbolicEncoding(const Netlist& netlist,
                    VarOrder order = VarOrder::Interleaved,
                    const ReorderPolicy& reorder = {});
-
-  /// Delta view over a *frozen* encoding: shares the base's netlist,
-  /// variable layout, permutations and (read-only) node arena, but every
-  /// new BDD node this view creates goes into a private delta arena (see
-  /// BddManager's base/delta layering).  The base's cached artifacts
-  /// (targets, stable predicate) are adopted by handle, so the view starts
-  /// warm without copying a single node.  One view per worker thread; the
-  /// base must outlive every view and must already be frozen.
-  SymbolicEncoding(const SymbolicEncoding& base, BddManager::Delta);
 
   const Netlist& netlist() const { return *netlist_; }
   BddManager& mgr() const { return mgr_; }

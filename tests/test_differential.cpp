@@ -11,9 +11,9 @@
 //  2. AtpgEngine::run is a pure function of (netlist, reset, fault list,
 //     seed): all VarOrder modes x reorder on/off x threads {1, 4} must
 //     produce byte-identical outcomes, sequences and phase counters.  This
-//     is what licenses per-shard dynamic reordering in the fault-parallel
-//     engine — shards may hold wildly different orders mid-run, and it must
-//     be invisible.
+//     is what licenses dynamic reordering in the fault-parallel engine —
+//     the manager's order may change wildly mid-run, and it must be
+//     invisible.
 #include <gtest/gtest.h>
 
 #include "atpg/engine.hpp"

@@ -175,7 +175,8 @@ TEST(GeneratorGolden, Seed7Shape) {
 
 /// One perf::default_corpus() entry run by perf::run_session at default
 /// options: both stuck-at universes summed, as the paper's tables count
-/// them, and shard 0's peak BDD nodes.
+/// them, and the engine's BDD manager's lifetime peak nodes (CSSG
+/// construction included).
 struct CorpusRow {
   const char* id;
   std::size_t faults_total, faults_covered, gave_up, peak_nodes;
@@ -185,51 +186,51 @@ struct CorpusRow {
 /// counts are exact.
 constexpr double kPeakNodeSlack = 1.25;
 
-// Totals: 1,008 of 1,446 faults covered, 21 gave up, 38,357 peak nodes.
+// Totals: 1,008 of 1,446 faults covered, 21 gave up, 163,052 peak nodes.
 // To re-record after an intended change, copy each failing entry's printed
 // `now:` row over its line here and say in the commit why it moved.
 constexpr CorpusRow kCorpus[] = {
-    {"si/alloc-outbound", 20, 20, 0, 216},
-    {"si/atod", 18, 18, 0, 323},
-    {"si/chu150", 14, 14, 0, 90},
-    {"si/converta", 16, 16, 0, 160},
-    {"si/dff", 10, 10, 0, 55},
-    {"si/ebergen", 20, 20, 0, 239},
-    {"si/hazard", 24, 24, 0, 353},
-    {"si/master-read", 32, 32, 0, 534},
-    {"si/mmu", 28, 28, 0, 339},
-    {"si/mp-forward-pkt", 22, 22, 0, 390},
-    {"si/mr1", 30, 30, 0, 3657},
-    {"si/nak-pa", 30, 28, 0, 254},
-    {"si/nowick", 16, 16, 0, 129},
-    {"si/ram-read-sbuf", 28, 28, 0, 1247},
-    {"si/rcv-setup", 12, 12, 0, 100},
-    {"si/rpdft", 10, 10, 0, 54},
-    {"si/sbuf-ram-write", 28, 26, 0, 581},
-    {"si/sbuf-send-ctl", 32, 32, 0, 1888},
-    {"si/sbuf-send-pkt2", 26, 26, 0, 716},
-    {"si/seq4", 24, 24, 0, 1054},
-    {"si/trimos-send", 42, 39, 0, 283},
-    {"si/vbe10b", 28, 28, 0, 271},
-    {"si/vbe5b", 24, 22, 0, 104},
-    {"si/vbe6a", 28, 26, 0, 153},
-    {"bd/chu150", 34, 34, 0, 311},
-    {"bd/converta", 16, 16, 0, 160},
-    {"bd/ebergen", 20, 20, 0, 239},
-    {"bd/hazard", 48, 48, 0, 938},
-    {"bd/nowick", 16, 16, 0, 129},
-    {"bd/rpdft", 30, 30, 0, 235},
-    {"bd/trimos-send", 98, 0, 2, 4631},
-    {"bd/vbe10b", 86, 16, 15, 3119},
-    {"bd/vbe6a", 70, 0, 4, 1450},
-    {"rand/s11", 56, 14, 0, 1758},
-    {"rand/s12", 58, 36, 0, 1188},
-    {"rand/s13", 60, 22, 0, 1165},
-    {"rand/s24", 72, 26, 0, 2904},
-    {"rand/s25", 70, 29, 0, 3735},
-    {"bench/c17", 46, 46, 0, 1107},
-    {"bench/parity5", 34, 34, 0, 658},
-    {"bench/mux4", 70, 70, 0, 1440},
+    {"si/alloc-outbound", 20, 20, 0, 1286},
+    {"si/atod", 18, 18, 0, 1801},
+    {"si/chu150", 14, 14, 0, 404},
+    {"si/converta", 16, 16, 0, 839},
+    {"si/dff", 10, 10, 0, 181},
+    {"si/ebergen", 20, 20, 0, 1367},
+    {"si/hazard", 24, 24, 0, 2185},
+    {"si/master-read", 32, 32, 0, 3904},
+    {"si/mmu", 28, 28, 0, 2489},
+    {"si/mp-forward-pkt", 22, 22, 0, 2602},
+    {"si/mr1", 30, 30, 0, 11354},
+    {"si/nak-pa", 30, 28, 0, 1378},
+    {"si/nowick", 16, 16, 0, 747},
+    {"si/ram-read-sbuf", 28, 28, 0, 4514},
+    {"si/rcv-setup", 12, 12, 0, 451},
+    {"si/rpdft", 10, 10, 0, 195},
+    {"si/sbuf-ram-write", 28, 26, 0, 3265},
+    {"si/sbuf-send-ctl", 32, 32, 0, 8162},
+    {"si/sbuf-send-pkt2", 26, 26, 0, 4152},
+    {"si/seq4", 24, 24, 0, 4504},
+    {"si/trimos-send", 42, 39, 0, 1039},
+    {"si/vbe10b", 28, 28, 0, 1564},
+    {"si/vbe5b", 24, 22, 0, 377},
+    {"si/vbe6a", 28, 26, 0, 660},
+    {"bd/chu150", 34, 34, 0, 2053},
+    {"bd/converta", 16, 16, 0, 837},
+    {"bd/ebergen", 20, 20, 0, 1364},
+    {"bd/hazard", 48, 48, 0, 4737},
+    {"bd/nowick", 16, 16, 0, 745},
+    {"bd/rpdft", 30, 30, 0, 1266},
+    {"bd/trimos-send", 98, 0, 2, 16317},
+    {"bd/vbe10b", 86, 16, 15, 9977},
+    {"bd/vbe6a", 70, 0, 4, 5256},
+    {"rand/s11", 56, 14, 0, 6162},
+    {"rand/s12", 58, 36, 0, 6375},
+    {"rand/s13", 60, 22, 0, 5390},
+    {"rand/s24", 72, 26, 0, 9934},
+    {"rand/s25", 70, 29, 0, 14030},
+    {"bench/c17", 46, 46, 0, 5664},
+    {"bench/parity5", 34, 34, 0, 4174},
+    {"bench/mux4", 70, 70, 0, 9351},
 };
 
 TEST(CorpusGolden, IdsAreTheDefaultCorpusInOrder) {

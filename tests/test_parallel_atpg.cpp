@@ -1,5 +1,5 @@
 // Determinism suite for the fault-parallel ATPG engine: the fan-out over
-// worker shards must be invisible in the results.  For every fixture
+// workers must be invisible in the results.  For every fixture
 // circuit, `AtpgEngine::run` with threads ∈ {1, 2, 4, 8} must produce
 // byte-identical FaultOutcome tables, test sequences, and phase counters —
 // scheduling (including work stealing) may only change wall-clock numbers.
@@ -7,11 +7,11 @@
 // This suite is also the ThreadSanitizer workload in CI: the threads=2/4/8
 // runs exercise the thread pool, the work-stealing queue (own-deque pops
 // AND cross-deque steals, including the owner/thief race on a deque's last
-// block), the per-worker shard build, and every shared read-only path
-// (netlist, explicit CSSG).
+// block) and every shared read-only path (netlist, explicit CSSG).
 //
-// It also holds the shared-base memory bound: four workers must stay far
-// below four private copies of the frozen BDD substrate.
+// It also holds the one-manager contract: the engine's BDD work runs on the
+// calling thread only, so worker slots hold no BDD nodes and the engine's
+// manager does the same work at any thread count.
 #include "atpg/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -61,10 +61,9 @@ void check_determinism(const Netlist& netlist, const std::vector<bool>& reset,
     AtpgOptions options = determinism_options(threads);
     options.classify_undetectable = classify;
     if (reorder) {
-      // Aggressive trigger so per-shard sifting actually fires mid-run
-      // (several times per run on these circuits): each worker's shard
-      // reorders on its own schedule, and that must stay invisible in the
-      // merged results.
+      // Aggressive trigger so sifting actually fires while the engine's
+      // manager builds the CSSG, and the order it leaves must stay
+      // invisible in the merged results.
       options.reorder.enabled = true;
       options.reorder.trigger_nodes = 64;
     }
@@ -107,8 +106,8 @@ TEST(ParallelDeterminism, RpdftWithClassifier) {
                     /*classify=*/true);
 }
 
-// Dynamic BDD reordering runs per shard, at shard-local trigger points that
-// differ with the fault split — the determinism guarantee must hold anyway.
+// Dynamic BDD reordering changes the engine manager's variable order — the
+// determinism guarantee must hold anyway.
 TEST(ParallelDeterminism, Pipeline2WithReordering) {
   const fixtures::Circuit c = fixtures::pipeline2();
   check_determinism(c.netlist, c.reset, "pipeline2+reorder",
@@ -453,26 +452,15 @@ TEST(ParallelDeterminism, TightDeterministicCapsGiveUpIdenticallyAcrossThreads) 
   }
 }
 
-// --- shared-base memory -------------------------------------------------------
-// Every worker shard is a delta view over one frozen base arena, so the
-// resident BDD footprint is the base once plus each shard's delta peak.  A
-// design with private shards would hold T copies of the base at T workers.
+// --- one BDD manager ---------------------------------------------------------
+// The engine's one manager runs every symbolic phase on the calling thread,
+// in fault-list order, before the explicit search fans out.  So a worker
+// slot never allocates a node or probes a cache, and the manager's counters
+// are the same at any thread count.
 
-/// The base arena once plus every shard's delta peak.
-std::size_t resident_nodes(const Session& session) {
-  const ShardBddStats shard0 = session.bdd_stats();
-  EXPECT_GT(shard0.base_nodes, 0u);
-  EXPECT_EQ(shard0.peak_nodes, shard0.base_nodes + shard0.delta_peak);
-  std::size_t nodes = shard0.base_nodes;
-  for (const ShardBddStats& shard : session.shard_bdd_stats())
-    nodes += shard.delta_peak;
-  return nodes;
-}
-
-TEST(SharedBase, FourWorkersHoldFarLessThanFourCopies) {
+TEST(OneManager, WorkersHoldNoBddNodes) {
   // The seeded random netlists leave dozens of faults to the 3-phase
-  // search, so the workers' deltas are real; on the speed-independent
-  // benchmarks random TPG leaves the workers almost nothing.
+  // search, so the fan-out gets real work.
   AtpgOptions serial;
   AtpgOptions four = serial;
   four.threads = 4;
@@ -489,11 +477,19 @@ TEST(SharedBase, FourWorkersHoldFarLessThanFourCopies) {
       EXPECT_EQ(a->stats.gave_up, b->stats.gave_up);
       EXPECT_EQ(a->sequences, b->sequences);
     }
-    ASSERT_EQ(par.session.shard_bdd_stats().size(), 4u);
-    const std::size_t single = resident_nodes(one.session);
-    const std::size_t shared = resident_nodes(par.session);
-    EXPECT_LT(static_cast<double>(shared),
-              0.6 * 4 * static_cast<double>(single));
+    const std::vector<ShardBddStats> shards = par.session.shard_bdd_stats();
+    ASSERT_EQ(shards.size(), 4u);
+    std::size_t searched = 0;
+    for (const ShardBddStats& shard : shards) {
+      searched += shard.faults_done;
+      if (shard.shard == 0) continue;
+      EXPECT_EQ(shard.peak_nodes, 0u) << "worker " << shard.shard;
+      EXPECT_EQ(shard.cache_lookups, 0u) << "worker " << shard.shard;
+    }
+    EXPECT_GT(searched, 0u);
+    EXPECT_EQ(one.bdd.peak_nodes, par.bdd.peak_nodes);
+    EXPECT_EQ(one.bdd.live_nodes, par.bdd.live_nodes);
+    EXPECT_EQ(one.bdd.cache_lookups, par.bdd.cache_lookups);
   }
   EXPECT_EQ(members, 5u);
 }

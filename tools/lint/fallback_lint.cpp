@@ -23,16 +23,6 @@
 //                           unwrapped with .value() when no dominating
 //                           has_value()/boolean check of the same variable
 //                           appears earlier in the function.
-//   xatpg-frozen-base-mutation  Writes through a delta manager's frozen-base
-//                           pointer (`base_->... = ...`, compound assignment,
-//                           ++/--) or a const_cast that strips the base's
-//                           constness.  The base arena is published read-only
-//                           at freeze() and shared lock-free by every worker
-//                           thread; any store through it is a data race.
-//                           Unlike raw-edge-arith this check applies INSIDE
-//                           src/bdd/ too — the kernel holds the only
-//                           `const BddManager* base_` and must never write
-//                           through it.
 //
 // Modes:
 //   fallback_lint --verify file...   lit-style fixture verification: every
@@ -380,93 +370,6 @@ void check_unchecked_expected(const std::string& file,
 }
 
 // ---------------------------------------------------------------------------
-// xatpg-frozen-base-mutation
-// ---------------------------------------------------------------------------
-
-/// Mutating operator immediately after a `base_->member[...]...` access chain
-/// starting at `pos` (the character past the `->`).  Reads — comparisons,
-/// stream shifts, plain calls — return the empty string.
-std::string mutation_after_chain(const std::string& code, std::size_t pos) {
-  std::size_t i = pos;
-  int parens = 0;
-  // Consume the member-access chain: identifiers, further . / -> hops,
-  // subscripts, and call parentheses (`base_->nodes_[n].next`,
-  // `base_->subtable(v).head`).  A bare '-' is NOT a chain character —
-  // only the two-character arrow is — so `-=` and postfix `--` survive as
-  // operators.
-  while (i < code.size()) {
-    const char c = code[i];
-    if (c == '-' && i + 1 < code.size() && code[i + 1] == '>') {
-      i += 2;
-      continue;
-    }
-    if (!is_ident_char(c) && std::strchr(".[]() ", c) == nullptr) break;
-    if (c == '(') ++parens;
-    if (c == ')') {
-      // A closing parenthesis the chain never opened ends a surrounding
-      // call argument, not the access path.
-      if (parens == 0) break;
-      --parens;
-    }
-    ++i;
-  }
-  const char a = i < code.size() ? code[i] : '\0';
-  const char b = i + 1 < code.size() ? code[i + 1] : '\0';
-  if ((a == '+' && b == '+') || (a == '-' && b == '-'))
-    return std::string(1, a) + b;
-  if (std::strchr("+-*/%&|^", a) != nullptr && b == '=')
-    return std::string(1, a) + '=';
-  if (a == '=' && b != '=') return "=";
-  return {};
-}
-
-void check_frozen_base_mutation(const std::string& file,
-                                const std::vector<SourceLine>& lines,
-                                std::vector<Finding>& findings) {
-  // A const_cast whose argument names the base strips the one qualifier
-  // that makes the frozen arena thread-safe.
-  static const std::regex cast_re(
-      R"(const_cast\s*<[^;>]*>\s*\([^;)]*\bbase(_|\b))");
-  // The frozen-base pointer spellings: the kernel's own member (`base_->`)
-  // and the public accessor at call sites (`base()->`).
-  static const std::regex deref_re(R"(\bbase(_|\s*\(\s*\))\s*->)");
-
-  for (std::size_t n = 0; n < lines.size(); ++n) {
-    const std::string& code = lines[n].code;
-    std::string why;
-    if (std::regex_search(code, cast_re)) {
-      why = "const_cast strips the frozen base's constness";
-    } else {
-      for (std::sregex_iterator it(code.begin(), code.end(), deref_re), end;
-           it != end && why.empty(); ++it) {
-        const std::size_t after =
-            static_cast<std::size_t>(it->position(0) + it->length(0));
-        // Prefix increment/decrement reaches the chain from the left, past
-        // any object prefix (`++delta.base_->...`).
-        std::size_t at = static_cast<std::size_t>(it->position(0));
-        while (at > 0 && (is_ident_char(code[at - 1]) ||
-                          std::strchr(". *", code[at - 1]) != nullptr))
-          --at;
-        if (at >= 2 && ((code[at - 1] == '+' && code[at - 2] == '+') ||
-                        (code[at - 1] == '-' && code[at - 2] == '-'))) {
-          why = "'" + code.substr(at - 2, 2) + "' through the frozen base";
-          break;
-        }
-        const std::string op = mutation_after_chain(code, after);
-        if (!op.empty()) why = "'" + op + "' through the frozen base";
-      }
-    }
-    if (why.empty()) continue;
-    if (nolint_allows(lines[n].comment, "xatpg-frozen-base-mutation"))
-      continue;
-    findings.push_back(
-        {file, n + 1, "xatpg-frozen-base-mutation",
-         why + " — the base arena is immutable after freeze() and read "
-               "lock-free by every worker; allocate in the delta instead"});
-  }
-}
-
-// ---------------------------------------------------------------------------
 // xatpg-same-manager
 // ---------------------------------------------------------------------------
 
@@ -593,7 +496,6 @@ std::vector<Finding> scan_file(const std::string& path,
   check_same_manager(path, lines, findings);
   if (!under_src_bdd(path)) check_raw_edge_arith(path, lines, findings);
   check_unchecked_expected(path, lines, findings);
-  check_frozen_base_mutation(path, lines, findings);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) { return a.line < b.line; });
   if (out_lines != nullptr) *out_lines = std::move(lines);

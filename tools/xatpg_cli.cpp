@@ -471,8 +471,6 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
                 : "false")
         << ",\n  \"bdd\": {\"peak_nodes\": " << bdd.peak_nodes
         << ", \"live_nodes\": " << bdd.live_nodes
-        << ", \"base_nodes\": " << bdd.base_nodes
-        << ", \"delta_peak\": " << bdd.delta_peak
         << ", \"reorders\": " << bdd.reorders
         << ", \"cache_lookups\": " << bdd.cache_lookups
         << ", \"cache_hits\": " << bdd.cache_hits
