@@ -51,11 +51,11 @@ struct FaultSimOptions {
 struct AtpgOptions {
   std::size_t k = 24;                    ///< settle bound (TCR_k)
   VarOrder order = VarOrder::Interleaved;
-  /// Dynamic BDD reordering for the symbolic shards.  Every worker shard
-  /// (and the engine's own context) gets the same policy and reorders
-  /// independently whenever its own tables cross the trigger; results stay
-  /// byte-identical across thread counts and orders because every symbolic
-  /// query the engine consumes is canonicalized to be order-independent.
+  /// Dynamic BDD reordering for the engine's one BDD manager, which builds
+  /// the CSSG and runs every symbolic phase on the thread that calls run().
+  /// It sifts whenever its tables cross the trigger; results stay
+  /// byte-identical across orders because every symbolic query the engine
+  /// consumes is canonicalized to be order-independent.
   ReorderPolicy reorder{};
   std::size_t random_budget = 512;       ///< vectors spent in random TPG
   std::size_t random_walk_len = 48;      ///< restart interval (reset pulses)
@@ -73,9 +73,12 @@ struct AtpgOptions {
   /// state a legal test session can pass through.  Sound; skips the
   /// 3-phase search for proven faults.
   bool classify_undetectable = false;
-  /// Worker threads for the fault-parallel 3-phase search.  1 = run on the
-  /// engine's own symbolic context only; 0 = one worker per hardware
-  /// thread.  Outcomes and sequences are byte-identical for every value.
+  /// Worker threads for both fault-parallel fan-outs of a run: the random
+  /// phase's replay of the walks and the explicit differentiation search.
+  /// The calling thread is one of them, and a fan-out never uses more
+  /// workers than it has faults.  1 = run on the calling thread and make no
+  /// pool; 0 = one worker per hardware thread.  Outcomes and sequences are
+  /// byte-identical for every value.
   std::size_t threads = 1;
 
   /// Hard ceiling for `threads` (beyond it a value is a typo, not a fleet).

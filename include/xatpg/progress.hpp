@@ -8,9 +8,11 @@
 //  * Every callback is invoked on the thread that called Session::run /
 //    AtpgEngine::run — never from a worker thread — so observers need no
 //    locking of their own state.
-//  * Callbacks fire between faults (and between work blocks during the
-//    parallel 3-phase fan-out); keep them cheap, they sit on the run's
-//    critical path.
+//  * Callbacks fire between faults and walks, and inside either fan-out
+//    (the random phase's replay, the 3-phase search) between the calling
+//    thread's own work blocks; keep them cheap, they sit on the run's
+//    critical path.  faults_done counts 3-phase searches only: the random
+//    replay moves no counter in ShardBddStats.
 //  * on_fault_resolved fires exactly once per fault whose outcome becomes
 //    final during the run (covered by any phase, or proven redundant);
 //    faults left undetected get no event.  Events arrive in deterministic
@@ -142,8 +144,8 @@ class RunObserver {
   virtual void on_fault_resolved(std::size_t /*fault_index*/,
                                  const FaultOutcome& /*outcome*/) {}
 
-  /// Periodic snapshot (after each random walk, between generation work
-  /// blocks, after each committed sequence).
+  /// Periodic snapshot (between the calling thread's work blocks in either
+  /// fan-out, after each committed sequence).
   virtual void on_progress(const RunProgress& /*progress*/) {}
 };
 

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <deque>
 #include <exception>
+#include <numeric>
 #include <ostream>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 
 #include "util/check.hpp"
@@ -75,6 +77,50 @@ std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
     path.push_back(*next);
   }
   return path;
+}
+
+// ---------------------------------------------------------------------------
+// Random TPG (§5.4)
+// ---------------------------------------------------------------------------
+
+std::vector<AtpgEngine::Walk> AtpgEngine::random_walks() const {
+  std::vector<Walk> walks;
+  // A circuit whose reset state has no valid vector at all (every pattern
+  // races — it happens on heavily hazardous bounded-delay circuits) cannot
+  // be random-tested.
+  if (graph_.edges[reset_id_].empty()) return walks;
+  Rng rng(options_.seed);
+  std::size_t budget = options_.random_budget;
+  while (budget > 0) {
+    // A fresh walk models a reset pulse followed by random valid vectors.
+    Walk& walk = walks.emplace_back();
+    std::uint32_t good_id = reset_id_;
+    for (std::size_t step = 0; step < options_.random_walk_len && budget > 0;
+         ++step) {
+      const auto& succs = graph_.edges[good_id];
+      if (succs.empty()) break;
+      good_id = succs[rng.below(succs.size())];
+      --budget;
+      walk.push_back(good_id);
+    }
+  }
+  return walks;
+}
+
+std::optional<std::pair<std::size_t, std::size_t>>
+AtpgEngine::first_detection(FaultSimulator& sim,
+                            const std::vector<Walk>& walks) const {
+  for (std::size_t w = 0; w < walks.size(); ++w) {
+    sim.restart();
+    DetectStatus status = sim.status();
+    for (std::size_t t = 0;
+         t < walks[w].size() && status == DetectStatus::Undetermined; ++t) {
+      const std::uint32_t to = walks[w][t];
+      status = sim.step(graph_.inputs[to], graph_.states[to]);
+      if (status == DetectStatus::Detected) return std::pair{w, t};
+    }
+  }
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------------------
@@ -234,6 +280,76 @@ AtpgEngine::SearchOutcome AtpgEngine::search(
 // Fault-parallel generation
 // ---------------------------------------------------------------------------
 
+AtpgEngine::FanOut AtpgEngine::fan_out(
+    const std::vector<std::size_t>& items, const CancelToken* cancel,
+    const std::function<void(std::size_t)>& work,
+    const std::function<void(const FanOut&)>& on_block) {
+  const std::size_t workers =
+      fan_out_workers(resolved_threads(options_.threads), items.size());
+  if (workers > 1 && pool_threads() < workers - 1)
+    pool_ = std::make_unique<ThreadPool>(workers - 1);
+  // Work-stealing fan-out: the batch is pre-split into coarse blocks dealt
+  // out across per-worker deques; a worker drains its own deque first and
+  // steals whole blocks from a victim once dry, so a whale item pinning
+  // one worker donates that worker's untouched blocks instead of stranding
+  // them.  Every item is claimed by exactly one block, every block by
+  // exactly one worker (the queue's single-CAS claim), so work(i) may
+  // write slot i of a caller's array without a race.
+  StealingWorkQueue<std::size_t> queue(
+      items, work_block_size(items.size(), workers), workers);
+  // Items completed per worker.  Each counter has one writer (its worker)
+  // and is read by the calling thread with relaxed loads: a tally passed
+  // to on_block may lag the workers, and the one returned is exact, since
+  // the pool has gone idle by then.
+  std::vector<std::atomic<std::size_t>> done(workers);
+  std::vector<std::exception_ptr> errors(workers);
+  const auto tally_now = [&] {
+    FanOut tally;
+    for (std::size_t w = 0; w < workers; ++w) {
+      tally.done.push_back(done[w].load(std::memory_order_relaxed));
+      tally.stolen.push_back(queue.steals(w));
+    }
+    return tally;
+  };
+  const auto run_blocks = [&](std::size_t w, bool calls_back) {
+    while (const auto block = queue.pop_block(w)) {
+      for (const std::size_t item : *block) {
+        if (cancel_fired(cancel)) break;
+        work(item);
+        done[w].fetch_add(1, std::memory_order_relaxed);
+      }
+      if (calls_back) on_block(tally_now());
+      if (cancel_fired(cancel)) return;
+    }
+  };
+  // Submitting inside the try keeps a throw from leaving submitted tasks
+  // running against this frame: the join below always happens.
+  try {
+    for (std::size_t w = 1; w < workers; ++w) {
+      pool_->submit([&, w] {
+        try {
+          run_blocks(w, /*calls_back=*/false);
+        } catch (...) {
+          errors[w] = std::current_exception();
+        }
+      });
+    }
+    // The calling thread is worker 0 (observer contract: callbacks fire on
+    // the calling thread only).
+    run_blocks(0, /*calls_back=*/true);
+  } catch (...) {
+    errors[0] = std::current_exception();
+  }
+  if (workers > 1) pool_->wait_idle();
+  for (const std::exception_ptr& error : errors)
+    if (error) std::rethrow_exception(error);
+
+  FanOut tally = tally_now();
+  tally.complete = std::accumulate(tally.done.begin(), tally.done.end(),
+                                   std::size_t{0}) == items.size();
+  return tally;
+}
+
 bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
                                    const std::vector<std::size_t>& todo,
                                    const CancelToken* cancel,
@@ -247,103 +363,39 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
     prefixes[i] = activation_prefix(faults[i]);
   }
 
-  const std::size_t workers =
-      std::min(resolved_threads(options_.threads),
-               todo.empty() ? std::size_t{1} : todo.size());
-  if (shard_done_.size() < workers) shard_done_.resize(workers, 0);
-  if (shard_steals_.size() < workers) shard_steals_.resize(workers, 0);
-
   // Results land here first (slot per fault index, written by exactly one
   // worker) and are memoized after the join: the cache is not touched from
-  // worker threads.
+  // worker threads.  A search reads only the netlist, the explicit graph
+  // and its own simulator.
   std::vector<SearchOutcome> generated(faults.size());
   std::vector<char> attempted(faults.size(), 0);
-
-  if (workers <= 1) {
-    for (const std::size_t i : todo) {
-      if (cancel_fired(cancel)) break;
-      generated[i] = search(faults[i], prefixes[i]);
-      attempted[i] = 1;
-      ++shard_done_[0];
+  const auto record_counts = [&](const FanOut& tally) {
+    if (shard_done_.size() < tally.done.size()) {
+      shard_done_.resize(tally.done.size(), 0);
+      shard_steals_.resize(tally.done.size(), 0);
     }
-  } else {
-    // Work-stealing fan-out of the explicit search: the batch is pre-split
-    // into coarse blocks of fault indices dealt out across per-worker
-    // deques; a worker drains its own deque first and steals whole blocks
-    // from a victim once dry, so a whale fault pinning one worker donates
-    // that worker's untouched blocks instead of stranding them.  A search
-    // reads only the netlist, the explicit graph and its own simulator.
-    // Writing generated[i] is race-free: every index is claimed by exactly
-    // one block, every block by exactly one worker (the queue's single-CAS
-    // claim).
-    StealingWorkQueue<std::size_t> queue(
-        todo, work_block_size(todo.size(), workers), workers);
-    // Searches completed per worker.  Each counter has one writer (its
-    // worker) and is read by the calling thread with relaxed loads: a
-    // progress snapshot may lag the workers, and the counts are exact once
-    // the pool has joined.
-    std::vector<std::atomic<std::size_t>> done(workers);
-    std::vector<std::exception_ptr> errors(workers);
-    const auto run_block = [&](std::size_t w,
-                               const StealingWorkQueue<std::size_t>::Block&
-                                   block) {
-      for (const std::size_t i : block) {
-        if (cancel_fired(cancel)) return false;
+    std::copy(tally.done.begin(), tally.done.end(), shard_done_.begin());
+    std::copy(tally.stolen.begin(), tally.stolen.end(), shard_steals_.begin());
+  };
+  const FanOut tally = fan_out(
+      todo, cancel,
+      [&](std::size_t i) {
         generated[i] = search(faults[i], prefixes[i]);
         attempted[i] = 1;
-        done[w].fetch_add(1, std::memory_order_relaxed);
-      }
-      return true;
-    };
-    const auto record_counts = [&] {
-      for (std::size_t w = 0; w < workers; ++w) {
-        shard_done_[w] = done[w].load(std::memory_order_relaxed);
-        shard_steals_[w] = queue.steals(w);
-      }
-    };
-    {
-      ThreadPool pool(workers - 1);
-      for (std::size_t w = 1; w < workers; ++w) {
-        pool.submit([&, w] {
-          try {
-            while (const auto block = queue.pop_block(w))
-              if (!run_block(w, *block)) return;
-          } catch (...) {
-            errors[w] = std::current_exception();
-          }
-        });
-      }
-      // The calling thread is worker 0.  Between its own blocks it streams
-      // a progress snapshot (observer contract: callbacks fire on the
-      // calling thread only).
-      try {
-        while (const auto block = queue.pop_block(0)) {
-          run_block(0, *block);
-          record_counts();
-          on_block();
-          if (cancel_fired(cancel)) break;
-        }
-      } catch (...) {
-        errors[0] = std::current_exception();
-      }
-      pool.wait_idle();
-    }
-    for (const std::exception_ptr& error : errors)
-      if (error) std::rethrow_exception(error);
-    // Exact after the join; snapshots emitted later keep reporting them.
-    record_counts();
-  }
+      },
+      [&](const FanOut& so_far) {
+        record_counts(so_far);
+        on_block();
+      });
+  // Exact after the join; snapshots emitted later keep reporting them.
+  record_counts(tally);
 
   // Memoize completed searches (single-threaded again).  Faults skipped by
   // a fired CancelToken stay unmemoized and are attempted by a later run.
-  bool complete = true;
-  for (const std::size_t i : todo) {
+  for (const std::size_t i : todo)
     if (attempted[i])
       generated_cache_.emplace(faults[i], std::move(generated[i]));
-    else
-      complete = false;
-  }
-  return complete;
+  return tally.complete;
 }
 
 std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
@@ -479,8 +531,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     observer->on_progress(progress);
   };
 
-  // Long-lived exact simulators, one per fault — stepped along random walks
-  // first, restart()ed per committed sequence in the merge phase later.
+  // Long-lived exact simulators, one per fault — replayed along the random
+  // walks first, restart()ed per committed sequence in the merge phase later.
   std::vector<std::unique_ptr<FaultSimulator>> sims;
   sims.reserve(faults.size());
   for (const Fault& f : faults)
@@ -488,49 +540,55 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
                                                     reset_state_, options_.sim));
 
   // --- Random TPG (§5.4) ----------------------------------------------------
+  // Every walk is drawn before any fault is simulated, so a fault's first
+  // detecting walk is a pure function of the fault: the replay fans out
+  // over the faults, and the commit below, in walk order, is the same at
+  // any thread count.  A walk is committed iff it holds some fault's first
+  // detection.
   if (observer != nullptr) observer->on_phase(RunPhase::RandomTpg);
   Timer random_timer;
-  Rng rng(options_.seed);
-  std::size_t budget = options_.random_budget;
-  while (budget > 0 && !is_cancelled()) {
-    // A fresh walk models a reset pulse followed by random valid vectors.
-    // A circuit whose reset state has no valid vector at all (every pattern
-    // races — it happens on heavily hazardous bounded-delay circuits)
-    // cannot be random-tested.
-    if (graph_.edges[reset_id_].empty()) break;
-    for (auto& sim : sims) sim->restart();
-    TestSequence walk;
-    std::uint32_t good_id = reset_id_;
-    std::vector<std::size_t> walk_resolved;
-    for (std::size_t step = 0; step < options_.random_walk_len && budget > 0;
-         ++step) {
-      const auto& succs = graph_.edges[good_id];
-      if (succs.empty()) break;
-      const std::uint32_t to = succs[rng.below(succs.size())];
-      --budget;
-      const auto& vec = graph_.inputs[to];
-      walk.vectors.push_back(vec);
-      const auto& good_state = graph_.states[to];
-      for (std::size_t i = 0; i < sims.size(); ++i) {
-        if (result.outcomes[i].covered_by != CoveredBy::None) continue;
-        if (sims[i]->status() != DetectStatus::Undetermined) continue;
-        if (sims[i]->step(vec, good_state) == DetectStatus::Detected) {
-          result.outcomes[i].covered_by = CoveredBy::Random;
-          result.outcomes[i].sequence_index =
-              static_cast<int>(result.sequences.size());
-          ++result.stats.by_random;
-          walk_resolved.push_back(i);
-        }
+  std::vector<Walk> walks;
+  if (options_.random_budget > 0 && !is_cancelled()) walks = random_walks();
+  if (!walks.empty() && !faults.empty()) {
+    // Each fault's first detecting (walk, step), written by the one worker
+    // that replays the fault.
+    std::vector<std::optional<std::pair<std::size_t, std::size_t>>> first(
+        faults.size());
+    std::vector<std::size_t> all(faults.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    const FanOut replay = fan_out(
+        all, cancel,
+        [&](std::size_t i) { first[i] = first_detection(*sims[i], walks); },
+        [&](const FanOut&) { emit_progress(RunPhase::RandomTpg); });
+    // (walk, step, fault) of every first detection, in commit order.
+    std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> hits;
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      if (first[i]) hits.emplace_back(first[i]->first, first[i]->second, i);
+    std::sort(hits.begin(), hits.end());
+
+    // A token that fired during the replay commits no walk.
+    if (!replay.complete) result.cancelled = true;
+    auto hit = hits.begin();
+    for (std::size_t w = 0; w < walks.size() && !result.cancelled; ++w) {
+      if (is_cancelled()) break;
+      if (hit == hits.end() || std::get<0>(*hit) != w) continue;
+      const int seq_index = static_cast<int>(result.sequences.size());
+      const auto walk_first = hit;
+      for (; hit != hits.end() && std::get<0>(*hit) == w; ++hit) {
+        FaultOutcome& outcome = result.outcomes[std::get<2>(*hit)];
+        outcome.covered_by = CoveredBy::Random;
+        outcome.sequence_index = seq_index;
+        ++result.stats.by_random;
       }
-      good_id = to;
-    }
-    if (!walk_resolved.empty()) {
-      result.sequences.push_back(walk);
-      for (const std::size_t i : walk_resolved) notify_resolved(i);
+      TestSequence& seq = result.sequences.emplace_back();
+      for (const std::uint32_t to : walks[w])
+        seq.vectors.push_back(graph_.inputs[to]);
+      for (auto it = walk_first; it != hit; ++it)
+        notify_resolved(std::get<2>(*it));
       emit_progress(RunPhase::RandomTpg);
+      // Stop early once everything is covered.
+      if (result.stats.by_random == faults.size()) break;
     }
-    // Stop early once everything is covered.
-    if (result.stats.by_random == faults.size()) break;
   }
   result.stats.random_seconds = random_timer.seconds();
 

@@ -10,44 +10,54 @@
 // include/xatpg/; the engine itself is internal — out-of-tree consumers
 // drive it through xatpg::Session.
 //
-// Parallel architecture: the explicit differentiation search is
-// embarrassingly parallel across the fault list, so run() fans it out over
-// `threads` workers.
+// Parallel architecture: a run fans out twice, the random phase's replay
+// and the explicit differentiation search, both through fan_out() on one
+// ThreadPool the engine owns.
 //   * The engine owns ONE Cssg on one BddManager, built by the constructor,
-//     and only the thread that calls run() touches it.  Before the fan-out
-//     that thread computes every searched fault's symbolic phases 1-2 —
-//     activation ∧ CSSG-reachable, then justify() — serially, in fault-list
-//     order, so the same BDD operations run in the same order at any thread
-//     count.
-//   * The workers run only phase 3, differentiate() from each justified
-//     prefix and then from reset.  It reads the netlist and the explicit
-//     CSSG (shared read-only) and a private FaultSimulator per search; no
-//     worker holds a BDD node.
-//   * Faults are distributed through a work-stealing scheduler
-//     (util/work_queue.hpp): the fault batch is pre-split into coarse
-//     blocks dealt out to per-worker deques; each worker drains its own
-//     deque front-first and, when dry, steals whole blocks from the back of
-//     a victim's deque.  Per-fault search cost is heavy-tailed (one "whale"
-//     fault can cost 10000x the median), so stealing keeps the other
-//     workers fed when one is pinned — without putting thieves on the
-//     owner's common path (they only collide on a deque's last block).
-//   * The merge is deterministic: every still-uncovered fault's test is
-//     generated up front (each fault's search depends only on the fault, not
-//     on scheduling or which worker ran it), then outcomes are committed
-//     strictly in fault-list order, and cross fault simulation of each
-//     committed sequence (the paper's "sim" column) runs as a post-merge
-//     word-parallel ternary pass in 64-lane batches (+ exact confirmation).
-//     Every search cutoff is deterministic too (diff_depth/diff_node_cap and
-//     the simulator caps).  Results are therefore byte-identical for any
-//     thread count and any steal interleaving, including threads=1.
+//     and only the thread that calls run() touches it.  Before the search
+//     fan-out that thread computes every searched fault's symbolic phases
+//     1-2 — activation ∧ CSSG-reachable, then justify() — serially, in
+//     fault-list order, so the same BDD operations run in the same order at
+//     any thread count.
+//   * Random TPG draws every walk first, on the calling thread, from the
+//     graph and the seeded RNG alone.  The fan-out then replays the walks
+//     on each fault's own FaultSimulator and records the fault's first
+//     detecting (walk, step); the calling thread commits in walk order.
+//   * The search workers run only phase 3, differentiate() from each
+//     justified prefix and then from reset.  It reads the netlist and the
+//     explicit CSSG (shared read-only) and a private FaultSimulator per
+//     search; no worker holds a BDD node.
+//   * fan_out() distributes items through a work-stealing scheduler
+//     (util/work_queue.hpp): the batch is pre-split into coarse blocks
+//     dealt out to per-worker deques; each worker drains its own deque
+//     front-first and, when dry, steals whole blocks from the back of a
+//     victim's deque.  Per-fault cost is heavy-tailed (one "whale" fault
+//     can cost 10000x the median), so stealing keeps the other workers fed
+//     when one is pinned — without putting thieves on the owner's common
+//     path (they only collide on a deque's last block).  The calling thread
+//     is worker 0; the pool holds the other min(threads, items) - 1, is
+//     created at the first fan-out that needs a helper and grown only when
+//     a later one needs more, and is joined by the engine's destructor.
+//     threads=1 runs inline and makes no pool.
+//   * The merges are deterministic: each fault's replay and each fault's
+//     search depend only on the fault, not on scheduling or which worker
+//     ran it.  Random walks commit in walk order, then outcomes of the
+//     search commit strictly in fault-list order, and cross fault
+//     simulation of each committed sequence (the paper's "sim" column)
+//     runs as a post-merge word-parallel ternary pass in 64-lane batches
+//     (+ exact confirmation).  Every search cutoff is deterministic too
+//     (diff_depth/diff_node_cap and the simulator caps).  Results are
+//     therefore byte-identical for any thread count and any steal
+//     interleaving, including threads=1.
 //
 // Streaming, cancellation, incrementality:
 //   * run(faults, observer, cancel) fires RunObserver callbacks from the
-//     calling thread only, checks the CancelToken between faults (and
-//     between work blocks inside the parallel fan-out), and on cancellation
-//     returns the deterministic partial result: the sequence list is a
-//     prefix of the uncancelled run's, and every committed outcome is
-//     final.
+//     calling thread only, checks the CancelToken between committed walks,
+//     between faults and between work items inside either fan-out, and on
+//     cancellation returns the deterministic partial result: the sequence
+//     list is a prefix of the uncancelled run's, and every committed
+//     outcome is final.  A token that fires during the random replay
+//     commits no walk.
 //   * Generated tests are memoized per fault across runs (each test is a
 //     pure function of the fault given the circuit/options).  A run searches
 //     every uncovered fault before its first commit, so add_faults() — which
@@ -64,11 +74,13 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "atpg/fault.hpp"
 #include "atpg/fault_sim.hpp"
 #include "sgraph/cssg.hpp"
+#include "util/thread_pool.hpp"
 #include "xatpg/options.hpp"
 #include "xatpg/progress.hpp"
 #include "xatpg/types.hpp"
@@ -122,6 +134,11 @@ class AtpgEngine {
   /// runs — the same snapshot the final progress callback reports.
   std::vector<ShardBddStats> shard_bdd_stats() const;
 
+  /// Helper threads in the engine's pool: 0 until a fan-out needs one, and
+  /// never more than fan_out_workers(threads, items) - 1 over the largest
+  /// batch any run fanned out.
+  std::size_t pool_threads() const { return pool_ ? pool_->size() : 0; }
+
   /// True if the a-priori classifier proves the fault undetectable: the
   /// faulted line equals the stuck value in every state any legal test can
   /// drive the circuit through (stable or transient), so the fault can
@@ -153,6 +170,39 @@ class AtpgEngine {
   struct FaultHash {
     std::size_t operator()(const Fault& fault) const;
   };
+  /// One fan_out call's per-worker-slot tallies: items completed and blocks
+  /// stolen, and whether every item ran.
+  struct FanOut {
+    std::vector<std::size_t> done;
+    std::vector<std::size_t> stolen;
+    bool complete = true;
+  };
+  /// A random walk from reset: the good-state ids it visits, one per
+  /// vector (the vector applied is the target's input part).
+  using Walk = std::vector<std::uint32_t>;
+
+  /// The engine's one fan-out: runs work(item) once for every item over
+  /// fan_out_workers(threads, items) worker slots.  The calling thread is
+  /// worker 0 and calls on_block(tallies so far) after each of its own
+  /// blocks; the others come from pool_, which this call creates, or
+  /// replaces with a larger one, when it holds fewer helpers than the
+  /// slots need.  Workers check `cancel` between
+  /// items, so a token that fires leaves some items unrun (complete ==
+  /// false).  An exception from work() or on_block() is rethrown here
+  /// after every worker has stopped.
+  FanOut fan_out(const std::vector<std::size_t>& items,
+                 const CancelToken* cancel,
+                 const std::function<void(std::size_t)>& work,
+                 const std::function<void(const FanOut&)>& on_block);
+  /// Random TPG's walks, drawn with the seeded RNG and the budget alone:
+  /// no walk depends on any fault.
+  std::vector<Walk> random_walks() const;
+  /// Replay `walks` in order on `sim`, each from a restart, abandoning a
+  /// walk once the simulator gives up.  Returns the first detecting
+  /// (walk, step), or nullopt.  Reads only the explicit graph besides
+  /// `sim`, so safe from any worker.
+  std::optional<std::pair<std::size_t, std::size_t>> first_detection(
+      FaultSimulator& sim, const std::vector<Walk>& walks) const;
   /// Phase 3 BFS.  Touches only shared read-only state (netlist, explicit
   /// graph) — safe from any worker.
   DiffResult differentiate(const Fault& fault, const TestSequence& prefix) const;
@@ -173,9 +223,8 @@ class AtpgEngine {
   /// during the prefix pass skips the fan-out; faults skipped because
   /// `cancel` fired are left unmemoized (a later run attempts them again),
   /// and the call returns false if any was.  The run's per-worker search
-  /// and steal counts land in shard_done_ / shard_steals_; with more than
-  /// one worker, the calling thread updates them and calls `on_block`
-  /// after each of its own work blocks, to stream progress.
+  /// and steal counts land in shard_done_ / shard_steals_, updated before
+  /// each `on_block` call that streams progress.
   bool generate_parallel(const std::vector<Fault>& faults,
                          const std::vector<std::size_t>& todo,
                          const CancelToken* cancel,
@@ -214,6 +263,9 @@ class AtpgEngine {
   /// gave up, fault undetected by its own test).  Never invalidated — a
   /// search outcome is a pure function of (circuit, reset, options, fault).
   std::unordered_map<Fault, SearchOutcome, FaultHash> generated_cache_;
+  /// fan_out's helper threads, shared by every fan-out of every run.
+  /// Declared last so it is joined before the state its tasks read goes.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Tester-facing export: vectors and expected primary-output responses per

@@ -17,10 +17,10 @@
 //    reached through a pointer gets XATPG_PT_GUARDED_BY(mutex_).
 //  * Functions that must be called with a lock held get XATPG_REQUIRES(m);
 //    functions that acquire/release get XATPG_ACQUIRE(m)/XATPG_RELEASE(m).
-//  * Lock-free structures (StealingWorkQueue, the engine's per-worker
-//    search counters) have no capability to annotate — their publication
-//    protocol is documented at the definition and checked dynamically
-//    under the TSan CI job instead.
+//  * Lock-free structures (StealingWorkQueue, the per-worker item counters
+//    of AtpgEngine::fan_out) have no capability to annotate — their
+//    publication protocol is documented at the definition and checked
+//    dynamically under the TSan CI job instead.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)

@@ -4,7 +4,10 @@
 // through one mutex-protected queue.  The pool is NOT the scalability
 // mechanism — workers pull coarse fault blocks from a StealingWorkQueue
 // (util/work_queue.hpp) inside a single long-lived task each, so the pool's
-// queue sees O(threads) submissions per ATPG run, never O(faults).
+// queue sees O(threads) submissions per fan-out, never O(faults).  Each
+// AtpgEngine owns one pool and reuses it for every fan-out of every run,
+// so threads are created when an engine first needs them, not once per
+// fan-out.
 //
 // The locking protocol is machine-checked: every field the queue mutex
 // guards is declared XATPG_GUARDED_BY(mutex_), and a Clang build with
@@ -39,7 +42,7 @@ class ThreadPool {
   std::size_t size() const { return workers_.size(); }
 
   /// Enqueue a task.  Tasks must not throw — wrap bodies that can fail and
-  /// stash the std::exception_ptr (see AtpgEngine::run).
+  /// stash the std::exception_ptr (see AtpgEngine::fan_out).
   void submit(std::function<void()> task) XATPG_EXCLUDES(mutex_);
 
   /// Block until the queue is empty and every worker is idle.

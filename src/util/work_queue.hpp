@@ -173,6 +173,14 @@ class StealingWorkQueue {
   std::vector<std::atomic<std::size_t>> steals_;
 };
 
+/// Worker slots for a fan-out of `items` over `threads` threads: one per
+/// item at most, never fewer than one (the calling thread).  The caller
+/// needs fan_out_workers(threads, items) - 1 helper threads, so a small
+/// batch never spawns `threads` of them.
+inline std::size_t fan_out_workers(std::size_t threads, std::size_t items) {
+  return std::max<std::size_t>(std::min(threads, items), 1);
+}
+
 /// Block size heuristic: enough blocks per worker for load balancing (work
 /// per fault varies wildly — redundant faults exhaust their search caps),
 /// but coarse enough that cursor traffic is negligible.  Guarantees that

@@ -25,10 +25,15 @@
 // All-pairs Quine–McCluskey over on ∪ dc, the synthesis layer's former
 // prime generator, kept as the reference for the off-set multiply-out in
 // src/synth/cover.cpp (tests/test_synth.cpp, tests/fuzz/fuzz_cover.cpp).
+//
+// The random TPG phase as the engine ran it walk by walk, stepping every
+// undetermined fault per vector, kept as the reference for the engine's
+// fault-parallel replay in src/atpg/engine.cpp (tests/test_parallel_atpg.cpp).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <sstream>
@@ -45,6 +50,9 @@
 #include "sim/explicit.hpp"
 #include "synth/cover.hpp"
 #include "util/check.hpp"
+#include "util/random.hpp"
+#include "xatpg/options.hpp"
+#include "xatpg/types.hpp"
 
 namespace xatpg::testing {
 
@@ -618,6 +626,72 @@ inline std::vector<MinCube> oracle_minimize_sop(
     if (redundant) cover = std::move(without);
   }
   return cover;
+}
+
+// --- random TPG -----------------------------------------------------------
+
+/// What the random phase commits: the walks that detect some fault first,
+/// each fault's sequence index (-1 when no walk detects it), and the
+/// on_fault_resolved order.
+struct OracleRandomTpg {
+  std::vector<TestSequence> sequences;
+  std::vector<int> sequence_index;
+  std::vector<std::size_t> resolved;
+  std::size_t by_random = 0;
+};
+
+/// The random phase as AtpgEngine::run_universe ran it: walk by walk, every
+/// simulator restarted per walk and every undetermined fault stepped per
+/// vector, the walk committed when it detects some fault, and the loop
+/// stopped once every fault is covered.
+inline OracleRandomTpg oracle_random_tpg(const Netlist& netlist,
+                                         const std::vector<bool>& reset_state,
+                                         const ExplicitCssg& graph,
+                                         const std::vector<Fault>& faults,
+                                         const AtpgOptions& options) {
+  OracleRandomTpg out;
+  out.sequence_index.assign(faults.size(), -1);
+  const auto reset_id = graph.find(reset_state);
+  XATPG_CHECK(reset_id.has_value());
+  std::vector<std::unique_ptr<FaultSimulator>> sims;
+  for (const Fault& f : faults)
+    sims.push_back(std::make_unique<FaultSimulator>(netlist, f, reset_state,
+                                                    options.sim));
+  Rng rng(options.seed);
+  std::size_t budget = options.random_budget;
+  while (budget > 0) {
+    if (graph.edges[*reset_id].empty()) break;
+    for (auto& sim : sims) sim->restart();
+    TestSequence walk;
+    std::uint32_t good_id = *reset_id;
+    std::vector<std::size_t> walk_resolved;
+    for (std::size_t step = 0; step < options.random_walk_len && budget > 0;
+         ++step) {
+      const auto& succs = graph.edges[good_id];
+      if (succs.empty()) break;
+      const std::uint32_t to = succs[rng.below(succs.size())];
+      --budget;
+      walk.vectors.push_back(graph.inputs[to]);
+      for (std::size_t i = 0; i < sims.size(); ++i) {
+        if (out.sequence_index[i] >= 0) continue;
+        if (sims[i]->status() != DetectStatus::Undetermined) continue;
+        if (sims[i]->step(graph.inputs[to], graph.states[to]) ==
+            DetectStatus::Detected) {
+          out.sequence_index[i] = static_cast<int>(out.sequences.size());
+          ++out.by_random;
+          walk_resolved.push_back(i);
+        }
+      }
+      good_id = to;
+    }
+    if (!walk_resolved.empty()) {
+      out.sequences.push_back(walk);
+      out.resolved.insert(out.resolved.end(), walk_resolved.begin(),
+                          walk_resolved.end());
+    }
+    if (out.by_random == faults.size()) break;
+  }
+  return out;
 }
 
 }  // namespace xatpg::testing

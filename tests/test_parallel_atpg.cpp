@@ -12,6 +12,10 @@
 // It also holds the one-manager contract: the engine's BDD work runs on the
 // calling thread only, so worker slots hold no BDD nodes and the engine's
 // manager does the same work at any thread count.
+//
+// The random phase replays pre-drawn walks fault by fault in the fan-out;
+// RandomPhase.* holds it to the walk-major loop it replaced
+// (tests/oracle.hpp).
 #include "atpg/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +26,7 @@
 #include "atpg/fault.hpp"
 #include "benchmarks/benchmarks.hpp"
 #include "fixtures.hpp"
+#include "oracle.hpp"
 #include "perf/perf.hpp"
 #include "util/thread_pool.hpp"
 #include "util/work_queue.hpp"
@@ -422,6 +427,135 @@ TEST(Incremental, ResumeAfterCancelReproducesFullRun) {
   }
 }
 
+/// Fires the token as the random phase begins, or at its first progress
+/// snapshot.  With a random fan-out that snapshot comes after the calling
+/// thread's first block of replays, before any walk is committed.
+class CancelInRandomPhase : public RunObserver {
+ public:
+  CancelInRandomPhase(CancelToken token, bool at_progress)
+      : token_(std::move(token)), at_progress_(at_progress) {}
+  void on_phase(RunPhase phase) override {
+    if (!at_progress_ && phase == RunPhase::RandomTpg) token_.request_cancel();
+  }
+  void on_progress(const RunProgress& progress) override {
+    if (at_progress_ && progress.phase == RunPhase::RandomTpg)
+      token_.request_cancel();
+  }
+
+ private:
+  CancelToken token_;
+  bool at_progress_;
+};
+
+TEST(Cancellation, InRandomPhaseLeavesAPrefixThenResumes) {
+  const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
+  const auto faults = input_stuck_faults(synth.netlist);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{4}}) {
+    AtpgOptions options = determinism_options(threads);
+    AtpgEngine fresh(synth.netlist, synth.reset_state, options);
+    const AtpgResult full = fresh.run(faults);
+    ASSERT_GT(full.stats.by_random, 0u);
+    for (const bool at_progress : {false, true}) {
+      const std::string name =
+          std::string("mmu/bd cancel at random ") +
+          (at_progress ? "progress" : "start") +
+          " threads=" + std::to_string(threads);
+      AtpgEngine engine(synth.netlist, synth.reset_state, options);
+      CancelToken token;
+      CancelInRandomPhase observer(token, at_progress);
+      const AtpgResult partial = engine.run(faults, &observer, &token);
+      expect_prefix_of(partial, full, name);
+      const AtpgResult resumed = engine.add_faults({});
+      EXPECT_FALSE(resumed.cancelled);
+      expect_identical(full, resumed, threads, name + " resume");
+    }
+  }
+}
+
+// --- the random phase against its walk-major oracle -------------------------
+// Walks are drawn before any fault is simulated and each fault replays them
+// on its own simulator, so the committed walks, the Random outcomes and
+// their resolution order must equal the loop that stepped every fault along
+// each walk as it was drawn.
+
+void check_random_phase(const Netlist& netlist, const std::vector<bool>& reset,
+                        const std::string& name) {
+  const std::vector<std::vector<Fault>> universes = {
+      input_stuck_faults(netlist), output_stuck_faults(netlist)};
+  for (const bool defaults : {false, true}) {
+    std::vector<testing::OracleRandomTpg> oracles;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+      AtpgOptions options = determinism_options(threads);
+      if (defaults) {
+        options = AtpgOptions{};
+        options.threads = threads;
+      }
+      AtpgEngine engine(netlist, reset, options);
+      for (std::size_t u = 0; u < universes.size(); ++u) {
+        SCOPED_TRACE(name + (defaults ? " defaults" : " determinism") +
+                     " universe " + std::to_string(u) +
+                     " threads=" + std::to_string(threads));
+        const std::vector<Fault>& faults = universes[u];
+        if (oracles.size() <= u)
+          oracles.push_back(testing::oracle_random_tpg(
+              netlist, reset, engine.graph(), faults, options));
+        const testing::OracleRandomTpg& oracle = oracles[u];
+        ResolvedLog log;
+        const AtpgResult result = engine.run(faults, &log);
+
+        EXPECT_EQ(result.stats.by_random, oracle.by_random);
+        ASSERT_GE(result.sequences.size(), oracle.sequences.size());
+        for (std::size_t s = 0; s < oracle.sequences.size(); ++s)
+          EXPECT_EQ(result.sequences[s], oracle.sequences[s]) << "walk " << s;
+        for (std::size_t j = 0; j < faults.size(); ++j) {
+          const FaultOutcome& outcome = result.outcomes[j];
+          EXPECT_EQ(outcome.covered_by == CoveredBy::Random,
+                    oracle.sequence_index[j] >= 0)
+              << "fault " << j;
+          if (outcome.covered_by == CoveredBy::Random) {
+            EXPECT_EQ(outcome.sequence_index, oracle.sequence_index[j])
+                << "fault " << j;
+          }
+        }
+        std::vector<std::size_t> random_events;
+        for (const auto& [index, outcome] : log.events)
+          if (outcome.covered_by == CoveredBy::Random)
+            random_events.push_back(index);
+        EXPECT_EQ(random_events, oracle.resolved);
+      }
+    }
+  }
+}
+
+TEST(RandomPhase, MatchesWalkMajorOracle) {
+  for (const auto& [name, circuit] :
+       {std::pair{"fig1a", fixtures::fig1a()},
+        std::pair{"fig1b", fixtures::fig1b()},
+        std::pair{"chain", fixtures::chain()},
+        std::pair{"celem", fixtures::celem()},
+        std::pair{"latch", fixtures::async_latch()},
+        std::pair{"pipeline2", fixtures::pipeline2()},
+        std::pair{"parity8", fixtures::parity_tree(8)}})
+    check_random_phase(circuit.netlist, circuit.reset, name);
+  const auto rpdft = benchmark_circuit("rpdft", SynthStyle::SpeedIndependent);
+  check_random_phase(rpdft.netlist, rpdft.reset_state, "rpdft/si");
+  const auto mmu = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
+  check_random_phase(mmu.netlist, mmu.reset_state, "mmu/bd");
+  std::size_t members = 0;
+  for (const perf::CorpusEntry& entry : perf::default_corpus()) {
+    if (entry.kind != perf::CorpusEntry::Kind::RandomNetlist) continue;
+    ++members;
+    RandomNetlistOptions shape;
+    shape.num_inputs = entry.rand_inputs;
+    shape.num_gates = entry.rand_gates;
+    const fixtures::Circuit c = fixtures::random_netlist(entry.seed, shape);
+    check_random_phase(c.netlist, c.reset, entry.id);
+  }
+  EXPECT_EQ(members, 5u);
+}
+
 // --- deterministic per-fault budgets -----------------------------------------
 
 TEST(ParallelDeterminism, TightDeterministicCapsGiveUpIdenticallyAcrossThreads) {
@@ -625,6 +759,34 @@ TEST(StealingWorkQueue, EveryWorkerSeededWhenItemsReachWorkerCount) {
           << "items=" << items << " workers=" << workers << " size=" << size;
     }
   }
+}
+
+TEST(EnginePool, HelpersNeverExceedItemsOrThreads) {
+  // The arithmetic: a fan-out of `items` over `threads` uses
+  // min(threads, items) worker slots, the calling thread among them, so
+  // even the largest thread count spawns one helper per extra item.
+  EXPECT_EQ(fan_out_workers(AtpgOptions::kMaxThreads, 3), 3u);
+  EXPECT_EQ(fan_out_workers(AtpgOptions::kMaxThreads, 1), 1u);
+  EXPECT_EQ(fan_out_workers(4, 0), 1u);
+  EXPECT_EQ(fan_out_workers(1, 1000), 1u);
+  EXPECT_EQ(fan_out_workers(8, 100), 8u);
+
+  const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
+  const auto faults = input_stuck_faults(synth.netlist);
+  ASSERT_GE(faults.size(), 8u);
+  // threads=1 runs on the calling thread and makes no pool.
+  AtpgEngine serial(synth.netlist, synth.reset_state, determinism_options(1));
+  serial.run(faults);
+  EXPECT_EQ(serial.pool_threads(), 0u);
+  // A two-fault universe needs one helper, however many threads are allowed.
+  AtpgEngine two(synth.netlist, synth.reset_state, determinism_options(8));
+  two.run({faults[0], faults[1]});
+  EXPECT_EQ(two.pool_threads(), 1u);
+  // The pool grows to the larger batch, then later runs reuse it.
+  two.run(faults);
+  EXPECT_EQ(two.pool_threads(), 7u);
+  two.run({faults[0], faults[1]});
+  EXPECT_EQ(two.pool_threads(), 7u);
 }
 
 TEST(ThreadPool, WaitIdleSeesAllSubmittedWork) {
