@@ -84,8 +84,8 @@ constexpr const char* run_phase_name(RunPhase phase) {
 
 /// Accounting for one worker slot of a run.  The engine owns one BDD
 /// manager, used only by the thread that calls run() (worker 0), so only
-/// shard 0 carries BDD counters; slots 1..N-1 report just faults_done and
-/// blocks_stolen, and their node and cache counters stay 0.
+/// shard 0 carries BDD counters; slots 1..N-1 report just faults_done, and
+/// their node and cache counters stay 0.
 struct ShardBddStats {
   std::size_t shard = 0;
   /// Nodes allocated in the engine's manager (live + uncollected).
@@ -103,8 +103,7 @@ struct ShardBddStats {
   std::size_t faults_done = 0;  ///< 3-phase searches this worker completed
   std::size_t cache_lookups = 0;  ///< computed-cache probes (cumulative)
   std::size_t cache_hits = 0;     ///< probes answered from the cache
-  /// Work blocks this worker claimed by stealing from another worker's
-  /// deque (scheduler telemetry; results never depend on it).
+  /// Always 0.  Kept only for existing readers of the struct.
   std::size_t blocks_stolen = 0;
   /// Unique-table load factor (chained entries / buckets, in [0, 2];
   /// subtables double at 2).

@@ -172,15 +172,19 @@ class Session {
   [[nodiscard]] ShardBddStats bdd_stats() const;
 
   /// One entry per worker slot of the most recent run, with the 3-phase
-  /// searches each worker completed and the work blocks it stole.  Entry 0
-  /// also carries the BDD accounting of the engine's one manager; worker
-  /// threads hold no BDD state, so the other entries' node and cache
-  /// counters stay 0.
+  /// searches each worker completed.  Entry 0 also carries the BDD
+  /// accounting of the engine's one manager; worker threads hold no BDD
+  /// state, so the other entries' node and cache counters stay 0.
   [[nodiscard]] std::vector<ShardBddStats> shard_bdd_stats() const;
 
  private:
   struct Impl;
   explicit Session(std::unique_ptr<Impl> impl);
+  /// The text factories' one body: parse `text` with `parse`, settle the
+  /// reset state and build the engine.
+  static Expected<Session> from_text(Netlist (*parse)(const std::string&),
+                                     const std::string& text,
+                                     const AtpgOptions& options);
   std::unique_ptr<Impl> impl_;
 };
 

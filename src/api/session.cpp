@@ -116,27 +116,6 @@ Session::~Session() = default;
 
 namespace {
 
-/// Shared front of the text factories: parse with `parse` (which throws
-/// CheckError on malformed input) and settle the all-false reset state.
-Expected<void> parse_and_settle(Netlist (*parse)(const std::string&),
-                                const std::string& text, Netlist& netlist,
-                                std::vector<bool>& reset) {
-  try {
-    netlist = parse(text);
-  } catch (const CheckError& e) {
-    return Error{ErrorCode::ParseError, e.what()};
-  } catch (const std::bad_alloc&) {
-    return Error{ErrorCode::ResourceError, "out of memory parsing the circuit"};
-  }
-  reset.assign(netlist.num_signals(), false);
-  if (!settle_to_stable(netlist, reset))
-    return Error{ErrorCode::ResourceError,
-                 "circuit '" + netlist.name() +
-                     "' does not settle to a stable state from the all-false "
-                     "assignment; no test-mode reset state exists"};
-  return {};
-}
-
 Expected<std::string> slurp(const std::string& path) {
   std::ifstream in(path);
   if (!in)
@@ -149,17 +128,33 @@ Expected<std::string> slurp(const std::string& path) {
 
 }  // namespace
 
-Expected<Session> Session::from_xnl(const std::string& text,
-                                    const AtpgOptions& options) {
+Expected<Session> Session::from_text(Netlist (*parse)(const std::string&),
+                                     const std::string& text,
+                                     const AtpgOptions& options) {
   auto impl = std::make_unique<Impl>();
   impl->options = options;
-  if (const auto parsed = parse_and_settle(&parse_xnl_string, text,
-                                           impl->netlist, impl->reset);
-      !parsed)
-    return parsed.error();
+  // `parse` throws CheckError on malformed input.
+  try {
+    impl->netlist = parse(text);
+  } catch (const CheckError& e) {
+    return Error{ErrorCode::ParseError, e.what()};
+  } catch (const std::bad_alloc&) {
+    return Error{ErrorCode::ResourceError, "out of memory parsing the circuit"};
+  }
+  impl->reset.assign(impl->netlist.num_signals(), false);
+  if (!settle_to_stable(impl->netlist, impl->reset))
+    return Error{ErrorCode::ResourceError,
+                 "circuit '" + impl->netlist.name() +
+                     "' does not settle to a stable state from the all-false "
+                     "assignment; no test-mode reset state exists"};
   if (const auto built = build_engine(impl->netlist, impl->reset, impl->options, impl->engine); !built)
     return built.error();
   return Session(std::move(impl));
+}
+
+Expected<Session> Session::from_xnl(const std::string& text,
+                                    const AtpgOptions& options) {
+  return from_text(&parse_xnl_string, text, options);
 }
 
 Expected<Session> Session::from_xnl_file(const std::string& path,
@@ -171,15 +166,7 @@ Expected<Session> Session::from_xnl_file(const std::string& path,
 
 Expected<Session> Session::from_bench(const std::string& text,
                                       const AtpgOptions& options) {
-  auto impl = std::make_unique<Impl>();
-  impl->options = options;
-  if (const auto parsed = parse_and_settle(&parse_bench_string, text,
-                                           impl->netlist, impl->reset);
-      !parsed)
-    return parsed.error();
-  if (const auto built = build_engine(impl->netlist, impl->reset, impl->options, impl->engine); !built)
-    return built.error();
-  return Session(std::move(impl));
+  return from_text(&parse_bench_string, text, options);
 }
 
 Expected<Session> Session::from_bench_file(const std::string& path,

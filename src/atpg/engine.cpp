@@ -15,7 +15,6 @@
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/work_queue.hpp"
 
 namespace xatpg {
 
@@ -288,15 +287,13 @@ AtpgEngine::FanOut AtpgEngine::fan_out(
       fan_out_workers(resolved_threads(options_.threads), items.size());
   if (workers > 1 && pool_threads() < workers - 1)
     pool_ = std::make_unique<ThreadPool>(workers - 1);
-  // Work-stealing fan-out: the batch is pre-split into coarse blocks dealt
-  // out across per-worker deques; a worker drains its own deque first and
-  // steals whole blocks from a victim once dry, so a whale item pinning
-  // one worker donates that worker's untouched blocks instead of stranding
-  // them.  Every item is claimed by exactly one block, every block by
-  // exactly one worker (the queue's single-CAS claim), so work(i) may
-  // write slot i of a caller's array without a race.
-  StealingWorkQueue<std::size_t> queue(
-      items, work_block_size(items.size(), workers), workers);
+  // One shared cursor over the items: a worker claims the next block with
+  // one fetch_add, so every item falls in exactly one claimed block and
+  // work(i) may write slot i of a caller's array without a race.  Relaxed
+  // ordering suffices: a claim hands out indices into `items`, which no
+  // one writes during the fan-out, and results are read after the join.
+  const std::size_t block = work_block_size(items.size(), workers);
+  std::atomic<std::size_t> next{0};
   // Items completed per worker.  Each counter has one writer (its worker)
   // and is read by the calling thread with relaxed loads: a tally passed
   // to on_block may lag the workers, and the one returned is exact, since
@@ -305,17 +302,18 @@ AtpgEngine::FanOut AtpgEngine::fan_out(
   std::vector<std::exception_ptr> errors(workers);
   const auto tally_now = [&] {
     FanOut tally;
-    for (std::size_t w = 0; w < workers; ++w) {
+    for (std::size_t w = 0; w < workers; ++w)
       tally.done.push_back(done[w].load(std::memory_order_relaxed));
-      tally.stolen.push_back(queue.steals(w));
-    }
     return tally;
   };
   const auto run_blocks = [&](std::size_t w, bool calls_back) {
-    while (const auto block = queue.pop_block(w)) {
-      for (const std::size_t item : *block) {
+    for (std::size_t first = next.fetch_add(block, std::memory_order_relaxed);
+         first < items.size();
+         first = next.fetch_add(block, std::memory_order_relaxed)) {
+      const std::size_t last = std::min(first + block, items.size());
+      for (std::size_t k = first; k < last; ++k) {
         if (cancel_fired(cancel)) break;
-        work(item);
+        work(items[k]);
         done[w].fetch_add(1, std::memory_order_relaxed);
       }
       if (calls_back) on_block(tally_now());
@@ -370,12 +368,9 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
   std::vector<SearchOutcome> generated(faults.size());
   std::vector<char> attempted(faults.size(), 0);
   const auto record_counts = [&](const FanOut& tally) {
-    if (shard_done_.size() < tally.done.size()) {
+    if (shard_done_.size() < tally.done.size())
       shard_done_.resize(tally.done.size(), 0);
-      shard_steals_.resize(tally.done.size(), 0);
-    }
     std::copy(tally.done.begin(), tally.done.end(), shard_done_.begin());
-    std::copy(tally.stolen.begin(), tally.stolen.end(), shard_steals_.begin());
   };
   const FanOut tally = fan_out(
       todo, cancel,
@@ -404,10 +399,7 @@ std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
       std::max<std::size_t>(shard_done_.size(), 1));
   for (std::size_t w = 0; w < shards.size(); ++w) {
     shards[w].shard = w;
-    if (w < shard_done_.size()) {  // shard_steals_ has the same size
-      shards[w].faults_done = shard_done_[w];
-      shards[w].blocks_stolen = shard_steals_[w];
-    }
+    if (w < shard_done_.size()) shards[w].faults_done = shard_done_[w];
   }
   // Slot 0 reports the engine's one manager; the other worker slots hold
   // no BDD state.
@@ -513,10 +505,9 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     if (observer != nullptr)
       observer->on_fault_resolved(index, result.outcomes[index]);
   };
-  // Per-worker completion/steal counters restart with each run (filled by
+  // Per-worker completion counters restart with each run (filled by
   // generate_parallel, reported by every later snapshot).
   shard_done_.assign(shard_done_.size(), 0);
-  shard_steals_.assign(shard_steals_.size(), 0);
   const auto emit_progress = [&](RunPhase phase) {
     if (observer == nullptr) return;
     RunProgress progress;

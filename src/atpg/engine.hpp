@@ -27,18 +27,14 @@
 //     justified prefix and then from reset.  It reads the netlist and the
 //     explicit CSSG (shared read-only) and a private FaultSimulator per
 //     search; no worker holds a BDD node.
-//   * fan_out() distributes items through a work-stealing scheduler
-//     (util/work_queue.hpp): the batch is pre-split into coarse blocks
-//     dealt out to per-worker deques; each worker drains its own deque
-//     front-first and, when dry, steals whole blocks from the back of a
-//     victim's deque.  Per-fault cost is heavy-tailed (one "whale" fault
-//     can cost 10000x the median), so stealing keeps the other workers fed
-//     when one is pinned — without putting thieves on the owner's common
-//     path (they only collide on a deque's last block).  The calling thread
-//     is worker 0; the pool holds the other min(threads, items) - 1, is
-//     created at the first fan-out that needs a helper and grown only when
-//     a later one needs more, and is joined by the engine's destructor.
-//     threads=1 runs inline and makes no pool.
+//   * fan_out() hands out items in blocks of work_block_size() through one
+//     shared atomic cursor: a worker claims its next block with one
+//     fetch_add, so a worker pinned by a slow fault leaves the remaining
+//     blocks to the others.  The calling thread is worker 0; the pool
+//     holds the other min(threads, items) - 1, is created at the first
+//     fan-out that needs a helper and grown only when a later one needs
+//     more, and is joined by the engine's destructor.  threads=1 runs one
+//     inline block and makes no pool.
 //   * The merges are deterministic: each fault's replay and each fault's
 //     search depend only on the fault, not on scheduling or which worker
 //     ran it.  Random walks commit in walk order, then outcomes of the
@@ -47,8 +43,8 @@
 //     runs as a post-merge word-parallel ternary pass in 64-lane batches
 //     (+ exact confirmation).  Every search cutoff is deterministic too
 //     (diff_depth/diff_node_cap and the simulator caps).  Results are
-//     therefore byte-identical for any thread count and any steal
-//     interleaving, including threads=1.
+//     therefore byte-identical for any thread count and any claim order,
+//     including threads=1.
 //
 // Streaming, cancellation, incrementality:
 //   * run(faults, observer, cancel) fires RunObserver callbacks from the
@@ -128,7 +124,7 @@ class AtpgEngine {
   const std::vector<Fault>& universe() const { return universe_; }
 
   /// One entry per worker slot of the most recent run, with its
-  /// faults_done / blocks_stolen.  Slot 0 also carries the BDD accounting
+  /// faults_done.  Slot 0 also carries the BDD accounting
   /// of the engine's one manager; the other slots hold no BDD state, so
   /// their node and cache counters stay 0.  Calling thread only, between
   /// runs — the same snapshot the final progress callback reports.
@@ -170,11 +166,10 @@ class AtpgEngine {
   struct FaultHash {
     std::size_t operator()(const Fault& fault) const;
   };
-  /// One fan_out call's per-worker-slot tallies: items completed and blocks
-  /// stolen, and whether every item ran.
+  /// One fan_out call's per-worker-slot tallies: items completed, and
+  /// whether every item ran.
   struct FanOut {
     std::vector<std::size_t> done;
-    std::vector<std::size_t> stolen;
     bool complete = true;
   };
   /// A random walk from reset: the good-state ids it visits, one per
@@ -223,8 +218,8 @@ class AtpgEngine {
   /// during the prefix pass skips the fan-out; faults skipped because
   /// `cancel` fired are left unmemoized (a later run attempts them again),
   /// and the call returns false if any was.  The run's per-worker search
-  /// and steal counts land in shard_done_ / shard_steals_, updated before
-  /// each `on_block` call that streams progress.
+  /// counts land in shard_done_, updated before each `on_block` call that
+  /// streams progress.
   bool generate_parallel(const std::vector<Fault>& faults,
                          const std::vector<std::size_t>& todo,
                          const CancelToken* cancel,
@@ -252,12 +247,11 @@ class AtpgEngine {
   std::uint32_t reset_id_ = 0;
   /// The current fault universe (run() replaces, add_faults() extends).
   std::vector<Fault> universe_;
-  /// Per-worker 3-phase searches completed / blocks stolen during the most
-  /// recent run (index = worker slot).  Reset at the start of run_universe,
-  /// filled by its generate_parallel call, reported by progress snapshots
-  /// and shard_bdd_stats().
+  /// Per-worker 3-phase searches completed during the most recent run
+  /// (index = worker slot).  Reset at the start of run_universe, filled by
+  /// its generate_parallel call, reported by progress snapshots and
+  /// shard_bdd_stats().
   std::vector<std::size_t> shard_done_;
-  std::vector<std::size_t> shard_steals_;
   /// Memoized 3-phase searches: presence means the search was *completed*
   /// for that fault (SearchOutcome::sequence nullopt = search exhausted or
   /// gave up, fault undetected by its own test).  Never invalidated — a

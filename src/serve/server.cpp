@@ -76,6 +76,7 @@ struct Server::Connection {
   std::atomic<bool> alive{true};
 
   Mutex write_mu;
+  bool fds_closed XATPG_GUARDED_BY(write_mu) = false;
   Mutex jobs_mu;
   /// Tokens of this connection's admitted-but-unfinished jobs, so
   /// disconnect and {"op":"cancel"} can reach them.
@@ -107,6 +108,18 @@ struct Server::Connection {
       off += static_cast<std::size_t>(n);
     }
     return true;
+  }
+
+  /// Retire the connection and close its fds if it owns them, once.  Under
+  /// write_mu with `alive` cleared, so no frame write can reach a
+  /// descriptor number the kernel has handed out again.
+  void close_fds() {
+    MutexLock lock(write_mu);
+    alive.store(false, std::memory_order_release);
+    if (!owns_fds || fds_closed) return;
+    ::close(in_fd);
+    if (out_fd != in_fd) ::close(out_fd);
+    fds_closed = true;
   }
 };
 
@@ -210,7 +223,7 @@ void Server::shutdown() {
   if (shutdown_waiter_.joinable()) shutdown_waiter_.join();
 
   // Every live stream gets a farewell, then the readers (woken by the
-  // self-pipe) are joined and owned fds closed.
+  // self-pipe) are joined and the owned fds still open are closed.
   std::vector<std::shared_ptr<Connection>> conns;
   std::vector<std::thread> readers;
   {
@@ -221,13 +234,7 @@ void Server::shutdown() {
   for (const std::shared_ptr<Connection>& conn : conns)
     conn->send(bye_frame());
   for (std::thread& reader : readers) reader.join();
-  for (const std::shared_ptr<Connection>& conn : conns) {
-    conn->alive.store(false, std::memory_order_release);
-    if (conn->owns_fds) {
-      ::close(conn->in_fd);
-      if (conn->out_fd != conn->in_fd) ::close(conn->out_fd);
-    }
-  }
+  for (const std::shared_ptr<Connection>& conn : conns) conn->close_fds();
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
   wake_pipe_[0] = wake_pipe_[1] = -1;
@@ -344,9 +351,11 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
   // THIS connection): same as the wake-pipe path above — the connection is
   // still live, and shutdown() sends the farewell centrally.
   if (shutting_down_.load(std::memory_order_acquire)) return;
-  // Disconnect: every job this client still has in flight is cancelled; the
-  // jobs themselves are retired by the worker (or already drained).
-  conn->alive.store(false, std::memory_order_release);
+  // Disconnect: the fds go now, not at shutdown, so a long-lived daemon
+  // does not hold one per departed client.  Every job this client still
+  // has in flight is cancelled; the jobs themselves are retired by the
+  // worker (or already drained).
+  conn->close_fds();
   std::vector<std::shared_ptr<Job>> orphans;
   {
     MutexLock lock(conn->jobs_mu);

@@ -94,8 +94,8 @@ class Server {
 
   /// Serve one established byte stream (socketpair in tests, an accepted
   /// AF_UNIX connection, or stdin/stdout in pipe mode).  Spawns the reader
-  /// thread and returns immediately.  `owns_fds` closes the fds at
-  /// shutdown.
+  /// thread and returns immediately.  `owns_fds` closes the fds when the
+  /// client's stream ends, or at shutdown if it is still open.
   void attach(int in_fd, int out_fd, bool owns_fds);
 
   /// Pipe mode: start(), serve stdin/stdout, block until a shutdown request

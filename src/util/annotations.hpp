@@ -13,14 +13,13 @@
 // as -Wthread-safety -Werror; the CI lint job does this on every push.
 //
 // Conventions:
-//  * Data members guarded by a lock get XATPG_GUARDED_BY(mutex_); data
-//    reached through a pointer gets XATPG_PT_GUARDED_BY(mutex_).
+//  * Data members guarded by a lock get XATPG_GUARDED_BY(mutex_).
 //  * Functions that must be called with a lock held get XATPG_REQUIRES(m);
 //    functions that acquire/release get XATPG_ACQUIRE(m)/XATPG_RELEASE(m).
-//  * Lock-free structures (StealingWorkQueue, the per-worker item counters
-//    of AtpgEngine::fan_out) have no capability to annotate — their
-//    publication protocol is documented at the definition and checked
-//    dynamically under the TSan CI job instead.
+//  * Lock-free state (the block cursor and per-worker item counters of
+//    AtpgEngine::fan_out) has no capability to annotate — its publication
+//    protocol is documented at the definition and checked dynamically
+//    under the TSan CI job instead.
 #pragma once
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -41,16 +40,9 @@
 /// Data member readable/writable only with the capability held.
 #define XATPG_GUARDED_BY(x) XATPG_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointer member whose *pointee* is guarded by the capability.
-#define XATPG_PT_GUARDED_BY(x) XATPG_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// Function precondition: capability (exclusively) held by the caller.
 #define XATPG_REQUIRES(...) \
   XATPG_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/// Function precondition: capability held at least shared.
-#define XATPG_REQUIRES_SHARED(...) \
-  XATPG_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires the capability and does not release it.
 #define XATPG_ACQUIRE(...) \
@@ -60,21 +52,6 @@
 #define XATPG_RELEASE(...) \
   XATPG_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability iff it returns `result`.
-#define XATPG_TRY_ACQUIRE(result, ...) \
-  XATPG_THREAD_ANNOTATION(try_acquire_capability(result, __VA_ARGS__))
-
 /// Function must be called WITHOUT the capability held (deadlock guard).
 #define XATPG_EXCLUDES(...) \
   XATPG_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Assert (at runtime) that the capability is held; teaches the analysis.
-#define XATPG_ASSERT_CAPABILITY(x) \
-  XATPG_THREAD_ANNOTATION(assert_capability(x))
-
-/// Function returns a reference to the named capability.
-#define XATPG_RETURN_CAPABILITY(x) XATPG_THREAD_ANNOTATION(lock_returned(x))
-
-/// Opt a function out of the analysis (use sparingly; justify in a comment).
-#define XATPG_NO_THREAD_SAFETY_ANALYSIS \
-  XATPG_THREAD_ANNOTATION(no_thread_safety_analysis)

@@ -41,4 +41,12 @@ bool starts_with(std::string_view text, std::string_view prefix) {
   return text.substr(0, prefix.size()) == prefix;
 }
 
+std::string indexed_name(std::string_view prefix, std::size_t index) {
+  // Appending to a named string, rather than `"g" + std::to_string(i)`,
+  // keeps gcc 12's -O3 inliner from a false -Wrestrict in libstdc++.
+  std::string name(prefix);
+  name += std::to_string(index);
+  return name;
+}
+
 }  // namespace xatpg

@@ -1,4 +1,5 @@
-// Small string helpers for the netlist parser.
+// Small string helpers: splitting and trimming for the netlist parser, and
+// the numbered names generated circuits give their signals.
 #pragma once
 
 #include <string>
@@ -18,5 +19,8 @@ std::string_view trim(std::string_view text);
 
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);
+
+/// `prefix` followed by the decimal `index`: indexed_name("g", 3) == "g3".
+std::string indexed_name(std::string_view prefix, std::size_t index);
 
 }  // namespace xatpg

@@ -29,7 +29,6 @@ class XATPG_CAPABILITY("mutex") Mutex {
 
   void lock() XATPG_ACQUIRE() { m_.lock(); }
   void unlock() XATPG_RELEASE() { m_.unlock(); }
-  bool try_lock() XATPG_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   friend class MutexLock;

@@ -2,12 +2,12 @@
 //
 // Deliberately simple: tasks are opaque std::function<void()> jobs pushed
 // through one mutex-protected queue.  The pool is NOT the scalability
-// mechanism — workers pull coarse fault blocks from a StealingWorkQueue
-// (util/work_queue.hpp) inside a single long-lived task each, so the pool's
-// queue sees O(threads) submissions per fan-out, never O(faults).  Each
-// AtpgEngine owns one pool and reuses it for every fan-out of every run,
-// so threads are created when an engine first needs them, not once per
-// fan-out.
+// mechanism — each worker of AtpgEngine::fan_out claims blocks of
+// work_block_size() items from one shared atomic cursor inside a single
+// long-lived task, so the pool's queue sees O(threads) submissions per
+// fan-out, never O(faults).  Each AtpgEngine owns one pool and reuses it
+// for every fan-out of every run, so threads are created when an engine
+// first needs them, not once per fan-out.
 //
 // The locking protocol is machine-checked: every field the queue mutex
 // guards is declared XATPG_GUARDED_BY(mutex_), and a Clang build with
@@ -17,6 +17,7 @@
 // interleavings TSan never executes.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -65,5 +66,24 @@ class ThreadPool {
   // joined by the destructor after stop_ is published under mutex_.
   std::vector<std::thread> workers_;
 };
+
+/// Worker slots for a fan-out of `items` over `threads` threads: one per
+/// item at most, never fewer than one (the calling thread).  The caller
+/// needs fan_out_workers(threads, items) - 1 helper threads, so a small
+/// batch never spawns `threads` of them.
+inline std::size_t fan_out_workers(std::size_t threads, std::size_t items) {
+  return std::max<std::size_t>(std::min(threads, items), 1);
+}
+
+/// Items per claimed block: about four blocks per worker, so a worker held
+/// up by a slow item (work per fault varies wildly — redundant faults
+/// exhaust their search caps) leaves the rest to the others, yet never
+/// less than one item.  A single worker takes the whole batch as one block.
+/// Whenever items >= workers the batch splits into at least `workers`
+/// blocks, so no worker starts empty-handed on a small fault list.
+inline std::size_t work_block_size(std::size_t items, std::size_t workers) {
+  if (workers <= 1) return items > 0 ? items : 1;
+  return std::max<std::size_t>(items / (4 * workers), 1);
+}
 
 }  // namespace xatpg

@@ -19,6 +19,7 @@
 #include "synth/synth.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
+#include "util/strings.hpp"
 
 namespace xatpg::fixtures {
 
@@ -142,14 +143,14 @@ inline Circuit parity_tree(std::size_t inputs) {
   std::string text = "OUTPUT(p)\n";
   std::vector<std::string> level;
   for (std::size_t i = 0; i < inputs; ++i) {
-    level.push_back("x" + std::to_string(i));
+    level.push_back(indexed_name("x", i));
     text += "INPUT(" + level.back() + ")\n";
   }
   std::size_t next = 0;
   while (level.size() > 1) {
     std::vector<std::string> up;
     for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
-      up.push_back(level.size() == 2 ? "p" : "t" + std::to_string(next++));
+      up.push_back(level.size() == 2 ? "p" : indexed_name("t", next++));
       text += up.back() + " = XOR(" + level[i] + ", " + level[i + 1] + ")\n";
     }
     if (level.size() % 2 == 1) up.push_back(level.back());

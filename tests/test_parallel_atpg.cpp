@@ -2,12 +2,13 @@
 // workers must be invisible in the results.  For every fixture
 // circuit, `AtpgEngine::run` with threads ∈ {1, 2, 4, 8} must produce
 // byte-identical FaultOutcome tables, test sequences, and phase counters —
-// scheduling (including work stealing) may only change wall-clock numbers.
+// scheduling (which worker claims which block) may only change wall-clock
+// numbers.
 //
 // This suite is also the ThreadSanitizer workload in CI: the threads=2/4/8
-// runs exercise the thread pool, the work-stealing queue (own-deque pops
-// AND cross-deque steals, including the owner/thief race on a deque's last
-// block) and every shared read-only path (netlist, explicit CSSG).
+// runs exercise the thread pool, the fan-out's shared block cursor (workers
+// racing on every claim) and every shared read-only path (netlist, explicit
+// CSSG).
 //
 // It also holds the one-manager contract: the engine's BDD work runs on the
 // calling thread only, so worker slots hold no BDD nodes and the engine's
@@ -21,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
 #include "atpg/fault.hpp"
 #include "benchmarks/benchmarks.hpp"
@@ -29,7 +29,6 @@
 #include "oracle.hpp"
 #include "perf/perf.hpp"
 #include "util/thread_pool.hpp"
-#include "util/work_queue.hpp"
 
 namespace xatpg {
 namespace {
@@ -163,34 +162,30 @@ TEST(ParallelEngine, SequencesDetectTheirFaultsAtFourThreads) {
 }
 
 TEST(ParallelEngine, ShardAccountingCoversEverySearchedFault) {
-  // Engine-level stress of the stealing fan-out: with the random phase off,
-  // every fault goes through a 3-phase search on SOME shard.  The per-shard
-  // faults_done counters must sum to exactly the batch size — a block that
-  // was stolen still runs exactly once, a block that was never stolen still
-  // runs exactly once — and the steal telemetry must be internally
-  // consistent regardless of how the whale-vs-thief timing played out.
+  // Engine-level stress of the fan-out's shared cursor: with the random
+  // phase off, every fault goes through a 3-phase search on SOME worker.
+  // The per-worker faults_done counters must sum to exactly the batch size
+  // — every item is claimed by exactly one block, every block by exactly
+  // one worker — at every thread count.
   const auto synth = benchmark_circuit("mmu", SynthStyle::BoundedDelay);
   const auto faults = input_stuck_faults(synth.netlist);
-  AtpgOptions options = determinism_options(4);
-  options.random_budget = 0;
-  AtpgEngine engine(synth.netlist, synth.reset_state, options);
-  const AtpgResult result = engine.run(faults);
-  EXPECT_GT(result.stats.by_three_phase, 0u);
+  for (const std::size_t threads :
+       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    AtpgOptions options = determinism_options(threads);
+    options.random_budget = 0;
+    AtpgEngine engine(synth.netlist, synth.reset_state, options);
+    const AtpgResult result = engine.run(faults);
+    EXPECT_GT(result.stats.by_three_phase, 0u);
 
-  const std::vector<ShardBddStats> shards = engine.shard_bdd_stats();
-  ASSERT_EQ(shards.size(), 4u);
-  std::size_t searched = 0, stolen = 0;
-  for (const ShardBddStats& shard : shards) {
-    searched += shard.faults_done;
-    stolen += shard.blocks_stolen;
+    const std::vector<ShardBddStats> shards = engine.shard_bdd_stats();
+    ASSERT_EQ(shards.size(), threads);
+    std::size_t searched = 0;
+    for (const ShardBddStats& shard : shards) {
+      searched += shard.faults_done;
+      EXPECT_EQ(shard.blocks_stolen, 0u) << "shard " << shard.shard;
+    }
+    EXPECT_EQ(searched, faults.size()) << "threads " << threads;
   }
-  EXPECT_EQ(searched, faults.size());
-  // A worker cannot steal more blocks than it completed faults (each stolen
-  // block contains at least one fault it then searched).
-  for (const ShardBddStats& shard : shards)
-    EXPECT_LE(shard.blocks_stolen, shard.faults_done) << "shard "
-                                                      << shard.shard;
-  (void)stolen;  // how many steals happen is scheduling, not contract
 }
 
 // --- cancellation ------------------------------------------------------------
@@ -630,112 +625,7 @@ TEST(OneManager, WorkersHoldNoBddNodes) {
 
 // --- the concurrency primitives themselves -----------------------------------
 
-TEST(StealingWorkQueue, DrainsEveryItemExactlyOnceAcrossThreads) {
-  std::vector<std::size_t> items(10000);
-  std::iota(items.begin(), items.end(), std::size_t{0});
-  StealingWorkQueue<std::size_t> queue(std::move(items),
-                                       work_block_size(10000, 4), 4);
-  std::vector<std::atomic<int>> claimed(10000);
-  {
-    ThreadPool pool(4);
-    for (std::size_t w = 0; w < 4; ++w)
-      pool.submit([&, w] {
-        while (const auto block = queue.pop_block(w))
-          for (const std::size_t i : *block) claimed[i].fetch_add(1);
-      });
-    pool.wait_idle();
-  }
-  for (std::size_t i = 0; i < claimed.size(); ++i)
-    ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
-}
-
-TEST(StealingWorkQueue, ThievesDrainAnIdleOwnersDeque) {
-  // Deterministic single-threaded steal path: worker 0 never pops, so its
-  // seeded blocks are reachable ONLY by stealing.  Workers 1..3 must drain
-  // the whole batch anyway, and the steal telemetry must account for every
-  // block that crossed a deque boundary.
-  std::vector<int> items(64);
-  std::iota(items.begin(), items.end(), 0);
-  StealingWorkQueue<int> queue(std::move(items), /*block_size=*/4,
-                               /*workers=*/4);
-  ASSERT_EQ(queue.num_blocks(), 16u);  // 4 seeded blocks per worker
-  std::vector<int> claimed(64, 0);
-  bool any = true;
-  while (any) {
-    any = false;
-    for (const std::size_t w : {std::size_t{1}, std::size_t{2},
-                                std::size_t{3}})
-      if (const auto block = queue.pop_block(w)) {
-        any = true;
-        for (const int i : *block) ++claimed[i];
-      }
-  }
-  for (std::size_t i = 0; i < claimed.size(); ++i)
-    EXPECT_EQ(claimed[i], 1) << "item " << i;
-  EXPECT_EQ(queue.steals(0), 0u);
-  EXPECT_EQ(queue.total_steals(), 4u);  // exactly worker 0's seeded blocks
-  EXPECT_FALSE(queue.pop_block(0).has_value());  // drained for the owner too
-}
-
-TEST(StealingWorkQueue, WhaleOwnerDonatesItsUntouchedBlocks) {
-  // The heavy-tail scenario the scheduler exists for: worker 0 claims one
-  // block and then stalls on it (a "whale" fault) while workers 1..3 run.
-  // The thieves must finish worker 0's untouched blocks; nothing may strand.
-  std::vector<std::size_t> items(64);
-  std::iota(items.begin(), items.end(), std::size_t{0});
-  StealingWorkQueue<std::size_t> queue(std::move(items), /*block_size=*/4,
-                                       /*workers=*/4);
-  std::vector<std::atomic<int>> claimed(64);
-  const auto whale = queue.pop_block(0);  // worker 0 starts its first block…
-  ASSERT_TRUE(whale.has_value());
-  for (const std::size_t i : *whale) claimed[i].fetch_add(1);
-  {  // …and is stuck on it for the entire lifetime of the other workers.
-    ThreadPool pool(3);
-    for (std::size_t w = 1; w < 4; ++w)
-      pool.submit([&, w] {
-        while (const auto block = queue.pop_block(w))
-          for (const std::size_t i : *block) claimed[i].fetch_add(1);
-      });
-    pool.wait_idle();
-  }
-  EXPECT_FALSE(queue.pop_block(0).has_value());  // whale finds nothing left
-  for (std::size_t i = 0; i < claimed.size(); ++i)
-    ASSERT_EQ(claimed[i].load(), 1) << "item " << i;
-  // Worker 0 was seeded 4 blocks and ran 1; the other 3 were stealable only.
-  EXPECT_GE(queue.total_steals(), 3u);
-  EXPECT_EQ(queue.steals(0), 0u);
-}
-
-TEST(StealingWorkQueue, LastBlockRaceResolvesToExactlyOneClaim) {
-  // One block, four workers: the seeding gives it to worker 3, so three
-  // thieves race the owner on the same packed cursor.  Exactly one claim
-  // may succeed.  Iterate to give TSan and the race a real chance.
-  for (int round = 0; round < 200; ++round) {
-    StealingWorkQueue<int> queue({1, 2, 3}, /*block_size=*/8, /*workers=*/4);
-    ASSERT_EQ(queue.num_blocks(), 1u);
-    std::atomic<int> wins{0};
-    {
-      ThreadPool pool(4);
-      for (std::size_t w = 0; w < 4; ++w)
-        pool.submit([&, w] {
-          if (queue.pop_block(w).has_value()) wins.fetch_add(1);
-        });
-      pool.wait_idle();
-    }
-    ASSERT_EQ(wins.load(), 1) << "round " << round;
-    ASSERT_FALSE(queue.pop_block(0).has_value());
-  }
-}
-
-TEST(StealingWorkQueue, EmptyQueueYieldsNulloptForEveryWorker) {
-  StealingWorkQueue<int> queue({}, /*block_size=*/4, /*workers=*/4);
-  EXPECT_EQ(queue.num_blocks(), 0u);
-  for (std::size_t w = 0; w < 4; ++w)
-    EXPECT_FALSE(queue.pop_block(w).has_value()) << "worker " << w;
-  EXPECT_EQ(queue.total_steals(), 0u);
-}
-
-TEST(StealingWorkQueue, BlockSizeHeuristic) {
+TEST(FanOutSizing, BlockSizeHeuristic) {
   EXPECT_EQ(work_block_size(0, 1), 1u);
   EXPECT_EQ(work_block_size(100, 1), 100u);   // serial: one block
   EXPECT_EQ(work_block_size(100, 4), 6u);     // ~4 blocks per worker
@@ -743,9 +633,9 @@ TEST(StealingWorkQueue, BlockSizeHeuristic) {
   EXPECT_EQ(work_block_size(5, 4), 1u);       // items barely >= workers
 }
 
-TEST(StealingWorkQueue, EveryWorkerSeededWhenItemsReachWorkerCount) {
+TEST(FanOutSizing, EveryWorkerGetsABlockWhenItemsReachWorkerCount) {
   // The rounding guarantee: items >= workers must split into at least
-  // `workers` blocks, so the contiguous deal-out seeds every deque.
+  // `workers` blocks, so no worker starts empty-handed.
   for (const std::size_t workers : {std::size_t{2}, std::size_t{4},
                                     std::size_t{8}, std::size_t{16}}) {
     for (const std::size_t items :

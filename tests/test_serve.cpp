@@ -12,6 +12,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -473,6 +475,21 @@ TEST(Serve, DisconnectMidRunCancelsOnlyThatJob) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_TRUE(fixture.wait_until([&] { return fixture.server().drained(); }));
+}
+
+TEST(Serve, ClosedConnectionsReleaseTheirDescriptorsBeforeShutdown) {
+  // A long-lived socket daemon gains one connection per client; each must
+  // give its descriptors back when the client leaves, not at shutdown.
+  const auto open_fds = [] {
+    const std::filesystem::directory_iterator fds("/proc/self/fd");
+    return static_cast<std::size_t>(
+        std::distance(std::filesystem::begin(fds), std::filesystem::end(fds)));
+  };
+  ServeFixture fixture({});
+  const std::size_t before = open_fds();
+  for (int i = 0; i < 64; ++i) fixture.connect().close();
+  EXPECT_TRUE(fixture.wait_until([&] { return open_fds() <= before; }, 10000))
+      << open_fds() - before << " descriptors held after 64 closed clients";
 }
 
 // --- graceful shutdown ------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "oracle.hpp"
 #include "sim/explicit.hpp"
 #include "sim/ternary.hpp"
+#include "util/strings.hpp"
 
 namespace xatpg {
 namespace {
@@ -497,7 +498,7 @@ TEST(ExtractionTwoWords, PackedMatchesOracle) {
   // layout cannot build the relations at all.
   std::string text = "INPUT(a)\nINPUT(b)\n";
   for (int g = 0; g < 70; ++g) {
-    const std::string name = "g" + std::to_string(g);
+    const std::string name = indexed_name("g", g);
     text += "OUTPUT(" + name + ")\n" + name +
             (g % 2 == 0 ? " = AND(a, b)\n" : " = OR(a, b)\n");
   }

@@ -6,6 +6,7 @@
 #include "sim/explicit.hpp"
 #include "sim/parallel.hpp"
 #include "sim/ternary.hpp"
+#include "util/strings.hpp"
 
 namespace xatpg {
 namespace {
@@ -291,7 +292,7 @@ TEST(PackedKernel, MatchesOracleOnGatesWiderThanAWord) {
   Netlist n("wide");
   std::vector<SignalId> ins;
   for (int i = 0; i < 70; ++i)
-    ins.push_back(n.add_input("i" + std::to_string(i)));
+    ins.push_back(n.add_input(indexed_name("i", i)));
   Cube low{std::vector<std::int8_t>(70, -1)};
   low.lits[3] = 1;
   low.lits[67] = 0;
