@@ -74,6 +74,8 @@ struct Server::Connection {
   int out_fd = -1;
   bool owns_fds = false;
   std::atomic<bool> alive{true};
+  /// Set once reader_loop has returned: the reader thread is ready to join.
+  std::atomic<bool> reader_done{false};
 
   Mutex write_mu;
   bool fds_closed XATPG_GUARDED_BY(write_mu) = false;
@@ -224,17 +226,14 @@ void Server::shutdown() {
 
   // Every live stream gets a farewell, then the readers (woken by the
   // self-pipe) are joined and the owned fds still open are closed.
-  std::vector<std::shared_ptr<Connection>> conns;
-  std::vector<std::thread> readers;
+  std::vector<Reader> readers;
   {
     MutexLock lock(conns_mu_);
-    conns = conns_;
     readers.swap(readers_);
   }
-  for (const std::shared_ptr<Connection>& conn : conns)
-    conn->send(bye_frame());
-  for (std::thread& reader : readers) reader.join();
-  for (const std::shared_ptr<Connection>& conn : conns) conn->close_fds();
+  for (const Reader& reader : readers) reader.conn->send(bye_frame());
+  for (Reader& reader : readers) reader.thread.join();
+  for (const Reader& reader : readers) reader.conn->close_fds();
   ::close(wake_pipe_[0]);
   ::close(wake_pipe_[1]);
   wake_pipe_[0] = wake_pipe_[1] = -1;
@@ -248,8 +247,18 @@ void Server::attach(int in_fd, int out_fd, bool owns_fds) {
   conn->out_fd = out_fd;
   conn->owns_fds = owns_fds;
   MutexLock lock(conns_mu_);
-  conns_.push_back(conn);
-  readers_.emplace_back([this, conn] { reader_loop(conn); });
+  // A reader that has ended keeps its stack mapped until it is joined.
+  std::erase_if(readers_, [](Reader& reader) {
+    if (!reader.conn->reader_done.load(std::memory_order_acquire))
+      return false;
+    reader.thread.join();
+    return true;
+  });
+  readers_.push_back({conn, std::thread([this, conn] {
+                        reader_loop(conn);
+                        conn->reader_done.store(true,
+                                                std::memory_order_release);
+                      })});
 }
 
 int Server::serve_pipe() {
@@ -258,7 +267,7 @@ int Server::serve_pipe() {
   std::shared_ptr<Connection> conn;
   {
     MutexLock lock(conns_mu_);
-    conn = conns_.back();
+    conn = readers_.back().conn;
   }
   {
     MutexLock lock(state_mu_);

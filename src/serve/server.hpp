@@ -151,12 +151,17 @@ class Server {
   bool stop_workers_ XATPG_GUARDED_BY(queue_mu_) = false;
   std::vector<std::thread> workers_;
 
-  // Connections + readers.  Connections are append-only until shutdown —
-  // a daemon's connection count is bounded by its clients, and keeping the
-  // records lets shutdown deliver bye frames to every live stream.
+  // Connections + readers, one record per attached stream.  attach() first
+  // joins every reader whose loop has ended (its client left) and drops its
+  // record, so a long-lived daemon holds only the streams still open plus
+  // those that ended since the last attach; shutdown() delivers bye frames
+  // to the rest and joins them.
+  struct Reader {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
+  };
   mutable Mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> conns_ XATPG_GUARDED_BY(conns_mu_);
-  std::vector<std::thread> readers_ XATPG_GUARDED_BY(conns_mu_);
+  std::vector<Reader> readers_ XATPG_GUARDED_BY(conns_mu_);
 
   // State watched by the serving loops (serve_pipe/serve_unix): notified on
   // shutdown requests, reader exits and job completions.

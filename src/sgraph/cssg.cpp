@@ -36,14 +36,14 @@ Cssg::Cssg(const Netlist& netlist,
                     "reset state must be stable");
     reset_set_ |= enc_.state_minterm_cur(state);
   }
-  build_relations();
+  const Equalities eq = build_relations();
   traverse();
-  build_tcr_and_prune();
+  build_tcr_and_prune(eq);
   build_rings();
   stats_.peak_bdd_nodes = enc_.mgr().peak_nodes();
 }
 
-void Cssg::build_relations() {
+Cssg::Equalities Cssg::build_relations() {
   BddManager& mgr = enc_.mgr();
   const std::size_t n = enc_.num_signals();
 
@@ -73,16 +73,16 @@ void Cssg::build_relations() {
 
   // R_I: on a stable state, some non-empty subset of primary inputs flips;
   // gate outputs are unchanged ("no gate has begun to switch yet", §3.2).
-  Bdd gates_eq = mgr.bdd_true();
-  Bdd inputs_eq = mgr.bdd_true();
+  Equalities frame{mgr.bdd_true(), mgr.bdd_true()};
   for (SignalId s = 0; s < n; ++s) {
     if (enc_.netlist().is_input(s)) {
-      inputs_eq &= eq[s];
+      frame.inputs &= eq[s];
     } else {
-      gates_eq &= eq[s];
+      frame.gates &= eq[s];
     }
   }
-  r_input_ = stable & gates_eq & !inputs_eq;
+  r_input_ = stable & frame.gates & !frame.inputs;
+  return frame;
 }
 
 void Cssg::traverse() {
@@ -106,48 +106,53 @@ void Cssg::traverse() {
   stats_.stable_states = enc_.count_states_cur(stable_reachable_);
 }
 
-void Cssg::build_tcr_and_prune() {
+void Cssg::build_tcr_and_prune(const Equalities& eq) {
   BddManager& mgr = enc_.mgr();
 
-  // A(x, y): y reachable from stable reachable x by one input pattern and
-  // j gate transitions (stable y persists via R_delta self-loops).
-  Bdd a = r_input_ & stable_reachable_;
+  // S(g, y): y reachable in j gate transitions from a stable reachable
+  // state with gate values g once the inputs take y's values (stable y
+  // persists via R_delta self-loops).  R_I keeps every gate and R_delta
+  // never changes an input, so where a pattern leads depends on g and the
+  // new inputs only; the source's input bits are quantified away up front.
+  std::vector<std::uint32_t> input_vars;
+  for (const SignalId in : enc_.netlist().inputs())
+    input_vars.push_back(enc_.cur_var(in));
+  Bdd s = mgr.exists(stable_reachable_, mgr.make_cube(input_vars)) & eq.gates;
   // R_delta with present-state renamed to the aux group: Rd(w, y).
   const Bdd r_delta_wy = enc_.cur_to_aux(r_delta_);
   const Bdd aux_cube = enc_.aux_cube();
   for (std::size_t step = 0; step < options_.k; ++step) {
     ++stats_.tcr_steps;
-    const Bdd a_xw = enc_.next_to_aux(a);
-    const Bdd a_next = mgr.and_exists(a_xw, r_delta_wy, aux_cube);
-    if (a_next == a) break;  // all trajectories settled early
-    a = a_next;
+    const Bdd s_gw = enc_.next_to_aux(s);
+    const Bdd s_next = mgr.and_exists(s_gw, r_delta_wy, aux_cube);
+    if (s_next == s) break;  // all trajectories settled early
+    s = s_next;
   }
-  tcr_ = a;
+  // TCR_k(x, y) = SR(x) ∧ (x_in ≠ y_in) ∧ S(x_g, y).
+  const Bdd tcr = stable_reachable_ & !eq.inputs & s;
   const auto n_signals = static_cast<std::int64_t>(enc_.num_signals());
-  stats_.tcr_pairs = mgr.sat_count(tcr_, mgr.num_vars(), n_signals);
+  stats_.tcr_pairs = mgr.sat_count(tcr, mgr.num_vars(), n_signals);
 
   // Sibling analysis: compare the outcome y against every other k-step
-  // outcome w of the same source state x and the same input pattern.
-  const Bdd a_xw = enc_.next_to_aux(tcr_);
-  Bdd eq_inputs_yw = mgr.bdd_true();
-  Bdd eq_all_yw = mgr.bdd_true();
-  for (SignalId s = 0; s < enc_.num_signals(); ++s) {
-    const Bdd eq_s = !(enc_.next(s) ^ enc_.aux(s));
-    eq_all_yw &= eq_s;
-    if (enc_.netlist().is_input(s)) eq_inputs_yw &= eq_s;
-  }
+  // outcome w of the same source and the same input pattern.  A sibling of
+  // a TCR_k pair has y's inputs, so it too differs from the source's; which
+  // siblings exist depends on the source's gate values only, so the search
+  // runs over S and is restricted to TCR_k afterwards.
+  const Bdd s_gw = enc_.next_to_aux(s);
+  const Bdd eq_inputs_yw = enc_.cur_to_aux(eq.inputs);
+  const Bdd eq_all_yw = eq_inputs_yw & enc_.cur_to_aux(eq.gates);
   const Bdd stable_w = enc_.cur_to_aux(enc_.stable());
 
   // Non-confluence: a distinct sibling outcome under the same pattern.
   const Bdd nonconf =
-      tcr_ & mgr.and_exists(a_xw, eq_inputs_yw & !eq_all_yw, aux_cube);
+      tcr & mgr.and_exists(s_gw, eq_inputs_yw & !eq_all_yw, aux_cube);
   // Oscillation / late settling: an unstable sibling under the same pattern
   // (covers y itself being unstable).
   const Bdd unstable =
-      tcr_ & mgr.and_exists(a_xw, eq_inputs_yw & !stable_w, aux_cube);
+      tcr & mgr.and_exists(s_gw, eq_inputs_yw & !stable_w, aux_cube);
 
   const Bdd stable_y = enc_.cur_to_next(enc_.stable());
-  cssg_ = tcr_ & stable_y & !nonconf & !unstable;
+  cssg_ = tcr & stable_y & !nonconf & !unstable;
 
   stats_.nonconfluent_pairs =
       mgr.sat_count(nonconf, mgr.num_vars(), n_signals);

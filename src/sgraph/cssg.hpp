@@ -10,10 +10,26 @@
 //      one input pattern followed by at most k gate transitions (§4.2).
 //      Because stable states self-loop in R_delta, the k-step frontier
 //      contains every settled outcome plus any still-unstable snapshot.
+//      R_I keeps every gate and R_delta never changes an input, so where a
+//      pattern leads depends only on the source's gate values g and the
+//      new inputs.  The k-step image is therefore iterated as S(g, s'),
+//      from (exists s_in. SR) AND (s'_g = g) with SR the stable reachable
+//      set, and TCR_k(s, s') = SR(s) AND (s_in != s'_in) AND S(s_g, s').
+//      This is exact: from s under pattern p every trajectory starts at
+//      (s_g, p) and keeps the inputs p, so after every step the pair loop
+//      over whole source states, A(s, s'), equals SR(s) AND
+//      (s_in != s'_in) AND S(s_g, s').  The early stop sees the same
+//      fixpoint: the only pairs of S that A lacks have a pattern equal to
+//      the inputs of the one SR state with gate values g, so they start at
+//      that stable state and never move.
 //   4. CSSG_k: keep (s, s') where s' is stable and is the *only* k-step
 //      outcome with its input pattern — discarding patterns that cause
 //      non-confluence (two distinct outcomes) or oscillation/late settling
-//      (an unstable k-step sibling).
+//      (an unstable k-step sibling).  A sibling shares the outcome's
+//      inputs, so it too depends on s_g only: both sibling sets are
+//      searched over S and then restricted to TCR_k.  tests/oracle.hpp
+//      keeps the pair loop and its sibling analysis as the reference
+//      (test_sgraph's Tcr* suites, fuzz_structural).
 //
 // On top of the relation: onion-ring reachability restricted to CSSG edges
 // (only valid vectors may be applied during test), justification sequence
@@ -138,9 +154,14 @@ class Cssg {
   std::string to_dot(const ExplicitCssg& graph) const;
 
  private:
-  void build_relations();
+  /// Conjunctions of the per-signal cur/next equalities, over the gates and
+  /// over the inputs: the frame conditions R_I and TCR_k share.
+  struct Equalities {
+    Bdd gates, inputs;
+  };
+  Equalities build_relations();
   void traverse();
-  void build_tcr_and_prune();
+  void build_tcr_and_prune(const Equalities& eq);
   void build_rings();
   std::vector<bool> input_values_of(const std::vector<bool>& state) const;
 
@@ -148,7 +169,7 @@ class Cssg {
   CssgOptions options_;
   Bdd r_delta_, r_input_;
   Bdd reachable_, stable_reachable_;
-  Bdd tcr_, cssg_;
+  Bdd cssg_;
   Bdd cssg_reachable_;
   std::vector<Bdd> rings_;
   Bdd reset_set_;

@@ -15,7 +15,8 @@
 //   2. the brute-force CSSG oracle (tests/oracle.hpp): the symbolic CSSG
 //      must match explicit enumeration exactly, and on every mutant the
 //      packed explicit extraction must equal the oracle extraction id for
-//      id;
+//      id, and the TCR_k loop over gate values must give the pair loop's
+//      CSSG_k (handle-equal) and statistics;
 //   3. the packed settling kernel and fault simulator must match their
 //      set-based oracles (tests/oracle.hpp): equal stable sets and bound
 //      flags from every oracle-reachable state under every input pattern,
@@ -109,6 +110,26 @@ void check_extraction(const xatpg::Netlist& netlist,
       xatpg::fuzz::violation(
           (std::string("packed explicit CSSG diverged from the oracle "
                        "extraction under ") +
+           xatpg::var_order_name(order) + ": " + mismatch + "\ncircuit:\n" +
+           xatpg::write_xnl_string(netlist))
+              .c_str(),
+          data, size);
+  }
+}
+
+void check_tcr(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
+               const std::uint8_t* data, std::size_t size) {
+  for (const xatpg::VarOrder order :
+       {xatpg::VarOrder::Interleaved, xatpg::VarOrder::ReverseInterleaved}) {
+    xatpg::CssgOptions options;
+    options.k = kSettle;
+    options.order = order;
+    const xatpg::Cssg cssg(netlist, {reset}, options);
+    const std::string mismatch = xatpg::testing::tcr_oracle_mismatch(cssg);
+    if (!mismatch.empty())
+      xatpg::fuzz::violation(
+          (std::string("TCR_k over gate values diverged from the pair loop "
+                       "under ") +
            xatpg::var_order_name(order) + ": " + mismatch + "\ncircuit:\n" +
            xatpg::write_xnl_string(netlist))
               .c_str(),
@@ -227,6 +248,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
 
       check_roundtrip(current, data, size);
       check_extraction(current, reset, data, size);
+      check_tcr(current, reset, data, size);
       if (current.num_signals() <= kOracleMaxSignals) {
         const xatpg::testing::OracleCssg oracle =
             xatpg::testing::oracle_cssg(current, reset, kSettle);

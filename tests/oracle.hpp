@@ -22,6 +22,11 @@
 // packed extraction in src/sgraph/cssg.cpp (tests/test_sgraph.cpp,
 // tests/fuzz/fuzz_structural.cpp).
 //
+// The TCR_k loop and sibling analysis as they ran over whole source states
+// (A(x, y), source input bits included), kept as the reference for the loop
+// over the source's gate values in src/sgraph/cssg.cpp (tests/test_sgraph.cpp,
+// tests/fuzz/fuzz_structural.cpp).
+//
 // All-pairs Quine–McCluskey over on ∪ dc, the synthesis layer's former
 // prime generator, kept as the reference for the off-set multiply-out in
 // src/synth/cover.cpp (tests/test_synth.cpp, tests/fuzz/fuzz_cover.cpp).
@@ -495,6 +500,148 @@ inline std::string explicit_oracle_mismatch(const ExplicitCssg& graph,
       }
     }
   }
+  return {};
+}
+
+// --- TCR_k over whole source states ---------------------------------------
+
+/// CSSG_k and its statistics as the pair loop derives them.
+struct OracleTcr {
+  Bdd relation;     ///< CSSG_k, on the Cssg's own manager
+  CssgStats stats;  ///< every field but peak_bdd_nodes
+};
+
+/// Cssg's traversal, TCR_k loop and sibling analysis as they ran before
+/// the loop iterated over the source's gate values: A(x, y) over whole
+/// source states x, starting from R_I AND SR(x).  Runs on `cssg`'s own
+/// manager, so its relation compares handle for handle, from the reset
+/// states (ring 0) over the Cssg's R_delta, with R_I rebuilt from the
+/// encoding as Cssg::build_relations builds it.
+inline OracleTcr oracle_tcr_and_prune(const Cssg& cssg) {
+  const SymbolicEncoding& enc = cssg.encoding();
+  BddManager& mgr = enc.mgr();
+  const auto n_signals = static_cast<std::int64_t>(enc.num_signals());
+  OracleTcr out;
+
+  // R_I: on a stable state some non-empty set of inputs flips, gates held.
+  Bdd gates_eq = mgr.bdd_true();
+  Bdd inputs_eq = mgr.bdd_true();
+  for (SignalId s = 0; s < enc.num_signals(); ++s) {
+    if (enc.netlist().is_input(s)) {
+      inputs_eq &= enc.eq_cur_next(s);
+    } else {
+      gates_eq &= enc.eq_cur_next(s);
+    }
+  }
+  const Bdd r_input = enc.stable() & gates_eq & !inputs_eq;
+
+  // TCSG reachability over R_I ∪ R_delta.
+  const Bdd reset = cssg.rings().front();
+  const Bdd cur_cube = enc.cur_cube();
+  const Bdd step_relation = r_input | cssg.r_delta();
+  Bdd reached = reset;
+  Bdd frontier = reset;
+  while (!frontier.is_false()) {
+    ++out.stats.traversal_iterations;
+    frontier = enc.next_to_cur(mgr.and_exists(step_relation, frontier,
+                                              cur_cube)) &
+               !reached;
+    reached |= frontier;
+  }
+  const Bdd stable_reachable = reached & enc.stable();
+  out.stats.reachable_states = enc.count_states_cur(reached);
+  out.stats.stable_states = enc.count_states_cur(stable_reachable);
+
+  // A(x, y): y reachable from stable reachable x by one input pattern and
+  // j gate transitions (stable y persists via R_delta self-loops).
+  Bdd a = r_input & stable_reachable;
+  // R_delta with present-state renamed to the aux group: Rd(w, y).
+  const Bdd r_delta_wy = enc.cur_to_aux(cssg.r_delta());
+  const Bdd aux_cube = enc.aux_cube();
+  for (std::size_t step = 0; step < cssg.options().k; ++step) {
+    ++out.stats.tcr_steps;
+    const Bdd a_xw = enc.next_to_aux(a);
+    const Bdd a_next = mgr.and_exists(a_xw, r_delta_wy, aux_cube);
+    if (a_next == a) break;  // all trajectories settled early
+    a = a_next;
+  }
+  const Bdd tcr = a;
+  out.stats.tcr_pairs = mgr.sat_count(tcr, mgr.num_vars(), n_signals);
+
+  // Sibling analysis: compare the outcome y against every other k-step
+  // outcome w of the same source state x and the same input pattern.
+  const Bdd a_xw = enc.next_to_aux(tcr);
+  Bdd eq_inputs_yw = mgr.bdd_true();
+  Bdd eq_all_yw = mgr.bdd_true();
+  for (SignalId s = 0; s < enc.num_signals(); ++s) {
+    const Bdd eq_s = !(enc.next(s) ^ enc.aux(s));
+    eq_all_yw &= eq_s;
+    if (enc.netlist().is_input(s)) eq_inputs_yw &= eq_s;
+  }
+  const Bdd stable_w = enc.cur_to_aux(enc.stable());
+
+  // Non-confluence: a distinct sibling outcome under the same pattern.
+  const Bdd nonconf =
+      tcr & mgr.and_exists(a_xw, eq_inputs_yw & !eq_all_yw, aux_cube);
+  // Oscillation / late settling: an unstable sibling under the same pattern
+  // (covers y itself being unstable).
+  const Bdd unstable =
+      tcr & mgr.and_exists(a_xw, eq_inputs_yw & !stable_w, aux_cube);
+
+  const Bdd stable_y = enc.cur_to_next(enc.stable());
+  out.relation = tcr & stable_y & !nonconf & !unstable;
+
+  out.stats.nonconfluent_pairs =
+      mgr.sat_count(nonconf, mgr.num_vars(), n_signals);
+  out.stats.unstable_pairs =
+      mgr.sat_count(unstable & !nonconf, mgr.num_vars(), n_signals);
+  out.stats.cssg_edges = mgr.sat_count(out.relation, mgr.num_vars(), n_signals);
+
+  // Onion rings over CSSG_k: the states valid vectors reach.
+  Bdd valid = reset;
+  frontier = reset;
+  while (!frontier.is_false()) {
+    frontier = enc.next_to_cur(mgr.and_exists(out.relation, frontier,
+                                              cur_cube)) &
+               !valid;
+    valid |= frontier;
+  }
+  out.stats.cssg_reachable_states = enc.count_states_cur(valid);
+  return out;
+}
+
+/// Diff `cssg` against oracle_tcr_and_prune: CSSG_k handle for handle and
+/// every CssgStats field but peak_bdd_nodes.  Returns "" on a perfect
+/// match, else a one-line description of the first divergence.
+inline std::string tcr_oracle_mismatch(const Cssg& cssg) {
+  const OracleTcr oracle = oracle_tcr_and_prune(cssg);
+  const CssgStats& got = cssg.stats();
+  const CssgStats& want = oracle.stats;
+  const std::pair<const char*, std::pair<double, double>> fields[] = {
+      {"reachable_states", {got.reachable_states, want.reachable_states}},
+      {"stable_states", {got.stable_states, want.stable_states}},
+      {"tcr_pairs", {got.tcr_pairs, want.tcr_pairs}},
+      {"nonconfluent_pairs", {got.nonconfluent_pairs, want.nonconfluent_pairs}},
+      {"unstable_pairs", {got.unstable_pairs, want.unstable_pairs}},
+      {"cssg_edges", {got.cssg_edges, want.cssg_edges}},
+      {"cssg_reachable_states",
+       {got.cssg_reachable_states, want.cssg_reachable_states}},
+      {"traversal_iterations",
+       {static_cast<double>(got.traversal_iterations),
+        static_cast<double>(want.traversal_iterations)}},
+      {"tcr_steps",
+       {static_cast<double>(got.tcr_steps),
+        static_cast<double>(want.tcr_steps)}}};
+  std::ostringstream os;
+  for (const auto& [name, values] : fields) {
+    if (values.first != values.second) {
+      os << name << " is " << values.first << ", pair loop "
+         << values.second;
+      return os.str();
+    }
+  }
+  if (cssg.relation() != oracle.relation)
+    return "CSSG_k is not the pair loop's relation";
   return {};
 }
 

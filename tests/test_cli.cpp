@@ -72,6 +72,25 @@ TEST(CliContract, SuccessExitsZeroWithSilentStderr) {
   EXPECT_NE(result.out.find("\"coverage\""), std::string::npos);
 }
 
+TEST(CliContract, RunJsonTimesTheBuildTheRunsAndTheWall) {
+  // build_ms covers the Session factory (synthesis, the symbolic CSSG and
+  // the explicit graph); wall_ms runs from the start of main, so it holds
+  // the build.
+  const CliResult result = run_cli("run --circuit fig1a --json");
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const Value root = parse(result.out);
+  const Value* timing = root.find("timing");
+  ASSERT_NE(timing, nullptr) << result.out;
+  ASSERT_EQ(timing->type, Value::Type::Object) << result.out;
+  for (const char* key : {"build_ms", "run_ms", "wall_ms"})
+    EXPECT_NE(timing->find(key), nullptr) << key << " in " << result.out;
+  const double build_ms = xatpg::json::num_field(*timing, "build_ms", -1);
+  EXPECT_GT(build_ms, 0) << result.out;
+  EXPECT_GE(xatpg::json::num_field(*timing, "wall_ms", -1), build_ms)
+      << result.out;
+  EXPECT_EQ(root.find("cpu_ms"), nullptr) << result.out;
+}
+
 TEST(CliContract, BenchFamilyPrintsTheReproductionWithSilentStderr) {
   const CliResult result = run_cli("bench --family fig1");
   EXPECT_EQ(result.exit_code, 0);

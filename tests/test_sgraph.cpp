@@ -424,24 +424,29 @@ void expect_extraction_matches_oracle(
   }
 }
 
-class ExtractionFixture
-    : public ::testing::TestWithParam<std::pair<const char*,
-                                                fixtures::Circuit (*)()>> {};
+using NamedFixture = std::pair<const char*, fixtures::Circuit (*)()>;
+
+const NamedFixture kFixtures[] = {{"fig1a", &fixtures::fig1a},
+                                  {"fig1b", &fixtures::fig1b},
+                                  {"chain", &fixtures::chain},
+                                  {"celem", &fixtures::celem},
+                                  {"latch", &fixtures::async_latch},
+                                  {"pipeline2", &fixtures::pipeline2}};
+
+std::string fixture_name(
+    const ::testing::TestParamInfo<NamedFixture>& param_info) {
+  return param_info.param.first;
+}
+
+class ExtractionFixture : public ::testing::TestWithParam<NamedFixture> {};
 
 TEST_P(ExtractionFixture, PackedMatchesOracleForEveryOrder) {
   const fixtures::Circuit fix = GetParam().second();
   expect_extraction_matches_oracle(fix.netlist, fix.reset, 20);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Fixtures, ExtractionFixture,
-    ::testing::Values(std::pair{"fig1a", &fixtures::fig1a},
-                      std::pair{"fig1b", &fixtures::fig1b},
-                      std::pair{"chain", &fixtures::chain},
-                      std::pair{"celem", &fixtures::celem},
-                      std::pair{"latch", &fixtures::async_latch},
-                      std::pair{"pipeline2", &fixtures::pipeline2}),
-    [](const auto& param_info) { return std::string(param_info.param.first); });
+INSTANTIATE_TEST_SUITE_P(Fixtures, ExtractionFixture,
+                         ::testing::ValuesIn(kFixtures), fixture_name);
 
 TEST(ExtractionBenchmarks, PackedMatchesOracleForEveryOrder) {
   // Both suites, up to the 12 signals the CSSG oracles stop at (only
@@ -490,19 +495,24 @@ TEST_P(ExtractionRandom, PackedMatchesOracleForEveryOrder) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtractionRandom,
                          ::testing::Range<std::uint64_t>(1, 31));
 
-TEST(ExtractionTwoWords, PackedMatchesOracle) {
-  // Two inputs fanning out to 70 AND/OR gates: 72 signals, so every row
-  // takes two words; 4 states and 12 edges.  The reversed order sorts
-  // two-word rows.  Reordering stays off and the blocked order out: one
-  // sift of these 44k-node tables takes about a second, and the blocked
-  // layout cannot build the relations at all.
+/// Two inputs fanning out to 70 AND/OR gates: 72 signals, two words a row.
+Netlist two_word_netlist() {
   std::string text = "INPUT(a)\nINPUT(b)\n";
   for (int g = 0; g < 70; ++g) {
     const std::string name = indexed_name("g", g);
     text += "OUTPUT(" + name + ")\n" + name +
             (g % 2 == 0 ? " = AND(a, b)\n" : " = OR(a, b)\n");
   }
-  const Netlist netlist = parse_bench_string(text);
+  return parse_bench_string(text);
+}
+
+TEST(ExtractionTwoWords, PackedMatchesOracle) {
+  // Two inputs fanning out to 70 AND/OR gates: 72 signals, so every row
+  // takes two words; 4 states and 12 edges.  The reversed order sorts
+  // two-word rows.  Reordering stays off and the blocked order out: one
+  // sift of these 44k-node tables takes about a second, and the blocked
+  // layout cannot build the relations at all.
+  const Netlist netlist = two_word_netlist();
   ASSERT_EQ(netlist.num_signals(), 72u);
   const std::vector<bool> reset(netlist.num_signals(), false);
   expect_extraction_matches_oracle(
@@ -516,6 +526,86 @@ TEST(ExtractionTwoWords, PackedMatchesOracle) {
   std::size_t edges = 0;
   for (const auto& succs : graph.edges) edges += succs.size();
   EXPECT_EQ(edges, 12u);
+}
+
+// --- TCR_k over gate values vs the pair loop ---------------------------------
+// build_tcr_and_prune iterates S(g, y) over the source's gate values; the
+// loop it replaced, A(x, y) over whole source states, lives on in
+// tests/oracle.hpp.  The oracle runs on each Cssg's own manager, so CSSG_k
+// must come out handle-equal, and every statistic but the peak node count
+// equal, under every variable order with sifting firing throughout.  The
+// circuits and exemptions are the Extraction* suites'.
+
+void expect_tcr_matches_oracle(
+    const Netlist& netlist, const std::vector<bool>& reset, std::size_t k,
+    const std::vector<VarOrder>& orders = kAllOrders,
+    const ReorderPolicy& reorder = aggressive_reorder()) {
+  for (const VarOrder order : orders) {
+    SCOPED_TRACE(std::string("order=") + var_order_name(order));
+    CssgOptions options;
+    options.k = k;
+    options.order = order;
+    options.reorder = reorder;
+    const Cssg cssg(netlist, {reset}, options);
+    EXPECT_EQ(std::string(), testing::tcr_oracle_mismatch(cssg));
+  }
+}
+
+class TcrFixture : public ::testing::TestWithParam<NamedFixture> {};
+
+TEST_P(TcrFixture, GateValueLoopMatchesPairLoopForEveryOrder) {
+  const fixtures::Circuit fix = GetParam().second();
+  expect_tcr_matches_oracle(fix.netlist, fix.reset, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fixtures, TcrFixture, ::testing::ValuesIn(kFixtures),
+                         fixture_name);
+
+TEST(TcrBenchmarks, GateValueLoopMatchesPairLoopForEveryOrder) {
+  const auto check = [](const std::string& name, SynthStyle style) {
+    SCOPED_TRACE(name);
+    const SynthResult r = benchmark_circuit(name, style);
+    if (r.netlist.num_signals() > 12) return;
+    expect_tcr_matches_oracle(r.netlist, r.reset_state, 24);
+  };
+  for (const std::string& name : si_benchmark_names())
+    check(name, SynthStyle::SpeedIndependent);
+  for (const std::string& name : bd_benchmark_names())
+    check(name, SynthStyle::BoundedDelay);
+}
+
+class TcrParity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(TcrParity, GateValueLoopMatchesPairLoop) {
+  const fixtures::Circuit fix = fixtures::parity_tree(GetParam());
+  expect_tcr_matches_oracle(
+      fix.netlist, fix.reset, 24,
+      GetParam() <= 6 ? kAllOrders
+                      : std::vector<VarOrder>{VarOrder::Interleaved,
+                                              VarOrder::ReverseInterleaved,
+                                              VarOrder::Sifted});
+}
+
+INSTANTIATE_TEST_SUITE_P(Inputs, TcrParity,
+                         ::testing::Range<std::size_t>(2, 13));
+
+class TcrRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TcrRandom, GateValueLoopMatchesPairLoopForEveryOrder) {
+  fixtures::RandomNetlistOptions options;
+  options.num_inputs = 3;
+  options.num_gates = 3 + GetParam() % 3;
+  const fixtures::Circuit fix = fixtures::random_netlist(GetParam(), options);
+  expect_tcr_matches_oracle(fix.netlist, fix.reset, 20);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TcrRandom,
+                         ::testing::Range<std::uint64_t>(1, 31));
+
+TEST(TcrTwoWords, GateValueLoopMatchesPairLoop) {
+  expect_tcr_matches_oracle(
+      two_word_netlist(), std::vector<bool>(72, false), 80,
+      {VarOrder::Interleaved, VarOrder::ReverseInterleaved}, ReorderPolicy{});
 }
 
 TEST(CssgOrdering, AllOrdersAgreeOnCounts) {

@@ -26,7 +26,8 @@
 // list.
 //
 // `run --json` emits the paper's table columns (tot/cov per universe,
-// rnd/3-ph/sim, BDD node accounting, CPU time) as a single JSON object.
+// rnd/3-ph/sim, BDD node accounting) and the command's build, run and wall
+// times as a single JSON object.
 // `bench --family NAME` prints one of the paper's tables, figures or
 // ablations (src/perf/families.cpp) at the experiment's fixed settings:
 // only table1/table2 read --threads --seed --k --reorder, and
@@ -422,11 +423,21 @@ int fail(const Error& error) {
   return 1;
 }
 
-int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - start)
+      .count();
+}
+
+/// `started` is main's first instant; `build_ms` times the Session factory
+/// (parse or synthesis, the symbolic CSSG and the explicit graph).
+int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
+            Clock::time_point started, double build_ms) {
   StderrObserver observer;
   RunObserver* obs = args.progress ? &observer : nullptr;
 
-  const auto t0 = std::chrono::steady_clock::now();
+  const auto run_start = Clock::now();
   std::optional<AtpgResult> out_result, in_result;
   if (args.faults == "output" || args.faults == "both") {
     auto r = session.run(session.output_stuck_faults(), obs);
@@ -438,10 +449,8 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
     if (!r) return fail(r.error());
     in_result = std::move(r.value());
   }
-  const double cpu_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                t0)
-          .count();
+  const double run_ms = ms_since(run_start);
+  const double wall_ms = ms_since(started);
   const ShardBddStats bdd = session.bdd_stats();
 
   if (args.json) {
@@ -476,7 +485,9 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
         << ", \"cache_hits\": " << bdd.cache_hits
         << ", \"cache_hit_rate\": " << json::number(bdd.cache_hit_rate())
         << ", \"unique_load\": " << json::number(bdd.unique_load) << "}"
-        << ",\n  \"cpu_ms\": " << json::number(cpu_ms) << "\n}\n";
+        << ",\n  \"timing\": {\"build_ms\": " << json::number(build_ms)
+        << ", \"run_ms\": " << json::number(run_ms)
+        << ", \"wall_ms\": " << json::number(wall_ms) << "}\n}\n";
   } else {
     out << "circuit '" << session.circuit_name() << "': "
         << session.num_inputs() << " inputs, " << session.num_outputs()
@@ -488,7 +499,7 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out) {
         << ", sift passes " << bdd.reorders << ", cache hit rate "
         << 100.0 * bdd.cache_hit_rate() << "%, unique load "
         << bdd.unique_load << "\n";
-    out << "CPU: " << cpu_ms << " ms\n";
+    out << "time: build " << build_ms << " ms, run " << run_ms << " ms\n";
   }
   return 0;
 }
@@ -774,6 +785,7 @@ int cmd_client(const CliArgs& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const auto started = Clock::now();
   if (argc < 2) return usage(argv[0]);
   CliArgs args;
   if (!parse_args(argc, argv, args)) return usage(argv[0]);
@@ -791,15 +803,18 @@ int main(int argc, char** argv) {
   if (args.command == "serve") return cmd_serve(args);
   if (args.command == "client") return cmd_client(args);
 
+  const auto build_start = Clock::now();
   Expected<Session> session =
       looks_like_bench_file(args.circuit)
           ? Session::from_bench_file(args.circuit, args.options)
       : looks_like_file(args.circuit)
           ? Session::from_xnl_file(args.circuit, args.options)
           : Session::from_benchmark(args.circuit, args.style, args.options);
+  const double build_ms = ms_since(build_start);
   if (!session) return fail(session.error());
 
-  if (args.command == "run") return cmd_run(*session, args, out);
+  if (args.command == "run")
+    return cmd_run(*session, args, out, started, build_ms);
   if (args.command == "cssg") return cmd_cssg(*session, args, out);
   return cmd_export(*session, args, out);
 }
