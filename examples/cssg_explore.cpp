@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   const SynthResult synth = benchmark_circuit(name, SynthStyle::SpeedIndependent);
   CssgOptions options;
   options.k = 24;
-  Cssg cssg(synth.netlist, {synth.reset_state}, options);
+  Cssg cssg(synth.netlist, synth.reset_state, options);
   const CssgStats& stats = cssg.stats();
   std::cout << "# TCSG reachable states:        " << stats.reachable_states
             << "\n# stable states:               " << stats.stable_states

@@ -16,12 +16,12 @@
 namespace xatpg {
 
 /// Static BDD variable layout for the symbolic encoding's three variable
-/// groups (present / next / auxiliary state).
+/// groups (present / next / auxiliary state).  Dynamic sifting is not a
+/// layout: any of them can start it through ReorderPolicy::enabled.
 enum class VarOrder {
   Interleaved,         ///< x_i, y_i, w_i adjacent per signal (default)
   Blocked,             ///< all x, then all y, then all w
   ReverseInterleaved,  ///< interleaved, signals in reverse netlist order
-  Sifted,              ///< interleaved start + dynamic group sifting
 };
 
 [[nodiscard]] const char* var_order_name(VarOrder order);
@@ -37,9 +37,6 @@ struct ReorderPolicy {
   /// max_growth x the best size seen for that block (transient bound; the
   /// accepted position is never worse than the starting one).
   double max_growth = 1.2;
-  /// After an auto-sift the next trigger is
-  /// max(trigger_nodes, size_after * trigger_growth).
-  double trigger_growth = 2.0;
 };
 
 /// Caps for the exact consistent-set fault simulator.
@@ -83,10 +80,15 @@ struct AtpgOptions {
 
   /// Hard ceiling for `threads` (beyond it a value is a typo, not a fleet).
   static constexpr std::size_t kMaxThreads = 4096;
+  /// Hard ceiling for `k` and `sim.k`.  Settling an oscillating pattern
+  /// takes time linear in the bound and has no cancel point, so a larger
+  /// value would pin a worker for minutes.
+  static constexpr std::size_t kMaxK = std::size_t{1} << 20;
 
   /// Boundary validation: rejects the degenerate values every layer above
   /// used to accept silently (k = 0 makes every vector "oscillate",
-  /// diff_depth = 0 disables phase 3 entirely, threads > 4096 is a typo).
+  /// diff_depth = 0 disables phase 3 entirely, threads > 4096 is a typo,
+  /// k > 2^20 settles an oscillation for seconds with no way to cancel).
   /// Returns an OptionError listing *all* violations.  The Session facade
   /// calls this for every run; AtpgEngine's constructor enforces it loudly.
   [[nodiscard]] Expected<void> validate() const;

@@ -15,7 +15,12 @@
 //  1. Construct through a factory (from_xnl / from_xnl_file /
 //     from_benchmark).  All construction failures — malformed text, failed
 //     synthesis, degenerate options, blown resource caps — come back as
-//     typed errors; nothing aborts or exits.
+//     typed errors; nothing aborts or exits.  The factory builds the
+//     symbolic CSSG only; the explicit graph (every CSSG-reachable state
+//     and its successors) is extracted by the first run(), cssg_dot() or
+//     test_program(), so cssg_stats() and bdd_stats() never pay for it.  A
+//     graph over the 200,000-state cap is therefore reported by that first
+//     call, as a ResourceError, not by the factory.
 //  2. run(faults) establishes the session's fault universe and runs the
 //     full flow (random TPG -> 3-phase symbolic ATPG -> cross fault
 //     simulation), optionally streaming progress to a RunObserver and
@@ -123,7 +128,8 @@ class Session {
   /// Figure-2-style statistics of the CSSG built for this circuit.
   [[nodiscard]] const CssgStats& cssg_stats() const;
   /// Graphviz dump of the explicit CSSG (stable states + valid vectors).
-  [[nodiscard]] std::string cssg_dot() const;
+  /// ResourceError when the explicit graph exceeds its state cap.
+  [[nodiscard]] Expected<std::string> cssg_dot() const;
 
   // --- fault universes ------------------------------------------------------
 
@@ -139,7 +145,8 @@ class Session {
   /// Run the full flow on `faults` (replacing any previous universe).
   /// Streams events to `observer` and stops cooperatively between faults
   /// when `cancel` fires (the partial result is deterministic and
-  /// resumable).  Invalid faults (out-of-range ids) yield OptionError.
+  /// resumable).  Invalid faults (out-of-range ids) yield OptionError; an
+  /// explicit graph over its state cap yields ResourceError.
   [[nodiscard]] Expected<AtpgResult> run(const std::vector<Fault>& faults,
                            RunObserver* observer = nullptr,
                            const CancelToken* cancel = nullptr);
@@ -162,7 +169,8 @@ class Session {
 
   /// Tester-facing export of `result`'s sequences: vectors and expected
   /// primary-output responses per cycle.  Sequences that are not valid CSSG
-  /// paths of this circuit yield OptionError.
+  /// paths of this circuit yield OptionError; an explicit graph over its
+  /// state cap yields ResourceError.
   [[nodiscard]] Expected<std::string> test_program(const AtpgResult& result) const;
 
   /// BDD accounting of the engine's one manager, after a garbage

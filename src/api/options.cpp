@@ -15,6 +15,9 @@ Expected<void> AtpgOptions::validate() const {
   if (k == 0)
     reject("k = 0 (every input pattern would be classified as oscillating; "
            "need at least one gate transition per test cycle)");
+  if (k > kMaxK)
+    reject("k > 1048576 (settling an oscillating pattern takes time linear "
+           "in k and cannot be cancelled)");
   if (diff_depth == 0)
     reject("diff_depth = 0 (phase 3 differentiation would be disabled "
            "entirely)");
@@ -29,6 +32,9 @@ Expected<void> AtpgOptions::validate() const {
            "certainly a typo; 0 means one worker per hardware thread)");
   if (sim.k == 0)
     reject("sim.k = 0 (the fault simulator could never settle a test cycle)");
+  if (sim.k > kMaxK)
+    reject("sim.k > 1048576 (settling an oscillating pattern takes time "
+           "linear in k and cannot be cancelled)");
   if (sim.candidate_cap == 0)
     reject("sim.candidate_cap = 0 (the consistent-set simulator would give "
            "up on every fault immediately)");

@@ -56,7 +56,7 @@ class RunGuard {
   std::atomic<bool>& running_;
 };
 
-/// Build the engine (CSSG + explicit graph) for an already-loaded circuit,
+/// Build the engine (the symbolic CSSG) for an already-loaded circuit,
 /// translating internal failures into typed errors.
 Expected<void> build_engine(const Netlist& netlist,
                             const std::vector<bool>& reset,
@@ -73,6 +73,21 @@ Expected<void> build_engine(const Netlist& netlist,
   } catch (const std::bad_alloc&) {
     return Error{ErrorCode::ResourceError,
                  "out of memory building the CSSG abstraction"};
+  }
+  return {};
+}
+
+/// Extract the engine's explicit graph if no run has yet: a graph over the
+/// state cap, or one that does not fit in memory, is a ResourceError.
+Expected<void> extract_graph(const AtpgEngine& engine) {
+  try {
+    (void)engine.graph();
+  } catch (const CheckError& e) {
+    return Error{ErrorCode::ResourceError,
+                 std::string("building the explicit CSSG failed: ") + e.what()};
+  } catch (const std::bad_alloc&) {
+    return Error{ErrorCode::ResourceError,
+                 "out of memory building the explicit CSSG"};
   }
   return {};
 }
@@ -179,20 +194,17 @@ Expected<Session> Session::from_bench_file(const std::string& path,
 Expected<Session> Session::from_benchmark(const std::string& name,
                                           SynthStyle style,
                                           const AtpgOptions& options) {
+  // "No such benchmark" is an option error (the caller named something
+  // that does not exist); "the specification does not synthesize" is a
+  // synthesis error.
+  if (!is_named_circuit(name))
+    return Error{ErrorCode::OptionError, "unknown benchmark '" + name + "'"};
   auto impl = std::make_unique<Impl>();
   impl->options = options;
   if (name == "fig1a" || name == "fig1b") {
     impl->netlist = name == "fig1a" ? fig1a_circuit(&impl->reset)
                                     : fig1b_circuit(&impl->reset);
   } else {
-    // Distinguish "no such benchmark" (an option error: the caller named
-    // something that does not exist) from "the specification does not
-    // synthesize" (a synthesis error).
-    try {
-      benchmark_stg(name);
-    } catch (const CheckError& e) {
-      return Error{ErrorCode::OptionError, e.what()};
-    }
     try {
       SynthResult synth = benchmark_circuit(name, style);
       impl->netlist = std::move(synth.netlist);
@@ -226,7 +238,9 @@ const AtpgOptions& Session::options() const { return impl_->options; }
 const CssgStats& Session::cssg_stats() const {
   return impl_->engine->cssg().stats();
 }
-std::string Session::cssg_dot() const {
+Expected<std::string> Session::cssg_dot() const {
+  if (const auto built = extract_graph(*impl_->engine); !built)
+    return built.error();
   return impl_->engine->cssg().to_dot(impl_->engine->graph());
 }
 
@@ -281,6 +295,8 @@ bool Session::has_result() const { return impl_->result.has_value(); }
 const AtpgResult& Session::last_result() const { return *impl_->result; }
 
 Expected<std::string> Session::test_program(const AtpgResult& result) const {
+  if (const auto built = extract_graph(*impl_->engine); !built)
+    return built.error();
   std::ostringstream out;
   try {
     write_test_program(out, impl_->netlist, *impl_->engine, result.sequences);

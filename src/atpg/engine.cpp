@@ -30,6 +30,9 @@ bool cancel_fired(const CancelToken* cancel) {
   return cancel != nullptr && cancel->cancelled();
 }
 
+/// Cssg::extract_explicit numbers the reset state 0.
+constexpr std::uint32_t kResetId = 0;
+
 }  // namespace
 
 std::size_t AtpgEngine::FaultHash::operator()(const Fault& fault) const {
@@ -56,22 +59,23 @@ AtpgEngine::AtpgEngine(const Netlist& netlist,
   cssg_options.k = options_.k;
   cssg_options.order = options_.order;
   cssg_options.reorder = options_.reorder;
-  cssg_ = std::make_unique<Cssg>(
-      netlist, std::vector<std::vector<bool>>{reset_state_}, cssg_options);
-  graph_ = cssg_->extract_explicit();
-  const auto reset_id = graph_.find(reset_state);
-  XATPG_CHECK(reset_id.has_value());
-  reset_id_ = *reset_id;
+  cssg_ = std::make_unique<Cssg>(netlist, reset_state_, cssg_options);
+}
+
+const ExplicitCssg& AtpgEngine::graph() const {
+  if (!graph_) graph_ = cssg_->extract_explicit();
+  return *graph_;
 }
 
 std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
     const TestSequence& seq) const {
-  std::vector<std::uint32_t> path{reset_id_};
+  const ExplicitCssg& graph = this->graph();
+  std::vector<std::uint32_t> path{kResetId};
   for (const auto& vec : seq.vectors) {
-    const auto& succs = graph_.edges[path.back()];
+    const auto& succs = graph.edges[path.back()];
     const auto next = std::find_if(
         succs.begin(), succs.end(),
-        [&](std::uint32_t to) { return graph_.inputs[to] == vec; });
+        [&](std::uint32_t to) { return graph.inputs[to] == vec; });
     if (next == succs.end()) return std::nullopt;
     path.push_back(*next);
   }
@@ -83,20 +87,21 @@ std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
 // ---------------------------------------------------------------------------
 
 std::vector<AtpgEngine::Walk> AtpgEngine::random_walks() const {
+  const ExplicitCssg& graph = this->graph();
   std::vector<Walk> walks;
   // A circuit whose reset state has no valid vector at all (every pattern
   // races — it happens on heavily hazardous bounded-delay circuits) cannot
   // be random-tested.
-  if (graph_.edges[reset_id_].empty()) return walks;
+  if (graph.edges[kResetId].empty()) return walks;
   Rng rng(options_.seed);
   std::size_t budget = options_.random_budget;
   while (budget > 0) {
     // A fresh walk models a reset pulse followed by random valid vectors.
     Walk& walk = walks.emplace_back();
-    std::uint32_t good_id = reset_id_;
+    std::uint32_t good_id = kResetId;
     for (std::size_t step = 0; step < options_.random_walk_len && budget > 0;
          ++step) {
-      const auto& succs = graph_.edges[good_id];
+      const auto& succs = graph.edges[good_id];
       if (succs.empty()) break;
       good_id = succs[rng.below(succs.size())];
       --budget;
@@ -109,13 +114,14 @@ std::vector<AtpgEngine::Walk> AtpgEngine::random_walks() const {
 std::optional<std::pair<std::size_t, std::size_t>>
 AtpgEngine::first_detection(FaultSimulator& sim,
                             const std::vector<Walk>& walks) const {
+  const ExplicitCssg& graph = this->graph();
   for (std::size_t w = 0; w < walks.size(); ++w) {
     sim.restart();
     DetectStatus status = sim.status();
     for (std::size_t t = 0;
          t < walks[w].size() && status == DetectStatus::Undetermined; ++t) {
       const std::uint32_t to = walks[w][t];
-      status = sim.step(graph_.inputs[to], graph_.states[to]);
+      status = sim.step(graph.inputs[to], graph.states[to]);
       if (status == DetectStatus::Detected) return std::pair{w, t};
     }
   }
@@ -128,6 +134,7 @@ AtpgEngine::first_detection(FaultSimulator& sim,
 
 AtpgEngine::DiffResult AtpgEngine::differentiate(
     const Fault& fault, const TestSequence& prefix) const {
+  const ExplicitCssg& graph = this->graph();
   DiffResult result;
 
   // Replay the (justification) prefix on the faulty circuit.
@@ -142,7 +149,7 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
   for (std::size_t i = 0; i < prefix.vectors.size(); ++i) {
     applied.vectors.push_back(prefix.vectors[i]);
     const DetectStatus status =
-        sim.step(prefix.vectors[i], graph_.states[(*path)[i + 1]]);
+        sim.step(prefix.vectors[i], graph.states[(*path)[i + 1]]);
     if (status == DetectStatus::Detected) {
       // Corruption surfaced during justification — in all terminal states,
       // so the shortened sequence is already a test (paper, Fig. 3a).
@@ -191,14 +198,14 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
       result.truncated = true;  // deeper extensions exist but are unexplored
       continue;
     }
-    for (const std::uint32_t to : graph_.edges[node.good_id]) {
+    for (const std::uint32_t to : graph.edges[node.good_id]) {
       if (++expanded > options_.diff_node_cap) {
         result.truncated = true;
         return result;
       }
       sim.restore(node.sim_state);
       const DetectStatus status =
-          sim.step(graph_.inputs[to], graph_.states[to]);
+          sim.step(graph.inputs[to], graph.states[to]);
       if (status == DetectStatus::GaveUp) {
         result.truncated = true;  // this branch is abandoned, not refuted
         continue;
@@ -207,8 +214,8 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
         result.found = true;
         result.sequence = applied;
         for (const std::uint32_t id : node.suffix)
-          result.sequence.vectors.push_back(graph_.inputs[id]);
-        result.sequence.vectors.push_back(graph_.inputs[to]);
+          result.sequence.vectors.push_back(graph.inputs[id]);
+        result.sequence.vectors.push_back(graph.inputs[to]);
         return result;
       }
       if (visited.insert(key_of(to, sim.candidates())).second) {
@@ -456,7 +463,7 @@ void AtpgEngine::cross_simulate(
     DetectStatus status = sim.status();
     for (std::size_t t = 0;
          t < seq.vectors.size() && status == DetectStatus::Undetermined; ++t)
-      status = sim.step(seq.vectors[t], graph_.states[path[t + 1]]);
+      status = sim.step(seq.vectors[t], graph().states[path[t + 1]]);
     if (status == DetectStatus::Detected) {
       result.outcomes[j].covered_by = CoveredBy::FaultSim;
       result.outcomes[j].sequence_index = seq_index;
@@ -487,6 +494,9 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
                                     const CancelToken* cancel) {
   const std::vector<Fault>& faults = universe_;
   Timer total_timer;
+  // The graph's first use, here on the calling thread: every fan-out below
+  // only reads it.
+  const ExplicitCssg& graph = this->graph();
   AtpgResult result;
   result.outcomes.reserve(faults.size());
   for (const Fault& f : faults) result.outcomes.push_back(FaultOutcome{f});
@@ -573,7 +583,7 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
       }
       TestSequence& seq = result.sequences.emplace_back();
       for (const std::uint32_t to : walks[w])
-        seq.vectors.push_back(graph_.inputs[to]);
+        seq.vectors.push_back(graph.inputs[to]);
       for (auto it = walk_first; it != hit; ++it)
         notify_resolved(std::get<2>(*it));
       emit_progress(RunPhase::RandomTpg);

@@ -14,7 +14,10 @@
 // and the explicit differentiation search, both through fan_out() on one
 // ThreadPool the engine owns.
 //   * The engine owns ONE Cssg on one BddManager, built by the constructor,
-//     and only the thread that calls run() touches it.  Before the search
+//     and only the thread that calls run() touches it.  The explicit graph
+//     is extracted from it on first use, which is the start of the first
+//     run unless graph() or follow() came first, so a caller that only
+//     reads the CSSG statistics never pays for it.  Before the search
 //     fan-out that thread computes every searched fault's symbolic phases
 //     1-2 — activation ∧ CSSG-reachable, then justify() — serially, in
 //     fault-list order, so the same BDD operations run in the same order at
@@ -98,8 +101,11 @@ class AtpgEngine {
   /// The symbolic abstraction.  Its BddManager belongs to the thread that
   /// calls run(): query it from that thread, between runs.
   const Cssg& cssg() const { return *cssg_; }
-  /// The explicit CSSG, extracted once at construction.
-  const ExplicitCssg& graph() const { return graph_; }
+  /// The explicit CSSG, extracted on first use (the reset state is id 0).
+  /// The first call runs Cssg::extract_explicit() on the engine's manager,
+  /// so it belongs to the thread that calls run() and throws CheckError
+  /// past the explicit state cap; run() and add_faults() make it first.
+  const ExplicitCssg& graph() const;
   const AtpgOptions& options() const { return options_; }
 
   /// Run the full flow (random TPG -> fault-parallel 3-phase ->
@@ -142,7 +148,8 @@ class AtpgEngine {
   bool provably_redundant(const Fault& fault) const;
 
   /// Good-circuit states visited by a sequence (from reset); nullopt if a
-  /// vector is not a valid CSSG edge.
+  /// vector is not a valid CSSG edge.  Extracts the graph on first use,
+  /// as graph() does.
   std::optional<std::vector<std::uint32_t>> follow(
       const TestSequence& seq) const;
 
@@ -243,8 +250,9 @@ class AtpgEngine {
   /// The symbolic abstraction on the engine's one BddManager, used only by
   /// the thread that calls run().
   std::unique_ptr<Cssg> cssg_;
-  ExplicitCssg graph_;
-  std::uint32_t reset_id_ = 0;
+  /// Set by the first graph() call.  The fan-outs read it only after the
+  /// run that starts them has made that call, so workers never write it.
+  mutable std::optional<ExplicitCssg> graph_;
   /// The current fault universe (run() replaces, add_faults() extends).
   std::vector<Fault> universe_;
   /// Per-worker 3-phase searches completed during the most recent run

@@ -10,6 +10,13 @@
 
 namespace xatpg {
 
+namespace {
+constexpr std::size_t kSyncDepthCap = 24;     ///< product-machine BFS depth
+constexpr std::size_t kSyncNodeCap = 50000;   ///< product-machine BFS nodes
+constexpr std::size_t kUnitDelayBound = 256;  ///< validation settle bound
+constexpr std::size_t kExactRaceBound = 24;   ///< exact-race audit bound
+}  // namespace
+
 VffModel::VffModel(const Netlist& netlist) : netlist_(&netlist) {
   cuts_ = netlist.feedback_arcs();
   for (SignalId s = 0; s < netlist.num_signals(); ++s)
@@ -67,12 +74,12 @@ std::vector<bool> VffModel::state_bits_of(
 
 std::optional<std::vector<bool>> unit_delay_settle(
     const Netlist& netlist, const std::vector<bool>& from,
-    const std::vector<bool>& input_values, std::size_t bound) {
+    const std::vector<bool>& input_values) {
   std::vector<bool> state = from;
   for (std::size_t i = 0; i < input_values.size(); ++i)
     state[netlist.inputs()[i]] = input_values[i];
   std::set<std::vector<bool>> seen;
-  for (std::size_t step = 0; step < bound; ++step) {
+  for (std::size_t step = 0; step < kUnitDelayBound; ++step) {
     if (!seen.insert(state).second) return std::nullopt;  // cycle
     std::vector<bool> next = state;
     bool changed = false;
@@ -92,10 +99,10 @@ std::optional<std::vector<bool>> unit_delay_settle(
 
 bool has_racy_vector(const Netlist& netlist,
                      const std::vector<bool>& reset_state,
-                     const TestSequence& sequence, std::size_t k) {
+                     const TestSequence& sequence) {
   std::vector<bool> state = reset_state;
   for (const auto& vec : sequence.vectors) {
-    const auto exact = explore_settling(netlist, state, vec, k);
+    const auto exact = explore_settling(netlist, state, vec, kExactRaceBound);
     if (!exact.confluent()) return true;
     state = *exact.stable_states.begin();
   }
@@ -109,8 +116,7 @@ namespace {
 std::optional<TestSequence> sync_atpg(const Netlist& good_netlist,
                                       const Netlist& faulty_netlist,
                                       const std::vector<bool>& good_reset,
-                                      const std::vector<bool>& faulty_reset,
-                                      const BaselineOptions& options) {
+                                      const std::vector<bool>& faulty_reset) {
   const VffModel good(good_netlist);
   const VffModel faulty(faulty_netlist);
   const std::size_t m = good_netlist.inputs().size();
@@ -132,9 +138,9 @@ std::optional<TestSequence> sync_atpg(const Netlist& good_netlist,
   while (!queue.empty()) {
     const Node node = std::move(queue.front());
     queue.pop_front();
-    if (node.path.size() >= options.depth_cap) continue;
+    if (node.path.size() >= kSyncDepthCap) continue;
     for (std::uint64_t bits = 0; bits < (1ull << m); ++bits) {
-      if (++expanded > options.node_cap) return std::nullopt;
+      if (++expanded > kSyncNodeCap) return std::nullopt;
       std::vector<bool> vec(m);
       for (std::size_t i = 0; i < m; ++i) vec[i] = (bits >> i) & 1;
       const auto good_vals = good.eval(vec, node.good_bits);
@@ -169,8 +175,7 @@ std::optional<TestSequence> sync_atpg(const Netlist& good_netlist,
 
 BaselineResult run_baseline(const Netlist& netlist,
                             const std::vector<bool>& reset_state,
-                            const std::vector<Fault>& faults,
-                            const BaselineOptions& options) {
+                            const std::vector<Fault>& faults) {
   Timer timer;
   BaselineResult result;
   result.per_fault.reserve(faults.size());
@@ -182,8 +187,7 @@ BaselineResult run_baseline(const Netlist& netlist,
     const std::vector<bool> faulty_reset =
         fault_initial_state(netlist, fault, reset_state);
 
-    const auto seq =
-        sync_atpg(netlist, faulty, reset_state, faulty_reset, options);
+    const auto seq = sync_atpg(netlist, faulty, reset_state, faulty_reset);
     if (seq) {
       fr.generated = true;
       fr.sequence = *seq;
@@ -196,27 +200,21 @@ BaselineResult run_baseline(const Netlist& netlist,
       bool observed = false;
       std::vector<bool> good_state = reset_state;
       std::vector<bool> faulty_state = faulty_reset;
-      if (auto settled = unit_delay_settle(
-              faulty, faulty_state,
-              [&] {
-                std::vector<bool> in;
-                for (const SignalId s : faulty.inputs())
-                  in.push_back(faulty_state[s]);
-                return in;
-              }(),
-              options.unit_delay_bound)) {
+      if (auto settled = unit_delay_settle(faulty, faulty_state, [&] {
+            std::vector<bool> in;
+            for (const SignalId s : faulty.inputs())
+              in.push_back(faulty_state[s]);
+            return in;
+          }())) {
         faulty_state = *settled;
       } else {
         ok = false;
       }
       for (const auto& vec : fr.sequence.vectors) {
         if (!ok) break;
-        const auto g = unit_delay_settle(netlist, good_state, vec,
-                                         options.unit_delay_bound);
-        const auto f =
-            unit_delay_settle(faulty, faulty_state,
-                              map_input_vector(netlist, faulty, vec),
-                              options.unit_delay_bound);
+        const auto g = unit_delay_settle(netlist, good_state, vec);
+        const auto f = unit_delay_settle(
+            faulty, faulty_state, map_input_vector(netlist, faulty, vec));
         if (!g || !f) {
           ok = false;  // oscillation caught by validation
           break;
@@ -232,8 +230,7 @@ BaselineResult run_baseline(const Netlist& netlist,
       if (fr.validated) ++result.validated;
 
       if (fr.validated) {
-        fr.racy = has_racy_vector(netlist, reset_state, fr.sequence,
-                                  options.k_exact);
+        fr.racy = has_racy_vector(netlist, reset_state, fr.sequence);
         if (fr.racy) ++result.optimistic;
       }
     }

@@ -52,13 +52,6 @@ class VffModel {
   std::vector<SignalId> topo_;
 };
 
-struct BaselineOptions {
-  std::size_t depth_cap = 24;          ///< product-machine BFS depth
-  std::size_t node_cap = 50000;        ///< product-machine BFS nodes
-  std::size_t unit_delay_bound = 256;  ///< validation settle bound
-  std::size_t k_exact = 24;            ///< exact-race audit bound
-};
-
 struct BaselineFaultResult {
   Fault fault;
   bool generated = false;  ///< synchronous ATPG produced a sequence
@@ -77,26 +70,27 @@ struct BaselineResult {
 
 /// Exact-race audit (what unit-delay validation cannot see): replay
 /// `sequence` from `reset_state` on the good circuit with exhaustive
-/// interleaving (explore_settling with bound k), stopping at the first
-/// vector whose settling is non-confluent or unbounded.  True when such a
-/// vector exists.  Applies to any sequence that starts from reset: the
-/// baseline's validated tests and the CSSG flow's AtpgResult::sequences.
+/// interleaving (explore_settling with bound 24, the engine's default k),
+/// stopping at the first vector whose settling is non-confluent or
+/// unbounded.  True when such a vector exists.  Applies to any sequence
+/// that starts from reset: the baseline's validated tests and the CSSG
+/// flow's AtpgResult::sequences.
 bool has_racy_vector(const Netlist& netlist,
                      const std::vector<bool>& reset_state,
-                     const TestSequence& sequence, std::size_t k);
+                     const TestSequence& sequence);
 
-/// Run the baseline flow on a fault universe.
+/// Run the baseline flow on a fault universe: product-machine BFS to depth
+/// 24 and at most 50,000 nodes per fault, then unit-delay validation.
 BaselineResult run_baseline(const Netlist& netlist,
                             const std::vector<bool>& reset_state,
-                            const std::vector<Fault>& faults,
-                            const BaselineOptions& options = {});
+                            const std::vector<Fault>& faults);
 
 /// Deterministic unit-delay settling: all excited gates switch
 /// simultaneously each step.  Returns the stable state, or nullopt on
-/// oscillation (state repetition / bound exhaustion).  This is the
-/// validation model of [Banerjee et al.].
+/// oscillation (state repetition, or no stable state within 256 steps).
+/// This is the validation model of [Banerjee et al.].
 std::optional<std::vector<bool>> unit_delay_settle(
     const Netlist& netlist, const std::vector<bool>& from,
-    const std::vector<bool>& input_values, std::size_t bound = 256);
+    const std::vector<bool>& input_values);
 
 }  // namespace xatpg

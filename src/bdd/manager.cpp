@@ -337,10 +337,10 @@ void BddManager::maybe_reorder() {
   // with blocks x positions and is only worth paying for live growth.
   sweep_dead();
   if (allocated_nodes() <= next_reorder_at_) return;
+  // Re-arm at twice the sifted size, as the GC watermark re-arms.
   const ReorderStats stats = sift();
-  const auto scaled = static_cast<std::size_t>(
-      static_cast<double>(stats.size_after) * reorder_policy_.trigger_growth);
-  next_reorder_at_ = std::max(reorder_policy_.trigger_nodes, scaled);
+  next_reorder_at_ =
+      std::max(reorder_policy_.trigger_nodes, 2 * stats.size_after);
 }
 
 void BddManager::mark(std::uint32_t edge, std::vector<bool>& marked) const {

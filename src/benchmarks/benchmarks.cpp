@@ -13,19 +13,13 @@ namespace xatpg {
 
 Stg make_sequencer(const std::string& name, unsigned pairs,
                    const std::vector<unsigned>& internal_after,
-                   const std::vector<unsigned>& inverted,
                    unsigned fall_offset) {
   XATPG_CHECK(pairs >= 1);
   Stg stg(name);
-  const auto is_inverted = [&](unsigned i) {
-    return std::find(inverted.begin(), inverted.end(), i) != inverted.end();
-  };
   std::vector<std::uint32_t> req(pairs), ack(pairs);
   for (unsigned i = 0; i < pairs; ++i) {
-    req[i] = stg.add_signal(indexed_name("r", i), SignalKind::Input,
-                            is_inverted(i));
-    ack[i] = stg.add_signal(indexed_name("a", i), SignalKind::Output,
-                            is_inverted(i));
+    req[i] = stg.add_signal(indexed_name("r", i), SignalKind::Input, false);
+    ack[i] = stg.add_signal(indexed_name("a", i), SignalKind::Output, false);
   }
   std::vector<std::uint32_t> internals;
   for (std::size_t j = 0; j < internal_after.size(); ++j)
@@ -47,15 +41,15 @@ Stg make_sequencer(const std::string& name, unsigned pairs,
     }
   };
   for (unsigned i = 0; i < pairs; ++i) {
-    ring.push_back(stg.add_transition(req[i], !is_inverted(i)));
+    ring.push_back(stg.add_transition(req[i], true));
     splice(2 * i, true);
-    ring.push_back(stg.add_transition(ack[i], !is_inverted(i)));
+    ring.push_back(stg.add_transition(ack[i], true));
     splice(2 * i + 1, true);
   }
   for (unsigned i = 0; i < pairs; ++i) {
-    ring.push_back(stg.add_transition(req[i], is_inverted(i)));
+    ring.push_back(stg.add_transition(req[i], false));
     splice(2 * i, false);
-    ring.push_back(stg.add_transition(ack[i], is_inverted(i)));
+    ring.push_back(stg.add_transition(ack[i], false));
     splice(2 * i + 1, false);
   }
   for (std::size_t i = 0; i < ring.size(); ++i)
@@ -205,7 +199,7 @@ Stg make_celem(const std::string& name, unsigned inputs, bool tail) {
   return stg;
 }
 
-Stg make_storage(const std::string& name, bool shadow) {
+Stg make_storage(const std::string& name) {
   Stg stg(name);
   const auto d = stg.add_signal("d", SignalKind::Input, false);
   const auto c = stg.add_signal("c", SignalKind::Input, false);
@@ -219,29 +213,13 @@ Stg make_storage(const std::string& name, bool shadow) {
   const auto q_m = stg.add_transition(q, false);
 
   // d+ -> c+ -> q+ -> c- -> d- -> q- -> (d+): a sequential sample-and-
-  // release protocol.  With `shadow`, an internal latch s follows q and the
-  // release waits for it.
+  // release protocol.
   stg.arc(d_p, c_p);
   stg.arc(c_p, q_p);
-  if (shadow) {
-    // The shadow latch falls *before* q releases, so q's reset function
-    // must observe s (distinguishing hold (d=c=0,s=1) from release
-    // (d=c=0,s=0)) — keeping s in the implementation's support.
-    const auto s = stg.add_signal("s", SignalKind::Internal, false);
-    const auto s_p = stg.add_transition(s, true);
-    const auto s_m = stg.add_transition(s, false);
-    stg.arc(q_p, s_p);
-    stg.arc(s_p, c_m);
-    stg.arc(c_m, d_m);
-    stg.arc(d_m, s_m);
-    stg.arc(s_m, q_m);
-    stg.arc(q_m, d_p, 1);
-  } else {
-    stg.arc(q_p, c_m);
-    stg.arc(c_m, d_m);
-    stg.arc(d_m, q_m);
-    stg.arc(q_m, d_p, 1);
-  }
+  stg.arc(q_p, c_m);
+  stg.arc(c_m, d_m);
+  stg.arc(d_m, q_m);
+  stg.arc(q_m, d_p, 1);
   return stg;
 }
 
@@ -355,6 +333,14 @@ bool benchmark_is_redundant(const std::string& name) {
   return name == "trimos-send" || name == "vbe10b" || name == "vbe6a";
 }
 
+bool is_named_circuit(const std::string& name) {
+  const auto listed = [&name](const std::vector<std::string>& names) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+  return name == "fig1a" || name == "fig1b" || listed(si_benchmark_names()) ||
+         listed(bd_benchmark_names());
+}
+
 Stg benchmark_stg(const std::string& name) {
   // Controller family assignments; sizes chosen to mirror the paper's fault
   // totals (small circuits of 4-9 signals).
@@ -369,12 +355,12 @@ Stg benchmark_stg(const std::string& name) {
   if (name == "mmu") return make_forkjoin(name, 3);
   if (name == "mp-forward-pkt") return make_sequencer(name, 3, {2});
   if (name == "mr1") return make_sequencer(name, 5);
-  if (name == "nak-pa") return make_sequencer(name, 2, {0, 2}, {}, 2);
+  if (name == "nak-pa") return make_sequencer(name, 2, {0, 2}, 2);
   if (name == "nowick") return make_sequencer(name, 2, {2});
   if (name == "ram-read-sbuf") return make_sequencer(name, 4, {2});
   if (name == "rcv-setup") return make_sequencer(name, 2);
   if (name == "rpdft") return make_celem(name, 2);
-  if (name == "sbuf-ram-write") return make_sequencer(name, 3, {0}, {}, 2);
+  if (name == "sbuf-ram-write") return make_sequencer(name, 3, {0}, 2);
   if (name == "sbuf-send-ctl") return make_sequencer(name, 4, {0, 4});
   if (name == "sbuf-send-pkt2") return make_sequencer(name, 3, {0, 2});
   if (name == "seq4") return make_sequencer(name, 4);
@@ -391,10 +377,8 @@ SynthResult benchmark_circuit(const std::string& name, SynthStyle style) {
   const StateGraph sg = expand_stg(stg);
   SynthOptions options;
   options.style = style;
-  if (style == SynthStyle::BoundedDelay) {
-    options.hazard_consensus = true;
-    options.extra_redundancy = benchmark_is_redundant(name);
-  }
+  options.extra_redundancy =
+      style == SynthStyle::BoundedDelay && benchmark_is_redundant(name);
   return synthesize(sg, options);
 }
 

@@ -36,6 +36,10 @@ const std::vector<std::string>& bd_benchmark_names();
 /// hazard covers (trimos-send, vbe10b, vbe6a).
 bool benchmark_is_redundant(const std::string& name);
 
+/// True for every named circuit: the two suites' names, which
+/// benchmark_stg builds, and the Figure 1 circuits fig1a and fig1b.
+bool is_named_circuit(const std::string& name);
+
 /// Build the STG specification for a named benchmark; throws on unknown
 /// names.
 Stg benchmark_stg(const std::string& name);
@@ -59,12 +63,10 @@ Netlist fig1b_circuit(std::vector<bool>* initial_state = nullptr);
 
 /// k-stage handshake sequencer: R0+ A0+ R1+ A1+ ... then the falling phase.
 /// `internal_after` inserts an internal signal after the i-th rising event;
-/// pairs listed in `inverted` start at 1 and fall first (active-low).
 /// `fall_offset` shifts where each internal signal's falling transition is
 /// spliced in the falling phase (asymmetric completion detection).
 Stg make_sequencer(const std::string& name, unsigned pairs,
                    const std::vector<unsigned>& internal_after = {},
-                   const std::vector<unsigned>& inverted = {},
                    unsigned fall_offset = 0);
 
 /// Fork/join controller: Rin forks to `branches` request/acknowledge pairs,
@@ -80,9 +82,8 @@ Stg make_pipeline2(const std::string& name, bool deep_output = false);
 /// ack falls.  `tail` appends an internal delay signal after the ack.
 Stg make_celem(const std::string& name, unsigned inputs, bool tail = false);
 
-/// Sample-and-hold storage element (d is sampled by c into q); `shadow`
-/// adds an internal shadow-latch signal behind q.
-Stg make_storage(const std::string& name, bool shadow = false);
+/// Sample-and-hold storage element (d is sampled by c into q).
+Stg make_storage(const std::string& name);
 
 /// Toggle element: requests on r rotate through acknowledges a0..a_{ways-1},
 /// steered by internal phase signals (whose faults flip the steering and

@@ -25,7 +25,7 @@ Netlist random_netlist(std::uint64_t seed, const RandomNetlistOptions& options,
       GateType::Nor, GateType::Xor, GateType::Not};
   for (std::size_t g = 0; g < options.num_gates; ++g) {
     const std::string name = indexed_name("g", g);
-    const bool state_holding = options.allow_state_holding && rng.below(4) == 0;
+    const bool state_holding = rng.below(4) == 0;
     const GateType type = state_holding
                               ? GateType::Celem
                               : kCombinational[rng.below(6)];
@@ -195,9 +195,9 @@ const char* netlist_mutation_name(NetlistMutation m) {
   return "?";
 }
 
-std::optional<MutatedNetlist> mutate_netlist(const Netlist& base, Rng& rng,
-                                             const MutateOptions& options) {
-  for (std::size_t attempt = 0; attempt < options.max_attempts; ++attempt) {
+std::optional<MutatedNetlist> mutate_netlist(const Netlist& base, Rng& rng) {
+  constexpr std::size_t kMaxAttempts = 16;
+  for (std::size_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     const auto kind = static_cast<NetlistMutation>(rng.below(4));
 
     if (kind == NetlistMutation::ResetPerturb) {
@@ -214,9 +214,7 @@ std::optional<MutatedNetlist> mutate_netlist(const Netlist& base, Rng& rng,
     switch (kind) {
       case NetlistMutation::GateSwap: edited = apply_gate_swap(circuit, rng); break;
       case NetlistMutation::Rewire: edited = apply_rewire(circuit, rng); break;
-      case NetlistMutation::Splice:
-        edited = options.allow_growth && apply_splice(circuit, rng);
-        break;
+      case NetlistMutation::Splice: edited = apply_splice(circuit, rng); break;
       case NetlistMutation::ResetPerturb: break;  // handled above
     }
     if (!edited) continue;

@@ -21,12 +21,11 @@ namespace xatpg {
 
 struct RandomNetlistOptions {
   std::size_t num_inputs = 3;
-  /// Non-input gates to add on top of the inputs.
+  /// Non-input gates to add on top of the inputs.  About one in four is a
+  /// state-holding C-element (the circuit stays structurally feed-forward;
+  /// state lives in the gates' own outputs, so a gate-by-gate relaxation
+  /// always settles).
   std::size_t num_gates = 8;
-  /// Allow state-holding C-elements in the mix (the circuit stays
-  /// structurally feed-forward; state lives in the gates' own outputs, so a
-  /// gate-by-gate relaxation always settles).
-  bool allow_state_holding = true;
 };
 
 /// Deterministic random netlist: same seed, same circuit, on every platform
@@ -61,21 +60,12 @@ struct MutatedNetlist {
   NetlistMutation mutation = NetlistMutation::GateSwap;
 };
 
-struct MutateOptions {
-  /// Candidate edits tried before giving up (an edit is discarded when the
-  /// mutant fails to settle to a stable state within the simulation bound).
-  std::size_t max_attempts = 16;
-  /// Permit the Splice edit to grow the circuit (off caps the signal count,
-  /// which keeps the brute-force differential oracle affordable).
-  bool allow_growth = true;
-};
-
 /// Derive a new *valid* circuit from `base` by one random structure-aware
 /// edit.  The result passes check_invariants() and has a verified stable
-/// reset state; std::nullopt after options.max_attempts failed candidates
-/// (e.g. a base so dense no perturbation settles).  Deterministic in the
-/// Rng stream: same base + same Rng state, same mutant, on every platform.
-std::optional<MutatedNetlist> mutate_netlist(const Netlist& base, Rng& rng,
-                                             const MutateOptions& options = {});
+/// reset state; std::nullopt after 16 failed candidates (an edit is
+/// discarded when the mutant fails to settle to a stable state; a base can
+/// be so dense no perturbation settles).  Deterministic in the Rng stream:
+/// same base + same Rng state, same mutant, on every platform.
+std::optional<MutatedNetlist> mutate_netlist(const Netlist& base, Rng& rng);
 
 }  // namespace xatpg

@@ -1,8 +1,9 @@
 // Wire protocol of the xatpg ATPG daemon (`xatpg serve`): newline-delimited
 // JSON frames over a byte stream (a local socket, or stdin/stdout in pipe
-// mode).  docs/PROTOCOL.md is the normative spec; this header is the single
-// in-tree implementation both the server and the `xatpg client` sender use,
-// so the two cannot drift.
+// mode).  docs/PROTOCOL.md is the normative spec; this header is the
+// server's implementation of it (request parsing and every response frame).
+// The `xatpg client` sender writes its submit frame itself (make_submit in
+// tools/xatpg_cli.cpp), so a request-format change must update both.
 //
 // Requests (client -> server), one JSON object per line:
 //   {"op":"submit","id":ID,"circuit":{...},"faults":F,"options":{...},

@@ -469,19 +469,15 @@ void Server::admit_submit(const std::shared_ptr<Connection>& conn,
             write_xnl_string(parse_bench_string(request.circuit_text));
         break;
       case Request::CircuitFormat::Benchmark:
-        // Resolve the name NOW (cheap: STG spec only, no synthesis) so an
-        // unknown benchmark is a synchronous OptionError, not an ack
-        // followed by a worker-side failure.
-        if (request.benchmark != "fig1a" && request.benchmark != "fig1b") {
-          try {
-            (void)benchmark_stg(request.benchmark);
-          } catch (const CheckError&) {
-            conn->send(error_frame(
-                request.id,
-                Error{ErrorCode::OptionError,
-                      "unknown benchmark '" + request.benchmark + "'"}));
-            return;
-          }
+        // Resolve the name NOW (a name lookup, no synthesis) so an unknown
+        // benchmark is a synchronous OptionError, not an ack followed by a
+        // worker-side failure.
+        if (!is_named_circuit(request.benchmark)) {
+          conn->send(error_frame(
+              request.id,
+              Error{ErrorCode::OptionError,
+                    "unknown benchmark '" + request.benchmark + "'"}));
+          return;
         }
         job->canonical =
             std::string("benchmark\x1e") + request.benchmark + '\x1e' +

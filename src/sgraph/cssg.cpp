@@ -25,17 +25,12 @@ std::optional<std::uint32_t> ExplicitCssg::find(
   return it->second;
 }
 
-Cssg::Cssg(const Netlist& netlist,
-           const std::vector<std::vector<bool>>& reset_states,
+Cssg::Cssg(const Netlist& netlist, const std::vector<bool>& reset_state,
            const CssgOptions& options)
     : enc_(netlist, options.order, options.reorder), options_(options) {
-  XATPG_CHECK_MSG(!reset_states.empty(), "need at least one reset state");
-  reset_set_ = enc_.mgr().bdd_false();
-  for (const auto& state : reset_states) {
-    XATPG_CHECK_MSG(netlist.is_stable_state(state),
-                    "reset state must be stable");
-    reset_set_ |= enc_.state_minterm_cur(state);
-  }
+  XATPG_CHECK_MSG(netlist.is_stable_state(reset_state),
+                  "reset state must be stable");
+  reset_set_ = enc_.state_minterm_cur(reset_state);
   const Equalities eq = build_relations();
   traverse();
   build_tcr_and_prune(eq);
@@ -248,7 +243,6 @@ std::optional<Justification> Cssg::justify(const Bdd& targets) const {
     XATPG_CHECK_MSG(!preds.is_false(), "onion rings are inconsistent");
     state = enc_.pick_state_cur(preds);
   }
-  result.reset_state = state;
   result.vectors.assign(vectors_rev.rbegin(), vectors_rev.rend());
   return result;
 }
@@ -284,13 +278,13 @@ ExplicitCssg Cssg::extract_explicit() const {
     return std::pair{id, true};
   };
 
+  // The reset state is id 0.
   std::vector<StateWord> rows;
   enc_.append_state_rows_cur(reset_set_, rows);
-  for (std::size_t r = 0; r < rows.size(); r += width)
-    graph.reset_ids.push_back(add_state(rows.data() + r).first);
+  add_state(rows.data());
 
   const Bdd cur_cube = enc_.cur_cube();
-  std::vector<std::uint32_t> worklist = graph.reset_ids;
+  std::vector<std::uint32_t> worklist{0};
   while (!worklist.empty()) {
     const std::uint32_t id = worklist.back();
     worklist.pop_back();
@@ -317,11 +311,7 @@ std::string Cssg::to_dot(const ExplicitCssg& graph) const {
   os << "digraph cssg {\n  rankdir=LR;\n";
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
     os << "  s" << id << " [label=\"" << ExplicitCssg::label(graph.states[id])
-       << "\"";
-    if (std::find(graph.reset_ids.begin(), graph.reset_ids.end(), id) !=
-        graph.reset_ids.end())
-      os << " shape=doublecircle";
-    os << "];\n";
+       << "\"" << (id == 0 ? " shape=doublecircle" : "") << "];\n";
   }
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
     for (const std::uint32_t to : graph.edges[id]) {

@@ -5,7 +5,7 @@
 //   1. Transition relations:  R_delta (one excited gate fires; stable states
 //      self-loop) and R_I (any non-empty set of primary inputs flips on a
 //      stable state) — §3.1/§3.2.
-//   2. TCSG reachability from the reset states via R = R_I ∪ R_delta.
+//   2. TCSG reachability from the reset state via R = R_I ∪ R_delta.
 //   3. TCR_k: pairs (s, s') with s stable/reachable and s' reached from s by
 //      one input pattern followed by at most k gate transitions (§4.2).
 //      Because stable states self-loop in R_delta, the k-step frontier
@@ -54,11 +54,9 @@ struct CssgOptions {
   /// gate transitions only, so our k equals the paper's k minus one).
   std::size_t k = 24;
   VarOrder order = VarOrder::Interleaved;
-  /// Dynamic-reordering policy handed to the symbolic encoding (see
-  /// SymbolicEncoding: force-enabled for VarOrder::Sifted, passed through
-  /// otherwise).  All CSSG artifacts and queries are canonicalized to be
-  /// order-independent, so enabling reordering changes node counts and
-  /// timing, never results.
+  /// Dynamic-reordering policy handed to the symbolic encoding.  All CSSG
+  /// artifacts and queries are canonicalized to be order-independent, so
+  /// enabling reordering changes node counts and timing, never results.
   ReorderPolicy reorder{};
 };
 
@@ -78,7 +76,6 @@ struct ExplicitCssg {
   std::vector<std::vector<bool>> inputs;
   /// Successor ids per state id, in the canonical order of their states.
   std::vector<std::vector<std::uint32_t>> edges;
-  std::vector<std::uint32_t> reset_ids;  ///< ids of reset states
   /// pack_state(states[id]) -> id.
   std::unordered_map<std::vector<StateWord>, std::uint32_t, StateWordsHash>
       index;
@@ -91,17 +88,17 @@ struct ExplicitCssg {
 };
 
 /// A justification: input vector sequence driving the fault-free circuit
-/// from a reset state to a target stable state using only valid vectors.
+/// from the reset state to a target stable state using only valid vectors.
 struct Justification {
-  std::vector<bool> reset_state;
   std::vector<std::vector<bool>> vectors;  ///< applied in order
   std::vector<bool> final_state;
 };
 
 class Cssg {
  public:
-  /// Build the full abstraction.  `reset_states` must be stable states.
-  Cssg(const Netlist& netlist, const std::vector<std::vector<bool>>& reset_states,
+  /// Build the full abstraction from the test-mode reset state (§3.2),
+  /// which must be stable.
+  Cssg(const Netlist& netlist, const std::vector<bool>& reset_state,
        const CssgOptions& options = {});
 
   const Netlist& netlist() const { return enc_.netlist(); }
@@ -115,7 +112,7 @@ class Cssg {
   const Bdd& stable_reachable() const { return stable_reachable_; }
   const Bdd& relation() const { return cssg_; }               ///< CSSG_k
   /// States reachable from reset using valid vectors only; rings()[i] is the
-  /// onion ring at distance i (ring 0 = reset states).
+  /// onion ring at distance i (ring 0 = the reset state).
   const Bdd& cssg_reachable() const { return cssg_reachable_; }
   const std::vector<Bdd>& rings() const { return rings_; }
 
@@ -140,17 +137,19 @@ class Cssg {
   /// Predecessor states of `states` via CSSG edges.
   Bdd preimage(const Bdd& states) const;
 
-  /// Shortest valid-vector sequence from a reset state to any state in
+  /// Shortest valid-vector sequence from the reset state to any state in
   /// `targets` (a cur-set); nullopt if unreachable via valid vectors.
   std::optional<Justification> justify(const Bdd& targets) const;
 
-  /// Enumerate the explicit CSSG reachable from the reset states: ids in
-  /// depth-first discovery order from the reset states, each successor list
-  /// in lexicographic signal order.  Throws CheckError past 200,000 states.
+  /// Enumerate the explicit CSSG reachable from the reset state: the reset
+  /// is id 0, the other ids follow in depth-first discovery order, and each
+  /// successor list is in lexicographic signal order.  Throws CheckError
+  /// past 200,000 states.
   ExplicitCssg extract_explicit() const;
 
   /// Graphviz dump of `graph`, this CSSG's explicit graph (stable states
-  /// labelled by their signal values, edges by the inputs they flip).
+  /// labelled by their signal values, the reset state doubled, edges by the
+  /// inputs they flip).
   std::string to_dot(const ExplicitCssg& graph) const;
 
  private:

@@ -13,7 +13,6 @@ const char* var_order_name(VarOrder order) {
     case VarOrder::Interleaved: return "interleaved";
     case VarOrder::Blocked: return "blocked";
     case VarOrder::ReverseInterleaved: return "reverse-interleaved";
-    case VarOrder::Sifted: return "sifted";
   }
   return "?";
 }
@@ -50,9 +49,7 @@ SymbolicEncoding::SymbolicEncoding(const Netlist& netlist, VarOrder order,
       groups.push_back({cur_vars_[s], next_vars_[s], aux_vars_[s]});
     mgr_.set_var_groups(groups);
   }
-  ReorderPolicy policy = reorder;
-  if (order == VarOrder::Sifted) policy.enabled = true;
-  if (policy.enabled) mgr_.set_reorder_policy(policy);
+  if (reorder.enabled) mgr_.set_reorder_policy(reorder);
 }
 
 void SymbolicEncoding::build_layout(VarOrder order) {
@@ -66,7 +63,6 @@ void SymbolicEncoding::build_layout(VarOrder order) {
     switch (order) {
       case VarOrder::Interleaved:
       case VarOrder::ReverseInterleaved:
-      case VarOrder::Sifted:  // interleaved start; sifting re-sorts later
         cur_vars_[s] = 3 * rank;
         next_vars_[s] = 3 * rank + 1;
         aux_vars_[s] = 3 * rank + 2;

@@ -11,8 +11,8 @@
 // variable ordering as the main lever on 3-phase ATPG cost (§6), and
 // `xatpg bench --family ablation_ordering` measures exactly this choice.
 // On top of the static choices, the BDD kernel supports dynamic (Rudell
-// sifting) reordering: VarOrder::Sifted starts from the interleaved layout
-// and lets the manager re-sort as structures grow.  The encoding declares each
+// sifting) reordering: with ReorderPolicy::enabled the manager re-sorts the
+// starting layout as structures grow.  The encoding declares each
 // signal's (cur, next, aux) triple as one sifting GROUP, so reordering
 // moves whole signals: the triples stay adjacent, which keeps the
 // cur<->next/aux renaming permutations local and the quantification cubes
@@ -45,11 +45,9 @@ namespace xatpg {
 /// calls run() only.
 class SymbolicEncoding {
  public:
-  /// `reorder` configures dynamic sifting on the underlying manager.  For
-  /// VarOrder::Sifted the policy is force-enabled (with its defaults unless
-  /// the caller tuned them); for the static orders it is passed through
-  /// verbatim, so any layout can opt into reordering.  Interleaved-family
-  /// layouts (Interleaved / ReverseInterleaved / Sifted) register each
+  /// `reorder` configures dynamic sifting on the underlying manager, passed
+  /// through verbatim, so any layout can opt into reordering.  The
+  /// interleaved layouts (Interleaved / ReverseInterleaved) register each
   /// signal's (cur, next, aux) triple as a sifting group; Blocked cannot
   /// (the triple is not level-adjacent) and sifts single variables.
   SymbolicEncoding(const Netlist& netlist,

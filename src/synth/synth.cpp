@@ -249,8 +249,7 @@ SynthResult synthesize(const StateGraph& sg, const SynthOptions& options) {
       const NsFunction ns = next_state_function(sg, sig);
       auto cover = minimize_sop(ns.on, ns.off, n);
       XATPG_CHECK_MSG(!cover.empty(), "signal '" << name << "' is constant 0");
-      if (options.hazard_consensus)
-        result.num_consensus_cubes += add_consensus_cubes(cover);
+      result.num_consensus_cubes += add_consensus_cubes(cover);
       if (options.extra_redundancy)
         result.num_consensus_cubes += add_redundant_consensus(cover);
       result.num_cubes += cover.size();

@@ -8,9 +8,9 @@
 //    construction.
 //  * BoundedDelay (SIS's role): each non-input signal becomes a two-level
 //    AND-OR network (shared input inverters) computing the next-state
-//    function, closed in combinational feedback.  With `hazard_consensus`
-//    the cover is closed under consensus so single-variable transitions
-//    cannot glitch the OR output — these extra cubes are logically
+//    function, closed in combinational feedback.  The cover is closed
+//    under consensus so single-variable transitions cannot glitch the OR
+//    output — these extra cubes are logically
 //    redundant, which is precisely what makes several SIS-suite circuits
 //    poorly testable in Table 2.  `extra_redundancy` additionally keeps
 //    *all* consensus terms even when subsumed, modeling the heavier
@@ -39,8 +39,6 @@ enum class SiArchitecture : std::uint8_t {
 struct SynthOptions {
   SynthStyle style = SynthStyle::SpeedIndependent;
   SiArchitecture architecture = SiArchitecture::AtomicGc;
-  /// BoundedDelay: close covers under consensus (hazard-free covers).
-  bool hazard_consensus = true;
   /// BoundedDelay: retain redundant consensus cubes aggressively.
   bool extra_redundancy = false;
 };

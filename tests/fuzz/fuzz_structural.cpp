@@ -102,7 +102,7 @@ void check_extraction(const xatpg::Netlist& netlist,
     xatpg::CssgOptions options;
     options.k = kSettle;
     options.order = order;
-    const xatpg::Cssg cssg(netlist, {reset}, options);
+    const xatpg::Cssg cssg(netlist, reset, options);
     if (!oracle) oracle = xatpg::testing::oracle_extract_explicit(cssg);
     const std::string mismatch = xatpg::testing::explicit_oracle_mismatch(
         cssg.extract_explicit(), *oracle);
@@ -124,7 +124,7 @@ void check_tcr(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
     xatpg::CssgOptions options;
     options.k = kSettle;
     options.order = order;
-    const xatpg::Cssg cssg(netlist, {reset}, options);
+    const xatpg::Cssg cssg(netlist, reset, options);
     const std::string mismatch = xatpg::testing::tcr_oracle_mismatch(cssg);
     if (!mismatch.empty())
       xatpg::fuzz::violation(

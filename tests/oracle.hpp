@@ -327,7 +327,7 @@ inline std::string cssg_oracle_mismatch(const Netlist& netlist,
                                         const std::vector<bool>& reset,
                                         const OracleCssg& oracle,
                                         const CssgOptions& options) {
-  const Cssg cssg(netlist, {reset}, options);
+  const Cssg cssg(netlist, reset, options);
   const ExplicitCssg graph = cssg.extract_explicit();
 
   std::set<std::vector<bool>> states(graph.states.begin(), graph.states.end());
@@ -451,7 +451,7 @@ inline OracleExplicitCssg oracle_extract_explicit(const Cssg& cssg) {
 }
 
 /// Diff a packed extraction against the oracle's, id for id: the same
-/// states in id order, the same reset ids, the same successor lists in the
+/// states in id order, the reset as state 0, the same successor lists in the
 /// same order, inputs[to] equal to each oracle edge's pattern, and an index
 /// that finds every state under its id.  Returns "" on a perfect match,
 /// else a one-line description of the first divergence.
@@ -468,7 +468,8 @@ inline std::string explicit_oracle_mismatch(const ExplicitCssg& graph,
       graph.edges.size() != graph.states.size() ||
       graph.index.size() != graph.states.size())
     return "packed inputs, edges or index not one per state";
-  if (graph.reset_ids != oracle.reset_ids) return "reset ids differ";
+  if (oracle.reset_ids != std::vector<std::uint32_t>{0})
+    return "the oracle's reset is not state 0";
   for (std::uint32_t id = 0; id < graph.states.size(); ++id) {
     if (graph.states[id] != oracle.states[id]) {
       os << "state " << id << " is " << bits(graph.states[id]) << ", oracle "

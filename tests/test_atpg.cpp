@@ -162,7 +162,7 @@ using Walk = std::vector<std::pair<std::vector<bool>, std::vector<bool>>>;
 /// Seeded random walks over the explicit CSSG (valid vectors only).
 std::vector<Walk> cssg_walks(const fixtures::Circuit& fix, std::uint64_t seed,
                              std::size_t count, std::size_t length) {
-  const Cssg cssg(fix.netlist, {fix.reset});
+  const Cssg cssg(fix.netlist, fix.reset);
   const ExplicitCssg graph = cssg.extract_explicit();
   const auto reset_id = graph.find(fix.reset);
   XATPG_CHECK(reset_id.has_value());

@@ -33,6 +33,25 @@ TEST(BenchmarkRegistry, UnknownNameThrows) {
   EXPECT_THROW(benchmark_stg("nonesuch"), CheckError);
 }
 
+TEST(BenchmarkRegistry, NamedCircuitsAreTheBuildableNamesAndFigure1) {
+  // The Session factory and the daemon admit exactly these names.
+  for (const auto* suite : {&si_benchmark_names(), &bd_benchmark_names()}) {
+    for (const std::string& name : *suite) {
+      EXPECT_TRUE(is_named_circuit(name)) << name;
+      EXPECT_NO_THROW((void)benchmark_stg(name)) << name;
+    }
+  }
+  for (const char* name : {"fig1a", "fig1b"}) {
+    EXPECT_TRUE(is_named_circuit(name)) << name;
+    EXPECT_THROW((void)benchmark_stg(name), CheckError) << name;
+  }
+  for (const char* name :
+       {"", "nonesuch", "fig1c", "CHU150", "chu150 ", "seq5", "vbe5"}) {
+    EXPECT_FALSE(is_named_circuit(name)) << name;
+    EXPECT_THROW((void)benchmark_stg(name), CheckError) << name;
+  }
+}
+
 TEST(FixtureCircuits, Fig1SourcesDoNotDrift) {
   // The Figure 1 netlists exist twice: as xnl text in tests/fixtures.hpp
   // (for parser tests) and embedded in fig1a_circuit()/fig1b_circuit()

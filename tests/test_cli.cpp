@@ -12,8 +12,10 @@
 #include <sstream>
 #include <string>
 
+#include "fixtures.hpp"
 #include "serve/protocol.hpp"
 #include "util/json.hpp"
+#include "xatpg/session.hpp"
 
 namespace {
 
@@ -143,6 +145,26 @@ TEST(CliContract, SynthErrorFrameShapeIsWellFormed) {
   const Value root = parse(frame);
   EXPECT_EQ(string_field(root, "type"), "error");
   EXPECT_EQ(string_field(*root.find("error"), "code"), "SynthError");
+}
+
+TEST(CliContract, CssgJsonPrintsCountsExactly) {
+  // A 10-input parity tree has over a million CSSG edges: six significant
+  // digits would round them.
+  const std::string path = ::testing::TempDir() + "cli_parity10.xnl";
+  std::ofstream(path) << xatpg::write_xnl_string(
+      xatpg::fixtures::parity_tree(10).netlist);
+  const CliResult result = run_cli("cssg --circuit " + path + " --json");
+  const auto session = xatpg::Session::from_xnl_file(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  ASSERT_TRUE(session.has_value());
+  const xatpg::CssgStats& stats = session->cssg_stats();
+  ASSERT_GT(stats.cssg_edges, 1e6);
+  const Value root = parse(result.out);
+  EXPECT_EQ(xatpg::json::num_field(root, "cssg_edges", 0), stats.cssg_edges);
+  EXPECT_EQ(xatpg::json::num_field(root, "tcr_pairs", 0), stats.tcr_pairs);
+  EXPECT_EQ(xatpg::json::num_field(root, "reachable_states", 0),
+            stats.reachable_states);
 }
 
 TEST(CliContract, UsageErrorsExitTwo) {

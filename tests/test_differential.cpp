@@ -41,8 +41,7 @@ ReorderPolicy test_reorder_policy() {
 
 const std::vector<VarOrder>& all_orders() {
   static const std::vector<VarOrder> orders{
-      VarOrder::Interleaved, VarOrder::Blocked, VarOrder::ReverseInterleaved,
-      VarOrder::Sifted};
+      VarOrder::Interleaved, VarOrder::Blocked, VarOrder::ReverseInterleaved};
   return orders;
 }
 

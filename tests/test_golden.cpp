@@ -43,7 +43,7 @@ TEST_P(CssgGoldenTest, StateAndEdgeCounts) {
 
   CssgOptions options;
   options.k = g.k;
-  Cssg cssg(fix.netlist, {fix.reset}, options);
+  Cssg cssg(fix.netlist, fix.reset, options);
   const CssgStats& st = cssg.stats();
   EXPECT_DOUBLE_EQ(st.reachable_states, g.reachable);
   EXPECT_DOUBLE_EQ(st.stable_states, g.stable);
@@ -121,7 +121,7 @@ TEST(BddGolden, CssgPeakNodesOnFixtures) {
     const fixtures::Circuit fix = row.make();
     CssgOptions options;
     options.k = row.k;
-    Cssg cssg(fix.netlist, {fix.reset}, options);
+    Cssg cssg(fix.netlist, fix.reset, options);
     EXPECT_EQ(cssg.stats().peak_bdd_nodes, row.peak) << fix.netlist.name();
   }
 }
@@ -149,7 +149,7 @@ TEST(BddGolden, PostSiftNodeCountsOnFixtures) {
     const fixtures::Circuit fix = row.make();
     CssgOptions options;
     options.k = row.k;
-    Cssg cssg(fix.netlist, {fix.reset}, options);
+    Cssg cssg(fix.netlist, fix.reset, options);
     const ReorderStats pass = cssg.encoding().sift_now();
     EXPECT_EQ(pass.size_before, row.before) << row.name;
     EXPECT_EQ(pass.size_after, row.after) << row.name;

@@ -246,7 +246,7 @@ TEST_P(CssgDeterminism, RelationIsAFunctionOfStateAndPattern) {
       benchmark_circuit(GetParam(), SynthStyle::SpeedIndependent);
   CssgOptions options;
   options.k = 24;
-  Cssg cssg(synth.netlist, {synth.reset_state}, options);
+  Cssg cssg(synth.netlist, synth.reset_state, options);
   SymbolicEncoding& enc = cssg.encoding();
   BddManager& mgr = enc.mgr();
 
@@ -268,7 +268,7 @@ TEST_P(CssgDeterminism, RingsPartitionReachable) {
       benchmark_circuit(GetParam(), SynthStyle::SpeedIndependent);
   CssgOptions options;
   options.k = 24;
-  Cssg cssg(synth.netlist, {synth.reset_state}, options);
+  Cssg cssg(synth.netlist, synth.reset_state, options);
   BddManager& mgr = cssg.encoding().mgr();
   Bdd unioned = mgr.bdd_false();
   for (std::size_t i = 0; i < cssg.rings().size(); ++i) {
@@ -285,7 +285,7 @@ TEST_P(CssgDeterminism, ImagePreimageAdjoint) {
       benchmark_circuit(GetParam(), SynthStyle::SpeedIndependent);
   CssgOptions options;
   options.k = 24;
-  Cssg cssg(synth.netlist, {synth.reset_state}, options);
+  Cssg cssg(synth.netlist, synth.reset_state, options);
   // img(S) ∩ T nonempty  <=>  S ∩ pre(T) nonempty, for sample S, T.
   const Bdd s = cssg.rings().front();
   for (const Bdd& t : cssg.rings()) {

@@ -243,6 +243,20 @@ TEST(Serve, MalformedAndUnknownRequestsGetTypedErrors) {
   EXPECT_EQ(json::string_field(*frame.find("error"), "code"), "OptionError");
 }
 
+TEST(Serve, SubmitWithKPastTheBoundGetsAnErrorAndNoAck) {
+  // Settling fig1b's oscillation takes time linear in k with no cancel
+  // point, so a huge k would pin the worker and shutdown behind it.
+  ServeFixture fixture({});
+  Client client = fixture.connect();
+  client.send(submit_benchmark("big-k", "fig1b", "si", false, "\"k\":1048577"));
+  const Value frame = client.expect_frame("error");
+  EXPECT_EQ(json::string_field(frame, "id"), "big-k");
+  EXPECT_EQ(json::string_field(*frame.find("error"), "code"), "OptionError");
+  // Nothing was queued: the next frame answers the next request.
+  client.send("{\"op\":\"ping\",\"id\":\"\"}\n");
+  client.expect_frame("pong");
+}
+
 TEST(Serve, OversizedRequestLineIsResourceErrorAndCloses) {
   serve::ServeConfig config;
   config.max_request_bytes = 1024;

@@ -123,10 +123,13 @@ TEST(OptionValidation, EachDegenerateKnobIsRejected) {
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.threads = 4097; }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.k = 0; }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.candidate_cap = 0; }));
+  EXPECT_TRUE(rejects([](AtpgOptions& o) { o.k = (1u << 20) + 1; }));
+  EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.k = (1u << 20) + 1; }));
   // Boundary values stay valid.
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.threads = 4096; }));
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.threads = 0; }));  // = hardware
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.k = 1; }));
+  EXPECT_FALSE(rejects([](AtpgOptions& o) { o.k = o.sim.k = 1u << 20; }));
 }
 
 TEST(OptionValidation, LegacyEngineConstructorRejectsLoudly) {
@@ -211,10 +214,42 @@ TEST(SessionFlow, CssgDotIsWellFormed) {
   options.k = session->options().k;
   options.order = session->options().order;
   options.reorder = session->options().reorder;
-  const Cssg cssg(fix.netlist, {fix.reset}, options);
-  const std::string dot = session->cssg_dot();
-  EXPECT_EQ(dot, cssg.to_dot(cssg.extract_explicit()));
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
+  const Cssg cssg(fix.netlist, fix.reset, options);
+  const Expected<std::string> dot = session->cssg_dot();
+  ASSERT_TRUE(dot.has_value());
+  EXPECT_EQ(dot.value(), cssg.to_dot(cssg.extract_explicit()));
+  EXPECT_NE(dot->find("digraph"), std::string::npos);
+}
+
+TEST(SessionFlow, FactoryLeavesTheExplicitGraphToItsFirstUse) {
+  // Statistics never pay for the explicit graph: right after the factory
+  // the engine's manager has done exactly a standalone Cssg's work, and
+  // cssg_dot() adds exactly an extract_explicit() on top of it.
+  const auto check = [](const Netlist& netlist, const auto& make) {
+    auto stats_only = make();
+    auto dot_first = make();
+    ASSERT_TRUE(stats_only.has_value());
+    ASSERT_TRUE(dot_first.has_value());
+    CssgOptions options;
+    options.k = stats_only->options().k;
+    options.order = stats_only->options().order;
+    options.reorder = stats_only->options().reorder;
+    const Cssg cssg(netlist, stats_only->reset_state(), options);
+    const BddManager& mgr = cssg.encoding().mgr();
+    EXPECT_EQ(stats_only->bdd_stats().cache_lookups, mgr.cache_lookups());
+    ASSERT_TRUE(dot_first->cssg_dot().has_value());
+    (void)cssg.extract_explicit();
+    EXPECT_EQ(dot_first->bdd_stats().cache_lookups, mgr.cache_lookups());
+  };
+  const SynthResult chu150 =
+      benchmark_circuit("chu150", SynthStyle::SpeedIndependent);
+  check(chu150.netlist, [] {
+    return Session::from_benchmark("chu150", SynthStyle::SpeedIndependent,
+                                   session_options());
+  });
+  check(parse_xnl_string(fixtures::kFig1bXnl), [] {
+    return Session::from_xnl(fixtures::kFig1bXnl, session_options());
+  });
 }
 
 // --- observer contract --------------------------------------------------------

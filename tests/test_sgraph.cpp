@@ -105,7 +105,7 @@ class CssgFig1a : public ::testing::Test {
     reset = std::move(fix.reset);
     CssgOptions options;
     options.k = 20;
-    cssg = std::make_unique<Cssg>(netlist, std::vector<std::vector<bool>>{reset}, options);
+    cssg = std::make_unique<Cssg>(netlist, reset, options);
   }
   std::vector<bool> reset;
   Netlist netlist;
@@ -191,7 +191,7 @@ TEST_F(CssgFig1a, JustifyReachesTarget) {
   // Replay the vectors with ternary simulation; must be confluent at every
   // step and land on the target.
   TernarySim sim(netlist);
-  std::vector<bool> state = just->reset_state;
+  std::vector<bool> state = reset;
   for (const auto& vec : just->vectors) {
     const auto settled = sim.settle(state, vec);
     ASSERT_TRUE(settled.confluent);
@@ -266,7 +266,7 @@ TEST_F(CssgFig1a, DotLabelsArePinned) {
 
 TEST_F(CssgFig1a, ExplicitFindChecksTheStateWidth) {
   const ExplicitCssg graph = cssg->extract_explicit();
-  ASSERT_EQ(graph.find(reset), graph.reset_ids.front());
+  ASSERT_EQ(graph.find(reset), 0u);
   // Same packed words, one signal more or less: not a state of this graph.
   std::vector<bool> wider = reset;
   wider.push_back(false);
@@ -282,7 +282,7 @@ TEST(CssgFig1b, OscillatingVectorExcluded) {
   const Netlist netlist = fig1b_circuit(&reset);
   CssgOptions options;
   options.k = 16;
-  Cssg cssg(netlist, {reset}, options);
+  Cssg cssg(netlist, reset, options);
   auto& enc = cssg.encoding();
   // A+ with B=0 oscillates: no such edge from reset.
   Bdd edge = cssg.relation() & enc.state_minterm_cur(reset) &
@@ -311,7 +311,7 @@ TEST_P(CssgBenchmark, ExplicitGraphMatchesOracle) {
   if (r.netlist.num_signals() > 12) GTEST_SKIP() << "oracle too slow";
   CssgOptions options;
   options.k = 24;
-  Cssg cssg(r.netlist, {r.reset_state}, options);
+  Cssg cssg(r.netlist, r.reset_state, options);
   const ExplicitCssg graph = cssg.extract_explicit();
   EXPECT_GE(graph.states.size(), 2u);
 
@@ -338,7 +338,7 @@ TEST_P(CssgBenchmark, OperationVectorsAreValid) {
   const SynthResult r = benchmark_circuit(GetParam(), SynthStyle::SpeedIndependent);
   CssgOptions options;
   options.k = 24;
-  Cssg cssg(r.netlist, {r.reset_state}, options);
+  Cssg cssg(r.netlist, r.reset_state, options);
   auto& enc = cssg.encoding();
 
   // From reset, apply the first enabled SG input event; the corresponding
@@ -394,8 +394,7 @@ INSTANTIATE_TEST_SUITE_P(SmallBenchmarks, CssgBenchmark,
 // edge for edge.
 
 const std::vector<VarOrder> kAllOrders{VarOrder::Interleaved, VarOrder::Blocked,
-                                       VarOrder::ReverseInterleaved,
-                                       VarOrder::Sifted};
+                                       VarOrder::ReverseInterleaved};
 
 /// The aggressive policy test_differential uses, so sifting fires during
 /// construction and extraction and the enumerator's sort path runs.
@@ -417,7 +416,7 @@ void expect_extraction_matches_oracle(
     options.k = k;
     options.order = order;
     options.reorder = reorder;
-    const Cssg cssg(netlist, {reset}, options);
+    const Cssg cssg(netlist, reset, options);
     const ExplicitCssg graph = cssg.extract_explicit();
     if (!oracle) oracle = testing::oracle_extract_explicit(cssg);
     EXPECT_EQ(std::string(), testing::explicit_oracle_mismatch(graph, *oracle));
@@ -475,8 +474,7 @@ TEST_P(ExtractionParity, PackedMatchesOracle) {
       fix.netlist, fix.reset, 24,
       GetParam() <= 6 ? kAllOrders
                       : std::vector<VarOrder>{VarOrder::Interleaved,
-                                              VarOrder::ReverseInterleaved,
-                                              VarOrder::Sifted});
+                                              VarOrder::ReverseInterleaved});
 }
 
 INSTANTIATE_TEST_SUITE_P(Inputs, ExtractionParity,
@@ -521,7 +519,7 @@ TEST(ExtractionTwoWords, PackedMatchesOracle) {
 
   CssgOptions options;
   options.k = 80;
-  const ExplicitCssg graph = Cssg(netlist, {reset}, options).extract_explicit();
+  const ExplicitCssg graph = Cssg(netlist, reset, options).extract_explicit();
   EXPECT_EQ(graph.states.size(), 4u);
   std::size_t edges = 0;
   for (const auto& succs : graph.edges) edges += succs.size();
@@ -546,7 +544,7 @@ void expect_tcr_matches_oracle(
     options.k = k;
     options.order = order;
     options.reorder = reorder;
-    const Cssg cssg(netlist, {reset}, options);
+    const Cssg cssg(netlist, reset, options);
     EXPECT_EQ(std::string(), testing::tcr_oracle_mismatch(cssg));
   }
 }
@@ -582,8 +580,7 @@ TEST_P(TcrParity, GateValueLoopMatchesPairLoop) {
       fix.netlist, fix.reset, 24,
       GetParam() <= 6 ? kAllOrders
                       : std::vector<VarOrder>{VarOrder::Interleaved,
-                                              VarOrder::ReverseInterleaved,
-                                              VarOrder::Sifted});
+                                              VarOrder::ReverseInterleaved});
 }
 
 INSTANTIATE_TEST_SUITE_P(Inputs, TcrParity,
@@ -616,7 +613,7 @@ TEST(CssgOrdering, AllOrdersAgreeOnCounts) {
     CssgOptions options;
     options.k = 20;
     options.order = order;
-    Cssg cssg(netlist, {reset}, options);
+    Cssg cssg(netlist, reset, options);
     if (edges < 0) {
       edges = cssg.stats().cssg_edges;
     } else {
@@ -631,8 +628,8 @@ TEST(CssgK, SmallKPrunesMoreEdges) {
   CssgOptions small, large;
   small.k = 1;
   large.k = 16;
-  Cssg cssg_small(netlist, {reset}, small);
-  Cssg cssg_large(netlist, {reset}, large);
+  Cssg cssg_small(netlist, reset, small);
+  Cssg cssg_large(netlist, reset, large);
   EXPECT_LE(cssg_small.stats().cssg_edges, cssg_large.stats().cssg_edges);
 }
 

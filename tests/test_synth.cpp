@@ -232,7 +232,6 @@ TEST(Synth, RedundantCoversAddGates) {
   const StateGraph sg = expand_stg(stg);
   SynthOptions plain;
   plain.style = SynthStyle::BoundedDelay;
-  plain.hazard_consensus = true;
   SynthOptions redundant = plain;
   redundant.extra_redundancy = true;
   const auto a = synthesize(sg, plain);

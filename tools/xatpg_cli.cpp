@@ -257,7 +257,7 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       if (!v) return false;
       args.options.seed = *v;
     } else if (flag == "--k") {
-      const auto v = count(1u << 20);
+      const auto v = count(AtpgOptions::kMaxK);
       if (!v) return false;
       args.options.k = static_cast<std::size_t>(*v);
       args.options.sim.k = static_cast<std::size_t>(*v);
@@ -431,7 +431,8 @@ double ms_since(Clock::time_point start) {
 }
 
 /// `started` is main's first instant; `build_ms` times the Session factory
-/// (parse or synthesis, the symbolic CSSG and the explicit graph).
+/// (parse or synthesis and the symbolic CSSG).  The first run extracts the
+/// explicit graph, so run_ms includes it.
 int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
             Clock::time_point started, double build_ms) {
   StderrObserver observer;
@@ -506,19 +507,26 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
 
 int cmd_cssg(Session& session, const CliArgs& args, std::ostream& out) {
   if (args.dot) {
-    out << session.cssg_dot();
+    const auto dot = session.cssg_dot();
+    if (!dot) return fail(dot.error());
+    out << dot.value();
     return 0;
   }
   const CssgStats& stats = session.cssg_stats();
   if (args.json) {
+    // The counts are doubles (sat counts); json::number prints them exactly
+    // where operator<< would round to six significant digits.
     out << "{\n  \"circuit\": \"" << json::escape(session.circuit_name())
-        << "\",\n  \"reachable_states\": " << stats.reachable_states
-        << ",\n  \"stable_states\": " << stats.stable_states
-        << ",\n  \"tcr_pairs\": " << stats.tcr_pairs
-        << ",\n  \"nonconfluent_pairs\": " << stats.nonconfluent_pairs
-        << ",\n  \"unstable_pairs\": " << stats.unstable_pairs
-        << ",\n  \"cssg_edges\": " << stats.cssg_edges
-        << ",\n  \"cssg_reachable_states\": " << stats.cssg_reachable_states
+        << "\",\n  \"reachable_states\": "
+        << json::number(stats.reachable_states)
+        << ",\n  \"stable_states\": " << json::number(stats.stable_states)
+        << ",\n  \"tcr_pairs\": " << json::number(stats.tcr_pairs)
+        << ",\n  \"nonconfluent_pairs\": "
+        << json::number(stats.nonconfluent_pairs)
+        << ",\n  \"unstable_pairs\": " << json::number(stats.unstable_pairs)
+        << ",\n  \"cssg_edges\": " << json::number(stats.cssg_edges)
+        << ",\n  \"cssg_reachable_states\": "
+        << json::number(stats.cssg_reachable_states)
         << ",\n  \"peak_bdd_nodes\": " << stats.peak_bdd_nodes << "\n}\n";
   } else {
     out << "circuit '" << session.circuit_name() << "'\n"
