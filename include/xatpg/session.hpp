@@ -16,11 +16,15 @@
 //     from_benchmark).  All construction failures — malformed text, failed
 //     synthesis, degenerate options, blown resource caps — come back as
 //     typed errors; nothing aborts or exits.  The factory builds the
-//     symbolic CSSG only; the explicit graph (every CSSG-reachable state
-//     and its successors) is extracted by the first run(), cssg_dot() or
-//     test_program(), so cssg_stats() and bdd_stats() never pay for it.  A
-//     graph over the 200,000-state cap is therefore reported by that first
-//     call, as a ResourceError, not by the factory.
+//     symbolic CSSG only.  The explicit graph (every CSSG-reachable state
+//     and its successors) is built one successor list at a time, when a
+//     list is first read: a run builds the lists its random walks read, and
+//     every other list only if some fault needs the 3-phase search.
+//     cssg_dot() extracts a whole graph of its own, and test_program()
+//     builds the lists its sequences read, so cssg_stats() and bdd_stats()
+//     never pay for a list.  A graph over the 200,000-state cap is
+//     therefore reported by the call that builds past it, as a
+//     ResourceError, not by the factory.
 //  2. run(faults) establishes the session's fault universe and runs the
 //     full flow (random TPG -> 3-phase symbolic ATPG -> cross fault
 //     simulation), optionally streaming progress to a RunObserver and

@@ -77,11 +77,13 @@ Expected<void> build_engine(const Netlist& netlist,
   return {};
 }
 
-/// Extract the engine's explicit graph if no run has yet: a graph over the
-/// state cap, or one that does not fit in memory, is a ResourceError.
-Expected<void> extract_graph(const AtpgEngine& engine) {
+/// Run `build`, which builds explicit successor lists on the engine's
+/// manager: a graph over the state cap, or one that does not fit in
+/// memory, is a ResourceError.
+template <typename Build>
+Expected<void> build_lists(const Build& build) {
   try {
-    (void)engine.graph();
+    build();
   } catch (const CheckError& e) {
     return Error{ErrorCode::ResourceError,
                  std::string("building the explicit CSSG failed: ") + e.what()};
@@ -239,9 +241,13 @@ const CssgStats& Session::cssg_stats() const {
   return impl_->engine->cssg().stats();
 }
 Expected<std::string> Session::cssg_dot() const {
-  if (const auto built = extract_graph(*impl_->engine); !built)
+  const Cssg& cssg = impl_->engine->cssg();
+  std::string dot;
+  if (const auto built =
+          build_lists([&] { dot = cssg.to_dot(cssg.extract_explicit()); });
+      !built)
     return built.error();
-  return impl_->engine->cssg().to_dot(impl_->engine->graph());
+  return dot;
 }
 
 std::vector<Fault> Session::input_stuck_faults() const {
@@ -295,7 +301,12 @@ bool Session::has_result() const { return impl_->result.has_value(); }
 const AtpgResult& Session::last_result() const { return *impl_->result; }
 
 Expected<std::string> Session::test_program(const AtpgResult& result) const {
-  if (const auto built = extract_graph(*impl_->engine); !built)
+  // Following a sequence builds the lists it reads that no run has built.
+  if (const auto built = build_lists([&] {
+        for (const TestSequence& seq : result.sequences)
+          (void)impl_->engine->follow(seq);
+      });
+      !built)
     return built.error();
   std::ostringstream out;
   try {

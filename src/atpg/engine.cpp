@@ -30,7 +30,7 @@ bool cancel_fired(const CancelToken* cancel) {
   return cancel != nullptr && cancel->cancelled();
 }
 
-/// Cssg::extract_explicit numbers the reset state 0.
+/// LazyCssg numbers the reset state 0.
 constexpr std::uint32_t kResetId = 0;
 
 }  // namespace
@@ -62,9 +62,20 @@ AtpgEngine::AtpgEngine(const Netlist& netlist,
   cssg_ = std::make_unique<Cssg>(netlist, reset_state_, cssg_options);
 }
 
-const ExplicitCssg& AtpgEngine::graph() const {
-  if (!graph_) graph_ = cssg_->extract_explicit();
+LazyCssg& AtpgEngine::lazy() const {
+  if (!graph_) graph_.emplace(*cssg_);
   return *graph_;
+}
+
+const ExplicitCssg& AtpgEngine::graph() const { return lazy().graph(); }
+
+const std::vector<std::uint32_t>& AtpgEngine::successors(
+    std::uint32_t id) const {
+  return lazy().successors(id);
+}
+
+std::size_t AtpgEngine::lists_built() const {
+  return graph_ ? graph_->lists_built() : 0;
 }
 
 std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
@@ -72,7 +83,7 @@ std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
   const ExplicitCssg& graph = this->graph();
   std::vector<std::uint32_t> path{kResetId};
   for (const auto& vec : seq.vectors) {
-    const auto& succs = graph.edges[path.back()];
+    const auto& succs = successors(path.back());
     const auto next = std::find_if(
         succs.begin(), succs.end(),
         [&](std::uint32_t to) { return graph.inputs[to] == vec; });
@@ -87,12 +98,11 @@ std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
 // ---------------------------------------------------------------------------
 
 std::vector<AtpgEngine::Walk> AtpgEngine::random_walks() const {
-  const ExplicitCssg& graph = this->graph();
   std::vector<Walk> walks;
   // A circuit whose reset state has no valid vector at all (every pattern
   // races — it happens on heavily hazardous bounded-delay circuits) cannot
   // be random-tested.
-  if (graph.edges[kResetId].empty()) return walks;
+  if (successors(kResetId).empty()) return walks;
   Rng rng(options_.seed);
   std::size_t budget = options_.random_budget;
   while (budget > 0) {
@@ -101,7 +111,7 @@ std::vector<AtpgEngine::Walk> AtpgEngine::random_walks() const {
     std::uint32_t good_id = kResetId;
     for (std::size_t step = 0; step < options_.random_walk_len && budget > 0;
          ++step) {
-      const auto& succs = graph.edges[good_id];
+      const auto& succs = successors(good_id);
       if (succs.empty()) break;
       good_id = succs[rng.below(succs.size())];
       --budget;
@@ -198,7 +208,7 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
       result.truncated = true;  // deeper extensions exist but are unexplored
       continue;
     }
-    for (const std::uint32_t to : graph.edges[node.good_id]) {
+    for (const std::uint32_t to : successors(node.good_id)) {
       if (++expanded > options_.diff_node_cap) {
         result.truncated = true;
         return result;
@@ -367,11 +377,14 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
     if (cancel_fired(cancel)) return false;
     prefixes[i] = activation_prefix(faults[i]);
   }
+  // The explicit lists a search may read are built here too, so the
+  // workers' successors() calls only read.
+  lazy().complete();
 
   // Results land here first (slot per fault index, written by exactly one
   // worker) and are memoized after the join: the cache is not touched from
-  // worker threads.  A search reads only the netlist, the explicit graph
-  // and its own simulator.
+  // worker threads.  A search reads only the netlist, the finished explicit
+  // graph and its own simulator.
   std::vector<SearchOutcome> generated(faults.size());
   std::vector<char> attempted(faults.size(), 0);
   const auto record_counts = [&](const FanOut& tally) {
@@ -494,8 +507,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
                                     const CancelToken* cancel) {
   const std::vector<Fault>& faults = universe_;
   Timer total_timer;
-  // The graph's first use, here on the calling thread: every fan-out below
-  // only reads it.
+  // Made here, on the calling thread, if no earlier call has: the fan-outs
+  // below only read it.
   const ExplicitCssg& graph = this->graph();
   AtpgResult result;
   result.outcomes.reserve(faults.size());

@@ -15,21 +15,24 @@
 // ThreadPool the engine owns.
 //   * The engine owns ONE Cssg on one BddManager, built by the constructor,
 //     and only the thread that calls run() touches it.  The explicit graph
-//     is extracted from it on first use, which is the start of the first
-//     run unless graph() or follow() came first, so a caller that only
-//     reads the CSSG statistics never pays for it.  Before the search
-//     fan-out that thread computes every searched fault's symbolic phases
-//     1-2 — activation ∧ CSSG-reachable, then justify() — serially, in
-//     fault-list order, so the same BDD operations run in the same order at
-//     any thread count.
+//     is a LazyCssg on that manager: a state's successor list is built on
+//     the calling thread when successors() first reads it, so a caller
+//     that only reads the CSSG statistics builds none, and random TPG
+//     builds only the lists its walks read.  Before the search fan-out
+//     that thread computes every searched fault's symbolic phases 1-2 —
+//     activation ∧ CSSG-reachable, then justify() — serially, in
+//     fault-list order, and then builds every list still missing, so the
+//     same BDD operations run in the same order, and the states take the
+//     same ids, at any thread count.
 //   * Random TPG draws every walk first, on the calling thread, from the
 //     graph and the seeded RNG alone.  The fan-out then replays the walks
 //     on each fault's own FaultSimulator and records the fault's first
 //     detecting (walk, step); the calling thread commits in walk order.
 //   * The search workers run only phase 3, differentiate() from each
-//     justified prefix and then from reset.  It reads the netlist and the
-//     explicit CSSG (shared read-only) and a private FaultSimulator per
-//     search; no worker holds a BDD node.
+//     justified prefix and then from reset.  It reads the netlist, the
+//     finished explicit graph (shared read-only: successors() builds
+//     nothing there) and a private FaultSimulator per search; no worker
+//     holds a BDD node or runs a BDD operation.
 //   * fan_out() hands out items in blocks of work_block_size() through one
 //     shared atomic cursor: a worker claims its next block with one
 //     fetch_add, so a worker pinned by a slow fault leaves the remaining
@@ -101,11 +104,19 @@ class AtpgEngine {
   /// The symbolic abstraction.  Its BddManager belongs to the thread that
   /// calls run(): query it from that thread, between runs.
   const Cssg& cssg() const { return *cssg_; }
-  /// The explicit CSSG, extracted on first use (the reset state is id 0).
-  /// The first call runs Cssg::extract_explicit() on the engine's manager,
-  /// so it belongs to the thread that calls run() and throws CheckError
-  /// past the explicit state cap; run() and add_faults() make it first.
+  /// The explicit CSSG as far as it is built: the reset state is id 0, a
+  /// state has an id once a built list reaches it, and edges[id] is empty
+  /// until successors(id) has built it.  Read lists through successors();
+  /// Cssg::extract_explicit() gives the whole graph.
   const ExplicitCssg& graph() const;
+  /// State id's successor ids in the canonical order of their states: the
+  /// one accessor for the lists.  The first read builds the list on the
+  /// engine's manager, so it belongs to the thread that calls run() and
+  /// throws CheckError past the explicit state cap; a later read only
+  /// reads.  The reference holds until the next read that builds a list.
+  const std::vector<std::uint32_t>& successors(std::uint32_t id) const;
+  /// Successor lists built so far, by every run and read on this engine.
+  std::size_t lists_built() const;
   const AtpgOptions& options() const { return options_; }
 
   /// Run the full flow (random TPG -> fault-parallel 3-phase ->
@@ -148,8 +159,8 @@ class AtpgEngine {
   bool provably_redundant(const Fault& fault) const;
 
   /// Good-circuit states visited by a sequence (from reset); nullopt if a
-  /// vector is not a valid CSSG edge.  Extracts the graph on first use,
-  /// as graph() does.
+  /// vector is not a valid CSSG edge.  Reads the lists on its path through
+  /// successors(), which builds those still missing.
   std::optional<std::vector<std::uint32_t>> follow(
       const TestSequence& seq) const;
 
@@ -201,12 +212,12 @@ class AtpgEngine {
   std::vector<Walk> random_walks() const;
   /// Replay `walks` in order on `sim`, each from a restart, abandoning a
   /// walk once the simulator gives up.  Returns the first detecting
-  /// (walk, step), or nullopt.  Reads only the explicit graph besides
+  /// (walk, step), or nullopt.  Reads only the walked states besides
   /// `sim`, so safe from any worker.
   std::optional<std::pair<std::size_t, std::size_t>> first_detection(
       FaultSimulator& sim, const std::vector<Walk>& walks) const;
-  /// Phase 3 BFS.  Touches only shared read-only state (netlist, explicit
-  /// graph) — safe from any worker.
+  /// Phase 3 BFS.  Touches only shared read-only state (netlist, finished
+  /// explicit graph) — safe from any worker.
   DiffResult differentiate(const Fault& fault, const TestSequence& prefix) const;
   /// Phases 1-2 on the engine's BddManager (calling thread only): the
   /// justification of the fault's activation states, nullopt when no
@@ -216,11 +227,14 @@ class AtpgEngine {
   /// safe from any worker.
   SearchOutcome search(const Fault& fault,
                        const std::optional<TestSequence>& prefix) const;
+  /// graph_, made on the first call (calling thread only).
+  LazyCssg& lazy() const;
   /// The full deterministic flow over universe_ (shared by run/add_faults).
   AtpgResult run_universe(RunObserver* observer, const CancelToken* cancel);
   /// The 3-phase search for `todo` (fault indices): every activation
-  /// prefix on this thread first, then the explicit searches fanned out
-  /// over the workers, memoizing each completed search in generated_cache_.
+  /// prefix on this thread first, then every explicit list still missing,
+  /// then the explicit searches fanned out over the workers, memoizing each
+  /// completed search in generated_cache_.
   /// Called once per run, before the first commit.  A token that fires
   /// during the prefix pass skips the fan-out; faults skipped because
   /// `cancel` fired are left unmemoized (a later run attempts them again),
@@ -250,9 +264,11 @@ class AtpgEngine {
   /// The symbolic abstraction on the engine's one BddManager, used only by
   /// the thread that calls run().
   std::unique_ptr<Cssg> cssg_;
-  /// Set by the first graph() call.  The fan-outs read it only after the
-  /// run that starts them has made that call, so workers never write it.
-  mutable std::optional<ExplicitCssg> graph_;
+  /// The explicit graph, made by the first lazy() call; lists are built
+  /// into it on the calling thread only.  The random replay reads just the
+  /// walked states, and the search fan-out starts after
+  /// generate_parallel() has built every list, so workers never write it.
+  mutable std::optional<LazyCssg> graph_;
   /// The current fault universe (run() replaces, add_faults() extends).
   std::vector<Fault> universe_;
   /// Per-worker 3-phase searches completed during the most recent run

@@ -403,7 +403,7 @@ void ablation_detector(const AtpgOptions& /*options*/, std::ostream& out) {
     std::vector<std::vector<bool>> good_states;
     std::uint32_t good_id = 0;
     for (int step = 0; step < 64; ++step) {
-      const auto& succs = engine.graph().edges[good_id];
+      const auto& succs = engine.successors(good_id);
       if (succs.empty()) break;
       const std::uint32_t to = succs[rng.below(succs.size())];
       vectors.push_back(engine.graph().inputs[to]);

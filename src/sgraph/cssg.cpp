@@ -247,61 +247,75 @@ std::optional<Justification> Cssg::justify(const Bdd& targets) const {
   return result;
 }
 
+ExplicitCssg Cssg::extract_explicit() const {
+  LazyCssg graph(*this);
+  graph.complete();
+  return std::move(graph).take();
+}
+
 namespace {
 /// Safety limit for explicit state enumeration.
 constexpr std::size_t kMaxExplicitStates = 200000;
 }  // namespace
 
-ExplicitCssg Cssg::extract_explicit() const {
-  ExplicitCssg graph;
-  const std::size_t n = enc_.num_signals();
-  const std::size_t width = state_words(n);
-  const auto& inputs = enc_.netlist().inputs();
-  // The one probe buffer: the index is searched through it, so only a new
-  // state allocates.
-  std::vector<StateWord> key(width);
-  // (id, true if the state is new).
-  const auto add_state = [&](const StateWord* row) {
-    std::copy(row, row + width, key.begin());
-    const auto it = graph.index.find(key);
-    if (it != graph.index.end()) return std::pair{it->second, false};
-    XATPG_CHECK_MSG(graph.states.size() < kMaxExplicitStates,
-                    "explicit CSSG exceeds state limit");
-    const auto id = static_cast<std::uint32_t>(graph.states.size());
-    graph.index.emplace(key, id);
-    graph.states.push_back(unpack_state(row, n));
-    std::vector<bool> values(inputs.size());
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      values[i] = test_bit(row, inputs[i]);
-    graph.inputs.push_back(std::move(values));
-    graph.edges.emplace_back();
-    return std::pair{id, true};
-  };
+LazyCssg::LazyCssg(const Cssg& cssg)
+    : cssg_(&cssg), key_(state_words(cssg.encoding().num_signals())) {
+  // rings()[0] is the reset state.
+  cssg.encoding().append_state_rows_cur(cssg.rings().front(), rows_);
+  intern(rows_.data());
+  cur_cube_ = cssg.encoding().cur_cube();
+}
 
-  // The reset state is id 0.
-  std::vector<StateWord> rows;
-  enc_.append_state_rows_cur(reset_set_, rows);
-  add_state(rows.data());
+std::uint32_t LazyCssg::intern(const StateWord* row) {
+  std::copy(row, row + key_.size(), key_.begin());
+  if (const auto it = graph_.index.find(key_); it != graph_.index.end())
+    return it->second;
+  XATPG_CHECK_MSG(graph_.states.size() < kMaxExplicitStates,
+                  "explicit CSSG exceeds state limit");
+  const auto id = static_cast<std::uint32_t>(graph_.states.size());
+  graph_.index.emplace(key_, id);
+  graph_.states.push_back(unpack_state(row, cssg_->encoding().num_signals()));
+  const auto& inputs = cssg_->netlist().inputs();
+  std::vector<bool> values(inputs.size());
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    values[i] = test_bit(row, inputs[i]);
+  graph_.inputs.push_back(std::move(values));
+  graph_.edges.emplace_back();
+  built_.push_back(false);
+  return id;
+}
 
-  const Bdd cur_cube = enc_.cur_cube();
-  std::vector<std::uint32_t> worklist{0};
+const std::vector<std::uint32_t>& LazyCssg::successors(std::uint32_t id) {
+  if (built_[id]) return graph_.edges[id];
+  const SymbolicEncoding& enc = cssg_->encoding();
+  const Bdd succs = enc.next_to_cur(enc.mgr().and_exists(
+      cssg_->relation(), enc.state_minterm_cur(graph_.states[id]), cur_cube_));
+  rows_.clear();
+  enc.append_state_rows_cur(succs, rows_);
+  std::vector<std::uint32_t> list;
+  list.reserve(rows_.size() / key_.size());
+  for (std::size_t r = 0; r < rows_.size(); r += key_.size())
+    list.push_back(intern(rows_.data() + r));
+  graph_.edges[id] = std::move(list);
+  built_[id] = true;
+  ++lists_built_;
+  return graph_.edges[id];
+}
+
+void LazyCssg::complete() {
+  std::vector<std::uint32_t> worklist;
+  for (auto id = static_cast<std::uint32_t>(built_.size()); id-- > 0;)
+    if (!built_[id]) worklist.push_back(id);
   while (!worklist.empty()) {
     const std::uint32_t id = worklist.back();
     worklist.pop_back();
-    const Bdd succs = enc_.next_to_cur(enc_.mgr().and_exists(
-        cssg_, enc_.state_minterm_cur(graph.states[id]), cur_cube));
-    rows.clear();
-    enc_.append_state_rows_cur(succs, rows);
-    std::vector<std::uint32_t> succ_ids;
-    succ_ids.reserve(rows.size() / width);
-    for (std::size_t r = 0; r < rows.size(); r += width) {
-      const auto [to, fresh] = add_state(rows.data() + r);
-      succ_ids.push_back(to);
-      if (fresh) worklist.push_back(to);
-    }
-    graph.edges[id] = std::move(succ_ids);
+    // The states this list reaches first are the ids it interns: push them
+    // in list order, as the depth-first walk always has.
+    const auto first_new = static_cast<std::uint32_t>(graph_.states.size());
+    successors(id);
+    for (auto to = first_new; to < graph_.states.size(); ++to)
+      worklist.push_back(to);
   }
-  return graph;
 }
 
 std::string Cssg::to_dot(const ExplicitCssg& graph) const {

@@ -34,12 +34,17 @@
 // On top of the relation: onion-ring reachability restricted to CSSG edges
 // (only valid vectors may be applied during test), justification sequence
 // extraction, and an explicit graph for random TPG / differentiation.
+// LazyCssg builds that graph one successor list at a time, when a list is
+// first read; extract_explicit() is the same builder run over every
+// reachable state.  A state's list does not depend on when it is built, so
+// lazy list = eager list, state for state (test_sgraph's LazyGraph.*).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sgraph/encoding.hpp"
@@ -68,7 +73,9 @@ struct CssgOptions {
 /// An edge is a successor id: the edge id -> to applies the vector
 /// inputs[to].  R_I flips only primary inputs and R_delta never changes
 /// them, so the input part of an edge's target IS the vector the edge
-/// applies — one vector per state instead of one per edge.
+/// applies — one vector per state instead of one per edge.  A LazyCssg's
+/// graph holds the states its built lists reach and an empty edges[id]
+/// for every list not yet built; extract_explicit() returns every list.
 struct ExplicitCssg {
   std::vector<std::vector<bool>> states;  ///< full signal vectors
   /// Primary-input values of states[id], indexed like the netlist's
@@ -141,10 +148,10 @@ class Cssg {
   /// `targets` (a cur-set); nullopt if unreachable via valid vectors.
   std::optional<Justification> justify(const Bdd& targets) const;
 
-  /// Enumerate the explicit CSSG reachable from the reset state: the reset
-  /// is id 0, the other ids follow in depth-first discovery order, and each
-  /// successor list is in lexicographic signal order.  Throws CheckError
-  /// past 200,000 states.
+  /// Enumerate the explicit CSSG reachable from the reset state: a fresh
+  /// LazyCssg completed.  The reset is id 0, the other ids follow in
+  /// depth-first discovery order, and each successor list is in
+  /// lexicographic signal order.  Throws CheckError past 200,000 states.
   ExplicitCssg extract_explicit() const;
 
   /// Graphviz dump of `graph`, this CSSG's explicit graph (stable states
@@ -175,6 +182,50 @@ class Cssg {
   mutable Bdd test_mode_reachable_;
   mutable bool test_mode_reachable_built_ = false;
   CssgStats stats_;
+};
+
+/// The explicit CSSG of a Cssg, built one successor list at a time on the
+/// Cssg's manager.  A state takes an id when the first built list reaches
+/// it (the reset state is id 0), and its own list is built on its first
+/// read: CSSG_k's image of the state's minterm, enumerated in lexicographic
+/// signal order.  So a list is the same whenever it is built; only the ids
+/// follow the order of the reads.  Building runs BDD operations, so like
+/// the Cssg's queries it belongs to one thread; once every list a reader
+/// can reach is built, successors() only reads.
+class LazyCssg {
+ public:
+  /// Interns the reset state as id 0 and builds no list.
+  explicit LazyCssg(const Cssg& cssg);
+
+  /// The states interned and the lists built so far: edges[id] stays empty
+  /// until state id's list is built.
+  const ExplicitCssg& graph() const { return graph_; }
+  /// State id's successor ids, in the canonical order of their states,
+  /// built on the first read.  The states a new list reaches first take the
+  /// next ids in list order.  The reference holds until the next read that
+  /// builds a list.  Throws CheckError past 200,000 states.
+  const std::vector<std::uint32_t>& successors(std::uint32_t id);
+  /// Lists built so far.
+  std::size_t lists_built() const { return lists_built_; }
+  /// Build every list still missing, depth-first from the states that lack
+  /// one, smallest id first.  On a fresh LazyCssg that numbers the states
+  /// as extract_explicit() does.
+  void complete();
+  /// The graph, moved out.
+  ExplicitCssg take() && { return std::move(graph_); }
+
+ private:
+  /// Id of the packed state `row`, interned if it is new.
+  std::uint32_t intern(const StateWord* row);
+
+  const Cssg* cssg_;
+  ExplicitCssg graph_;
+  std::vector<bool> built_;
+  std::size_t lists_built_ = 0;
+  Bdd cur_cube_;
+  /// The probe and row buffers every build reuses: the index is searched
+  /// through key_, so only a new state allocates.
+  std::vector<StateWord> key_, rows_;
 };
 
 }  // namespace xatpg

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "atpg/fault.hpp"
@@ -425,6 +426,66 @@ TEST_F(FollowFig1a, ValidPrefixThenNonEdge) {
   EXPECT_EQ(engine->graph().states[prefix->back()], fix.reset);
   seq.vectors.push_back(ab(true, false));
   EXPECT_FALSE(engine->follow(seq).has_value());
+}
+
+// --- the lazy explicit graph ------------------------------------------------
+// The engine builds a successor list when it first reads it: random TPG
+// builds the lists its walks read, and a run that searches builds every
+// list before the search fans out.
+
+/// The states whose lists AtpgEngine::random_walks reads, as ids of the
+/// eager `graph`: its draws replayed there.
+std::set<std::uint32_t> lists_the_walks_read(const ExplicitCssg& graph,
+                                             const AtpgOptions& options) {
+  std::set<std::uint32_t> read{0};
+  if (graph.edges[0].empty()) return read;
+  Rng rng(options.seed);
+  std::size_t budget = options.random_budget;
+  while (budget > 0) {
+    std::uint32_t id = 0;
+    for (std::size_t step = 0; step < options.random_walk_len && budget > 0;
+         ++step) {
+      read.insert(id);
+      const auto& succs = graph.edges[id];
+      if (succs.empty()) break;
+      id = succs[rng.below(succs.size())];
+      --budget;
+    }
+  }
+  return read;
+}
+
+TEST(EngineLazyGraph, RandomTpgBuildsOnlyTheListsItsWalksRead) {
+  // Random TPG covers every fault of a 10-input parity tree, so a
+  // default-options run over both universes searches no fault and builds
+  // the lists its walks read: 390 of 1,024.
+  const fixtures::Circuit fix = fixtures::parity_tree(10);
+  AtpgEngine engine(fix.netlist, fix.reset);
+  for (const std::vector<Fault>& faults :
+       {output_stuck_faults(fix.netlist), input_stuck_faults(fix.netlist)}) {
+    const AtpgResult result = engine.run(faults);
+    EXPECT_EQ(result.stats.by_random, faults.size());
+  }
+  for (const ShardBddStats& shard : engine.shard_bdd_stats())
+    EXPECT_EQ(shard.faults_done, 0u) << "worker " << shard.shard;
+  const std::size_t built = engine.lists_built();
+  const ExplicitCssg eager = engine.cssg().extract_explicit();
+  ASSERT_EQ(eager.states.size(), 1024u);
+  EXPECT_EQ(built, lists_the_walks_read(eager, engine.options()).size());
+  EXPECT_EQ(built, 390u);
+}
+
+TEST_F(EngineFixture, SearchBuildsEveryListBeforeTheFanOut) {
+  AtpgOptions options = engine->options();
+  options.random_budget = 0;
+  options.threads = 4;
+  AtpgEngine searched(netlist, reset, options);
+  EXPECT_EQ(searched.lists_built(), 0u);
+  const AtpgResult result = searched.run(input_stuck_faults(netlist));
+  EXPECT_GT(result.stats.by_three_phase, 0u);
+  const ExplicitCssg eager = searched.cssg().extract_explicit();
+  EXPECT_EQ(searched.lists_built(), eager.states.size());
+  EXPECT_EQ(searched.graph().states.size(), eager.states.size());
 }
 
 TEST_F(EngineFixture, EverySequenceDetectsItsFault) {

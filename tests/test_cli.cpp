@@ -6,6 +6,7 @@
 // exactly what a shell sees.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -165,6 +166,32 @@ TEST(CliContract, CssgJsonPrintsCountsExactly) {
   EXPECT_EQ(xatpg::json::num_field(root, "tcr_pairs", 0), stats.tcr_pairs);
   EXPECT_EQ(xatpg::json::num_field(root, "reachable_states", 0),
             stats.reachable_states);
+}
+
+TEST(CliContract, CssgTextPrintsCountsExactly) {
+  // The text output prints the counts as --json does: a 10-input parity
+  // tree's million-plus CSSG edges in full, not in six significant digits.
+  const std::string path = ::testing::TempDir() + "cli_parity10_text.xnl";
+  std::ofstream(path) << xatpg::write_xnl_string(
+      xatpg::fixtures::parity_tree(10).netlist);
+  const CliResult result = run_cli("cssg --circuit " + path);
+  const auto session = xatpg::Session::from_xnl_file(path);
+  std::remove(path.c_str());
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  ASSERT_TRUE(session.has_value());
+  const xatpg::CssgStats& stats = session->cssg_stats();
+  ASSERT_GT(stats.cssg_edges, 1e6);
+  const auto count = [](double value) {
+    return std::to_string(static_cast<std::uint64_t>(value));
+  };
+  for (const std::string& line :
+       {"TCSG reachable states: " + count(stats.reachable_states) + " (" +
+            count(stats.stable_states) + " stable)",
+        "TCR_k pairs:           " + count(stats.tcr_pairs),
+        "CSSG edges:            " + count(stats.cssg_edges),
+        "CSSG reachable states: " + count(stats.cssg_reachable_states)})
+    EXPECT_NE(result.out.find(line + "\n"), std::string::npos)
+        << line << "\n" << result.out;
 }
 
 TEST(CliContract, UsageErrorsExitTwo) {

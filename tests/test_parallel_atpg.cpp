@@ -60,6 +60,7 @@ void check_determinism(const Netlist& netlist, const std::vector<bool>& reset,
                        const std::string& name, bool classify = false,
                        bool reorder = false) {
   std::optional<AtpgResult> base_in, base_out;
+  std::vector<std::vector<bool>> base_states;  // the explicit graph's ids
   for (const std::size_t threads :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     AtpgOptions options = determinism_options(threads);
@@ -77,10 +78,15 @@ void check_determinism(const Netlist& netlist, const std::vector<bool>& reset,
     if (!base_in) {
       base_in = in;
       base_out = out;
+      base_states = engine.graph().states;
       continue;
     }
     expect_identical(*base_in, in, threads, name + "/input");
     expect_identical(*base_out, out, threads, name + "/output");
+    // Lists are built on the calling thread only, so the states take the
+    // same ids at every thread count.
+    EXPECT_EQ(engine.graph().states, base_states)
+        << name << " threads=" << threads;
   }
 }
 
@@ -495,7 +501,8 @@ void check_random_phase(const Netlist& netlist, const std::vector<bool>& reset,
         const std::vector<Fault>& faults = universes[u];
         if (oracles.size() <= u)
           oracles.push_back(testing::oracle_random_tpg(
-              netlist, reset, engine.graph(), faults, options));
+              netlist, reset, engine.cssg().extract_explicit(), faults,
+              options));
         const testing::OracleRandomTpg& oracle = oracles[u];
         ResolvedLog log;
         const AtpgResult result = engine.run(faults, &log);

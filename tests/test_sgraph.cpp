@@ -526,6 +526,112 @@ TEST(ExtractionTwoWords, PackedMatchesOracle) {
   EXPECT_EQ(edges, 12u);
 }
 
+// --- lazy successor lists vs the eager extraction ---------------------------
+// LazyCssg builds a state's list on its first read, and the engine reads
+// lists in whatever order its walks and searches go; extract_explicit()
+// stays the reference.  The reads here take a seeded shuffled order: each
+// picks a random state whose list is still unread among those the lists
+// built so far reach, so builds interleave with sifting at arbitrary
+// points and the lazy ids differ from the eager ones.  Every list, mapped
+// to its states, must equal the eager list of the same state, and a list
+// read twice is built once.  Lists do not depend on the variable order,
+// so the first order's eager graph is the reference for every order (a
+// list that did would differ here).  The circuits and exemptions are the
+// Extraction* suites', with parity up to 12 inputs.
+
+void expect_lazy_matches_eager(const Netlist& netlist,
+                               const std::vector<bool>& reset, std::size_t k,
+                               const std::vector<VarOrder>& orders =
+                                   kAllOrders) {
+  std::optional<ExplicitCssg> reference;
+  for (const VarOrder order : orders) {
+    SCOPED_TRACE(std::string("order=") + var_order_name(order));
+    CssgOptions options;
+    options.k = k;
+    options.order = order;
+    options.reorder = aggressive_reorder();
+    const Cssg cssg(netlist, reset, options);
+    if (!reference) reference = cssg.extract_explicit();
+    const ExplicitCssg& eager = *reference;
+    LazyCssg lazy(cssg);
+    const ExplicitCssg& graph = lazy.graph();
+    // eager_id[lazy id]; the unread lazy ids.
+    std::vector<std::uint32_t> eager_id{0};
+    std::vector<std::uint32_t> unread{0};
+    Rng rng(7919 * netlist.num_signals() + static_cast<std::uint64_t>(order));
+    while (!unread.empty()) {
+      const std::size_t pick = rng.below(unread.size());
+      const std::uint32_t id = unread[pick];
+      unread[pick] = unread.back();
+      unread.pop_back();
+      const std::vector<std::uint32_t> list = lazy.successors(id);
+      for (auto fresh = static_cast<std::uint32_t>(eager_id.size());
+           fresh < graph.states.size(); ++fresh) {
+        const auto found = eager.find(graph.states[fresh]);
+        ASSERT_TRUE(found.has_value())
+            << ExplicitCssg::label(graph.states[fresh]);
+        ASSERT_EQ(graph.inputs[fresh], eager.inputs[*found]);
+        eager_id.push_back(*found);
+        unread.push_back(fresh);
+      }
+      std::vector<std::uint32_t> mapped(list.size());
+      for (std::size_t i = 0; i < list.size(); ++i)
+        mapped[i] = eager_id[list[i]];
+      ASSERT_EQ(mapped, eager.edges[eager_id[id]])
+          << ExplicitCssg::label(graph.states[id]);
+      const std::size_t built = lazy.lists_built();
+      ASSERT_EQ(lazy.successors(id), list);
+      ASSERT_EQ(lazy.lists_built(), built);
+    }
+    EXPECT_EQ(graph.states.size(), eager.states.size());
+    EXPECT_EQ(lazy.lists_built(), eager.states.size());
+  }
+}
+
+TEST(LazyGraph, FixturesMatchEagerForEveryOrder) {
+  for (const auto& [name, make] : kFixtures) {
+    SCOPED_TRACE(name);
+    const fixtures::Circuit fix = make();
+    expect_lazy_matches_eager(fix.netlist, fix.reset, 20);
+  }
+}
+
+TEST(LazyGraph, BenchmarksMatchEagerForEveryOrder) {
+  const auto check = [](const std::string& name, SynthStyle style) {
+    SCOPED_TRACE(name);
+    const SynthResult r = benchmark_circuit(name, style);
+    if (r.netlist.num_signals() > 12) return;
+    expect_lazy_matches_eager(r.netlist, r.reset_state, 24);
+  };
+  for (const std::string& name : si_benchmark_names())
+    check(name, SynthStyle::SpeedIndependent);
+  for (const std::string& name : bd_benchmark_names())
+    check(name, SynthStyle::BoundedDelay);
+}
+
+TEST(LazyGraph, ParityTreesMatchEager) {
+  for (std::size_t inputs = 2; inputs <= 12; ++inputs) {
+    SCOPED_TRACE(std::to_string(inputs) + " inputs");
+    const fixtures::Circuit fix = fixtures::parity_tree(inputs);
+    expect_lazy_matches_eager(
+        fix.netlist, fix.reset, 24,
+        inputs <= 6 ? kAllOrders
+                    : std::vector<VarOrder>{VarOrder::Interleaved,
+                                            VarOrder::ReverseInterleaved});
+  }
+}
+
+TEST(LazyGraph, RandomNetlistsMatchEagerForEveryOrder) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fixtures::RandomNetlistOptions options;
+    options.num_inputs = 3;
+    options.num_gates = 3 + seed % 3;
+    const fixtures::Circuit fix = fixtures::random_netlist(seed, options);
+    expect_lazy_matches_eager(fix.netlist, fix.reset, 20);
+  }
+}
+
 // --- TCR_k over gate values vs the pair loop ---------------------------------
 // build_tcr_and_prune iterates S(g, y) over the source's gate values; the
 // loop it replaced, A(x, y) over whole source states, lives on in

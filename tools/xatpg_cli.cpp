@@ -431,8 +431,8 @@ double ms_since(Clock::time_point start) {
 }
 
 /// `started` is main's first instant; `build_ms` times the Session factory
-/// (parse or synthesis and the symbolic CSSG).  The first run extracts the
-/// explicit graph, so run_ms includes it.
+/// (parse or synthesis and the symbolic CSSG).  The runs build the explicit
+/// successor lists they read, so run_ms includes them.
 int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
             Clock::time_point started, double build_ms) {
   StderrObserver observer;
@@ -513,9 +513,9 @@ int cmd_cssg(Session& session, const CliArgs& args, std::ostream& out) {
     return 0;
   }
   const CssgStats& stats = session.cssg_stats();
+  // The counts are doubles (sat counts); json::number prints them exactly
+  // where operator<< would round to six significant digits.
   if (args.json) {
-    // The counts are doubles (sat counts); json::number prints them exactly
-    // where operator<< would round to six significant digits.
     out << "{\n  \"circuit\": \"" << json::escape(session.circuit_name())
         << "\",\n  \"reachable_states\": "
         << json::number(stats.reachable_states)
@@ -530,13 +530,16 @@ int cmd_cssg(Session& session, const CliArgs& args, std::ostream& out) {
         << ",\n  \"peak_bdd_nodes\": " << stats.peak_bdd_nodes << "\n}\n";
   } else {
     out << "circuit '" << session.circuit_name() << "'\n"
-        << "TCSG reachable states: " << stats.reachable_states << " ("
-        << stats.stable_states << " stable)\n"
-        << "TCR_k pairs:           " << stats.tcr_pairs << "\n"
-        << "pruned non-confluent:  " << stats.nonconfluent_pairs << "\n"
-        << "pruned oscillating:    " << stats.unstable_pairs << "\n"
-        << "CSSG edges:            " << stats.cssg_edges << "\n"
-        << "CSSG reachable states: " << stats.cssg_reachable_states << "\n"
+        << "TCSG reachable states: " << json::number(stats.reachable_states)
+        << " (" << json::number(stats.stable_states) << " stable)\n"
+        << "TCR_k pairs:           " << json::number(stats.tcr_pairs) << "\n"
+        << "pruned non-confluent:  " << json::number(stats.nonconfluent_pairs)
+        << "\n"
+        << "pruned oscillating:    " << json::number(stats.unstable_pairs)
+        << "\n"
+        << "CSSG edges:            " << json::number(stats.cssg_edges) << "\n"
+        << "CSSG reachable states: "
+        << json::number(stats.cssg_reachable_states) << "\n"
         << "peak BDD nodes:        " << stats.peak_bdd_nodes << "\n";
   }
   return 0;
