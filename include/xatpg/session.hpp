@@ -33,7 +33,10 @@
 //     flow on the union universe, reusing every 3-phase search an earlier
 //     run on this Session completed, so only the faults no earlier run
 //     searched pay for one.  The result and its observer events are
-//     byte-identical to a from-scratch run on the union universe.
+//     byte-identical to a from-scratch run on the union universe, except
+//     the stats that measure this run's work: the clocks, and the exact
+//     simulation counts (sim_steps, settles, settles_memoized), which are
+//     lower when cached searches are reused.
 //     add_faults({}) after a cancelled run resumes it the same way, and the
 //     final result is byte-identical to an uncancelled run.
 //  4. Results, test-program export and statistics are read back at any

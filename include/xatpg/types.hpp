@@ -109,6 +109,16 @@ struct AtpgStats {
   double seconds = 0;
   double random_seconds = 0;
   double three_phase_seconds = 0;
+  /// The exact simulation work this run did, summed over its per-fault
+  /// simulators: steps that simulated, settle kernel runs (each fault's
+  /// reset settle included) and start states the settle memo answered
+  /// instead.  Deterministic — the same at every thread count — but, like
+  /// the clocks, not part of the result's identity: an add_faults() run
+  /// that reuses memoized searches does less work, so it counts less than
+  /// a from-scratch run with the same outcomes.
+  std::size_t sim_steps = 0;
+  std::size_t settles = 0;
+  std::size_t settles_memoized = 0;
 
   [[nodiscard]] double coverage() const {
     return total_faults == 0

@@ -143,12 +143,13 @@ AtpgEngine::first_detection(FaultSimulator& sim,
 // ---------------------------------------------------------------------------
 
 AtpgEngine::DiffResult AtpgEngine::differentiate(
-    const Fault& fault, const TestSequence& prefix) const {
+    FaultSimulator& sim, const TestSequence& prefix) const {
   const ExplicitCssg& graph = this->graph();
   DiffResult result;
 
-  // Replay the (justification) prefix on the faulty circuit.
-  FaultSimulator sim(*netlist_, fault, reset_state_, options_.sim);
+  // Replay the (justification) prefix on the faulty circuit, from reset
+  // even when an earlier sequence on this simulator detected the fault.
+  sim.reset();
   if (sim.status() == DetectStatus::GaveUp) {
     result.truncated = true;  // candidate cap blew at reset — nothing proven
     return result;
@@ -272,18 +273,18 @@ std::optional<TestSequence> AtpgEngine::activation_prefix(
 }
 
 AtpgEngine::SearchOutcome AtpgEngine::search(
-    const Fault& fault, const std::optional<TestSequence>& prefix) const {
+    FaultSimulator& sim, const std::optional<TestSequence>& prefix) const {
   // Phase 3 — differentiation (§5.3), first from the justified activation
   // state.
   bool truncated = false;
   if (prefix) {
-    const DiffResult with_prefix = differentiate(fault, *prefix);
+    const DiffResult with_prefix = differentiate(sim, *prefix);
     if (with_prefix.found) return SearchOutcome{with_prefix.sequence, false};
     truncated = with_prefix.truncated;
   }
   // Fall back to a full differentiation search from reset: complete within
   // the caps, subsumes any choice of activation state.
-  const DiffResult from_reset = differentiate(fault, TestSequence{});
+  const DiffResult from_reset = differentiate(sim, TestSequence{});
   if (from_reset.found) return SearchOutcome{from_reset.sequence, false};
   // No test.  "Gave up" iff any cap truncated either search — an
   // untruncated exhaustion means the fault really has no test within the
@@ -365,10 +366,11 @@ AtpgEngine::FanOut AtpgEngine::fan_out(
   return tally;
 }
 
-bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
-                                   const std::vector<std::size_t>& todo,
-                                   const CancelToken* cancel,
-                                   const std::function<void()>& on_block) {
+bool AtpgEngine::generate_parallel(
+    const std::vector<Fault>& faults,
+    std::vector<std::unique_ptr<FaultSimulator>>& sims,
+    const std::vector<std::size_t>& todo, const CancelToken* cancel,
+    const std::function<void()>& on_block) {
   // Phases 1-2 run here, on the one thread that uses the BDD manager, in
   // fault-list order.  A token that fires during this pass skips the
   // search, so no search ever runs without its prefix.
@@ -383,8 +385,10 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
 
   // Results land here first (slot per fault index, written by exactly one
   // worker) and are memoized after the join: the cache is not touched from
-  // worker threads.  A search reads only the netlist, the finished explicit
-  // graph and its own simulator.
+  // worker threads.  A search reads only the netlist and the finished
+  // explicit graph, and it drives the fault's simulator from this run,
+  // which the replay fan-out's join handed over and this fan-out's join
+  // hands on to the merge.
   std::vector<SearchOutcome> generated(faults.size());
   std::vector<char> attempted(faults.size(), 0);
   const auto record_counts = [&](const FanOut& tally) {
@@ -395,7 +399,7 @@ bool AtpgEngine::generate_parallel(const std::vector<Fault>& faults,
   const FanOut tally = fan_out(
       todo, cancel,
       [&](std::size_t i) {
-        generated[i] = search(faults[i], prefixes[i]);
+        generated[i] = search(*sims[i], prefixes[i]);
         attempted[i] = 1;
       },
       [&](const FanOut& so_far) {
@@ -471,8 +475,10 @@ void AtpgEngine::cross_simulate(
     // would regress coverage where ternary is too conservative.  Every
     // remaining fault was searched before the first commit.
     if (!flagged[r] && generated_cache_.at(faults[j]).sequence) continue;
+    // reset(), not restart(): the fault's own search may have left its
+    // simulator Detected by a sequence that is not this one.
     FaultSimulator& sim = *sims[j];
-    sim.restart();
+    sim.reset();
     DetectStatus status = sim.status();
     for (std::size_t t = 0;
          t < seq.vectors.size() && status == DetectStatus::Undetermined; ++t)
@@ -545,8 +551,11 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     observer->on_progress(progress);
   };
 
-  // Long-lived exact simulators, one per fault — replayed along the random
-  // walks first, restart()ed per committed sequence in the merge phase later.
+  // One exact simulator per fault serves the whole run: the replay fan-out
+  // steps it along the random walks, the search fan-out hands it to the
+  // fault's differentiation search, and the merge resets it per committed
+  // sequence.  Each handoff crosses a fan-out join, so only one thread at
+  // a time drives a simulator and its settle memo carries over.
   std::vector<std::unique_ptr<FaultSimulator>> sims;
   sims.reserve(faults.size());
   for (const Fault& f : faults)
@@ -639,7 +648,7 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   // A token that fires before or during the batch skips the merge, so the
   // merge never meets a fault without a search.
   if (!unsearched.empty() && !is_cancelled() &&
-      !generate_parallel(faults, unsearched, cancel,
+      !generate_parallel(faults, sims, unsearched, cancel,
                          [&] { emit_progress(RunPhase::ThreePhase); }))
     result.cancelled = true;
 
@@ -683,6 +692,11 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     }
   }
 
+  for (const auto& sim : sims) {
+    result.stats.sim_steps += sim->steps();
+    result.stats.settles += sim->settles();
+    result.stats.settles_memoized += sim->settles_memoized();
+  }
   result.stats.covered = result.stats.by_random + result.stats.by_three_phase +
                          result.stats.by_fault_sim;
   result.stats.undetected = result.stats.total_faults - result.stats.covered;

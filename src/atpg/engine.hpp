@@ -24,14 +24,20 @@
 //     fault-list order, and then builds every list still missing, so the
 //     same BDD operations run in the same order, and the states take the
 //     same ids, at any thread count.
+//   * A run makes one FaultSimulator per fault, and that simulator serves
+//     the fault for the whole run, so its settle memo answers every start
+//     state the fault met before: the replay fan-out, then the search
+//     fan-out, then the merge on the calling thread.  Each handoff crosses
+//     a fan-out join, so one thread at a time drives it and no lock is
+//     needed.
 //   * Random TPG draws every walk first, on the calling thread, from the
 //     graph and the seeded RNG alone.  The fan-out then replays the walks
-//     on each fault's own FaultSimulator and records the fault's first
-//     detecting (walk, step); the calling thread commits in walk order.
+//     on each fault's simulator and records the fault's first detecting
+//     (walk, step); the calling thread commits in walk order.
 //   * The search workers run only phase 3, differentiate() from each
 //     justified prefix and then from reset.  It reads the netlist, the
 //     finished explicit graph (shared read-only: successors() builds
-//     nothing there) and a private FaultSimulator per search; no worker
+//     nothing there) and the fault's simulator from this run; no worker
 //     holds a BDD node or runs a BDD operation.
 //   * fan_out() hands out items in blocks of work_block_size() through one
 //     shared atomic cursor: a worker claims its next block with one
@@ -216,16 +222,18 @@ class AtpgEngine {
   /// `sim`, so safe from any worker.
   std::optional<std::pair<std::size_t, std::size_t>> first_detection(
       FaultSimulator& sim, const std::vector<Walk>& walks) const;
-  /// Phase 3 BFS.  Touches only shared read-only state (netlist, finished
-  /// explicit graph) — safe from any worker.
-  DiffResult differentiate(const Fault& fault, const TestSequence& prefix) const;
+  /// Phase 3 BFS on `sim`'s fault, from a reset() of `sim`.  Touches only
+  /// `sim` and shared read-only state (netlist, finished explicit graph) —
+  /// safe from the worker that holds `sim`.
+  DiffResult differentiate(FaultSimulator& sim,
+                           const TestSequence& prefix) const;
   /// Phases 1-2 on the engine's BddManager (calling thread only): the
   /// justification of the fault's activation states, nullopt when no
   /// CSSG-reachable stable state activates it.
   std::optional<TestSequence> activation_prefix(const Fault& fault) const;
-  /// Phase 3 from `prefix` (if any), then from reset.  Explicit only, so
-  /// safe from any worker.
-  SearchOutcome search(const Fault& fault,
+  /// Phase 3 for `sim`'s fault from `prefix` (if any), then from reset.
+  /// Explicit only, so safe from the worker that holds `sim`.
+  SearchOutcome search(FaultSimulator& sim,
                        const std::optional<TestSequence>& prefix) const;
   /// graph_, made on the first call (calling thread only).
   LazyCssg& lazy() const;
@@ -233,8 +241,8 @@ class AtpgEngine {
   AtpgResult run_universe(RunObserver* observer, const CancelToken* cancel);
   /// The 3-phase search for `todo` (fault indices): every activation
   /// prefix on this thread first, then every explicit list still missing,
-  /// then the explicit searches fanned out over the workers, memoizing each
-  /// completed search in generated_cache_.
+  /// then the explicit searches fanned out over the workers, fault i on
+  /// sims[i], memoizing each completed search in generated_cache_.
   /// Called once per run, before the first commit.  A token that fires
   /// during the prefix pass skips the fan-out; faults skipped because
   /// `cancel` fired are left unmemoized (a later run attempts them again),
@@ -242,15 +250,17 @@ class AtpgEngine {
   /// counts land in shard_done_, updated before each `on_block` call that
   /// streams progress.
   bool generate_parallel(const std::vector<Fault>& faults,
+                         std::vector<std::unique_ptr<FaultSimulator>>& sims,
                          const std::vector<std::size_t>& todo,
                          const CancelToken* cancel,
                          const std::function<void()>& on_block);
   /// Post-merge cross fault simulation of one committed sequence: 64-lane
   /// ternary screen over the remaining uncovered faults, exact confirmation
   /// of every flag, exact fallback for faults whose search found no test.
-  /// `sims` are the long-lived per-fault exact simulators (restart()ed per
-  /// sequence, as in the random phase).  `resolved` collects the indices
-  /// whose outcome this call finalized (for observer events).
+  /// `sims` are the run's per-fault exact simulators, reset() per sequence
+  /// (a fault's own search may have left its simulator Detected).
+  /// `resolved` collects the indices whose outcome this call finalized
+  /// (for observer events).
   void cross_simulate(const std::vector<Fault>& faults,
                       std::vector<std::unique_ptr<FaultSimulator>>& sims,
                       std::size_t committed, const TestSequence& seq,

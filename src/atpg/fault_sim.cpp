@@ -4,6 +4,7 @@
 #include <string>
 
 #include "util/check.hpp"
+#include "util/packed.hpp"
 
 namespace xatpg {
 
@@ -40,6 +41,7 @@ FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
   // circuit then relaxes freely.  No strobe is compared at reset time.
   const std::vector<StateWord> start =
       pack_state(fault_initial_state(good, fault, reset_state));
+  ++settles_;
   if (!circuit_.settle(start.data(), options_.k, scratch_, reset_candidates_)) {
     reset_candidates_.clear();
     reset_status_ = DetectStatus::GaveUp;  // faulty circuit does not even reset
@@ -50,18 +52,68 @@ FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
   }
   candidates_ = reset_candidates_;
   status_ = reset_status_;
+  memo_slots_.assign(16, 0);
 }
 
 void FaultSimulator::restart() {
   if (status_ == DetectStatus::Detected) return;  // sticky once proven
+  reset();
+}
+
+void FaultSimulator::reset() {
   candidates_ = reset_candidates_;
   status_ = reset_status_;
+}
+
+// The memo never changes a status.  settle() is a pure function of the
+// faulty circuit, the start state and k, all fixed per key, so an answer
+// read back is the answer the kernel would give again.  step() gives up
+// iff some candidate's start is unsettled, or the deduplicated union of
+// the consistent rows exceeds candidate_cap at a candidate boundary;
+// storing each entry's rows sorted and distinct moves neither condition,
+// and the final sort makes the consistent set the same words.
+FaultSimulator::Settled FaultSimulator::settle_memoized(
+    const StateWord* start) {
+  const std::size_t w = circuit_.words();
+  std::size_t mask = memo_slots_.size() - 1;
+  std::size_t slot = hash_words(start, w) & mask;
+  for (; memo_slots_[slot] != 0; slot = (slot + 1) & mask) {
+    const std::size_t e = memo_slots_[slot] - 1;
+    if (std::equal(start, start + w, memo_keys_.begin() + e * w)) {
+      ++settles_memoized_;
+      return memo_[e];
+    }
+  }
+  ++settles_;
+  Settled entry;
+  settled_.clear();
+  entry.settled = circuit_.settle(start, options_.k, scratch_, settled_);
+  entry.rows_begin = memo_rows_.size();
+  if (entry.settled) {
+    sort_unique_rows(settled_, w);
+    memo_rows_.insert(memo_rows_.end(), settled_.begin(), settled_.end());
+  }
+  entry.rows_end = memo_rows_.size();
+  memo_keys_.insert(memo_keys_.end(), start, start + w);
+  memo_.push_back(entry);
+  memo_slots_[slot] = static_cast<std::uint32_t>(memo_.size());
+  if (2 * memo_.size() > memo_slots_.size()) {
+    memo_slots_.assign(2 * memo_slots_.size(), 0);
+    mask = memo_slots_.size() - 1;
+    for (std::size_t e = 0; e < memo_.size(); ++e) {
+      slot = hash_words(memo_keys_.data() + e * w, w) & mask;
+      while (memo_slots_[slot] != 0) slot = (slot + 1) & mask;
+      memo_slots_[slot] = static_cast<std::uint32_t>(e + 1);
+    }
+  }
+  return entry;
 }
 
 DetectStatus FaultSimulator::step(const std::vector<bool>& input_values,
                                   const std::vector<bool>& good_state) {
   if (status_ != DetectStatus::Undetermined) return status_;
   XATPG_CHECK(input_values.size() == num_good_inputs_);
+  ++steps_;
   const std::size_t w = circuit_.words();
   applied_.assign(w, 0);
   for (const auto& [i, in] : input_map_)
@@ -78,23 +130,20 @@ DetectStatus FaultSimulator::step(const std::vector<bool>& input_values,
   for (std::size_t c = 0; c < candidates_.size(); c += w) {
     for (std::size_t j = 0; j < w; ++j)
       start_[j] = (candidates_[c + j] & ~input_mask_[j]) | applied_[j];
-    const std::size_t first = next_.size();
-    if (!circuit_.settle(start_.data(), options_.k, scratch_, next_)) {
+    const Settled entry = settle_memoized(start_.data());
+    if (!entry.settled) {
       status_ = DetectStatus::GaveUp;
       return status_;
     }
     // Strobe: executions whose primary outputs differ from the expected
-    // response have been flagged by the tester — drop them.
-    std::size_t kept = first;
-    for (std::size_t r = first; r < next_.size(); r += w) {
+    // response have been flagged by the tester — keep only the others.
+    for (std::size_t r = entry.rows_begin; r < entry.rows_end; r += w) {
+      const StateWord* row = memo_rows_.data() + r;
       bool mismatch = false;
       for (std::size_t j = 0; j < w; ++j)
-        mismatch |= ((next_[r + j] ^ expected_[j]) & output_mask_[j]) != 0;
-      if (mismatch) continue;
-      std::copy_n(next_.begin() + r, w, next_.begin() + kept);
-      kept += w;
+        mismatch |= ((row[j] ^ expected_[j]) & output_mask_[j]) != 0;
+      if (!mismatch) next_.insert(next_.end(), row, row + w);
     }
-    next_.resize(kept);
     if (next_.size() / w > options_.candidate_cap) {
       sort_unique_rows(next_, w);
       if (next_.size() / w > options_.candidate_cap) {

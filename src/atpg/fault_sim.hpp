@@ -47,8 +47,12 @@ enum class DetectStatus : std::uint8_t {
 
 /// Exact consistent-set simulator for one fault.  The faulty circuit is
 /// compiled once into a PackedCircuit; candidates are packed states kept
-/// sorted and distinct, so equal sets are equal word vectors.  Each
-/// simulator owns its kernel buffers: use one per thread.
+/// sorted and distinct, so equal sets are equal word vectors.  Each packed
+/// start state (a candidate with the applied inputs) is settled once: a
+/// memo keeps the kernel's answer for the simulator's lifetime, so a walk,
+/// a search or a committed sequence that revisits a start reads it back.
+/// One simulator may therefore serve a fault through a whole run, but it
+/// owns its kernel buffers and its memo: one thread at a time.
 class FaultSimulator {
  public:
   /// `reset_state` is the good circuit's (stable) reset state; the faulty
@@ -70,6 +74,10 @@ class FaultSimulator {
 
   /// Restart from reset (new test sequence); keeps Detected sticky.
   void restart();
+  /// Return to the relaxed reset whatever the status, Detected included:
+  /// a new sequence on a simulator that an earlier sequence may have
+  /// detected the fault with.  The memo survives.
+  void reset();
 
   /// Cheap snapshot/rollback for the differentiation BFS.
   struct Snapshot {
@@ -82,7 +90,25 @@ class FaultSimulator {
     status_ = snap.status;
   }
 
+  /// Work done so far, a pure function of the calls made: step() calls
+  /// that simulated (status Undetermined on entry), settle kernel runs
+  /// (the reset's included) and start states the memo answered.
+  std::size_t steps() const { return steps_; }
+  std::size_t settles() const { return settles_; }
+  std::size_t settles_memoized() const { return settles_memoized_; }
+
  private:
+  /// What settling one start state gave: whether every trajectory
+  /// stabilised within k, and then its stable states, sorted and distinct,
+  /// at memo_rows_[rows_begin, rows_end).
+  struct Settled {
+    std::size_t rows_begin = 0, rows_end = 0;
+    bool settled = false;
+  };
+  /// The memo's answer for the packed start `start`, settling it first
+  /// when no earlier lookup has.
+  Settled settle_memoized(const StateWord* start);
+
   Fault fault_;
   FaultSimOptions options_;
   PackedCircuit circuit_;
@@ -100,7 +126,16 @@ class FaultSimulator {
   DetectStatus status_ = DetectStatus::Undetermined;
   // Per-step buffers, reused.
   SettleScratch scratch_;
-  std::vector<StateWord> applied_, expected_, start_, next_;
+  std::vector<StateWord> applied_, expected_, start_, next_, settled_;
+  // The settle memo, in flat arrays: entry e is the start state
+  // memo_keys_[e * words, (e + 1) * words) and its answer memo_[e];
+  // memo_slots_ is an open-addressing index over the entries (entry + 1,
+  // 0 = empty, a power of two at most half full).
+  std::vector<StateWord> memo_keys_;
+  std::vector<Settled> memo_;
+  std::vector<StateWord> memo_rows_;
+  std::vector<std::uint32_t> memo_slots_;
+  std::size_t steps_ = 0, settles_ = 0, settles_memoized_ = 0;
 };
 
 /// Word-parallel ternary screen: simulate `faults` against the good circuit

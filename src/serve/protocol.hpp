@@ -85,9 +85,10 @@ struct Request {
 /// Serialize a completed run: integer statistics, per-fault outcomes
 /// (compact arrays: [site, gate, pin, stuck, covered_by, sequence_index,
 /// proven_redundant, gave_up]) and test sequences (one bit-string per
-/// vector).  Deliberately excludes every wall-clock field so the payload is
-/// a pure function of (circuit, options, faults) — the cache-identity
-/// contract above.
+/// vector).  Deliberately excludes every wall-clock field and the exact
+/// simulation work counts (an add_faults run that reuses searches counts
+/// less) so the payload is a pure function of (circuit, options, faults) —
+/// the cache-identity contract above.
 [[nodiscard]] std::string serialize_result(const std::string& circuit_name,
                                            const std::string& faults_spec,
                                            const AtpgResult& result);

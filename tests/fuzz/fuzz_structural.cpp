@@ -20,7 +20,9 @@
 //   3. the packed settling kernel and fault simulator must match their
 //      set-based oracles (tests/oracle.hpp): equal stable sets and bound
 //      flags from every oracle-reachable state under every input pattern,
-//      equal status and candidates for every fault along a walk;
+//      equal status and candidates for every fault along a walk, and again
+//      when the walk expands every branch from a snapshot first, so the
+//      simulator's settle memo answers revisited starts;
 //   4. the ATPG engine must run to completion with one outcome per fault.
 //
 // Any exception at all is a violation here: every circuit is valid by
@@ -168,7 +170,10 @@ void check_kernel(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
 
   // A walk of valid vectors: the oracle's edges, picked by a generator
   // seeded from the circuit so the mutation stream stays untouched.
-  std::vector<std::pair<std::vector<bool>, std::vector<bool>>> walk;
+  // Every edge out of each good state the walk leaves is a branch of the
+  // search-shaped drive below.
+  std::vector<xatpg::testing::OracleCycle> walk;
+  std::vector<std::vector<xatpg::testing::OracleCycle>> branches;
   xatpg::Rng pick(netlist.num_signals() * 7919 + oracle.edges.size());
   std::vector<bool> good = reset;
   for (int t = 0; t < 4; ++t) {
@@ -176,6 +181,9 @@ void check_kernel(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
     for (const auto& edge : oracle.edges)
       if (std::get<0>(edge) == good) out.push_back(&edge);
     if (out.empty()) break;
+    auto& here = branches.emplace_back();
+    for (const auto* edge : out)
+      here.emplace_back(std::get<1>(*edge), std::get<2>(*edge));
     const auto& edge = *out[pick.below(out.size())];
     walk.emplace_back(std::get<1>(edge), std::get<2>(edge));
     good = std::get<2>(edge);
@@ -199,6 +207,19 @@ void check_kernel(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
         fail("packed fault simulator diverged from the set-based oracle on " +
              fault.describe(netlist) + " after " + std::to_string(t) +
              " vectors");
+    }
+    // The settle memo, driven as a run drives a fault's simulator, at the
+    // bound above and at k = 3 with cap 2, where unsettled and over-cap
+    // answers are read back from it.
+    xatpg::FaultSimOptions small;
+    small.k = 3;
+    small.candidate_cap = 2;
+    for (const xatpg::FaultSimOptions& bounds : {options, small}) {
+      const xatpg::testing::MemoLockstep memo = xatpg::testing::memo_lockstep(
+          netlist, reset, fault, bounds, {walk}, {branches});
+      if (!memo.mismatch.empty())
+        fail("settle memo diverged from the set-based oracle: " +
+             memo.mismatch);
     }
   }
 }

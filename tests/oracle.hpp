@@ -15,7 +15,10 @@
 // kernel in src/sim/explicit.cpp and src/atpg/fault_sim.cpp replaced, kept
 // as its reference (tests/test_sim.cpp, tests/test_atpg.cpp,
 // tests/fuzz/fuzz_structural.cpp).  The CSSG oracle settles through it too,
-// so it shares no code with the kernel under test.
+// so it shares no code with the kernel under test.  It settles every start
+// state afresh, so it is also the reference for the packed simulator's
+// settle memo: memo_lockstep() drives both the way a run drives a fault's
+// simulator, revisiting start states.
 //
 // The explicit CSSG extraction as it was before packed rows (std::vector<bool>
 // enumeration, a pattern on every edge), kept as the reference for the
@@ -253,6 +256,79 @@ inline std::set<std::vector<bool>> unpacked_candidates(
   const std::size_t w = state_words(num_signals);
   for (std::size_t r = 0; r < sim.candidates().size(); r += w)
     out.insert(unpack_state(sim.candidates().data() + r, num_signals));
+  return out;
+}
+
+// --- the settle memo --------------------------------------------------------
+
+/// One test cycle: the vector applied and the good state after it.
+using OracleCycle = std::pair<std::vector<bool>, std::vector<bool>>;
+
+/// What memo_lockstep found: the first divergence ("" when none), the
+/// lookups the simulator's settle memo answered and the steps that gave up.
+struct MemoLockstep {
+  std::string mismatch;
+  std::size_t memoized = 0;
+  std::size_t gave_up = 0;
+};
+
+/// Drive one FaultSimulator the way the engine drives a fault's simulator
+/// through a run, beside a fresh OracleFaultSimulator per walk: each walk
+/// starts with reset(), and at cycle t the simulator is snapshot, stepped
+/// by every cycle of branches[w][t] in turn from the snapshot (a search
+/// node's expansion), restored and stepped by walks[w][t], until the status
+/// is final.  With walks[w][t] among branches[w][t], the walk's own cycle
+/// repeats a branch's starts, so the memo must answer there; status and
+/// candidates must equal the oracle's after every step.
+inline MemoLockstep memo_lockstep(
+    const Netlist& good, const std::vector<bool>& reset, const Fault& fault,
+    const FaultSimOptions& options,
+    const std::vector<std::vector<OracleCycle>>& walks,
+    const std::vector<std::vector<std::vector<OracleCycle>>>& branches) {
+  MemoLockstep out;
+  FaultSimulator sim(good, fault, reset, options);
+  const auto compare = [&](const OracleFaultSimulator& oracle,
+                           const std::string& where) {
+    if (!out.mismatch.empty()) return;
+    if (sim.status() != oracle.status())
+      out.mismatch = "status differs " + where;
+    else if (unpacked_candidates(sim, good) != oracle.candidates())
+      out.mismatch = "candidates differ " + where;
+  };
+  for (std::size_t w = 0; w < walks.size() && out.mismatch.empty(); ++w) {
+    sim.reset();
+    OracleFaultSimulator oracle(good, fault, reset, options);
+    const std::string walk = good.name() + " " + fault.describe(good) +
+                             " walk " + std::to_string(w);
+    compare(oracle, walk + " at reset");
+    for (std::size_t t = 0; t < walks[w].size() && out.mismatch.empty() &&
+                            sim.status() == DetectStatus::Undetermined;
+         ++t) {
+      const FaultSimulator::Snapshot snap = sim.snapshot();
+      const OracleFaultSimulator::Snapshot oracle_snap = oracle.snapshot();
+      const std::string at = walk + " cycle " + std::to_string(t);
+      for (const OracleCycle& branch : branches[w][t]) {
+        sim.restore(snap);
+        oracle.restore(oracle_snap);
+        out.gave_up += sim.step(branch.first, branch.second) ==
+                       DetectStatus::GaveUp;
+        oracle.step(branch.first, branch.second);
+        compare(oracle, at + " on a branch");
+      }
+      sim.restore(snap);
+      oracle.restore(oracle_snap);
+      const std::size_t answered = sim.settles_memoized();
+      out.gave_up += sim.step(walks[w][t].first, walks[w][t].second) ==
+                     DetectStatus::GaveUp;
+      oracle.step(walks[w][t].first, walks[w][t].second);
+      compare(oracle, at);
+      if (out.mismatch.empty() && sim.settles_memoized() == answered &&
+          std::find(branches[w][t].begin(), branches[w][t].end(),
+                    walks[w][t]) != branches[w][t].end())
+        out.mismatch = "the memo did not answer a revisited start " + at;
+    }
+  }
+  out.memoized = sim.settles_memoized();
   return out;
 }
 

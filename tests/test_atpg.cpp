@@ -158,27 +158,38 @@ TEST(TernaryScreen, SoundOnChain) {
 // --- packed fault simulator vs the set-based oracle -----------------------
 
 /// One test sequence from reset: (vector, good state after it) per cycle.
-using Walk = std::vector<std::pair<std::vector<bool>, std::vector<bool>>>;
+using Walk = std::vector<testing::OracleCycle>;
 
-/// Seeded random walks over the explicit CSSG (valid vectors only).
-std::vector<Walk> cssg_walks(const fixtures::Circuit& fix, std::uint64_t seed,
-                             std::size_t count, std::size_t length) {
+/// Seeded random walks over the explicit CSSG (valid vectors only), and
+/// for each cycle every valid cycle out of the good state it leaves, its
+/// own included: the branches a differentiation search expands there.
+struct CssgWalks {
+  std::vector<Walk> walks;
+  std::vector<std::vector<std::vector<testing::OracleCycle>>> branches;
+};
+
+CssgWalks cssg_walks(const fixtures::Circuit& fix, std::uint64_t seed,
+                     std::size_t count, std::size_t length) {
   const Cssg cssg(fix.netlist, fix.reset);
   const ExplicitCssg graph = cssg.extract_explicit();
   const auto reset_id = graph.find(fix.reset);
   XATPG_CHECK(reset_id.has_value());
   Rng rng(seed);
-  std::vector<Walk> walks(count);
-  for (Walk& walk : walks) {
+  CssgWalks out;
+  out.walks.resize(count);
+  out.branches.resize(count);
+  for (std::size_t w = 0; w < count; ++w) {
     std::uint32_t id = *reset_id;
     for (std::size_t t = 0; t < length && !graph.edges[id].empty(); ++t) {
       const auto& succs = graph.edges[id];
-      const std::uint32_t to = succs[rng.below(succs.size())];
-      walk.emplace_back(graph.inputs[to], graph.states[to]);
-      id = to;
+      auto& branches = out.branches[w].emplace_back();
+      for (const std::uint32_t to : succs)
+        branches.emplace_back(graph.inputs[to], graph.states[to]);
+      id = succs[rng.below(succs.size())];
+      out.walks[w].emplace_back(graph.inputs[id], graph.states[id]);
     }
   }
-  return walks;
+  return out;
 }
 
 /// Status and candidate set of the packed simulator equal the oracle's.
@@ -238,7 +249,7 @@ std::vector<fixtures::Circuit> differential_circuits() {
 TEST(PackedFaultSim, MatchesOracleAlongSeededWalks) {
   std::size_t detected = 0, gave_up = 0;
   for (const fixtures::Circuit& fix : differential_circuits()) {
-    const std::vector<Walk> walks = cssg_walks(fix, 17, 3, 8);
+    const std::vector<Walk> walks = cssg_walks(fix, 17, 3, 8).walks;
     for (const std::size_t k : {std::size_t{2}, std::size_t{24}}) {
       FaultSimOptions options;
       options.k = k;
@@ -259,7 +270,7 @@ TEST(PackedFaultSim, GivesUpAtTheCapLikeTheOracle) {
   // once.
   std::size_t gave_up = 0;
   for (const fixtures::Circuit& fix : differential_circuits()) {
-    const std::vector<Walk> walks = cssg_walks(fix, 5, 3, 8);
+    const std::vector<Walk> walks = cssg_walks(fix, 5, 3, 8).walks;
     for (const std::size_t cap : {0u, 1u, 2u, 3u}) {
       FaultSimOptions options;
       options.candidate_cap = cap;
@@ -274,7 +285,7 @@ TEST(PackedFaultSim, GivesUpAtTheCapLikeTheOracle) {
 
 TEST(PackedFaultSim, SnapshotRestoreRoundTrip) {
   const fixtures::Circuit fix = fixtures::pipeline2();
-  const std::vector<Walk> walks = cssg_walks(fix, 9, 2, 6);
+  const std::vector<Walk> walks = cssg_walks(fix, 9, 2, 6).walks;
   ASSERT_GE(walks[0].size(), 3u);
   ASSERT_GE(walks[1].size(), 1u);
   for (const Fault& fault : input_stuck_faults(fix.netlist)) {
@@ -329,6 +340,33 @@ TEST(PackedFaultSim, MatchesOracleOnMultiWordParityTree) {
   const std::size_t detected =
       expect_sims_match_oracle(n, fix.reset, walks, FaultSimOptions{}).second;
   EXPECT_GT(detected, 0u);
+}
+
+TEST(PackedFaultSim, MemoMatchesOracleUnderSearchShapedDrive) {
+  // At k = 3 and caps 1-3 many starts are unsettled or push the set over
+  // the cap; the memo must replay those answers as the oracle recomputes
+  // them, across resets and snapshot/restore.
+  std::size_t memoized = 0, gave_up = 0;
+  for (const fixtures::Circuit& fix : differential_circuits()) {
+    const CssgWalks drive = cssg_walks(fix, 23, 2, 6);
+    std::vector<Fault> faults = input_stuck_faults(fix.netlist);
+    for (const Fault& f : output_stuck_faults(fix.netlist)) faults.push_back(f);
+    for (const std::size_t cap : {1u, 2u, 3u, 256u}) {
+      FaultSimOptions options;
+      options.k = 3;
+      options.candidate_cap = cap;
+      for (const Fault& fault : faults) {
+        const testing::MemoLockstep run =
+            testing::memo_lockstep(fix.netlist, fix.reset, fault, options,
+                                   drive.walks, drive.branches);
+        ASSERT_EQ(run.mismatch, "") << "cap " << cap;
+        memoized += run.memoized;
+        gave_up += run.gave_up;
+      }
+    }
+  }
+  EXPECT_GT(memoized, 0u);
+  EXPECT_GT(gave_up, 0u);
 }
 
 // --- engine on a real benchmark ------------------------------------------------

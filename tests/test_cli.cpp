@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "fixtures.hpp"
 #include "serve/protocol.hpp"
@@ -92,6 +93,35 @@ TEST(CliContract, RunJsonTimesTheBuildTheRunsAndTheWall) {
   EXPECT_GE(xatpg::json::num_field(*timing, "wall_ms", -1), build_ms)
       << result.out;
   EXPECT_EQ(root.find("cpu_ms"), nullptr) << result.out;
+}
+
+TEST(CliContract, RunJsonReportsEachUniversesSimulationWork) {
+  // The work counts are deterministic, so the CLI prints what a Session
+  // run of the same universes counts.
+  const CliResult result = run_cli("run --circuit chu150 --json");
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  auto session = xatpg::Session::from_benchmark(
+      "chu150", xatpg::SynthStyle::SpeedIndependent);
+  ASSERT_TRUE(session.has_value());
+  const auto out = session->run(session->output_stuck_faults());
+  const auto in = session->run(session->input_stuck_faults());
+  ASSERT_TRUE(out.has_value() && in.has_value());
+  const Value root = parse(result.out);
+  for (const auto& [key, stats] : {std::pair{"output_stuck", out->stats},
+                                   std::pair{"input_stuck", in->stats}}) {
+    const Value* universe = root.find(key);
+    ASSERT_NE(universe, nullptr) << key << " in " << result.out;
+    const Value* work = universe->find("work");
+    ASSERT_NE(work, nullptr) << key << " in " << result.out;
+    ASSERT_EQ(work->type, Value::Type::Object) << result.out;
+    EXPECT_EQ(xatpg::json::num_field(*work, "sim_steps", -1),
+              static_cast<double>(stats.sim_steps));
+    EXPECT_EQ(xatpg::json::num_field(*work, "settles", -1),
+              static_cast<double>(stats.settles));
+    EXPECT_EQ(xatpg::json::num_field(*work, "settles_memoized", -1),
+              static_cast<double>(stats.settles_memoized));
+    EXPECT_GT(stats.settles_memoized, 0u) << key;
+  }
 }
 
 TEST(CliContract, BenchFamilyPrintsTheReproductionWithSilentStderr) {

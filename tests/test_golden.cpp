@@ -1,6 +1,7 @@
 // Golden-value regression tests: exact BDD-manager node counts and CSSG
-// state/edge counts for the fixture circuits, and the per-circuit outcome of
-// every perf corpus entry.
+// state/edge counts for the fixture circuits, the per-circuit outcome of
+// every perf corpus entry, and the result digests of five random netlists
+// at a small settle bound.
 //
 // These lock in the paper-table semantics: the CSSG statistics are what the
 // Figure 2 / Table 1 columns are computed from, and the BDD counts pin the
@@ -15,9 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "atpg/engine.hpp"
 #include "bdd/bdd.hpp"
 #include "fixtures.hpp"
 #include "perf/perf.hpp"
+#include "serve/protocol.hpp"
 #include "sgraph/cssg.hpp"
 #include "util/random.hpp"
 
@@ -169,6 +172,61 @@ TEST(GeneratorGolden, Seed7Shape) {
   EXPECT_EQ(r.netlist.num_signals(), 11u);
   EXPECT_EQ(r.netlist.num_pins(), 18u);
   EXPECT_TRUE(r.netlist.is_stable_state(r.reset));
+}
+
+// --- outcomes at small simulator bounds ----------------------------------------
+
+/// FNV-1a 64 of a result's serialize_result payload, the bytes the result
+/// cache and perfbench compare.
+std::uint64_t result_digest(const Netlist& netlist, const char* faults,
+                            const AtpgResult& result) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char ch :
+       serve::serialize_result(netlist.name(), faults, result)) {
+    h ^= ch;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct SmallBoundsRow {
+  std::uint64_t seed;
+  std::uint64_t output_digest, input_digest;
+};
+
+// Random netlists (3 inputs, 8 gates) at sim.k = 3, where a fault's own
+// search and cross fault simulation both meet unsettled and over-cap
+// candidates: every outcome and every sequence is pinned.  To re-record
+// after an intended change, copy each failing entry's printed `now:` row.
+constexpr SmallBoundsRow kSmallBounds[] = {
+    {2, 0x77f1329673d73bdfull, 0xc465823633214042ull},
+    {7, 0xedc9fe93e0de7e0dull, 0x1dbfada6e6d4db30ull},
+    {18, 0x695f7fb50a98a5e2ull, 0x73dbaa23d7c7813ull},
+    {19, 0x465754aea4768c1dull, 0x8d7890e816458589ull},
+    {21, 0xfae26a7ccd7811a3ull, 0x3077b254e2a16c98ull},
+};
+
+TEST(SmallBoundsGolden, RandomNetlistsAtK3) {
+  for (const SmallBoundsRow& was : kSmallBounds) {
+    const fixtures::Circuit fix = fixtures::random_netlist(was.seed);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      AtpgOptions options;
+      options.sim.k = 3;
+      options.threads = threads;
+      AtpgEngine engine(fix.netlist, fix.reset, options);
+      const AtpgResult out = engine.run(output_stuck_faults(fix.netlist));
+      const AtpgResult in = engine.run(input_stuck_faults(fix.netlist));
+      const SmallBoundsRow now{was.seed,
+                               result_digest(fix.netlist, "output", out),
+                               result_digest(fix.netlist, "input", in)};
+      std::ostringstream row;
+      row << "now: {" << now.seed << ", 0x" << std::hex << now.output_digest
+          << "ull, 0x" << now.input_digest << "ull},";
+      SCOPED_TRACE(row.str() + " at threads=" + std::to_string(threads));
+      EXPECT_EQ(now.output_digest, was.output_digest);
+      EXPECT_EQ(now.input_digest, was.input_digest);
+    }
+  }
 }
 
 // --- the perf corpus ----------------------------------------------------------

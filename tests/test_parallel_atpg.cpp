@@ -588,6 +588,53 @@ TEST(ParallelDeterminism, TightDeterministicCapsGiveUpIdenticallyAcrossThreads) 
   }
 }
 
+// --- exact simulation work ----------------------------------------------------
+// A fault's simulator does the same steps and settles wherever the replay,
+// the search and the merge run it, so the run's work counts are as
+// deterministic as its outcomes.
+
+TEST(SimWork, CountsAreEqualAcrossThreads) {
+  std::size_t circuits = 0;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    fixtures::Circuit fix;
+    try {
+      fix = fixtures::random_netlist(seed);
+    } catch (const CheckError&) {
+      continue;  // the generator refuses seeds that do not settle
+    }
+    ++circuits;
+    std::optional<AtpgStats> base;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+      AtpgOptions options;
+      options.threads = threads;
+      AtpgEngine engine(fix.netlist, fix.reset, options);
+      const std::vector<Fault> faults = input_stuck_faults(fix.netlist);
+      const AtpgResult first = engine.run(faults);
+      const AtpgStats& work = first.stats;
+      SCOPED_TRACE(fix.netlist.name() + " threads=" + std::to_string(threads));
+      // Every fault's simulator settles its reset once.
+      EXPECT_GE(work.settles, faults.size());
+      EXPECT_GT(work.sim_steps, 0u);
+      EXPECT_GT(work.settles_memoized, 0u);
+      if (!base) {
+        base = work;
+      } else {
+        EXPECT_EQ(work.sim_steps, base->sim_steps);
+        EXPECT_EQ(work.settles, base->settles);
+        EXPECT_EQ(work.settles_memoized, base->settles_memoized);
+      }
+      // Resuming reuses every search: the same outcomes for less work.
+      const AtpgResult again = engine.add_faults({});
+      EXPECT_EQ(again.outcomes, first.outcomes);
+      if (work.by_three_phase + work.undetected > 0) {
+        EXPECT_LT(again.stats.sim_steps, work.sim_steps);
+      }
+    }
+  }
+  EXPECT_GE(circuits, 3u);
+}
+
 // --- one BDD manager ---------------------------------------------------------
 // The engine's one manager runs every symbolic phase on the calling thread,
 // in fault-list order, before the explicit search fans out.  So a worker

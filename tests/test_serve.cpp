@@ -471,9 +471,15 @@ TEST(Serve, DisconnectMidRunCancelsOnlyThatJob) {
   Client victim = fixture.connect();
   Client bystander = fixture.connect();
 
-  // vbe10b/bd is the corpus's long run — progress frames prove it is
-  // genuinely mid-run before the disconnect.
-  victim.send(submit_benchmark("victim", "vbe10b", "bd", /*progress=*/true));
+  // Progress frames prove the victim is genuinely mid-run before the
+  // disconnect, and the run must outlast the reader noticing the close.
+  // vbe10b/bd leaves faults no random walk covers, so with a
+  // 100,000-vector random budget split over two workers the replay sends
+  // its first progress frame after its first block and runs on for
+  // about 150 ms (Release); at default options the whole run ends within
+  // a millisecond of its first progress frame.
+  victim.send(submit_benchmark("victim", "vbe10b", "bd", /*progress=*/true,
+                               "\"threads\":2,\"random_budget\":100000"));
   victim.expect_frame("ack");
   bystander.send(submit_benchmark("bystander", "chu150"));
   bystander.expect_frame("ack");

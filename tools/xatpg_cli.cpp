@@ -26,8 +26,9 @@
 // list.
 //
 // `run --json` emits the paper's table columns (tot/cov per universe,
-// rnd/3-ph/sim, BDD node accounting) and the command's build, run and wall
-// times as a single JSON object.
+// rnd/3-ph/sim, BDD node accounting), each universe's exact simulation
+// work (steps, settle kernel runs, settles the memo answered) and the
+// command's build, run and wall times as a single JSON object.
 // `bench --family NAME` prints one of the paper's tables, figures or
 // ablations (src/perf/families.cpp) at the experiment's fixed settings:
 // only table1/table2 read --threads --seed --k --reorder, and
@@ -402,7 +403,10 @@ void print_universe_json(std::ostream& out, const char* key,
       << ", \"undetected\": " << stats.undetected
       << ", \"proven_redundant\": " << stats.proven_redundant
       << ", \"gave_up\": " << stats.gave_up
-      << ", \"coverage\": " << json::number(stats.coverage()) << "}";
+      << ", \"coverage\": " << json::number(stats.coverage())
+      << ", \"work\": {\"sim_steps\": " << stats.sim_steps
+      << ", \"settles\": " << stats.settles
+      << ", \"settles_memoized\": " << stats.settles_memoized << "}}";
 }
 
 void print_universe_text(std::ostream& out, const char* title,
