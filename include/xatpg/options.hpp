@@ -84,11 +84,16 @@ struct AtpgOptions {
   /// takes time linear in the bound and has no cancel point, so a larger
   /// value would pin a worker for minutes.
   static constexpr std::size_t kMaxK = std::size_t{1} << 20;
+  /// Hard ceiling for `random_budget`.  Random TPG draws every walk, and
+  /// keeps each vector's state id, before its first progress callback, so
+  /// memory grows with the budget and no cancel point bounds the draw.
+  static constexpr std::size_t kMaxRandomBudget = std::size_t{1} << 20;
 
   /// Boundary validation: rejects the degenerate values every layer above
   /// used to accept silently (k = 0 makes every vector "oscillate",
   /// diff_depth = 0 disables phase 3 entirely, threads > 4096 is a typo,
-  /// k > 2^20 settles an oscillation for seconds with no way to cancel).
+  /// k > 2^20 settles an oscillation for seconds with no way to cancel,
+  /// random_budget > 2^20 draws walks into memory with no way to cancel).
   /// Returns an OptionError listing *all* violations.  The Session facade
   /// calls this for every run; AtpgEngine's constructor enforces it loudly.
   [[nodiscard]] Expected<void> validate() const;

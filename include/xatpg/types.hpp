@@ -5,9 +5,9 @@
 // These are the *canonical* definitions — library internals (src/) include
 // this header rather than keeping private copies, so the public surface and
 // the implementation cannot drift apart.  The header is self-contained
-// (standard library only); the few member functions that touch internal
-// classes (Fault::describe, Fault::to_injection) are declared against
-// forward declarations and defined inside the library.
+// (standard library only); the one member function that touches an
+// internal class (Fault::describe) is declared against a forward
+// declaration and defined inside the library.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +16,7 @@
 
 namespace xatpg {
 
-class Netlist;        // internal: netlist/netlist.hpp
-struct LaneInjection;  // internal: sim/parallel.hpp
+class Netlist;  // internal: netlist/netlist.hpp
 
 /// Signal identifier: index of the gate driving the signal.
 using SignalId = std::uint32_t;
@@ -47,9 +46,6 @@ struct Fault {
 
   /// "pin c.1 s-a-0" / "out y s-a-1" style description.
   [[nodiscard]] std::string describe(const Netlist& netlist) const;
-
-  /// Injection spec for the 64-lane parallel ternary simulator (internal).
-  [[nodiscard]] LaneInjection to_injection(std::uint64_t lanes) const;
 };
 
 /// One synchronous test: input vectors applied from reset, one per test

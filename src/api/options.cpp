@@ -24,6 +24,9 @@ Expected<void> AtpgOptions::validate() const {
   if (diff_node_cap == 0)
     reject("diff_node_cap = 0 (the differentiation BFS could never expand a "
            "node)");
+  if (random_budget > kMaxRandomBudget)
+    reject("random_budget > 1048576 (random TPG draws every walk into memory "
+           "before its first cancel point)");
   if (random_walk_len == 0)
     reject("random_walk_len = 0 (random TPG would loop applying reset pulses "
            "without ever spending its budget)");

@@ -126,7 +126,7 @@ AtpgEngine::first_detection(FaultSimulator& sim,
                             const std::vector<Walk>& walks) const {
   const ExplicitCssg& graph = this->graph();
   for (std::size_t w = 0; w < walks.size(); ++w) {
-    sim.restart();
+    sim.reset();
     DetectStatus status = sim.status();
     for (std::size_t t = 0;
          t < walks[w].size() && status == DetectStatus::Undetermined; ++t) {
@@ -475,8 +475,6 @@ void AtpgEngine::cross_simulate(
     // would regress coverage where ternary is too conservative.  Every
     // remaining fault was searched before the first commit.
     if (!flagged[r] && generated_cache_.at(faults[j]).sequence) continue;
-    // reset(), not restart(): the fault's own search may have left its
-    // simulator Detected by a sequence that is not this one.
     FaultSimulator& sim = *sims[j];
     sim.reset();
     DetectStatus status = sim.status();

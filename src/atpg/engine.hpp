@@ -216,7 +216,7 @@ class AtpgEngine {
   /// Random TPG's walks, drawn with the seeded RNG and the budget alone:
   /// no walk depends on any fault.
   std::vector<Walk> random_walks() const;
-  /// Replay `walks` in order on `sim`, each from a restart, abandoning a
+  /// Replay `walks` in order on `sim`, each from a reset(), abandoning a
   /// walk once the simulator gives up.  Returns the first detecting
   /// (walk, step), or nullopt.  Reads only the walked states besides
   /// `sim`, so safe from any worker.

@@ -8,25 +8,14 @@ namespace xatpg {
 
 std::string Fault::describe(const Netlist& netlist) const {
   std::ostringstream os;
+  const Gate& g = netlist.gate(gate);
   if (site == Site::GatePin) {
-    const Gate& g = netlist.gate(gate);
     os << "pin " << g.name << "." << pin << " ("
-       << netlist.signal_name(g.fanins[pin]) << ") s-a-" << (stuck_value ? 1 : 0);
+       << netlist.gate(g.fanins[pin]).name << ") s-a-" << (stuck_value ? 1 : 0);
   } else {
-    os << "out " << netlist.signal_name(gate) << " s-a-" << (stuck_value ? 1 : 0);
+    os << "out " << g.name << " s-a-" << (stuck_value ? 1 : 0);
   }
   return os.str();
-}
-
-LaneInjection Fault::to_injection(std::uint64_t lanes) const {
-  LaneInjection inj;
-  inj.site = site == Site::GatePin ? LaneInjection::Site::GatePin
-                                   : LaneInjection::Site::SignalOutput;
-  inj.gate = gate;
-  inj.pin = pin;
-  inj.stuck_value = stuck_value;
-  inj.lanes = lanes;
-  return inj;
 }
 
 std::vector<Fault> input_stuck_faults(const Netlist& netlist) {
@@ -46,85 +35,39 @@ std::vector<Fault> output_stuck_faults(const Netlist& netlist) {
   return out;
 }
 
-namespace {
-/// Add a constant-function SOP gate (empty cover = 0; single empty cube = 1).
-SignalId add_const_gate(Netlist& netlist, const std::string& name, bool value) {
-  Cover cover;
-  if (value) cover.push_back(Cube{});
-  return netlist.add_sop(name, {}, std::move(cover));
-}
-}  // namespace
-
 Netlist apply_fault(const Netlist& netlist, const Fault& fault) {
   XATPG_CHECK(fault.gate < netlist.num_signals());
-  Netlist faulty(netlist.name() + "#faulty");
-
-  // Recreate signals in the same order so ids line up.
-  for (SignalId s = 0; s < netlist.num_signals(); ++s)
-    faulty.declare_signal(netlist.signal_name(s));
-
-  for (SignalId s = 0; s < netlist.num_signals(); ++s) {
-    const Gate& g = netlist.gate(s);
-    if (fault.site == Fault::Site::SignalOutput && fault.gate == s) {
-      // The signal is tied to a constant regardless of the original gate
-      // (for a primary input this models the pad stuck).
-      Cover cover;
-      if (fault.stuck_value) cover.push_back(Cube{});
-      faulty.add_sop(g.name, {}, std::move(cover));
-      continue;
-    }
-    switch (g.type) {
-      case GateType::Input:
-        faulty.add_input(g.name);
-        break;
-      case GateType::Sop:
-        faulty.add_sop(g.name, g.fanins, g.cover);
-        break;
-      case GateType::Gc:
-        faulty.add_gc(g.name, g.fanins, g.cover, g.reset_cover);
-        break;
-      default:
-        faulty.add_gate(g.type, g.name, g.fanins);
-        break;
-    }
-  }
-  for (const SignalId po : netlist.outputs())
-    faulty.set_output(netlist.signal_name(po));
-
-  if (fault.site == Fault::Site::GatePin) {
+  Netlist faulty = netlist;
+  faulty.set_name(netlist.name() + "#faulty");
+  if (fault.site == Fault::Site::SignalOutput) {
+    // The signal is tied to a constant regardless of the original gate
+    // (for a primary input this models the pad stuck).
+    faulty.tie_constant(fault.gate, fault.stuck_value);
+  } else {
     XATPG_CHECK(fault.pin < netlist.gate(fault.gate).fanins.size());
-    const SignalId cst =
-        add_const_gate(faulty, "#stuck", fault.stuck_value);
-    // Redirect the faulted pin.  Gate vectors are private; rebuild through
-    // the public API is clumsy, so Netlist grants a dedicated mutator.
+    // The pin reads a constant signal appended after every good one (no
+    // cube = 0, one empty cube = 1).
+    const SignalId cst = faulty.add_sop(
+        "#stuck", {}, fault.stuck_value ? Cover{Cube{}} : Cover{});
     faulty.redirect_pin(fault.gate, fault.pin, cst);
   }
   faulty.check_invariants();
   return faulty;
 }
 
-std::vector<bool> map_input_vector(const Netlist& good, const Netlist& faulty,
+std::vector<bool> map_input_vector(const Netlist& good, const Fault& fault,
                                    const std::vector<bool>& good_vector) {
   XATPG_CHECK(good_vector.size() == good.inputs().size());
   std::vector<bool> out;
-  out.reserve(faulty.inputs().size());
-  for (const SignalId fin : faulty.inputs()) {
-    const std::string& name = faulty.signal_name(fin);
-    bool found = false;
-    for (std::size_t i = 0; i < good.inputs().size(); ++i) {
-      if (good.signal_name(good.inputs()[i]) == name) {
-        out.push_back(good_vector[i]);
-        found = true;
-        break;
-      }
-    }
-    XATPG_CHECK_MSG(found, "faulty input '" << name << "' unknown to good circuit");
-  }
+  out.reserve(good_vector.size());
+  for (std::size_t i = 0; i < good_vector.size(); ++i)
+    if (fault.site != Fault::Site::SignalOutput ||
+        fault.gate != good.inputs()[i])
+      out.push_back(good_vector[i]);
   return out;
 }
 
-std::vector<bool> fault_initial_state(const Netlist& /*netlist*/,
-                                      const Fault& fault,
+std::vector<bool> fault_initial_state(const Fault& fault,
                                       const std::vector<bool>& good_state) {
   std::vector<bool> state = good_state;
   if (fault.site == Fault::Site::GatePin) {

@@ -4,12 +4,9 @@
 // drives some pin; the tables report both universes separately and so do we.
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/parallel.hpp"
 #include "xatpg/types.hpp"  // Fault (public API type)
 
 namespace xatpg {
@@ -20,23 +17,25 @@ std::vector<Fault> input_stuck_faults(const Netlist& netlist);
 /// All output (signal) stuck-at faults: 2 per signal.
 std::vector<Fault> output_stuck_faults(const Netlist& netlist);
 
-/// Materialize the faulty circuit: output faults replace the gate with a
-/// constant; pin faults redirect the pin to a fresh constant signal appended
-/// at the end (original signal ids are preserved, so states of the good and
-/// faulty circuit are comparable position-wise).
+/// Materialize the faulty circuit: a copy of `netlist` with the one faulted
+/// gate patched.  An output fault ties the signal to a constant (a stuck
+/// primary input also leaves inputs()); a pin fault redirects the pin to a
+/// fresh constant signal, "#stuck", appended after every good signal.  So
+/// every good signal keeps its id and name, the outputs are the same list
+/// and the inputs the good list in order less a stuck input: states and
+/// vectors of the good and faulty circuit correspond position-wise.
 Netlist apply_fault(const Netlist& netlist, const Fault& fault);
 
-/// Initial state of apply_fault(netlist, fault) corresponding to a state of
+/// Initial state of apply_fault(good, fault) corresponding to a state of
 /// the good circuit (appends the constant's value if one was added).  The
 /// returned state is NOT necessarily stable — the fault may excite gates.
-std::vector<bool> fault_initial_state(const Netlist& netlist,
-                                      const Fault& fault,
+std::vector<bool> fault_initial_state(const Fault& fault,
                                       const std::vector<bool>& good_state);
 
 /// Translate an input vector indexed by `good`'s inputs into one indexed by
-/// `faulty`'s inputs (a stuck primary input disappears from the faulty
-/// circuit's input list; all surviving inputs are matched by name).
-std::vector<bool> map_input_vector(const Netlist& good, const Netlist& faulty,
+/// apply_fault(good, fault)'s inputs: the same vector less a stuck primary
+/// input's position.
+std::vector<bool> map_input_vector(const Netlist& good, const Fault& fault,
                                    const std::vector<bool>& good_vector);
 
 }  // namespace xatpg

@@ -1,8 +1,8 @@
 #include "atpg/fault_sim.hpp"
 
 #include <algorithm>
-#include <string>
 
+#include "sim/parallel.hpp"
 #include "util/check.hpp"
 #include "util/packed.hpp"
 
@@ -20,17 +20,12 @@ FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
   circuit_ = PackedCircuit(faulty);
   const std::size_t w = circuit_.words();
 
-  // Match the faulty circuit's inputs to the good vector's positions by
-  // name once (a stuck primary input is no longer an input).
+  // apply_fault keeps every good signal id, so good input i drives the
+  // faulty signal of the same id, unless the fault ties it.
   input_mask_.assign(w, 0);
-  for (const SignalId in : faulty.inputs()) {
-    const std::string& name = faulty.signal_name(in);
-    std::size_t i = 0;
-    while (i < good.inputs().size() &&
-           good.signal_name(good.inputs()[i]) != name)
-      ++i;
-    XATPG_CHECK_MSG(i < good.inputs().size(),
-                    "faulty input '" << name << "' unknown to good circuit");
+  for (std::size_t i = 0; i < good.inputs().size(); ++i) {
+    const SignalId in = good.inputs()[i];
+    if (!faulty.is_input(in)) continue;
     input_map_.emplace_back(i, in);
     set_bit(input_mask_.data(), in);
   }
@@ -40,7 +35,7 @@ FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
   // Reset drives every (shared) signal to the good reset value; the faulty
   // circuit then relaxes freely.  No strobe is compared at reset time.
   const std::vector<StateWord> start =
-      pack_state(fault_initial_state(good, fault, reset_state));
+      pack_state(fault_initial_state(fault, reset_state));
   ++settles_;
   if (!circuit_.settle(start.data(), options_.k, scratch_, reset_candidates_)) {
     reset_candidates_.clear();
@@ -53,11 +48,6 @@ FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
   candidates_ = reset_candidates_;
   status_ = reset_status_;
   memo_slots_.assign(16, 0);
-}
-
-void FaultSimulator::restart() {
-  if (status_ == DetectStatus::Detected) return;  // sticky once proven
-  reset();
 }
 
 void FaultSimulator::reset() {
@@ -163,16 +153,15 @@ std::vector<std::size_t> ternary_screen(
     const std::vector<Fault>& faults,
     const std::vector<std::vector<bool>>& vectors) {
   std::vector<std::size_t> out;
-  // One 64-lane pass per slice of up to 63 faults: lane 0 carries the
-  // fault-free circuit, lane i + 1 the slice's i-th fault.
-  for (std::size_t begin = 0; begin < faults.size(); begin += 63) {
-    const std::size_t count = std::min<std::size_t>(63, faults.size() - begin);
-    std::vector<LaneInjection> injections;
-    injections.reserve(count);
-    for (std::size_t i = 0; i < count; ++i)
-      injections.push_back(faults[begin + i].to_injection(1ull << (i + 1)));
-
-    ParallelTernarySim sim(netlist, injections);
+  // One pass per slice of up to 63 faults: lane 0 carries the fault-free
+  // circuit, lane i + 1 the slice's i-th fault.
+  constexpr std::size_t kSlice = ParallelTernarySim::kMaxFaults;
+  for (std::size_t begin = 0; begin < faults.size(); begin += kSlice) {
+    const std::size_t count = std::min(kSlice, faults.size() - begin);
+    const auto first = faults.begin() + static_cast<std::ptrdiff_t>(begin);
+    ParallelTernarySim sim(
+        netlist,
+        std::vector<Fault>(first, first + static_cast<std::ptrdiff_t>(count)));
     sim.load_state(reset_state);
 
     std::uint64_t detected = 0;

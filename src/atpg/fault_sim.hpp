@@ -72,11 +72,9 @@ class FaultSimulator {
   DetectStatus step(const std::vector<bool>& input_values,
                     const std::vector<bool>& good_state);
 
-  /// Restart from reset (new test sequence); keeps Detected sticky.
-  void restart();
-  /// Return to the relaxed reset whatever the status, Detected included:
-  /// a new sequence on a simulator that an earlier sequence may have
-  /// detected the fault with.  The memo survives.
+  /// Return to the relaxed reset for a new test sequence, whatever the
+  /// status (an earlier sequence may have detected the fault).  The memo
+  /// survives.
   void reset();
 
   /// Cheap snapshot/rollback for the differentiation BFS.
@@ -113,13 +111,14 @@ class FaultSimulator {
   FaultSimOptions options_;
   PackedCircuit circuit_;
   std::size_t num_good_inputs_ = 0;
-  /// (index into a good input vector, faulty signal it drives); a stuck
-  /// primary input is no input of the faulty circuit and is left out.
+  /// (index into a good input vector, the input's signal id, the same in
+  /// both circuits); a stuck primary input is no input of the faulty
+  /// circuit and is left out.
   std::vector<std::pair<std::size_t, SignalId>> input_map_;
   std::vector<StateWord> input_mask_;   ///< faulty signals the tester drives
   std::vector<SignalId> outputs_;       ///< strobed signals (good PO ids)
   std::vector<StateWord> output_mask_;
-  /// The relaxed reset: restart() copies it.
+  /// The relaxed reset: reset() copies it.
   std::vector<StateWord> reset_candidates_;
   DetectStatus reset_status_ = DetectStatus::Undetermined;
   std::vector<StateWord> candidates_;
@@ -139,8 +138,8 @@ class FaultSimulator {
 };
 
 /// Word-parallel ternary screen: simulate `faults` against the good circuit
-/// along a vector sequence, one 64-lane pass per 63 faults (lane 0 is the
-/// good circuit); returns the ascending indices into `faults` of those
+/// along a vector sequence, one ParallelTernarySim pass per 63 faults;
+/// returns the ascending indices into `faults` of those
 /// *provably* detected by ternary analysis.  Sound but conservative (§5.4).
 std::vector<std::size_t> ternary_screen(
     const Netlist& netlist, const std::vector<bool>& reset_state,

@@ -113,7 +113,9 @@ namespace {
 
 /// Synchronous product-machine BFS on the virtual-FF models: find the
 /// shortest input sequence making a primary output differ.
+/// `faulty_netlist` is apply_fault(good_netlist, fault).
 std::optional<TestSequence> sync_atpg(const Netlist& good_netlist,
+                                      const Fault& fault,
                                       const Netlist& faulty_netlist,
                                       const std::vector<bool>& good_reset,
                                       const std::vector<bool>& faulty_reset) {
@@ -145,15 +147,14 @@ std::optional<TestSequence> sync_atpg(const Netlist& good_netlist,
       for (std::size_t i = 0; i < m; ++i) vec[i] = (bits >> i) & 1;
       const auto good_vals = good.eval(vec, node.good_bits);
       const auto faulty_vals = faulty.eval(
-          map_input_vector(good_netlist, faulty_netlist, vec),
-          node.faulty_bits);
+          map_input_vector(good_netlist, fault, vec), node.faulty_bits);
       auto path = node.path;
       path.push_back(vec);
-      // Observable difference at a primary output?
+      // Observable difference at a primary output?  The faulty circuit
+      // keeps every good signal id.
       bool differs = false;
       for (const SignalId po : good_netlist.outputs())
-        if (good_vals[po] !=
-            faulty_vals[faulty_netlist.signal(good_netlist.signal_name(po))]) {
+        if (good_vals[po] != faulty_vals[po]) {
           differs = true;
           break;
         }
@@ -185,9 +186,10 @@ BaselineResult run_baseline(const Netlist& netlist,
     fr.fault = fault;
     const Netlist faulty = apply_fault(netlist, fault);
     const std::vector<bool> faulty_reset =
-        fault_initial_state(netlist, fault, reset_state);
+        fault_initial_state(fault, reset_state);
 
-    const auto seq = sync_atpg(netlist, faulty, reset_state, faulty_reset);
+    const auto seq =
+        sync_atpg(netlist, fault, faulty, reset_state, faulty_reset);
     if (seq) {
       fr.generated = true;
       fr.sequence = *seq;
@@ -213,8 +215,8 @@ BaselineResult run_baseline(const Netlist& netlist,
       for (const auto& vec : fr.sequence.vectors) {
         if (!ok) break;
         const auto g = unit_delay_settle(netlist, good_state, vec);
-        const auto f = unit_delay_settle(
-            faulty, faulty_state, map_input_vector(netlist, faulty, vec));
+        const auto f = unit_delay_settle(faulty, faulty_state,
+                                         map_input_vector(netlist, fault, vec));
         if (!g || !f) {
           ok = false;  // oscillation caught by validation
           break;
@@ -222,9 +224,7 @@ BaselineResult run_baseline(const Netlist& netlist,
         good_state = *g;
         faulty_state = *f;
         for (const SignalId po : netlist.outputs())
-          if (good_state[po] !=
-              faulty_state[faulty.signal(netlist.signal_name(po))])
-            observed = true;
+          if (good_state[po] != faulty_state[po]) observed = true;
       }
       fr.validated = ok && observed;
       if (fr.validated) ++result.validated;

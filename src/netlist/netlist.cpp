@@ -75,6 +75,18 @@ void Netlist::redirect_pin(SignalId gate, std::size_t pin,
   gates_[gate].fanins[pin] = new_source;
 }
 
+void Netlist::tie_constant(SignalId s, bool value) {
+  XATPG_CHECK(s < gates_.size());
+  Gate& g = gates_[s];
+  if (g.type == GateType::Input)
+    inputs_.erase(std::find(inputs_.begin(), inputs_.end(), s));
+  g.type = GateType::Sop;
+  g.fanins.clear();
+  g.cover.clear();
+  if (value) g.cover.push_back(Cube{});
+  g.reset_cover.clear();
+}
+
 void Netlist::set_output(SignalId s) {
   XATPG_CHECK(s < gates_.size());
   if (std::find(outputs_.begin(), outputs_.end(), s) == outputs_.end())

@@ -61,6 +61,12 @@ class Netlist {
   /// materialization; covers keep their arity).
   void redirect_pin(SignalId gate, std::size_t pin, SignalId new_source);
 
+  /// Replace the gate of signal `s` with the constant `value`: a
+  /// fanin-less SOP gate (no cube = 0, one empty cube = 1).  A primary
+  /// input leaves inputs(); every other signal is untouched (used by fault
+  /// materialization).
+  void tie_constant(SignalId s, bool value);
+
   /// Check structural invariants (all signals driven, fanins in range,
   /// covers match fanin arity).  Throws CheckError on violation.
   void check_invariants() const;

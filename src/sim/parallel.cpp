@@ -21,35 +21,34 @@ void set_rail_lane(Rail& r, unsigned lane, Ternary t) {
   if (t != Ternary::V1) r.r0 |= bit;
 }
 
-namespace {
-/// Force the lanes in `mask` of rail r to the definite value v.
-inline void force_lanes(Rail& r, std::uint64_t mask, bool v) {
-  if (v) {
-    r.r1 |= mask;
-    r.r0 &= ~mask;
-  } else {
-    r.r0 |= mask;
-    r.r1 &= ~mask;
-  }
-}
-}  // namespace
-
 ParallelTernarySim::ParallelTernarySim(const Netlist& netlist,
-                                       std::vector<LaneInjection> injections)
-    : netlist_(&netlist), injections_(std::move(injections)) {
+                                       std::vector<Fault> faults)
+    : netlist_(&netlist), faults_(std::move(faults)) {
+  XATPG_CHECK(faults_.size() <= kMaxFaults);
   pin_faults_.resize(netlist.num_signals());
   output_faults_.resize(netlist.num_signals());
-  for (std::uint32_t i = 0; i < injections_.size(); ++i) {
-    const LaneInjection& inj = injections_[i];
-    XATPG_CHECK(inj.gate < netlist.num_signals());
-    if (inj.site == LaneInjection::Site::GatePin) {
-      XATPG_CHECK(inj.pin < netlist.gate(inj.gate).fanins.size());
-      pin_faults_[inj.gate].push_back(i);
+  for (std::uint32_t i = 0; i < faults_.size(); ++i) {
+    const Fault& fault = faults_[i];
+    XATPG_CHECK(fault.gate < netlist.num_signals());
+    if (fault.site == Fault::Site::GatePin) {
+      XATPG_CHECK(fault.pin < netlist.gate(fault.gate).fanins.size());
+      pin_faults_[fault.gate].push_back(i);
     } else {
-      output_faults_[inj.gate].push_back(i);
+      output_faults_[fault.gate].push_back(i);
     }
   }
   state_.assign(netlist.num_signals(), rail_all(Ternary::V0));
+}
+
+void ParallelTernarySim::force(Rail& r, std::uint32_t i) const {
+  const std::uint64_t lane = 1ull << (i + 1);
+  if (faults_[i].stuck_value) {
+    r.r1 |= lane;
+    r.r0 &= ~lane;
+  } else {
+    r.r0 |= lane;
+    r.r1 &= ~lane;
+  }
 }
 
 void ParallelTernarySim::load_state(const std::vector<bool>& state) {
@@ -66,25 +65,17 @@ Rail ParallelTernarySim::eval_target(SignalId s) const {
   for (const SignalId f : g.fanins) fanin_vals.push_back(state_[f]);
   // Pin-level stuck-at injection: override the faulty lanes of the faulty
   // pin before evaluating the gate function.
-  for (const std::uint32_t idx : pin_faults_[s]) {
-    const LaneInjection& inj = injections_[idx];
-    force_lanes(fanin_vals[inj.pin], inj.lanes, inj.stuck_value);
-  }
+  for (const std::uint32_t i : pin_faults_[s])
+    force(fanin_vals[faults_[i].pin], i);
   Rail target = eval_gate(g, fanin_vals, state_[s], RailOps{});
   // Output stuck-at: the gate output is tied regardless of the function.
-  for (const std::uint32_t idx : output_faults_[s]) {
-    const LaneInjection& inj = injections_[idx];
-    force_lanes(target, inj.lanes, inj.stuck_value);
-  }
+  for (const std::uint32_t i : output_faults_[s]) force(target, i);
   return target;
 }
 
 void ParallelTernarySim::inject_output_faults() {
   for (SignalId s = 0; s < netlist_->num_signals(); ++s)
-    for (const std::uint32_t idx : output_faults_[s]) {
-      const LaneInjection& inj = injections_[idx];
-      force_lanes(state_[s], inj.lanes, inj.stuck_value);
-    }
+    for (const std::uint32_t i : output_faults_[s]) force(state_[s], i);
 }
 
 void ParallelTernarySim::settle(const std::vector<bool>& input_values) {
@@ -93,10 +84,7 @@ void ParallelTernarySim::settle(const std::vector<bool>& input_values) {
     SignalId in = netlist_->inputs()[i];
     state_[in] = rail_all(to_ternary(input_values[i]));
     // Output stuck-at faults on an input buffer still pin its value.
-    for (const std::uint32_t idx : output_faults_[in]) {
-      const LaneInjection& inj = injections_[idx];
-      force_lanes(state_[in], inj.lanes, inj.stuck_value);
-    }
+    for (const std::uint32_t f : output_faults_[in]) force(state_[in], f);
   }
 
   // Algorithm A across all lanes: x := lub(x, f(x)); lub is rail-wise OR.

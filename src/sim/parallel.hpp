@@ -1,6 +1,7 @@
-// Word-parallel two-rail ternary fault simulation (§5.4): 64 faulty circuits
-// are simulated per pass, one per bit lane.  Each signal carries two 64-bit
-// rails (r1 = "can be 1", r0 = "can be 0"); (1,0)=1, (0,1)=0, (1,1)=Φ.
+// Word-parallel two-rail ternary fault simulation (§5.4): the good circuit
+// and 63 faulty circuits are simulated per pass, one per bit lane.  Each
+// signal carries two 64-bit rails (r1 = "can be 1", r0 = "can be 0");
+// (1,0)=1, (0,1)=0, (1,1)=Φ.
 // Two-rail gate evaluation *is* the ternary extension of the gate function,
 // so Eichelberger's algorithms run unchanged across all lanes at once —
 // this combines the "parallel" [Seshu] and "ternary" [Eichelberger]
@@ -49,29 +50,16 @@ struct RailOps {
   Rail not_(const Rail& a) const { return Rail{a.r0, a.r1}; }
 };
 
-/// A stuck-at fault injected into one or more lanes.
-struct LaneInjection {
-  enum class Site : std::uint8_t {
-    GatePin,       ///< the connection into fanin position `pin` of `gate`
-    SignalOutput,  ///< the output of gate `gate`
-  };
-  Site site = Site::GatePin;
-  SignalId gate = kNoSignal;
-  std::size_t pin = 0;
-  bool stuck_value = false;
-  std::uint64_t lanes = 0;  ///< bit mask of affected lanes
-};
-
-/// 64-lane parallel ternary simulator with per-lane fault injection.
-///
-/// Typical use: lane 0 carries the fault-free circuit, lanes 1..63 carry one
-/// faulty circuit each; after settle(), lanes whose primary output is
-/// definite and differs from lane 0's definite value have detected their
+/// 64-lane parallel ternary simulator of a circuit and up to 63 stuck-at
+/// faults in it: lane 0 carries the fault-free circuit and lane i + 1 the
+/// circuit with faults[i].  After settle(), a lane whose primary output is
+/// definite and differs from lane 0's definite value has detected its
 /// fault.
 class ParallelTernarySim {
  public:
-  ParallelTernarySim(const Netlist& netlist,
-                     std::vector<LaneInjection> injections);
+  static constexpr std::size_t kMaxFaults = 63;
+
+  ParallelTernarySim(const Netlist& netlist, std::vector<Fault> faults);
 
   /// Load the same starting boolean state into every lane.
   void load_state(const std::vector<bool>& state);
@@ -79,7 +67,6 @@ class ParallelTernarySim {
   /// Apply an input vector to all lanes and settle (Algorithm A + B).
   void settle(const std::vector<bool>& input_values);
 
-  const std::vector<Rail>& rails() const { return state_; }
   Ternary value(SignalId s, unsigned lane) const {
     return rail_lane(state_[s], lane);
   }
@@ -90,16 +77,16 @@ class ParallelTernarySim {
   /// Lanes in which any signal is Φ (conservatively invalid lanes).
   std::uint64_t lanes_with_unknown() const;
 
-  const Netlist& netlist() const { return *netlist_; }
-
  private:
+  /// Force faults_[i]'s lane of `r` to its stuck value.
+  void force(Rail& r, std::uint32_t i) const;
   Rail eval_target(SignalId s) const;
   void inject_output_faults();
 
   const Netlist* netlist_;
-  std::vector<LaneInjection> injections_;
-  // Per-gate pin injections resolved for fast lookup: pin_faults_[g] lists
-  // injections on gate g's pins.
+  std::vector<Fault> faults_;
+  // Indices into faults_ per gate, for fast lookup: pin_faults_[g] lists
+  // the faults on gate g's pins, output_faults_[g] those on its output.
   std::vector<std::vector<std::uint32_t>> pin_faults_;
   std::vector<std::vector<std::uint32_t>> output_faults_;
   std::vector<Rail> state_;

@@ -146,29 +146,15 @@ inline std::set<std::vector<bool>> oracle_stable_reachable(
 
 /// FaultSimulator as it was: a std::set of candidate states, each settled
 /// by oracle_explore_settling on the materialized faulty netlist, inputs
-/// matched by name on every step.
+/// matched by name on every step.  One oracle serves one sequence from
+/// reset.
 class OracleFaultSimulator {
  public:
   OracleFaultSimulator(const Netlist& good, const Fault& fault,
                        const std::vector<bool>& reset_state,
                        const FaultSimOptions& options = {})
-      : good_(&good),
-        fault_(fault),
-        faulty_(apply_fault(good, fault)),
-        reset_values_(reset_state),
-        options_(options) {
-    restart();
-  }
-
-  DetectStatus status() const { return status_; }
-  const std::set<std::vector<bool>>& candidates() const { return candidates_; }
-
-  void restart() {
-    if (status_ == DetectStatus::Detected) return;
-    status_ = DetectStatus::Undetermined;
-    candidates_.clear();
-    const std::vector<bool> start =
-        fault_initial_state(*good_, fault_, reset_values_);
+      : good_(&good), faulty_(apply_fault(good, fault)), options_(options) {
+    const std::vector<bool> start = fault_initial_state(fault, reset_state);
     std::vector<bool> inputs;
     for (const SignalId in : faulty_.inputs()) inputs.push_back(start[in]);
     const ExploreResult result =
@@ -181,6 +167,9 @@ class OracleFaultSimulator {
     if (candidates_.size() > options_.candidate_cap)
       status_ = DetectStatus::GaveUp;
   }
+
+  DetectStatus status() const { return status_; }
+  const std::set<std::vector<bool>>& candidates() const { return candidates_; }
 
   DetectStatus step(const std::vector<bool>& input_values,
                     const std::vector<bool>& good_state) {
@@ -215,8 +204,7 @@ class OracleFaultSimulator {
                    const std::vector<bool>* good_state,
                    std::set<std::vector<bool>>& out) {
     const ExploreResult result = oracle_explore_settling(
-        faulty_, start, map_input_vector(*good_, faulty_, input_values),
-        options_.k);
+        faulty_, start, faulty_inputs(input_values), options_.k);
     if (result.exceeded_bound) {
       status_ = DetectStatus::GaveUp;
       return;
@@ -235,10 +223,26 @@ class OracleFaultSimulator {
     }
   }
 
+  /// The good vector's values on the faulty circuit's inputs, each found
+  /// by name among the good inputs.
+  std::vector<bool> faulty_inputs(const std::vector<bool>& good_vector) const {
+    XATPG_CHECK(good_vector.size() == good_->inputs().size());
+    std::vector<bool> out;
+    for (const SignalId in : faulty_.inputs()) {
+      const std::string& name = faulty_.signal_name(in);
+      std::size_t i = 0;
+      while (i < good_->inputs().size() &&
+             good_->signal_name(good_->inputs()[i]) != name)
+        ++i;
+      XATPG_CHECK_MSG(i < good_->inputs().size(),
+                      "faulty input '" << name << "' unknown to good circuit");
+      out.push_back(good_vector[i]);
+    }
+    return out;
+  }
+
   const Netlist* good_;
-  Fault fault_;
   Netlist faulty_;
-  std::vector<bool> reset_values_;
   FaultSimOptions options_;
   std::set<std::vector<bool>> candidates_;
   DetectStatus status_ = DetectStatus::Undetermined;
@@ -865,7 +869,7 @@ struct OracleRandomTpg {
 };
 
 /// The random phase as AtpgEngine::run_universe ran it: walk by walk, every
-/// simulator restarted per walk and every undetermined fault stepped per
+/// simulator reset per walk and every undetermined fault stepped per
 /// vector, the walk committed when it detects some fault, and the loop
 /// stopped once every fault is covered.
 inline OracleRandomTpg oracle_random_tpg(const Netlist& netlist,
@@ -885,7 +889,7 @@ inline OracleRandomTpg oracle_random_tpg(const Netlist& netlist,
   std::size_t budget = options.random_budget;
   while (budget > 0) {
     if (graph.edges[*reset_id].empty()) break;
-    for (auto& sim : sims) sim->restart();
+    for (auto& sim : sims) sim->reset();
     TestSequence walk;
     std::uint32_t good_id = *reset_id;
     std::vector<std::size_t> walk_resolved;

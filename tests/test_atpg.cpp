@@ -93,17 +93,6 @@ TEST_F(ChainFixture, UndetectedWhenOutputsAgree) {
   EXPECT_EQ(sim.step({false}, reset), DetectStatus::Undetermined);
 }
 
-TEST_F(ChainFixture, RestartIsSticky) {
-  const Fault f{Fault::Site::SignalOutput, netlist.signal("y"), 0, false};
-  FaultSimulator sim(netlist, f, reset);
-  std::vector<bool> good_after(netlist.num_signals(), false);
-  good_after[netlist.signal("A")] = true;
-  good_after[netlist.signal("y")] = true;
-  ASSERT_EQ(sim.step({true}, good_after), DetectStatus::Detected);
-  sim.restart();
-  EXPECT_EQ(sim.status(), DetectStatus::Detected);
-}
-
 TEST(TernaryScreen, SoundOnChain) {
   const fixtures::Circuit fix = fixtures::chain();
   const Netlist& n = fix.netlist;
@@ -201,7 +190,8 @@ void expect_same(const FaultSimulator& sim,
       << where;
 }
 
-/// Every fault of both universes, every walk, lockstep with the oracle.
+/// Every fault of both universes, every walk, lockstep with the oracle:
+/// one simulator per fault, reset() per walk beside a fresh oracle.
 /// Returns how many (fault, walk) runs ended GaveUp and Detected.
 std::pair<std::size_t, std::size_t> expect_sims_match_oracle(
     const Netlist& good, const std::vector<bool>& reset,
@@ -211,13 +201,11 @@ std::pair<std::size_t, std::size_t> expect_sims_match_oracle(
   std::size_t gave_up = 0, detected = 0;
   for (const Fault& fault : faults) {
     FaultSimulator sim(good, fault, reset, options);
-    testing::OracleFaultSimulator oracle(good, fault, reset, options);
     const std::string name = good.name() + " " + fault.describe(good);
-    expect_same(sim, oracle, good, name + " at reset");
     for (const Walk& walk : walks) {
-      sim.restart();
-      oracle.restart();
-      expect_same(sim, oracle, good, name + " after restart");
+      sim.reset();
+      testing::OracleFaultSimulator oracle(good, fault, reset, options);
+      expect_same(sim, oracle, good, name + " at reset");
       for (std::size_t t = 0; t < walk.size(); ++t) {
         const auto& [vector, good_state] = walk[t];
         EXPECT_EQ(sim.step(vector, good_state),
@@ -232,11 +220,30 @@ std::pair<std::size_t, std::size_t> expect_sims_match_oracle(
   return {gave_up, detected};
 }
 
+/// A .bench circuit whose gate lines come before its INPUT lines, so its
+/// inputs are listed c (id 3), b (1), a (0): not in signal-id order.
+fixtures::Circuit inputs_out_of_order() {
+  fixtures::Circuit c;
+  c.netlist = parse_bench_string(
+      "y = AND(a, b)\n"
+      "z = OR(b, c)\n"
+      "INPUT(c)\n"
+      "INPUT(b)\n"
+      "INPUT(a)\n"
+      "OUTPUT(y)\n"
+      "OUTPUT(z)\n");
+  c.netlist.set_name("inputs_out_of_order");
+  c.reset.assign(c.netlist.num_signals(), false);
+  XATPG_CHECK(c.netlist.is_stable_state(c.reset));
+  return c;
+}
+
 std::vector<fixtures::Circuit> differential_circuits() {
   std::vector<fixtures::Circuit> circuits{
       fixtures::fig1a(), fixtures::fig1b(), fixtures::chain(),
-      fixtures::celem(), fixtures::async_latch(), fixtures::pipeline2()};
-  for (std::uint64_t seed = 1; circuits.size() < 18; ++seed) {
+      fixtures::celem(), fixtures::async_latch(), fixtures::pipeline2(),
+      inputs_out_of_order()};
+  for (std::uint64_t seed = 1; circuits.size() < 19; ++seed) {
     try {
       circuits.push_back(fixtures::random_netlist(seed));
     } catch (const CheckError&) {
@@ -244,6 +251,55 @@ std::vector<fixtures::Circuit> differential_circuits() {
     }
   }
   return circuits;
+}
+
+TEST(FaultModel, FaultyCircuitIsTheGoodOneWithOneGatePatched) {
+  for (const fixtures::Circuit& fix : differential_circuits()) {
+    const Netlist& good = fix.netlist;
+    std::vector<Fault> faults = input_stuck_faults(good);
+    for (const Fault& f : output_stuck_faults(good)) faults.push_back(f);
+    for (const Fault& fault : faults) {
+      const std::string where = good.name() + " " + fault.describe(good);
+      const Netlist faulty = apply_fault(good, fault);
+      const bool pin = fault.site == Fault::Site::GatePin;
+      ASSERT_EQ(faulty.num_signals(), good.num_signals() + (pin ? 1 : 0))
+          << where;
+      for (SignalId s = 0; s < good.num_signals(); ++s) {
+        const Gate& g = good.gate(s);
+        const Gate& f = faulty.gate(s);
+        EXPECT_EQ(f.name, g.name) << where;
+        EXPECT_EQ(faulty.find_signal(g.name), s) << where;
+        if (s == fault.gate && !pin) {
+          // Tied: a fanin-less SOP whose one empty cube, if any, is 1.
+          EXPECT_EQ(f.type, GateType::Sop) << where;
+          EXPECT_TRUE(f.fanins.empty()) << where;
+          EXPECT_EQ(f.cover.size(), fault.stuck_value ? 1u : 0u) << where;
+          continue;
+        }
+        std::vector<SignalId> fanins = g.fanins;
+        if (s == fault.gate) fanins[fault.pin] = good.num_signals();
+        EXPECT_EQ(f.type, g.type) << where;
+        EXPECT_EQ(f.fanins, fanins) << where;
+        EXPECT_EQ(f.cover, g.cover) << where;
+        EXPECT_EQ(f.reset_cover, g.reset_cover) << where;
+      }
+      EXPECT_EQ(faulty.outputs(), good.outputs()) << where;
+      std::vector<SignalId> inputs;
+      for (const SignalId in : good.inputs())
+        if (pin || in != fault.gate) inputs.push_back(in);
+      EXPECT_EQ(faulty.inputs(), inputs) << where;
+      // map_input_vector carries good input p to the faulty input of the
+      // same id, and drops a stuck one.
+      for (std::size_t p = 0; p < good.inputs().size(); ++p) {
+        std::vector<bool> one_hot(good.inputs().size(), false);
+        one_hot[p] = true;
+        std::vector<bool> expected;
+        for (const SignalId in : inputs)
+          expected.push_back(in == good.inputs()[p]);
+        EXPECT_EQ(map_input_vector(good, fault, one_hot), expected) << where;
+      }
+    }
+  }
 }
 
 TEST(PackedFaultSim, MatchesOracleAlongSeededWalks) {

@@ -238,6 +238,8 @@ TEST(CliContract, UsageErrorsExitTwo) {
   EXPECT_EQ(run_cli("bench --family fig1 --json").exit_code, 2);
   EXPECT_EQ(run_cli("bench --family fig1 --host ci").exit_code, 2);
   EXPECT_EQ(run_cli("bench --family table1 --random-budget 64").exit_code, 2);
+  EXPECT_EQ(run_cli("run --circuit fig1a --random-budget 1048577").exit_code,
+            2);
   EXPECT_EQ(run_cli("bench --family ablation_classify --classify").exit_code,
             2);
   EXPECT_EQ(run_cli("bench --family fig1 --progress").exit_code, 2);

@@ -138,16 +138,16 @@ TEST(BddMintermRows, CheckLimitSupportAndWidth) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BddProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u));
 
-// --- faulty netlist vs lane injection -----------------------------------------
+// --- faulty netlist vs a parallel simulator's faulty lane -------------------
 
 class FaultEquivalence : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(FaultEquivalence, MaterializedNetlistMatchesLaneInjection) {
-  // The two independent fault mechanisms — rebuilding the netlist
-  // (apply_fault) and forcing rails in the parallel simulator
-  // (LaneInjection) — must agree on the settled state for every fault and
-  // a set of probe vectors, whenever the parallel (conservative) simulator
-  // resolves to definite values.
+TEST_P(FaultEquivalence, MaterializedNetlistMatchesFaultyLane) {
+  // The two independent fault mechanisms — patching the netlist
+  // (apply_fault) and forcing rails in the parallel simulator's lane —
+  // must agree on the settled state for every fault and a set of probe
+  // vectors, whenever the parallel (conservative) simulator resolves to
+  // definite values.
   const SynthResult synth =
       benchmark_circuit(GetParam(), SynthStyle::SpeedIndependent);
   const Netlist& good = synth.netlist;
@@ -158,20 +158,20 @@ TEST_P(FaultEquivalence, MaterializedNetlistMatchesLaneInjection) {
     const Fault& fault = faults[fi];
     const Netlist faulty = apply_fault(good, fault);
     TernarySim faulty_scalar(faulty);
-    ParallelTernarySim par(good, {fault.to_injection(1ull << 1)});
+    ParallelTernarySim par(good, {fault});
 
     std::vector<bool> vec;
     for (const SignalId in : good.inputs())
       vec.push_back(!synth.reset_state[in]);
 
-    // Parallel lane 1 carries the injected fault.
+    // Parallel lane 1 carries the fault.
     par.load_state(synth.reset_state);
     par.settle(vec);
 
     // Scalar run on the materialized netlist.
     const auto scalar = faulty_scalar.settle(
-        fault_initial_state(good, fault, synth.reset_state),
-        map_input_vector(good, faulty, vec));
+        fault_initial_state(fault, synth.reset_state),
+        map_input_vector(good, fault, vec));
 
     for (SignalId s = 0; s < good.num_signals(); ++s) {
       if (fault.site == Fault::Site::SignalOutput && fault.gate == s) continue;

@@ -245,16 +245,22 @@ TEST(Serve, MalformedAndUnknownRequestsGetTypedErrors) {
 
 TEST(Serve, SubmitWithKPastTheBoundGetsAnErrorAndNoAck) {
   // Settling fig1b's oscillation takes time linear in k with no cancel
-  // point, so a huge k would pin the worker and shutdown behind it.
+  // point, so a huge k would pin the worker and shutdown behind it; a huge
+  // random budget would draw walks into the daemon's memory before the
+  // job's first cancel point.
   ServeFixture fixture({});
   Client client = fixture.connect();
-  client.send(submit_benchmark("big-k", "fig1b", "si", false, "\"k\":1048577"));
-  const Value frame = client.expect_frame("error");
-  EXPECT_EQ(json::string_field(frame, "id"), "big-k");
-  EXPECT_EQ(json::string_field(*frame.find("error"), "code"), "OptionError");
-  // Nothing was queued: the next frame answers the next request.
-  client.send("{\"op\":\"ping\",\"id\":\"\"}\n");
-  client.expect_frame("pong");
+  for (const char* option :
+       {"\"k\":1048577", "\"random_budget\":9007199254740992"}) {
+    client.send(submit_benchmark("big", "fig1b", "si", false, option));
+    const Value frame = client.expect_frame("error");
+    EXPECT_EQ(json::string_field(frame, "id"), "big") << option;
+    EXPECT_EQ(json::string_field(*frame.find("error"), "code"), "OptionError")
+        << option;
+    // Nothing was queued: the next frame answers the next request.
+    client.send("{\"op\":\"ping\",\"id\":\"\"}\n");
+    client.expect_frame("pong");
+  }
 }
 
 TEST(Serve, OversizedRequestLineIsResourceErrorAndCloses) {

@@ -125,11 +125,14 @@ TEST(OptionValidation, EachDegenerateKnobIsRejected) {
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.candidate_cap = 0; }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.k = (1u << 20) + 1; }));
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.k = (1u << 20) + 1; }));
+  EXPECT_TRUE(
+      rejects([](AtpgOptions& o) { o.random_budget = (1u << 20) + 1; }));
   // Boundary values stay valid.
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.threads = 4096; }));
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.threads = 0; }));  // = hardware
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.k = 1; }));
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.k = o.sim.k = 1u << 20; }));
+  EXPECT_FALSE(rejects([](AtpgOptions& o) { o.random_budget = 1u << 20; }));
 }
 
 TEST(OptionValidation, LegacyEngineConstructorRejectsLoudly) {

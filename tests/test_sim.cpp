@@ -374,9 +374,8 @@ TEST(ParallelSim, OutputStuckAtDetected) {
   const Circuit fix = fixtures::chain();
   const Netlist& n = fix.netlist;
   // Lane 1: y stuck-at-0.
-  LaneInjection inj{LaneInjection::Site::SignalOutput, n.signal("y"), 0, false,
-                    1ull << 1};
-  ParallelTernarySim par(n, {inj});
+  ParallelTernarySim par(
+      n, {Fault{Fault::Site::SignalOutput, n.signal("y"), 0, false}});
   par.load_state(fix.reset);
   par.settle({true});  // good: y -> 1; faulty: y stuck 0
   EXPECT_EQ(par.value(n.signal("y"), 0), Ternary::V1);
@@ -388,14 +387,19 @@ TEST(ParallelSim, OutputStuckAtDetected) {
 TEST(ParallelSim, InputPinStuckAt) {
   const Circuit fix = fixtures::chain();
   const Netlist& n = fix.netlist;
-  // Lane 3: the pin n->y (pin 0 of gate y) stuck-at-1, so y = NOT(1) = 0.
-  LaneInjection inj{LaneInjection::Site::GatePin, n.signal("y"), 0, true,
-                    1ull << 3};
-  ParallelTernarySim par(n, {inj});
+  // Lane 3 carries the third fault: the pin n->y (pin 0 of gate y)
+  // stuck-at-1, so y = NOT(1) = 0.  Lanes 1 and 2 tie y and n to 1.
+  const SignalId y = n.signal("y");
+  ParallelTernarySim par(n, {Fault{Fault::Site::SignalOutput, y, 0, true},
+                             Fault{Fault::Site::SignalOutput, n.signal("n"), 0,
+                                   true},
+                             Fault{Fault::Site::GatePin, y, 0, true}});
   par.load_state(fix.reset);
   par.settle({true});  // good circuit: n=0, y=1; faulty: y=0
-  EXPECT_EQ(par.value(n.signal("y"), 0), Ternary::V1);
-  EXPECT_EQ(par.value(n.signal("y"), 3), Ternary::V0);
+  EXPECT_EQ(par.value(y, 0), Ternary::V1);
+  EXPECT_EQ(par.value(y, 1), Ternary::V1);
+  EXPECT_EQ(par.value(y, 2), Ternary::V0);
+  EXPECT_EQ(par.value(y, 3), Ternary::V0);
 }
 
 TEST(ParallelSim, RaceMarksLaneUnknown) {
@@ -409,24 +413,32 @@ TEST(ParallelSim, RaceMarksLaneUnknown) {
 TEST(ParallelSim, SixtyFourLanesIndependent) {
   const Circuit fix = fixtures::chain();
   const Netlist& n = fix.netlist;
-  // Odd lanes: y output stuck at 0.
-  std::uint64_t odd = 0;
-  for (int lane = 1; lane < 64; lane += 2) odd |= 1ull << lane;
-  LaneInjection inj{LaneInjection::Site::SignalOutput, n.signal("y"), 0, false,
-                    odd};
-  ParallelTernarySim par(n, {inj});
+  const SignalId y = n.signal("y");
+  // Fault i goes in lane i + 1: y stuck at 0 in the odd lanes, at 1 in the
+  // even lanes after the good lane 0.
+  std::vector<Fault> faults;
+  for (unsigned lane = 1; lane < 64; ++lane)
+    faults.push_back(Fault{Fault::Site::SignalOutput, y, 0, lane % 2 == 0});
+  ParallelTernarySim par(n, faults);
   par.load_state(fix.reset);
-  par.settle({true});
-  for (unsigned lane = 0; lane < 64; ++lane) {
-    const Ternary expected = (lane % 2) ? Ternary::V0 : Ternary::V1;
-    ASSERT_EQ(par.value(n.signal("y"), lane), expected) << "lane " << lane;
+  for (const bool a : {true, false}) {
+    par.settle({a});
+    for (unsigned lane = 0; lane < 64; ++lane) {
+      const bool expected = lane == 0 ? a : lane % 2 == 0;
+      ASSERT_EQ(par.value(y, lane), to_ternary(expected))
+          << "A=" << a << " lane " << lane;
+    }
   }
 }
 
 TEST(ParallelSim, InjectionValidation) {
   const Netlist n = parse_xnl_string(fixtures::kChainXnl);
-  LaneInjection bad{LaneInjection::Site::GatePin, n.signal("y"), 5, true, 1};
-  EXPECT_THROW(ParallelTernarySim(n, {bad}), CheckError);
+  const Fault bad_pin{Fault::Site::GatePin, n.signal("y"), 5, true};
+  EXPECT_THROW(ParallelTernarySim(n, {bad_pin}), CheckError);
+  // 63 faulty lanes beside the good one, and no more.
+  const Fault tie{Fault::Site::SignalOutput, n.signal("y"), 0, true};
+  EXPECT_NO_THROW(ParallelTernarySim(n, std::vector<Fault>(63, tie)));
+  EXPECT_THROW(ParallelTernarySim(n, std::vector<Fault>(64, tie)), CheckError);
 }
 
 }  // namespace

@@ -263,7 +263,7 @@ bool parse_args(int argc, char** argv, CliArgs& args) {
       args.options.k = static_cast<std::size_t>(*v);
       args.options.sim.k = static_cast<std::size_t>(*v);
     } else if (flag == "--random-budget") {
-      const auto v = count(1u << 30);
+      const auto v = count(AtpgOptions::kMaxRandomBudget);
       if (!v) return false;
       args.options.random_budget = static_cast<std::size_t>(*v);
     } else if (flag == "--reorder") {
