@@ -18,10 +18,11 @@
 //     typed errors; nothing aborts or exits.  The factory builds the
 //     symbolic CSSG only.  The explicit graph (every CSSG-reachable state
 //     and its successors) is built one successor list at a time, when a
-//     list is first read: a run builds the lists its random walks read, and
-//     every other list only if some fault needs the 3-phase search.
-//     cssg_dot() extracts a whole graph of its own, and test_program()
-//     builds the lists its sequences read, so cssg_stats() and bdd_stats()
+//     list is first read whole: random walks and test_program()'s replays
+//     take one successor at a time off the BDD (a walk reads a list whole
+//     only when it is short), so a run builds long lists only if some
+//     fault needs the 3-phase search, and then every list.  cssg_dot()
+//     extracts a whole graph of its own, and cssg_stats() and bdd_stats()
 //     never pay for a list.  A graph over the 200,000-state cap is
 //     therefore reported by the call that builds past it, as a
 //     ResourceError, not by the factory.
@@ -34,9 +35,10 @@
 //     run on this Session completed, so only the faults no earlier run
 //     searched pay for one.  The result and its observer events are
 //     byte-identical to a from-scratch run on the union universe, except
-//     the stats that measure this run's work: the clocks, and the exact
+//     the stats that measure this run's work: the clocks, the exact
 //     simulation counts (sim_steps, settles, settles_memoized), which are
-//     lower when cached searches are reused.
+//     lower when cached searches are reused, and the explicit lists built
+//     (lists_built, list_ids), which an earlier run may have built.
 //     add_faults({}) after a cancelled run resumes it the same way, and the
 //     final result is byte-identical to an uncancelled run.
 //  4. Results, test-program export and statistics are read back at any

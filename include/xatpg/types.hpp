@@ -115,6 +115,15 @@ struct AtpgStats {
   std::size_t sim_steps = 0;
   std::size_t settles = 0;
   std::size_t settles_memoized = 0;
+  /// The explicit successor lists this run built, and the successor ids
+  /// they hold.  Random walks and test-program replays take one successor
+  /// at a time off the BDD (a walk reads a list whole only when it is
+  /// short), so a run builds long lists only when some fault needs the
+  /// 3-phase search, and then every list the graph still lacks.
+  /// Deterministic like the simulation counts, and like them lower on an
+  /// engine whose earlier runs built the lists already.
+  std::size_t lists_built = 0;
+  std::size_t list_ids = 0;
 
   [[nodiscard]] double coverage() const {
     return total_faults == 0

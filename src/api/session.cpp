@@ -77,9 +77,9 @@ Expected<void> build_engine(const Netlist& netlist,
   return {};
 }
 
-/// Run `build`, which builds explicit successor lists on the engine's
-/// manager: a graph over the state cap, or one that does not fit in
-/// memory, is a ResourceError.
+/// Run `build`, which builds explicit successor lists, or interns states,
+/// on the engine's manager: a graph over the state cap, or one that does
+/// not fit in memory, is a ResourceError.
 template <typename Build>
 Expected<void> build_lists(const Build& build) {
   try {
@@ -301,7 +301,7 @@ bool Session::has_result() const { return impl_->result.has_value(); }
 const AtpgResult& Session::last_result() const { return *impl_->result; }
 
 Expected<std::string> Session::test_program(const AtpgResult& result) const {
-  // Following a sequence builds the lists it reads that no run has built.
+  // Following a sequence interns the states it reaches that no run has.
   if (const auto built = build_lists([&] {
         for (const TestSequence& seq : result.sequences)
           (void)impl_->engine->follow(seq);

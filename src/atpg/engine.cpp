@@ -80,14 +80,11 @@ std::size_t AtpgEngine::lists_built() const {
 
 std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
     const TestSequence& seq) const {
-  const ExplicitCssg& graph = this->graph();
+  LazyCssg& graph = lazy();
   std::vector<std::uint32_t> path{kResetId};
   for (const auto& vec : seq.vectors) {
-    const auto& succs = successors(path.back());
-    const auto next = std::find_if(
-        succs.begin(), succs.end(),
-        [&](std::uint32_t to) { return graph.inputs[to] == vec; });
-    if (next == succs.end()) return std::nullopt;
+    const auto next = graph.successor_applying(path.back(), vec);
+    if (!next) return std::nullopt;
     path.push_back(*next);
   }
   return path;
@@ -97,23 +94,26 @@ std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
 // Random TPG (§5.4)
 // ---------------------------------------------------------------------------
 
-std::vector<AtpgEngine::Walk> AtpgEngine::random_walks() const {
-  std::vector<Walk> walks;
+std::vector<std::vector<std::uint32_t>> random_walks(
+    LazyCssg& graph, const AtpgOptions& options) {
+  std::vector<std::vector<std::uint32_t>> walks;
   // A circuit whose reset state has no valid vector at all (every pattern
   // races — it happens on heavily hazardous bounded-delay circuits) cannot
   // be random-tested.
-  if (successors(kResetId).empty()) return walks;
-  Rng rng(options_.seed);
-  std::size_t budget = options_.random_budget;
+  if (graph.successor_count(kResetId) == 0) return walks;
+  Rng rng(options.seed);
+  std::size_t budget = options.random_budget;
   while (budget > 0) {
     // A fresh walk models a reset pulse followed by random valid vectors.
-    Walk& walk = walks.emplace_back();
+    std::vector<std::uint32_t>& walk = walks.emplace_back();
     std::uint32_t good_id = kResetId;
-    for (std::size_t step = 0; step < options_.random_walk_len && budget > 0;
+    for (std::size_t step = 0; step < options.random_walk_len && budget > 0;
          ++step) {
-      const auto& succs = successors(good_id);
-      if (succs.empty()) break;
-      good_id = succs[rng.below(succs.size())];
+      const std::uint64_t n = graph.successor_count(good_id);
+      if (n == 0) break;
+      const std::uint64_t rank = rng.below(n);
+      good_id = n <= kShortWalkList ? graph.successors(good_id)[rank]
+                                    : graph.successor_at(good_id, rank);
       --budget;
       walk.push_back(good_id);
     }
@@ -514,6 +514,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   // Made here, on the calling thread, if no earlier call has: the fan-outs
   // below only read it.
   const ExplicitCssg& graph = this->graph();
+  const std::size_t lists_before = lazy().lists_built();
+  const std::size_t list_ids_before = lazy().list_ids();
   AtpgResult result;
   result.outcomes.reserve(faults.size());
   for (const Fault& f : faults) result.outcomes.push_back(FaultOutcome{f});
@@ -569,7 +571,11 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   if (observer != nullptr) observer->on_phase(RunPhase::RandomTpg);
   Timer random_timer;
   std::vector<Walk> walks;
-  if (options_.random_budget > 0 && !is_cancelled()) walks = random_walks();
+  if (options_.random_budget > 0 && !is_cancelled()) {
+    walks = random_walks(lazy(), options_);
+    // The image kept for the draw's last read would only hold BDD nodes.
+    lazy().release_image();
+  }
   if (!walks.empty() && !faults.empty()) {
     // Each fault's first detecting (walk, step), written by the one worker
     // that replays the fault.
@@ -695,6 +701,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     result.stats.settles += sim->settles();
     result.stats.settles_memoized += sim->settles_memoized();
   }
+  result.stats.lists_built = lazy().lists_built() - lists_before;
+  result.stats.list_ids = lazy().list_ids() - list_ids_before;
   result.stats.covered = result.stats.by_random + result.stats.by_three_phase +
                          result.stats.by_fault_sim;
   result.stats.undetected = result.stats.total_faults - result.stats.covered;

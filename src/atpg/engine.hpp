@@ -17,9 +17,12 @@
 //     and only the thread that calls run() touches it.  The explicit graph
 //     is a LazyCssg on that manager: a state's successor list is built on
 //     the calling thread when successors() first reads it, so a caller
-//     that only reads the CSSG statistics builds none, and random TPG
-//     builds only the lists its walks read.  Before the search fan-out
-//     that thread computes every searched fault's symbolic phases 1-2 —
+//     that only reads the CSSG statistics builds none.  Random walks and
+//     follow() take one successor at a time by a rank read, which counts
+//     the state's successors on the BDD and interns only the state it
+//     returns, so they build no long list (a walk reads a short list,
+//     kShortWalkList, whole).  Before the search fan-out the calling
+//     thread computes every searched fault's symbolic phases 1-2 —
 //     activation ∧ CSSG-reachable, then justify() — serially, in
 //     fault-list order, and then builds every list still missing, so the
 //     same BDD operations run in the same order, and the states take the
@@ -31,14 +34,16 @@
 //     a fan-out join, so one thread at a time drives it and no lock is
 //     needed.
 //   * Random TPG draws every walk first, on the calling thread, from the
-//     graph and the seeded RNG alone.  The fan-out then replays the walks
-//     on each fault's simulator and records the fault's first detecting
-//     (walk, step); the calling thread commits in walk order.
+//     graph and the seeded RNG alone (random_walks()).  The fan-out then
+//     replays the walks on each fault's simulator and records the fault's
+//     first detecting (walk, step); the calling thread commits in walk
+//     order.
 //   * The search workers run only phase 3, differentiate() from each
 //     justified prefix and then from reset.  It reads the netlist, the
-//     finished explicit graph (shared read-only: successors() builds
-//     nothing there) and the fault's simulator from this run; no worker
-//     holds a BDD node or runs a BDD operation.
+//     finished explicit graph (shared read-only: with every list built,
+//     successors() and follow()'s rank reads only read lists) and the
+//     fault's simulator from this run; no worker holds a BDD node or runs
+//     a BDD operation.
 //   * fan_out() hands out items in blocks of work_block_size() through one
 //     shared atomic cursor: a worker claims its next block with one
 //     fetch_add, so a worker pinned by a slow fault leaves the remaining
@@ -111,9 +116,9 @@ class AtpgEngine {
   /// calls run(): query it from that thread, between runs.
   const Cssg& cssg() const { return *cssg_; }
   /// The explicit CSSG as far as it is built: the reset state is id 0, a
-  /// state has an id once a built list reaches it, and edges[id] is empty
-  /// until successors(id) has built it.  Read lists through successors();
-  /// Cssg::extract_explicit() gives the whole graph.
+  /// state has an id once a built list or a rank read reaches it, and
+  /// edges[id] is empty until successors(id) has built it.  Read lists
+  /// through successors(); Cssg::extract_explicit() gives the whole graph.
   const ExplicitCssg& graph() const;
   /// State id's successor ids in the canonical order of their states: the
   /// one accessor for the lists.  The first read builds the list on the
@@ -165,8 +170,11 @@ class AtpgEngine {
   bool provably_redundant(const Fault& fault) const;
 
   /// Good-circuit states visited by a sequence (from reset); nullopt if a
-  /// vector is not a valid CSSG edge.  Reads the lists on its path through
-  /// successors(), which builds those still missing.
+  /// vector is not a valid CSSG edge.  Each step is a rank read,
+  /// LazyCssg::successor_applying: it reads a built list, and otherwise
+  /// answers from the BDD and interns the one state it reaches, so
+  /// following builds no list.  Calling thread only, unless every list on
+  /// the path is built.
   std::optional<std::vector<std::uint32_t>> follow(
       const TestSequence& seq) const;
 
@@ -213,9 +221,6 @@ class AtpgEngine {
                  const CancelToken* cancel,
                  const std::function<void(std::size_t)>& work,
                  const std::function<void(const FanOut&)>& on_block);
-  /// Random TPG's walks, drawn with the seeded RNG and the budget alone:
-  /// no walk depends on any fault.
-  std::vector<Walk> random_walks() const;
   /// Replay `walks` in order on `sim`, each from a reset(), abandoning a
   /// walk once the simulator gives up.  Returns the first detecting
   /// (walk, step), or nullopt.  Reads only the walked states besides
@@ -275,9 +280,10 @@ class AtpgEngine {
   /// the thread that calls run().
   std::unique_ptr<Cssg> cssg_;
   /// The explicit graph, made by the first lazy() call; lists are built
-  /// into it on the calling thread only.  The random replay reads just the
-  /// walked states, and the search fan-out starts after
-  /// generate_parallel() has built every list, so workers never write it.
+  /// and rank reads intern states into it on the calling thread only.  The
+  /// random replay reads just the walked states, and the search fan-out
+  /// starts after generate_parallel() has built every list, so workers
+  /// never write it.
   mutable std::optional<LazyCssg> graph_;
   /// The current fault universe (run() replaces, add_faults() extends).
   std::vector<Fault> universe_;
@@ -295,6 +301,25 @@ class AtpgEngine {
   /// Declared last so it is joined before the state its tasks read goes.
   std::unique_ptr<ThreadPool> pool_;
 };
+
+/// A random walk reads a state's whole successor list when it holds at
+/// most this many entries, and otherwise reads each step off the BDD.  A
+/// walk returns to a short list's few entries over and over, and listing
+/// them once costs less than a descent per step; a long list is read at a
+/// few of its ranks (a parity-10 run walks 390 states of 1,023 successors
+/// each).
+inline constexpr std::uint64_t kShortWalkList = 64;
+
+/// Random TPG's walks (§5.4) on `graph`, drawn with the options' seed,
+/// budget and walk length alone, so no walk depends on any fault.  A walk
+/// is the good-state ids it visits from reset, one per vector.  Each step
+/// draws a rank below the state's successor count and takes the successor
+/// at that rank, from the list when it is short (kShortWalkList) and by a
+/// rank read otherwise: the draws and states of a walk over whole lists
+/// (tests/oracle.hpp's oracle_random_walks is that walk), with no list
+/// longer than kShortWalkList built.
+std::vector<std::vector<std::uint32_t>> random_walks(
+    LazyCssg& graph, const AtpgOptions& options);
 
 /// Tester-facing export: vectors and expected primary-output responses per
 /// cycle, in a simple line format a synchronous tester can replay.

@@ -47,7 +47,7 @@ FaultSimulator::FaultSimulator(const Netlist& good, const Fault& fault,
   }
   candidates_ = reset_candidates_;
   status_ = reset_status_;
-  memo_slots_.assign(16, 0);
+  memo_index_ = PackedRowIndex(w);
 }
 
 void FaultSimulator::reset() {
@@ -64,16 +64,11 @@ void FaultSimulator::reset() {
 // and the final sort makes the consistent set the same words.
 FaultSimulator::Settled FaultSimulator::settle_memoized(
     const StateWord* start) {
-  const std::size_t w = circuit_.words();
-  std::size_t mask = memo_slots_.size() - 1;
-  std::size_t slot = hash_words(start, w) & mask;
-  for (; memo_slots_[slot] != 0; slot = (slot + 1) & mask) {
-    const std::size_t e = memo_slots_[slot] - 1;
-    if (std::equal(start, start + w, memo_keys_.begin() + e * w)) {
-      ++settles_memoized_;
-      return memo_[e];
-    }
+  if (const auto known = memo_index_.find(start)) {
+    ++settles_memoized_;
+    return memo_[*known];
   }
+  const std::size_t w = circuit_.words();
   ++settles_;
   Settled entry;
   settled_.clear();
@@ -84,18 +79,8 @@ FaultSimulator::Settled FaultSimulator::settle_memoized(
     memo_rows_.insert(memo_rows_.end(), settled_.begin(), settled_.end());
   }
   entry.rows_end = memo_rows_.size();
-  memo_keys_.insert(memo_keys_.end(), start, start + w);
+  memo_index_.insert(start);
   memo_.push_back(entry);
-  memo_slots_[slot] = static_cast<std::uint32_t>(memo_.size());
-  if (2 * memo_.size() > memo_slots_.size()) {
-    memo_slots_.assign(2 * memo_slots_.size(), 0);
-    mask = memo_slots_.size() - 1;
-    for (std::size_t e = 0; e < memo_.size(); ++e) {
-      slot = hash_words(memo_keys_.data() + e * w, w) & mask;
-      while (memo_slots_[slot] != 0) slot = (slot + 1) & mask;
-      memo_slots_[slot] = static_cast<std::uint32_t>(e + 1);
-    }
-  }
   return entry;
 }
 

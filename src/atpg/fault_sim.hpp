@@ -32,6 +32,7 @@
 #include "atpg/fault.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/explicit.hpp"
+#include "util/packed.hpp"
 #include "xatpg/options.hpp"  // FaultSimOptions (public API type)
 
 namespace xatpg {
@@ -127,13 +128,10 @@ class FaultSimulator {
   SettleScratch scratch_;
   std::vector<StateWord> applied_, expected_, start_, next_, settled_;
   // The settle memo, in flat arrays: entry e is the start state
-  // memo_keys_[e * words, (e + 1) * words) and its answer memo_[e];
-  // memo_slots_ is an open-addressing index over the entries (entry + 1,
-  // 0 = empty, a power of two at most half full).
-  std::vector<StateWord> memo_keys_;
+  // memo_index_ numbers e, and its answer memo_[e].
+  PackedRowIndex memo_index_;
   std::vector<Settled> memo_;
   std::vector<StateWord> memo_rows_;
-  std::vector<std::uint32_t> memo_slots_;
   std::size_t steps_ = 0, settles_ = 0, settles_memoized_ = 0;
 };
 

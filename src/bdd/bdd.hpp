@@ -58,6 +58,7 @@
 #include <string>
 #include <vector>
 
+#include "util/packed.hpp"
 #include "xatpg/options.hpp"  // ReorderPolicy (public API type)
 
 namespace xatpg {
@@ -289,6 +290,24 @@ class BddManager {
       const Bdd& f, const std::vector<std::uint32_t>& vars,
       std::size_t limit = 1u << 20);
 
+  /// Number of complete assignments over `vars` (in any order, covering
+  /// f's support) that satisfy f, exactly: the rows append_minterm_rows
+  /// lists.  Throws CheckError past 2^64 - 1.  Each edge's count is
+  /// memoized for one variable set at a time, until the next collection,
+  /// level swap or new_var(), so BDDs that share nodes are counted once per
+  /// node.
+  [[nodiscard]] std::uint64_t minterm_count(
+      const Bdd& f, const std::vector<std::uint32_t>& vars);
+  /// Row `rank` (from 0) of append_minterm_rows(f, vars, bits, width, ...),
+  /// written to row[0, width) without listing the rows before it: one
+  /// descent that steers by minterm_count's counts (uniform selection on a
+  /// BDD, Knuth TAOCP 4A §7.1.4).  Same preconditions as
+  /// append_minterm_rows, and rank < minterm_count(f, vars).
+  void minterm_row_at(const Bdd& f, const std::vector<std::uint32_t>& vars,
+                      const std::vector<std::uint32_t>& bits,
+                      std::uint64_t rank, std::uint64_t* row,
+                      std::size_t width);
+
   /// Build the positive cube of the listed variables.
   [[nodiscard]] Bdd make_cube(const std::vector<std::uint32_t>& vars);
 
@@ -420,6 +439,28 @@ class BddManager {
   std::uint32_t compose_rec(std::uint32_t f, std::uint32_t v, std::uint32_t g);
   std::uint32_t cofactor_rec(std::uint32_t f, std::uint32_t v, bool phase);
 
+  /// minterm_count's memo, for the variable set `vars`: below[l] counts
+  /// them at levels >= l (below[num_vars_] = 0, where the terminal sits),
+  /// and counts[k] is the number of assignments of the counted variables
+  /// at or below edge k's level that satisfy edge k, the edges numbered by
+  /// `edges`.  A sweep may recycle a node index, a swap moves levels and a
+  /// new variable moves the terminal's level, so each bumps memo_epoch_,
+  /// and the next count after any of them starts afresh.
+  struct CountMemo {
+    std::vector<std::uint32_t> vars, below;
+    PackedRowIndex edges;
+    std::vector<std::uint64_t> counts;
+    std::size_t epoch = 0;
+  };
+  /// Make count_memo_ serve `vars` in the current epoch.
+  void prepare_count_memo(const std::vector<std::uint32_t>& vars);
+  /// Level of the edge's node, the terminal at num_vars_.
+  std::uint32_t count_level(std::uint32_t e) const;
+  /// count_memo_'s count of e scaled to the counted variables below
+  /// `level`, which lies above e's level.
+  std::uint64_t count_below(std::uint32_t e, std::uint32_t level);
+  std::uint64_t count_rec(std::uint32_t e);
+
   void mark(std::uint32_t edge, std::vector<bool>& marked) const;
   /// Mark-and-sweep without touching gc_count_ (shared by collect_garbage
   /// and the sifting size measurements).
@@ -503,6 +544,8 @@ class BddManager {
   bool gc_adaptive_ = true;  // cleared by set_gc_threshold (pinned mode)
   std::size_t gc_count_ = 0;
   std::size_t peak_nodes_ = 0;
+  CountMemo count_memo_;
+  std::size_t memo_epoch_ = 1;  // bumped by every sweep, swap and new_var
   std::uint32_t next_perm_id_ = 0;
   std::vector<std::vector<std::uint32_t>> registered_perms_;
   std::uint32_t register_perm(const std::vector<std::uint32_t>& var_map);

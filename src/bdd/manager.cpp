@@ -205,6 +205,7 @@ std::uint32_t BddManager::new_var() {
   group_of_var_.push_back(kNoGroup);
   subtables_.emplace_back();
   subtables_.back().buckets.assign(4, kNil);
+  ++memo_epoch_;  // the terminal's level moved down
   return v;
 }
 
@@ -391,6 +392,7 @@ std::size_t BddManager::sweep_dead() {
     }
   }
   cache_scrub_dead(marked);
+  ++memo_epoch_;
   return freed;
 }
 

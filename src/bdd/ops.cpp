@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 #include "bdd/bdd.hpp"
 #include "util/check.hpp"
@@ -458,31 +457,31 @@ double BddManager::sat_count(const Bdd& f, std::uint32_t nvars,
   // but the final total is scaled over all num_vars() levels and then
   // adjusted to the caller's `nvars`-variable universe by a pure power of
   // two, making the returned count a function of f alone (reordering f
-  // never changes its sat_count).  The memo keys on the full EDGE: an edge
-  // and its complement count different functions.
-  std::unordered_map<std::uint32_t, Scaled> memo;
+  // never changes its sat_count).  The memo is flat, as minterm_count's
+  // is: `counted` numbers the EDGES counted so far (an edge and its
+  // complement count different functions) and memo[k] holds edge k's
+  // count, so its size follows f, not the node arena.
+  PackedRowIndex counted(1);
+  std::vector<Scaled> memo;
   // rec(e) = number of assignments of the levels in [level(e), num_vars_)
   // that satisfy e; the terminal behaves as level == num_vars_.
-  auto level_of = [&](std::uint32_t e) -> std::uint32_t {
-    return edge_node(e) == 0 ? num_vars_
-                             : var_to_level_[nodes_[edge_node(e)].var];
-  };
   auto rec = [&](auto&& self, std::uint32_t e) -> Scaled {
     if (e == kFalseEdge) return Scaled{0, 0};
     if (e == kTrueEdge) return Scaled{0.5, 1};
-    auto it = memo.find(e);
-    if (it != memo.end()) return it->second;
+    const std::uint64_t key = e;
+    if (const auto k = counted.find(&key)) return memo[*k];
     const Node nn = nodes_[edge_node(e)];
     const std::uint32_t ec = e & 1u;
     const std::uint32_t lo = nn.lo ^ ec;
     const std::uint32_t hi = nn.hi ^ ec;
-    const std::uint32_t lvl = level_of(e);
+    const std::uint32_t lvl = count_level(e);
     Scaled cl = self(self, lo);
-    cl.e += level_of(lo) - lvl - 1;
+    cl.e += count_level(lo) - lvl - 1;
     Scaled ch = self(self, hi);
-    ch.e += level_of(hi) - lvl - 1;
+    ch.e += count_level(hi) - lvl - 1;
     const Scaled result = add(cl, ch);
-    memo.emplace(e, result);
+    counted.insert(&key);
+    memo.push_back(result);
     return result;
   };
 
@@ -490,7 +489,7 @@ double BddManager::sat_count(const Bdd& f, std::uint32_t nvars,
   // Levels above the root are free: scale by 2^level(root) (the terminal
   // acts as level == num_vars_, making the constants 0 and 2^num_vars_),
   // then rescale from the manager's universe to the caller's nvars universe.
-  total.e += level_of(f.index());
+  total.e += count_level(f.index());
   total.e += static_cast<std::int64_t>(nvars) -
              static_cast<std::int64_t>(num_vars_);
   total.e -= divide_exp;
@@ -591,6 +590,108 @@ std::vector<std::vector<bool>> BddManager::all_minterms(
   for (std::size_t r = 0; r < rows.size(); r += width)
     out.push_back(unpack_state(rows.data() + r, vars.size()));
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// exact minterm counts and rank reads
+// ---------------------------------------------------------------------------
+
+std::uint32_t BddManager::count_level(std::uint32_t e) const {
+  return edge_node(e) == 0 ? num_vars_
+                           : var_to_level_[nodes_[edge_node(e)].var];
+}
+
+void BddManager::prepare_count_memo(const std::vector<std::uint32_t>& vars) {
+  CountMemo& memo = count_memo_;
+  if (memo.epoch == memo_epoch_ && memo.vars == vars) return;
+  memo.vars = vars;
+  memo.epoch = memo_epoch_;
+  memo.below.assign(num_vars_ + 1, 0);
+  for (const std::uint32_t v : vars) {
+    XATPG_CHECK_MSG(v < num_vars_, "variable " << v << " not allocated");
+    memo.below[var_to_level_[v]] = 1;
+  }
+  for (std::uint32_t l = num_vars_; l-- > 0;)
+    memo.below[l] += memo.below[l + 1];
+  memo.edges = PackedRowIndex(1);
+  memo.counts.clear();
+}
+
+std::uint64_t BddManager::count_below(std::uint32_t e, std::uint32_t level) {
+  const std::uint64_t c = count_rec(e);
+  const std::uint32_t free =
+      count_memo_.below[level + 1] - count_memo_.below[count_level(e)];
+  XATPG_CHECK_MSG(c == 0 || (free < 64 && c <= (~std::uint64_t{0} >> free)),
+                  "minterm count overflows 64 bits");
+  return c << free;
+}
+
+std::uint64_t BddManager::count_rec(std::uint32_t e) {
+  if (e == kFalseEdge) return 0;
+  if (e == kTrueEdge) return 1;
+  CountMemo& memo = count_memo_;
+  const std::uint64_t key = e;
+  if (const auto known = memo.edges.find(&key)) return memo.counts[*known];
+  const Node nn = nodes_[edge_node(e)];
+  const std::uint32_t level = count_level(e);
+  XATPG_CHECK_MSG(memo.below[level] != memo.below[level + 1],
+                  "minterm_count: variable list does not cover support");
+  const std::uint64_t lo = count_below(nn.lo ^ (e & 1u), level);
+  const std::uint64_t hi = count_below(nn.hi ^ (e & 1u), level);
+  XATPG_CHECK_MSG(lo <= ~hi, "minterm count overflows 64 bits");
+  memo.edges.insert(&key);
+  memo.counts.push_back(lo + hi);
+  return lo + hi;
+}
+
+std::uint64_t BddManager::minterm_count(
+    const Bdd& f, const std::vector<std::uint32_t>& vars) {
+  XATPG_CHECK_SAME_MGR1(f);
+  prepare_count_memo(vars);
+  // The root's count, scaled by the counted variables above it.
+  const std::uint32_t root = count_level(f.index());
+  const std::uint64_t c = count_rec(f.index());
+  const std::uint32_t free = count_memo_.below[0] - count_memo_.below[root];
+  XATPG_CHECK_MSG(c == 0 || (free < 64 && c <= (~std::uint64_t{0} >> free)),
+                  "minterm count overflows 64 bits");
+  return c << free;
+}
+
+void BddManager::minterm_row_at(const Bdd& f,
+                                const std::vector<std::uint32_t>& vars,
+                                const std::vector<std::uint32_t>& bits,
+                                std::uint64_t rank, std::uint64_t* row,
+                                std::size_t width) {
+  XATPG_CHECK(bits.size() == vars.size());
+  for (std::size_t i = 1; i < vars.size(); ++i)
+    XATPG_CHECK_MSG(var_to_level_[vars[i - 1]] < var_to_level_[vars[i]],
+                    "vars must be strictly ascending in level");
+  for (const std::uint32_t bit : bits)
+    XATPG_CHECK_MSG(bit / 64 < width, "minterm bit outside the row");
+  XATPG_CHECK_MSG(rank < minterm_count(f, vars), "minterm rank out of range");
+  // Rows list the 0 branch of each position first, so rank r lies in the
+  // 0 branch iff r is below that branch's count; otherwise the 1 branch
+  // holds it at r minus that count.
+  std::fill(row, row + width, std::uint64_t{0});
+  std::uint32_t e = f.index();
+  for (std::size_t pos = 0; pos < vars.size(); ++pos) {
+    const std::uint32_t level = var_to_level_[vars[pos]];
+    std::uint32_t lo = e, hi = e;  // don't-care on vars[pos]
+    if (count_level(e) == level) {
+      const Node& nn = nodes_[edge_node(e)];
+      lo = nn.lo ^ (e & 1u);
+      hi = nn.hi ^ (e & 1u);
+    }
+    const std::uint64_t zeros = count_below(lo, level);
+    if (rank < zeros) {
+      e = lo;
+    } else {
+      rank -= zeros;
+      e = hi;
+      row[bits[pos] / 64] |= std::uint64_t{1} << (bits[pos] % 64);
+    }
+  }
+  XATPG_CHECK(e == kTrueEdge);
 }
 
 bool BddManager::eval(const Bdd& f, const std::vector<bool>& assignment) {

@@ -80,6 +80,7 @@ void BddManager::swap_adjacent_levels(std::uint32_t level) {
   var_to_level_[xv] = level + 1;
   var_to_level_[yv] = level;
   ++swap_count_;
+  ++memo_epoch_;
 }
 
 void BddManager::swap_adjacent_blocks(std::uint32_t first, std::uint32_t a,

@@ -20,9 +20,7 @@ std::optional<std::uint32_t> ExplicitCssg::find(
     const std::vector<bool>& state) const {
   if (states.empty() || state.size() != states.front().size())
     return std::nullopt;
-  auto it = index.find(pack_state(state));
-  if (it == index.end()) return std::nullopt;
-  return it->second;
+  return index.find(pack_state(state).data());
 }
 
 Cssg::Cssg(const Netlist& netlist, const std::vector<bool>& reset_state,
@@ -259,21 +257,24 @@ constexpr std::size_t kMaxExplicitStates = 200000;
 }  // namespace
 
 LazyCssg::LazyCssg(const Cssg& cssg)
-    : cssg_(&cssg), key_(state_words(cssg.encoding().num_signals())) {
+    : cssg_(&cssg) {
+  const SymbolicEncoding& enc = cssg.encoding();
+  graph_.index = PackedRowIndex(state_words(enc.num_signals()));
+  for (const SignalId in : cssg.netlist().inputs())
+    input_vars_.push_back(enc.cur_var(in));
+  applied_key_.resize(1 + state_words(input_vars_.size()));
+  applied_keys_ = PackedRowIndex(applied_key_.size());
   // rings()[0] is the reset state.
-  cssg.encoding().append_state_rows_cur(cssg.rings().front(), rows_);
+  enc.append_state_rows_cur(cssg.rings().front(), rows_);
   intern(rows_.data());
-  cur_cube_ = cssg.encoding().cur_cube();
+  cur_cube_ = enc.cur_cube();
 }
 
 std::uint32_t LazyCssg::intern(const StateWord* row) {
-  std::copy(row, row + key_.size(), key_.begin());
-  if (const auto it = graph_.index.find(key_); it != graph_.index.end())
-    return it->second;
+  if (const auto known = graph_.index.find(row)) return *known;
   XATPG_CHECK_MSG(graph_.states.size() < kMaxExplicitStates,
                   "explicit CSSG exceeds state limit");
-  const auto id = static_cast<std::uint32_t>(graph_.states.size());
-  graph_.index.emplace(key_, id);
+  const std::uint32_t id = graph_.index.insert(row);
   graph_.states.push_back(unpack_state(row, cssg_->encoding().num_signals()));
   const auto& inputs = cssg_->netlist().inputs();
   std::vector<bool> values(inputs.size());
@@ -282,24 +283,111 @@ std::uint32_t LazyCssg::intern(const StateWord* row) {
   graph_.inputs.push_back(std::move(values));
   graph_.edges.emplace_back();
   built_.push_back(false);
+  counts_.push_back(kUncounted);
   return id;
+}
+
+Bdd LazyCssg::compute_image(std::uint32_t id) const {
+  const SymbolicEncoding& enc = cssg_->encoding();
+  return enc.next_to_cur(enc.mgr().and_exists(
+      cssg_->relation(), enc.state_minterm_cur(graph_.states[id]),
+      cur_cube_));
+}
+
+const Bdd& LazyCssg::image(std::uint32_t id) {
+  if (image_id_ != id) {
+    image_ = compute_image(id);
+    image_id_ = id;
+  }
+  return image_;
+}
+
+Bdd LazyCssg::take_image(std::uint32_t id) {
+  if (image_id_ != id) return compute_image(id);
+  image_id_ = kNoState;
+  return std::move(image_);
+}
+
+void LazyCssg::release_image() {
+  image_id_ = kNoState;
+  image_ = Bdd();
 }
 
 const std::vector<std::uint32_t>& LazyCssg::successors(std::uint32_t id) {
   if (built_[id]) return graph_.edges[id];
-  const SymbolicEncoding& enc = cssg_->encoding();
-  const Bdd succs = enc.next_to_cur(enc.mgr().and_exists(
-      cssg_->relation(), enc.state_minterm_cur(graph_.states[id]), cur_cube_));
+  // The list serves every later read of id, so a kept image is no use.
+  const std::size_t width = graph_.index.width();
   rows_.clear();
-  enc.append_state_rows_cur(succs, rows_);
+  cssg_->encoding().append_state_rows_cur(take_image(id), rows_);
   std::vector<std::uint32_t> list;
-  list.reserve(rows_.size() / key_.size());
-  for (std::size_t r = 0; r < rows_.size(); r += key_.size())
+  list.reserve(rows_.size() / width);
+  for (std::size_t r = 0; r < rows_.size(); r += width)
     list.push_back(intern(rows_.data() + r));
+  list_ids_ += list.size();
   graph_.edges[id] = std::move(list);
   built_[id] = true;
   ++lists_built_;
   return graph_.edges[id];
+}
+
+std::uint64_t LazyCssg::successor_count(std::uint32_t id) {
+  if (built_[id]) return graph_.edges[id].size();
+  if (counts_[id] == kUncounted)
+    counts_[id] = cssg_->encoding().count_state_rows_cur(image(id));
+  return counts_[id];
+}
+
+std::uint32_t LazyCssg::successor_at(std::uint32_t id, std::uint64_t rank) {
+  if (built_[id]) {
+    XATPG_CHECK_MSG(rank < graph_.edges[id].size(),
+                    "successor rank out of range");
+    return graph_.edges[id][rank];
+  }
+  const StateWord key[2] = {id, rank};
+  if (const auto known = ranked_keys_.find(key)) return ranked_[*known];
+  rows_.resize(graph_.index.width());
+  cssg_->encoding().state_row_at_cur(image(id), rank, rows_.data());
+  const std::uint32_t to = intern(rows_.data());
+  ranked_keys_.insert(key);
+  ranked_.push_back(to);
+  // A new key takes the next number.
+  applied_key(id, graph_.inputs[to]);
+  if (applied_keys_.insert(applied_key_.data()) == applied_.size())
+    applied_.push_back(to);
+  return to;
+}
+
+void LazyCssg::applied_key(std::uint32_t id, const std::vector<bool>& inputs) {
+  std::fill(applied_key_.begin(), applied_key_.end(), StateWord{0});
+  applied_key_[0] = id;
+  for (std::size_t i = 0; i < inputs.size(); ++i)
+    if (inputs[i]) set_bit(applied_key_.data() + 1, i);
+}
+
+std::optional<std::uint32_t> LazyCssg::successor_applying(
+    std::uint32_t id, const std::vector<bool>& inputs) {
+  if (inputs.size() != input_vars_.size()) return std::nullopt;
+  if (built_[id]) {
+    for (const std::uint32_t to : graph_.edges[id])
+      if (graph_.inputs[to] == inputs) return to;
+    return std::nullopt;
+  }
+  applied_key(id, inputs);
+  if (const auto known = applied_keys_.find(applied_key_.data()))
+    return applied_[*known];
+  // CSSG_k keeps a pattern only when it has one outcome, so the image's
+  // states with these inputs are none or the list's one entry applying
+  // them.  A replay seldom returns to a state, so the image is not kept.
+  const SymbolicEncoding& enc = cssg_->encoding();
+  const Bdd hit =
+      take_image(id) & enc.mgr().make_minterm(input_vars_, inputs);
+  if (hit.is_false()) return std::nullopt;
+  rows_.resize(graph_.index.width());
+  enc.state_row_at_cur(hit, 0, rows_.data());
+  const std::uint32_t to = intern(rows_.data());
+  applied_keys_.insert(applied_key_.data());
+  applied_.push_back(to);
+  return to;
 }
 
 void LazyCssg::complete() {

@@ -38,12 +38,16 @@
 // first read; extract_explicit() is the same builder run over every
 // reachable state.  A state's list does not depend on when it is built, so
 // lazy list = eager list, state for state (test_sgraph's LazyGraph.*).
+// A walk needs one entry of a list, not all of it: LazyCssg's rank reads
+// count the state's successors on the BDD its list is enumerated from and
+// descend to the one entry asked for, so the entry a rank read names is
+// the list's entry at that rank, and a list is built only when something
+// reads it whole.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -74,8 +78,9 @@ struct CssgOptions {
 /// inputs[to].  R_I flips only primary inputs and R_delta never changes
 /// them, so the input part of an edge's target IS the vector the edge
 /// applies — one vector per state instead of one per edge.  A LazyCssg's
-/// graph holds the states its built lists reach and an empty edges[id]
-/// for every list not yet built; extract_explicit() returns every list.
+/// graph holds the states its built lists and rank reads reach and an
+/// empty edges[id] for every list not yet built; extract_explicit()
+/// returns every list.
 struct ExplicitCssg {
   std::vector<std::vector<bool>> states;  ///< full signal vectors
   /// Primary-input values of states[id], indexed like the netlist's
@@ -83,9 +88,8 @@ struct ExplicitCssg {
   std::vector<std::vector<bool>> inputs;
   /// Successor ids per state id, in the canonical order of their states.
   std::vector<std::vector<std::uint32_t>> edges;
-  /// pack_state(states[id]) -> id.
-  std::unordered_map<std::vector<StateWord>, std::uint32_t, StateWordsHash>
-      index;
+  /// pack_state(states[id]) -> id, over the packed states.
+  PackedRowIndex index;
 
   /// The state as '0'/'1' text, signal 0 first (the to_dot labels).
   static std::string label(const std::vector<bool>& state);
@@ -185,13 +189,25 @@ class Cssg {
 };
 
 /// The explicit CSSG of a Cssg, built one successor list at a time on the
-/// Cssg's manager.  A state takes an id when the first built list reaches
-/// it (the reset state is id 0), and its own list is built on its first
-/// read: CSSG_k's image of the state's minterm, enumerated in lexicographic
-/// signal order.  So a list is the same whenever it is built; only the ids
-/// follow the order of the reads.  Building runs BDD operations, so like
-/// the Cssg's queries it belongs to one thread; once every list a reader
-/// can reach is built, successors() only reads.
+/// Cssg's manager.  A state takes an id when the first built list or rank
+/// read reaches it (the reset state is id 0), and its own list is built on
+/// its first whole read: CSSG_k's image of the state's minterm, enumerated
+/// in lexicographic signal order.  So a list is the same whenever it is
+/// built; only the ids follow the order of the reads.
+///
+/// The rank reads -- successor_count, successor_at, successor_applying --
+/// answer from that image without building the list and intern only the
+/// state they return; once the list is built they read it instead.  Rank i
+/// names the list's entry i, state for state (test_sgraph's LazyGraph.*).
+/// Counts come from the manager's count memo, and a repeated (state, rank)
+/// read from a sparse memo here, so nothing per state is sized by its
+/// list.
+///
+/// Building and rank reads on an unbuilt list run BDD operations, so like
+/// the Cssg's queries they belong to one thread; once every list a reader
+/// can reach is built, all reads only read.  Interning a state past
+/// 200,000 throws CheckError; a rank read interns one state, so in
+/// practice the cap binds only the lists a whole read builds.
 class LazyCssg {
  public:
   /// Interns the reset state as id 0 and builds no list.
@@ -203,10 +219,24 @@ class LazyCssg {
   /// State id's successor ids, in the canonical order of their states,
   /// built on the first read.  The states a new list reaches first take the
   /// next ids in list order.  The reference holds until the next read that
-  /// builds a list.  Throws CheckError past 200,000 states.
+  /// builds a list.
   const std::vector<std::uint32_t>& successors(std::uint32_t id);
-  /// Lists built so far.
+  /// successors(id).size(), without building the list.
+  std::uint64_t successor_count(std::uint32_t id);
+  /// successors(id)[rank], without building the list; rank <
+  /// successor_count(id).
+  std::uint32_t successor_at(std::uint32_t id, std::uint64_t rank);
+  /// The successor of id whose inputs are `inputs` (indexed like the
+  /// netlist's inputs()), without building the list; nullopt if no edge
+  /// out of id applies that vector.
+  std::optional<std::uint32_t> successor_applying(
+      std::uint32_t id, const std::vector<bool>& inputs);
+  /// Drop the image successor_count keeps for the read that follows it,
+  /// so the graph holds no BDD node but the cur cube.
+  void release_image();
+  /// Lists built so far, and the successor ids they hold.
   std::size_t lists_built() const { return lists_built_; }
+  std::size_t list_ids() const { return list_ids_; }
   /// Build every list still missing, depth-first from the states that lack
   /// one, smallest id first.  On a fresh LazyCssg that numbers the states
   /// as extract_explicit() does.
@@ -217,15 +247,42 @@ class LazyCssg {
  private:
   /// Id of the packed state `row`, interned if it is new.
   std::uint32_t intern(const StateWord* row);
+  /// The successor set of state id over cur: CSSG_k's image of its minterm.
+  Bdd compute_image(std::uint32_t id) const;
+  /// compute_image(id), kept for the next rank read of id.
+  const Bdd& image(std::uint32_t id);
+  /// compute_image(id), or the kept image, taken out.
+  Bdd take_image(std::uint32_t id);
 
   const Cssg* cssg_;
   ExplicitCssg graph_;
   std::vector<bool> built_;
-  std::size_t lists_built_ = 0;
+  std::size_t lists_built_ = 0, list_ids_ = 0;
   Bdd cur_cube_;
-  /// The probe and row buffers every build reuses: the index is searched
-  /// through key_, so only a new state allocates.
-  std::vector<StateWord> key_, rows_;
+  /// The inputs' cur variables, in the netlist's inputs() order.
+  std::vector<std::uint32_t> input_vars_;
+  /// successor_count per state id; kUncounted until counted.
+  static constexpr std::uint64_t kUncounted = ~std::uint64_t{0};
+  std::vector<std::uint64_t> counts_;
+  /// successor_at's answers so far: the (state id, rank) pair
+  /// ranked_keys_ numbers k was answered with ranked_[k].
+  PackedRowIndex ranked_keys_{2};
+  std::vector<std::uint32_t> ranked_;
+  /// The successors rank reads have named, by the vector that leads to
+  /// them: the (state id, packed inputs) key applied_keys_ numbers k leads
+  /// to applied_[k].  A replay of a drawn walk reads its steps back here.
+  PackedRowIndex applied_keys_;
+  std::vector<std::uint32_t> applied_;
+  /// Fill applied_key_ with (id, inputs).
+  void applied_key(std::uint32_t id, const std::vector<bool>& inputs);
+  std::vector<StateWord> applied_key_;
+  /// The image the last count or rank read computed, kept for the read
+  /// that follows it (a walk counts a state's successors, then takes one).
+  static constexpr std::uint32_t kNoState = ~std::uint32_t{0};
+  std::uint32_t image_id_ = kNoState;
+  Bdd image_;
+  /// The row buffer every build and rank read reuses.
+  std::vector<StateWord> rows_;
 };
 
 }  // namespace xatpg

@@ -35,8 +35,6 @@ SymbolicEncoding::SymbolicEncoding(const Netlist& netlist, VarOrder order,
       mgr_(static_cast<std::uint32_t>(3 * netlist.num_signals())) {
   build_layout(order);
   target_cache_.resize(netlist.num_signals());
-  pick_descent_is_canonical_ =
-      std::is_sorted(cur_vars_.begin(), cur_vars_.end());
 
   // Group-preserving sifting: each signal's (cur, next, aux) triple moves
   // as one block, so the renaming permutations stay intra-triple and the
@@ -98,10 +96,10 @@ Bdd SymbolicEncoding::state_minterm_cur(const std::vector<bool>& state) const {
 
 std::vector<bool> SymbolicEncoding::pick_state_cur(const Bdd& set) const {
   XATPG_CHECK_MSG(!set.is_false(), "cannot pick a state from the empty set");
-  // Fast path: an allocation-free root-to-leaf descent (lo preferred)
-  // yields the lexicographic minimum in LEVEL order; when cur levels still
-  // coincide with signal order that is already the canonical answer.
-  if (pick_descent_is_canonical_ && mgr_.swap_count() == 0) {
+  // Fast path: a root-to-leaf descent (lo preferred) yields the
+  // lexicographic minimum in LEVEL order; when cur levels ascend with the
+  // signal index that is already the canonical answer.
+  if (cur_level_order().is_signal_order) {
     const auto tri = mgr_.pick_minterm(set, cur_vars_);
     std::vector<bool> state(num_signals());
     for (SignalId s = 0; s < num_signals(); ++s)
@@ -128,31 +126,44 @@ std::vector<bool> SymbolicEncoding::pick_state_cur(const Bdd& set) const {
   return state;
 }
 
-void SymbolicEncoding::append_state_rows_cur(const Bdd& set,
-                                             std::vector<StateWord>& rows,
-                                             std::size_t limit) const {
+const SymbolicEncoding::LevelOrder& SymbolicEncoding::cur_level_order()
+    const {
+  // Only a level swap moves the order.
+  LevelOrder& order = level_order_;
+  if (order.swaps == mgr_.swap_count()) return order;
+  order.swaps = mgr_.swap_count();
   // The enumerator wants variables in strictly ascending LEVEL order (which
   // tracks the dynamic order, not the variable indices): list the signals
   // by the level of their cur variable.
-  std::vector<std::uint32_t> signals(num_signals());
-  std::iota(signals.begin(), signals.end(), 0u);
-  std::sort(signals.begin(), signals.end(), [&](SignalId a, SignalId b) {
-    return mgr_.level_of(cur_vars_[a]) < mgr_.level_of(cur_vars_[b]);
-  });
-  std::vector<std::uint32_t> vars(signals.size());
-  for (std::size_t i = 0; i < signals.size(); ++i)
-    vars[i] = cur_vars_[signals[i]];
+  order.signals.resize(num_signals());
+  std::iota(order.signals.begin(), order.signals.end(), 0u);
+  std::sort(order.signals.begin(), order.signals.end(),
+            [&](SignalId a, SignalId b) {
+              return mgr_.level_of(cur_vars_[a]) < mgr_.level_of(cur_vars_[b]);
+            });
+  order.vars.resize(order.signals.size());
+  for (std::size_t i = 0; i < order.signals.size(); ++i)
+    order.vars[i] = cur_vars_[order.signals[i]];
+  order.is_signal_order =
+      std::is_sorted(order.signals.begin(), order.signals.end());
+  return order;
+}
+
+void SymbolicEncoding::append_state_rows_cur(const Bdd& set,
+                                             std::vector<StateWord>& rows,
+                                             std::size_t limit) const {
+  const LevelOrder& order = cur_level_order();
   const std::size_t first = rows.size();
   const std::size_t width = state_words(num_signals());
-  mgr_.append_minterm_rows(set, vars, signals, width, rows, limit);
+  mgr_.append_minterm_rows(set, order.vars, order.signals, width, rows,
+                           limit);
   // The rows follow the level order, which is already signal order when
   // cur levels ascend with the signal index (the interleaved and blocked
   // layouts before any reordering); otherwise one sort canonicalizes them,
   // so state ids, edge lists and everything derived from them are
   // identical for every static layout and at any point of a
   // dynamic-reordering run.
-  if (!std::is_sorted(signals.begin(), signals.end()))
-    sort_rows_signal_order(rows, first, width);
+  if (!order.is_signal_order) sort_rows_signal_order(rows, first, width);
 }
 
 std::vector<std::vector<bool>> SymbolicEncoding::all_states_cur(
@@ -165,6 +176,40 @@ std::vector<std::vector<bool>> SymbolicEncoding::all_states_cur(
   for (std::size_t r = 0; r < rows.size(); r += width)
     out.push_back(unpack_state(rows.data() + r, num_signals()));
   return out;
+}
+
+std::uint64_t SymbolicEncoding::count_state_rows_cur(const Bdd& set) const {
+  return mgr_.minterm_count(set, cur_vars_);
+}
+
+void SymbolicEncoding::state_row_at_cur(const Bdd& set, std::uint64_t rank,
+                                        StateWord* row) const {
+  const std::size_t width = state_words(num_signals());
+  // Cur levels in signal order: the level order the descent takes is the
+  // canonical one.  (vars then equals cur_vars_, so the descent reuses the
+  // counts count_state_rows_cur left in the manager's memo.)
+  if (const LevelOrder& order = cur_level_order(); order.is_signal_order) {
+    mgr_.minterm_row_at(set, order.vars, order.signals, rank, row, width);
+    return;
+  }
+  // Signal by signal: the rows with s = 0 come first, so rank falls among
+  // them iff it is below their count.  Restricting by conjunction rather
+  // than cofactoring keeps every count over all the cur variables, so the
+  // counts of the whole walk share one memo.
+  XATPG_CHECK_MSG(rank < count_state_rows_cur(set), "state rank out of range");
+  std::fill(row, row + width, StateWord{0});
+  Bdd rest = set;
+  for (SignalId s = 0; s < num_signals(); ++s) {
+    const Bdd zero = rest & !cur(s);
+    const std::uint64_t zeros = count_state_rows_cur(zero);
+    if (rank < zeros) {
+      rest = zero;
+    } else {
+      rank -= zeros;
+      rest &= cur(s);
+      set_bit(row, s);
+    }
+  }
 }
 
 Bdd SymbolicEncoding::target(SignalId s) const {

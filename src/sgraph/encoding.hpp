@@ -102,6 +102,16 @@ class SymbolicEncoding {
   /// append_state_rows_cur, unpacked: one vector per state, same order.
   std::vector<std::vector<bool>> all_states_cur(
       const Bdd& set, std::size_t limit = 1u << 20) const;
+  /// How many rows append_state_rows_cur(set) lists, exactly, without
+  /// listing them.  Throws CheckError past 2^64 - 1.
+  std::uint64_t count_state_rows_cur(const Bdd& set) const;
+  /// Row `rank` of append_state_rows_cur(set), written to `row`
+  /// (state_words(num_signals()) words) without listing the rows before
+  /// it.  When cur levels ascend with the signal index that is one counting
+  /// descent; otherwise the per-signal walk of pick_state_cur's general
+  /// path, steered by counts.  rank < count_state_rows_cur(set).
+  void state_row_at_cur(const Bdd& set, std::uint64_t rank,
+                        StateWord* row) const;
 
   /// Target (settled) value of gate s as a function of cur variables; for
   /// state-holding gates this includes the gate's own present value.
@@ -118,17 +128,23 @@ class SymbolicEncoding {
   double count_states_cur(const Bdd& set) const;
 
  private:
+  /// The signals in the level order of their cur variables, and those
+  /// variables in that order: how append_minterm_rows walks a cur-set.
+  struct LevelOrder {
+    std::vector<std::uint32_t> signals, vars;
+    bool is_signal_order = false;  ///< signals == 0, 1, 2, ...
+    std::size_t swaps = ~std::size_t{0};  ///< mgr_.swap_count() it is for
+  };
+
   void build_layout(VarOrder order);
+  /// level_order_, brought up to date with the manager's order.
+  const LevelOrder& cur_level_order() const;
 
   const Netlist* netlist_;
   mutable BddManager mgr_;
-  /// True when cur_vars_ ascends with the signal index, i.e. the creation
-  /// order already enumerates cur variables in signal order — then, as long
-  /// as the manager has never swapped levels, a raw BDD descent picks the
-  /// same lexicographic minimum the canonical cofactor loop would.
-  bool pick_descent_is_canonical_ = false;
   std::vector<std::uint32_t> cur_vars_, next_vars_, aux_vars_;
   std::vector<std::uint32_t> perm_cur_next_, perm_next_aux_, perm_cur_aux_;
+  mutable LevelOrder level_order_;
   mutable std::vector<Bdd> target_cache_;
   mutable Bdd stable_cache_;
   mutable bool stable_built_ = false;

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <optional>
 #include <vector>
 
 namespace xatpg {
@@ -66,6 +67,59 @@ struct StateWordsHash {
   std::size_t operator()(const std::vector<StateWord>& words) const {
     return static_cast<std::size_t>(hash_words(words.data(), words.size()));
   }
+};
+
+/// Ids for the distinct packed rows of one width, in the order they were
+/// added: one arena holds row id at words [id * width, (id + 1) * width),
+/// and a flat open-addressing table indexes it (id + 1, 0 = empty, a power
+/// of two at most half full).  A probe hashes and compares the caller's
+/// words in place, so only a new row is copied.
+class PackedRowIndex {
+ public:
+  explicit PackedRowIndex(std::size_t width = 1) : width_(width), slots_(16) {}
+
+  std::size_t width() const { return width_; }
+  /// Rows added so far.
+  std::size_t size() const { return rows_.size() / width_; }
+  const StateWord* row(std::uint32_t id) const {
+    return rows_.data() + static_cast<std::size_t>(id) * width_;
+  }
+
+  /// Id of `row`, or nullopt if it was never added.
+  std::optional<std::uint32_t> find(const StateWord* row) const {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t s = hash_words(row, width_) & mask; slots_[s] != 0;
+         s = (s + 1) & mask)
+      if (std::equal(row, row + width_, this->row(slots_[s] - 1)))
+        return slots_[s] - 1;
+    return std::nullopt;
+  }
+  /// Id of `row`, which takes the next id if it is new.
+  std::uint32_t insert(const StateWord* row) {
+    std::size_t mask = slots_.size() - 1;
+    std::size_t s = hash_words(row, width_) & mask;
+    for (; slots_[s] != 0; s = (s + 1) & mask)
+      if (std::equal(row, row + width_, this->row(slots_[s] - 1)))
+        return slots_[s] - 1;
+    const auto id = static_cast<std::uint32_t>(size());
+    rows_.insert(rows_.end(), row, row + width_);
+    slots_[s] = id + 1;
+    if (2 * size() > slots_.size()) {
+      slots_.assign(2 * slots_.size(), 0);
+      mask = slots_.size() - 1;
+      for (std::uint32_t r = 0; r <= id; ++r) {
+        s = hash_words(this->row(r), width_) & mask;
+        while (slots_[s] != 0) s = (s + 1) & mask;
+        slots_[s] = r + 1;
+      }
+    }
+    return id;
+  }
+
+ private:
+  std::size_t width_;
+  std::vector<StateWord> rows_;
+  std::vector<std::uint32_t> slots_;
 };
 
 /// True when row `a` comes before row `b` in the order of the

@@ -15,8 +15,10 @@
 //   2. the brute-force CSSG oracle (tests/oracle.hpp): the symbolic CSSG
 //      must match explicit enumeration exactly, and on every mutant the
 //      packed explicit extraction must equal the oracle extraction id for
-//      id, and the TCR_k loop over gate values must give the pair loop's
-//      CSSG_k (handle-equal) and statistics;
+//      id, every rank read of a fresh lazy graph must name the extracted
+//      list's entry without building a list, and the TCR_k loop over gate
+//      values must give the pair loop's CSSG_k (handle-equal) and
+//      statistics;
 //   3. the packed settling kernel and fault simulator must match their
 //      set-based oracles (tests/oracle.hpp): equal stable sets and bound
 //      flags from every oracle-reachable state under every input pattern,
@@ -93,11 +95,33 @@ void check_cssg_oracle(const xatpg::Netlist& netlist,
         data, size);
 }
 
+/// Every rank read of a fresh LazyCssg against the extracted graph's
+/// lists: the reads reach the states breadth-first from reset, every rank
+/// of every state, and build no list.  "" when they all match.
+std::string rank_reads_mismatch(const xatpg::Cssg& cssg,
+                                const xatpg::ExplicitCssg& eager) {
+  xatpg::LazyCssg lazy(cssg);
+  for (std::uint32_t id = 0; id < lazy.graph().states.size(); ++id) {
+    const auto eager_id = eager.find(lazy.graph().states[id]);
+    if (!eager_id) return "a rank read reached a state the graph lacks";
+    std::vector<std::uint64_t> ranks(eager.edges[*eager_id].size());
+    for (std::uint64_t r = 0; r < ranks.size(); ++r) ranks[r] = r;
+    const std::string mismatch =
+        xatpg::testing::rank_read_mismatch(lazy, id, eager, *eager_id, ranks);
+    if (!mismatch.empty()) return mismatch;
+  }
+  if (lazy.lists_built() != 0) return "rank reads built a list";
+  if (lazy.graph().states.size() != eager.states.size())
+    return "rank reads did not reach every state";
+  return {};
+}
+
 void check_extraction(const xatpg::Netlist& netlist,
                       const std::vector<bool>& reset, const std::uint8_t* data,
                       std::size_t size) {
   // The interleaved layout enumerates rows in signal order already; the
-  // reversed one needs the canonicalizing sort.
+  // reversed one needs the canonicalizing sort, and its rank reads take
+  // the per-signal path.
   std::optional<xatpg::testing::OracleExplicitCssg> oracle;
   for (const xatpg::VarOrder order :
        {xatpg::VarOrder::Interleaved, xatpg::VarOrder::ReverseInterleaved}) {
@@ -106,14 +130,19 @@ void check_extraction(const xatpg::Netlist& netlist,
     options.order = order;
     const xatpg::Cssg cssg(netlist, reset, options);
     if (!oracle) oracle = xatpg::testing::oracle_extract_explicit(cssg);
-    const std::string mismatch = xatpg::testing::explicit_oracle_mismatch(
-        cssg.extract_explicit(), *oracle);
+    const xatpg::ExplicitCssg graph = cssg.extract_explicit();
+    std::string mismatch =
+        xatpg::testing::explicit_oracle_mismatch(graph, *oracle);
+    const char* what = "packed explicit CSSG diverged from the oracle "
+                       "extraction under ";
+    if (mismatch.empty()) {
+      mismatch = rank_reads_mismatch(cssg, graph);
+      what = "rank reads diverged from the explicit lists under ";
+    }
     if (!mismatch.empty())
       xatpg::fuzz::violation(
-          (std::string("packed explicit CSSG diverged from the oracle "
-                       "extraction under ") +
-           xatpg::var_order_name(order) + ": " + mismatch + "\ncircuit:\n" +
-           xatpg::write_xnl_string(netlist))
+          (std::string(what) + xatpg::var_order_name(order) + ": " + mismatch +
+           "\ncircuit:\n" + xatpg::write_xnl_string(netlist))
               .c_str(),
           data, size);
   }

@@ -23,7 +23,9 @@
 // The explicit CSSG extraction as it was before packed rows (std::vector<bool>
 // enumeration, a pattern on every edge), kept as the reference for the
 // packed extraction in src/sgraph/cssg.cpp (tests/test_sgraph.cpp,
-// tests/fuzz/fuzz_structural.cpp).
+// tests/fuzz/fuzz_structural.cpp).  LazyCssg's rank reads, which answer
+// from the BDD without building a list, are checked against the built
+// lists of the eager graph (rank_read_mismatch).
 //
 // The TCR_k loop and sibling analysis as they ran over whole source states
 // (A(x, y), source input bits included), kept as the reference for the loop
@@ -37,6 +39,8 @@
 // The random TPG phase as the engine ran it walk by walk, stepping every
 // undetermined fault per vector, kept as the reference for the engine's
 // fault-parallel replay in src/atpg/engine.cpp (tests/test_parallel_atpg.cpp).
+// Its walks, drawn over whole successor lists, are the reference for the
+// engine's rank-read walks (oracle_random_walks, tests/test_atpg.cpp).
 #pragma once
 
 #include <algorithm>
@@ -584,6 +588,68 @@ inline std::string explicit_oracle_mismatch(const ExplicitCssg& graph,
   return {};
 }
 
+/// Check LazyCssg's rank reads on state `id` against its list in `eager`,
+/// the extracted graph, where the state is `eager_id`: successor_count is
+/// the list's size; for each of `ranks`, successor_at names the state of
+/// the list's entry at that rank and successor_applying its input vector
+/// names it too; and a vector no edge out of the state applies gives none:
+/// the state's own inputs (R_I flips at least one input), a vector of the
+/// wrong width, and, up to four inputs, every vector missing from the
+/// list.  The reads answer from the BDD while id's list is unbuilt and read
+/// the list once it is built.  Returns the first mismatch as text, "" when
+/// none.
+inline std::string rank_read_mismatch(LazyCssg& lazy, std::uint32_t id,
+                                      const ExplicitCssg& eager,
+                                      std::uint32_t eager_id,
+                                      const std::vector<std::uint64_t>& ranks) {
+  using oracle_detail::bits;
+  const ExplicitCssg& graph = lazy.graph();
+  const std::vector<std::uint32_t>& want = eager.edges[eager_id];
+  std::ostringstream os;
+  os << "state " << bits(graph.states[id]) << ": ";
+  if (lazy.successor_count(id) != want.size()) {
+    os << "successor_count " << lazy.successor_count(id) << ", list size "
+       << want.size();
+    return os.str();
+  }
+  const auto applies = [&](const std::vector<bool>& inputs,
+                           std::optional<std::uint32_t> to) {
+    const auto got = lazy.successor_applying(id, inputs);
+    if (got == to) return true;
+    os << "successor_applying(" << bits(inputs) << ") is "
+       << (got ? bits(graph.states[*got]) : "none") << ", list "
+       << (to ? bits(graph.states[*to]) : "none");
+    return false;
+  };
+  for (const std::uint64_t rank : ranks) {
+    const std::uint32_t to = lazy.successor_at(id, rank);
+    const std::uint32_t entry = want[rank];
+    if (graph.states[to] != eager.states[entry]) {
+      os << "successor_at(" << rank << ") is " << bits(graph.states[to])
+         << ", list entry " << bits(eager.states[entry]);
+      return os.str();
+    }
+    if (!applies(eager.inputs[entry], to)) return os.str();
+  }
+  std::vector<bool> wider = graph.inputs[id];
+  wider.push_back(false);
+  if (!applies(graph.inputs[id], std::nullopt) ||
+      !applies(wider, std::nullopt))
+    return os.str();
+  const std::size_t m = graph.inputs[id].size();
+  if (m > 4) return {};
+  for (std::uint32_t p = 0; p < (1u << m); ++p) {
+    std::vector<bool> inputs(m);
+    for (std::size_t i = 0; i < m; ++i) inputs[i] = ((p >> i) & 1) != 0;
+    const bool listed =
+        std::any_of(want.begin(), want.end(), [&](std::uint32_t entry) {
+          return eager.inputs[entry] == inputs;
+        });
+    if (!listed && !applies(inputs, std::nullopt)) return os.str();
+  }
+  return {};
+}
+
 // --- TCR_k over whole source states ---------------------------------------
 
 /// CSSG_k and its statistics as the pair loop derives them.
@@ -857,6 +923,31 @@ inline std::vector<MinCube> oracle_minimize_sop(
 }
 
 // --- random TPG -----------------------------------------------------------
+
+/// AtpgEngine's random walks as it drew them over whole successor lists:
+/// each step reads the state's list from `graph` (an extracted graph) and
+/// takes the entry at a rank drawn below its size.  A walk is the ids of
+/// `graph` it visits from reset, one per vector.
+inline std::vector<std::vector<std::uint32_t>> oracle_random_walks(
+    const ExplicitCssg& graph, const AtpgOptions& options) {
+  std::vector<std::vector<std::uint32_t>> walks;
+  if (graph.edges[0].empty()) return walks;
+  Rng rng(options.seed);
+  std::size_t budget = options.random_budget;
+  while (budget > 0) {
+    std::vector<std::uint32_t>& walk = walks.emplace_back();
+    std::uint32_t id = 0;
+    for (std::size_t step = 0; step < options.random_walk_len && budget > 0;
+         ++step) {
+      const auto& succs = graph.edges[id];
+      if (succs.empty()) break;
+      id = succs[rng.below(succs.size())];
+      --budget;
+      walk.push_back(id);
+    }
+  }
+  return walks;
+}
 
 /// What the random phase commits: the walks that detect some fault first,
 /// each fault's sequence index (-1 when no walk detects it), and the

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "atpg/fault.hpp"
@@ -523,50 +522,100 @@ TEST_F(FollowFig1a, ValidPrefixThenNonEdge) {
 }
 
 // --- the lazy explicit graph ------------------------------------------------
-// The engine builds a successor list when it first reads it: random TPG
-// builds the lists its walks read, and a run that searches builds every
-// list before the search fans out.
-
-/// The states whose lists AtpgEngine::random_walks reads, as ids of the
-/// eager `graph`: its draws replayed there.
-std::set<std::uint32_t> lists_the_walks_read(const ExplicitCssg& graph,
-                                             const AtpgOptions& options) {
-  std::set<std::uint32_t> read{0};
-  if (graph.edges[0].empty()) return read;
-  Rng rng(options.seed);
-  std::size_t budget = options.random_budget;
-  while (budget > 0) {
-    std::uint32_t id = 0;
-    for (std::size_t step = 0; step < options.random_walk_len && budget > 0;
-         ++step) {
-      read.insert(id);
-      const auto& succs = graph.edges[id];
-      if (succs.empty()) break;
-      id = succs[rng.below(succs.size())];
-      --budget;
-    }
-  }
-  return read;
-}
+// The engine builds a successor list when it first reads it whole: random
+// TPG and follow() step by rank reads and build none, and a run that
+// searches builds every list before the search fans out.
 
 TEST(EngineLazyGraph, RandomTpgBuildsOnlyTheListsItsWalksRead) {
   // Random TPG covers every fault of a 10-input parity tree, so a
-  // default-options run over both universes searches no fault and builds
-  // the lists its walks read: 390 of 1,024.
+  // default-options run over both universes searches no fault.  Its walks
+  // take each step by a rank read, which reads no list, so the runs build
+  // none of the 1,024 lists (390 when a walk read whole lists).
   const fixtures::Circuit fix = fixtures::parity_tree(10);
   AtpgEngine engine(fix.netlist, fix.reset);
   for (const std::vector<Fault>& faults :
        {output_stuck_faults(fix.netlist), input_stuck_faults(fix.netlist)}) {
     const AtpgResult result = engine.run(faults);
     EXPECT_EQ(result.stats.by_random, faults.size());
+    EXPECT_EQ(result.stats.lists_built, 0u);
+    EXPECT_EQ(result.stats.list_ids, 0u);
   }
   for (const ShardBddStats& shard : engine.shard_bdd_stats())
     EXPECT_EQ(shard.faults_done, 0u) << "worker " << shard.shard;
-  const std::size_t built = engine.lists_built();
-  const ExplicitCssg eager = engine.cssg().extract_explicit();
-  ASSERT_EQ(eager.states.size(), 1024u);
-  EXPECT_EQ(built, lists_the_walks_read(eager, engine.options()).size());
-  EXPECT_EQ(built, 390u);
+  EXPECT_EQ(engine.lists_built(), 0u);
+  // Exporting the program follows every sequence by rank reads too.
+  std::ostringstream program;
+  write_test_program(program, fix.netlist, engine,
+                     engine.run(input_stuck_faults(fix.netlist)).sequences);
+  EXPECT_EQ(engine.lists_built(), 0u);
+  ASSERT_EQ(engine.cssg().extract_explicit().states.size(), 1024u);
+}
+
+/// Rank-drawn walks on a fresh LazyCssg against oracle_random_walks over
+/// the extracted graph: the same walks, state for state, and no list
+/// longer than kShortWalkList built.
+/// Under the reversed order, or with sifting (`reorder`), cur levels leave
+/// signal order and the reads take the per-signal path.  The blocked
+/// layout takes seconds to build past 6 inputs, so it runs up to there.
+void expect_walks_match_oracle(const Netlist& netlist,
+                               const std::vector<bool>& reset,
+                               const AtpgOptions& options, bool reorder) {
+  std::vector<VarOrder> orders{VarOrder::Interleaved,
+                               VarOrder::ReverseInterleaved};
+  if (netlist.inputs().size() <= 6) orders.push_back(VarOrder::Blocked);
+  for (const VarOrder order : orders) {
+    SCOPED_TRACE(std::string("order=") + var_order_name(order));
+    CssgOptions cssg_options;
+    cssg_options.k = options.k;
+    cssg_options.order = order;
+    cssg_options.reorder.enabled = reorder;
+    cssg_options.reorder.trigger_nodes = 64;
+    const Cssg cssg(netlist, reset, cssg_options);
+    const ExplicitCssg eager = cssg.extract_explicit();
+    const auto want = testing::oracle_random_walks(eager, options);
+    LazyCssg lazy(cssg);
+    const auto got = random_walks(lazy, options);
+    for (const auto& list : lazy.graph().edges)
+      EXPECT_LE(list.size(), kShortWalkList);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t w = 0; w < want.size(); ++w) {
+      ASSERT_EQ(got[w].size(), want[w].size()) << "walk " << w;
+      for (std::size_t t = 0; t < want[w].size(); ++t)
+        ASSERT_EQ(lazy.graph().states[got[w][t]], eager.states[want[w][t]])
+            << "walk " << w << " step " << t;
+    }
+  }
+}
+
+TEST(EngineLazyGraph, RankDrawnWalksMatchTheListOracle) {
+  AtpgOptions options;
+  for (std::size_t inputs = 2; inputs <= 9; ++inputs) {
+    SCOPED_TRACE(std::to_string(inputs) + "-input parity tree");
+    const fixtures::Circuit fix = fixtures::parity_tree(inputs);
+    // Up to 6 inputs every list is short and the walks read it whole; 7
+    // takes rank reads with sifting moving the order under them.
+    expect_walks_match_oracle(fix.netlist, fix.reset, options,
+                              /*reorder=*/inputs <= 7);
+  }
+  for (const auto& fix : {fixtures::fig1a(), fixtures::fig1b(),
+                          fixtures::pipeline2()}) {
+    SCOPED_TRACE(fix.netlist.name());
+    expect_walks_match_oracle(fix.netlist, fix.reset, options,
+                              /*reorder=*/true);
+  }
+  options.seed = 11;
+  options.random_walk_len = 5;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("random netlist " + std::to_string(seed));
+    fixtures::Circuit fix;
+    try {
+      fix = fixtures::random_netlist(seed);
+    } catch (const CheckError&) {
+      continue;  // the generator refuses seeds that do not settle
+    }
+    expect_walks_match_oracle(fix.netlist, fix.reset, options,
+                              /*reorder=*/true);
+  }
 }
 
 TEST_F(EngineFixture, SearchBuildsEveryListBeforeTheFanOut) {

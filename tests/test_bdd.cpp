@@ -544,6 +544,61 @@ TEST(BddSatCount, SmallCountsUnchanged) {
   EXPECT_EQ(mgr.sat_count(f, 8), expected);
 }
 
+// --- exact counts and rank reads ---------------------------------------------
+//
+// minterm_count counts the rows append_minterm_rows lists, and
+// minterm_row_at(rank) writes the row it lists at that rank.
+
+TEST(BddMintermCount, RowAtNamesEveryListedRow) {
+  BddManager mgr(6);
+  Rng rng(7);
+  const std::vector<std::uint32_t> vars{0, 1, 2, 3, 4, 5};
+  // Row bits in reverse, so a row is not just the rank's binary digits.
+  const std::vector<std::uint32_t> bits{5, 4, 3, 2, 1, 0};
+  for (int trial = 0; trial < 40; ++trial) {
+    // A random union of cubes, some of them constant.
+    Bdd f = mgr.bdd_false();
+    for (std::uint64_t c = rng.below(5); c-- > 0;) {
+      Bdd cube = mgr.bdd_true();
+      for (const std::uint32_t v : vars)
+        if (rng.below(3) == 0) cube &= rng.flip() ? mgr.var(v) : mgr.nvar(v);
+      f |= cube;
+    }
+    std::vector<std::uint64_t> rows;
+    mgr.append_minterm_rows(f, vars, bits, 1, rows);
+    ASSERT_EQ(mgr.minterm_count(f, vars), rows.size());
+    for (std::uint64_t r = 0; r < rows.size(); ++r) {
+      std::uint64_t row = ~std::uint64_t{0};
+      mgr.minterm_row_at(f, vars, bits, r, &row, 1);
+      EXPECT_EQ(row, rows[r]) << "trial " << trial << " rank " << r;
+    }
+  }
+}
+
+TEST(BddMintermCount, NewVarAfterACountStartsAfresh) {
+  // The memo's level table is sized by the variables; a new one moves the
+  // terminal's level, so a later count must not read the old table.
+  BddManager mgr(2);
+  const std::vector<std::uint32_t> vars{0, 1};
+  EXPECT_EQ(mgr.minterm_count(mgr.var(0), vars), 2u);
+  (void)mgr.new_var();
+  EXPECT_EQ(mgr.minterm_count(mgr.bdd_true(), vars), 4u);
+  EXPECT_EQ(mgr.minterm_count(mgr.var(1), vars), 2u);
+  EXPECT_EQ(mgr.minterm_count(mgr.var(0) & mgr.var(1), vars), 1u);
+}
+
+TEST(BddMintermCount, OverflowAndUncoveredSupportAreLoud) {
+  BddManager mgr(64);
+  std::vector<std::uint32_t> vars(64);
+  for (std::uint32_t i = 0; i < 64; ++i) vars[i] = i;
+  EXPECT_EQ(mgr.minterm_count(mgr.var(0), vars), std::uint64_t{1} << 63);
+  EXPECT_EQ(mgr.minterm_count(mgr.var(0) | mgr.var(1), vars),
+            3 * (std::uint64_t{1} << 62));
+  // 2^64 assignments: one past the largest count.
+  EXPECT_THROW((void)mgr.minterm_count(mgr.bdd_true(), vars), CheckError);
+  EXPECT_THROW((void)mgr.minterm_count(mgr.var(0), {1, 2}), CheckError);
+}
+
 // --- GC stress: "GC only at op entry" ----------------------------------------
 //
 // With the threshold forced to 0 a mark-and-sweep collection runs at every

@@ -96,8 +96,8 @@ TEST(CliContract, RunJsonTimesTheBuildTheRunsAndTheWall) {
 }
 
 TEST(CliContract, RunJsonReportsEachUniversesSimulationWork) {
-  // The work counts are deterministic, so the CLI prints what a Session
-  // run of the same universes counts.
+  // The work counts (exact simulation, explicit lists) are deterministic,
+  // so the CLI prints what a Session run of the same universes counts.
   const CliResult result = run_cli("run --circuit chu150 --json");
   ASSERT_EQ(result.exit_code, 0) << result.err;
   auto session = xatpg::Session::from_benchmark(
@@ -120,6 +120,10 @@ TEST(CliContract, RunJsonReportsEachUniversesSimulationWork) {
               static_cast<double>(stats.settles));
     EXPECT_EQ(xatpg::json::num_field(*work, "settles_memoized", -1),
               static_cast<double>(stats.settles_memoized));
+    EXPECT_EQ(xatpg::json::num_field(*work, "lists_built", -1),
+              static_cast<double>(stats.lists_built));
+    EXPECT_EQ(xatpg::json::num_field(*work, "list_ids", -1),
+              static_cast<double>(stats.list_ids));
     EXPECT_GT(stats.settles_memoized, 0u) << key;
   }
 }

@@ -590,8 +590,9 @@ TEST(ParallelDeterminism, TightDeterministicCapsGiveUpIdenticallyAcrossThreads) 
 
 // --- exact simulation work ----------------------------------------------------
 // A fault's simulator does the same steps and settles wherever the replay,
-// the search and the merge run it, so the run's work counts are as
-// deterministic as its outcomes.
+// the search and the merge run it, and the explicit lists are built on the
+// calling thread only, so the run's work counts are as deterministic as
+// its outcomes.
 
 TEST(SimWork, CountsAreEqualAcrossThreads) {
   std::size_t circuits = 0;
@@ -623,10 +624,15 @@ TEST(SimWork, CountsAreEqualAcrossThreads) {
         EXPECT_EQ(work.sim_steps, base->sim_steps);
         EXPECT_EQ(work.settles, base->settles);
         EXPECT_EQ(work.settles_memoized, base->settles_memoized);
+        EXPECT_EQ(work.lists_built, base->lists_built);
+        EXPECT_EQ(work.list_ids, base->list_ids);
       }
-      // Resuming reuses every search: the same outcomes for less work.
+      // Resuming reuses every search: the same outcomes for less work, and
+      // the first run built every list a search reads.
       const AtpgResult again = engine.add_faults({});
       EXPECT_EQ(again.outcomes, first.outcomes);
+      EXPECT_EQ(again.stats.lists_built, 0u);
+      EXPECT_EQ(again.stats.list_ids, 0u);
       if (work.by_three_phase + work.undetected > 0) {
         EXPECT_LT(again.stats.sim_steps, work.sim_steps);
       }

@@ -534,10 +534,25 @@ TEST(ExtractionTwoWords, PackedMatchesOracle) {
 // built so far reach, so builds interleave with sifting at arbitrary
 // points and the lazy ids differ from the eager ones.  Every list, mapped
 // to its states, must equal the eager list of the same state, and a list
-// read twice is built once.  Lists do not depend on the variable order,
-// so the first order's eager graph is the reference for every order (a
-// list that did would differ here).  The circuits and exemptions are the
-// Extraction* suites', with parity up to 12 inputs.
+// read twice is built once.  Before and after its list is built, each
+// state's rank reads must name the list's entries (rank_read_mismatch):
+// every rank up to 8 inputs, a seeded sample of ranks above that.  Lists
+// do not depend on the variable order, so the first order's eager graph
+// is the reference for every order (a list that did would differ here).
+// The circuits and exemptions are the Extraction* suites', with parity up
+// to 12 inputs.
+
+/// The ranks expect_lazy_matches_eager reads out of a list of `count`:
+/// all of them up to 8 inputs, else the first, the last and one drawn.
+std::vector<std::uint64_t> ranks_to_read(std::size_t inputs, std::size_t count,
+                                         Rng& rng) {
+  std::vector<std::uint64_t> ranks;
+  if (inputs <= 8 || count <= 3) {
+    for (std::uint64_t r = 0; r < count; ++r) ranks.push_back(r);
+    return ranks;
+  }
+  return {0, count - 1, rng.below(count)};
+}
 
 void expect_lazy_matches_eager(const Netlist& netlist,
                                const std::vector<bool>& reset, std::size_t k,
@@ -559,11 +574,18 @@ void expect_lazy_matches_eager(const Netlist& netlist,
     std::vector<std::uint32_t> eager_id{0};
     std::vector<std::uint32_t> unread{0};
     Rng rng(7919 * netlist.num_signals() + static_cast<std::uint64_t>(order));
+    Rng rank_rng(7907 * netlist.num_signals() +
+                 static_cast<std::uint64_t>(order));
     while (!unread.empty()) {
       const std::size_t pick = rng.below(unread.size());
       const std::uint32_t id = unread[pick];
       unread[pick] = unread.back();
       unread.pop_back();
+      const std::vector<std::uint64_t> ranks = ranks_to_read(
+          netlist.inputs().size(), eager.edges[eager_id[id]].size(),
+          rank_rng);
+      ASSERT_EQ("", testing::rank_read_mismatch(lazy, id, eager, eager_id[id],
+                                                ranks));
       const std::vector<std::uint32_t> list = lazy.successors(id);
       for (auto fresh = static_cast<std::uint32_t>(eager_id.size());
            fresh < graph.states.size(); ++fresh) {
@@ -582,6 +604,10 @@ void expect_lazy_matches_eager(const Netlist& netlist,
       const std::size_t built = lazy.lists_built();
       ASSERT_EQ(lazy.successors(id), list);
       ASSERT_EQ(lazy.lists_built(), built);
+      const std::size_t interned = graph.states.size();
+      ASSERT_EQ("", testing::rank_read_mismatch(lazy, id, eager, eager_id[id],
+                                                ranks));
+      ASSERT_EQ(graph.states.size(), interned);
     }
     EXPECT_EQ(graph.states.size(), eager.states.size());
     EXPECT_EQ(lazy.lists_built(), eager.states.size());

@@ -406,7 +406,9 @@ void print_universe_json(std::ostream& out, const char* key,
       << ", \"coverage\": " << json::number(stats.coverage())
       << ", \"work\": {\"sim_steps\": " << stats.sim_steps
       << ", \"settles\": " << stats.settles
-      << ", \"settles_memoized\": " << stats.settles_memoized << "}}";
+      << ", \"settles_memoized\": " << stats.settles_memoized
+      << ", \"lists_built\": " << stats.lists_built
+      << ", \"list_ids\": " << stats.list_ids << "}}";
 }
 
 void print_universe_text(std::ostream& out, const char* title,
@@ -436,7 +438,7 @@ double ms_since(Clock::time_point start) {
 
 /// `started` is main's first instant; `build_ms` times the Session factory
 /// (parse or synthesis and the symbolic CSSG).  The runs build the explicit
-/// successor lists they read, so run_ms includes them.
+/// successor lists a search reads, so run_ms includes them.
 int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
             Clock::time_point started, double build_ms) {
   StderrObserver observer;
