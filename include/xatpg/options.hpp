@@ -88,12 +88,19 @@ struct AtpgOptions {
   /// keeps each vector's state id, before its first progress callback, so
   /// memory grows with the budget and no cancel point bounds the draw.
   static constexpr std::size_t kMaxRandomBudget = std::size_t{1} << 20;
+  /// Hard ceiling for `diff_node_cap`, 52x the default.  One fault's
+  /// search is one fan-out item with no cancel point inside, and its BFS
+  /// queue holds a simulator snapshot per node, so the cap bounds both the
+  /// time a search pins its worker and its memory.  It bounds the depth
+  /// too, since every level costs an expansion.
+  static constexpr std::size_t kMaxDiffNodeCap = std::size_t{1} << 20;
 
   /// Boundary validation: rejects the degenerate values every layer above
   /// used to accept silently (k = 0 makes every vector "oscillate",
   /// diff_depth = 0 disables phase 3 entirely, threads > 4096 is a typo,
   /// k > 2^20 settles an oscillation for seconds with no way to cancel,
-  /// random_budget > 2^20 draws walks into memory with no way to cancel).
+  /// random_budget > 2^20 draws walks into memory with no way to cancel,
+  /// diff_node_cap > 2^20 searches one fault with no way to cancel).
   /// Returns an OptionError listing *all* violations.  The Session facade
   /// calls this for every run; AtpgEngine's constructor enforces it loudly.
   [[nodiscard]] Expected<void> validate() const;

@@ -24,6 +24,9 @@ Expected<void> AtpgOptions::validate() const {
   if (diff_node_cap == 0)
     reject("diff_node_cap = 0 (the differentiation BFS could never expand a "
            "node)");
+  if (diff_node_cap > kMaxDiffNodeCap)
+    reject("diff_node_cap > 1048576 (one fault's differentiation search "
+           "has no cancel point, and its queue grows with the cap)");
   if (random_budget > kMaxRandomBudget)
     reject("random_budget > 1048576 (random TPG draws every walk into memory "
            "before its first cancel point)");

@@ -33,6 +33,42 @@ bool cancel_fired(const CancelToken* cancel) {
 /// LazyCssg numbers the reset state 0.
 constexpr std::uint32_t kResetId = 0;
 
+/// The engine's CSSG options, once `options` pass validate().
+CssgOptions validated_cssg_options(const AtpgOptions& options) {
+  const Expected<void> valid = options.validate();
+  XATPG_CHECK_MSG(valid.has_value(),
+                  "invalid AtpgOptions — " << valid.error().message);
+  CssgOptions cssg_options;
+  cssg_options.k = options.k;
+  cssg_options.order = options.order;
+  cssg_options.reorder = options.reorder;
+  return cssg_options;
+}
+
+/// Reset `sim` and replay `walk` (good-state ids after reset, one per
+/// vector) on it while its status stays Undetermined: the one replay of
+/// the random phase, a search's prefix and cross simulation.  Returns the
+/// steps applied; sim.status() says why the replay stopped, and a
+/// detection happened at the last step applied.
+std::size_t replay(FaultSimulator& sim, const std::vector<std::uint32_t>& walk,
+                   const ExplicitCssg& graph) {
+  sim.reset();
+  std::size_t steps = 0;
+  for (; steps < walk.size() && sim.status() == DetectStatus::Undetermined;
+       ++steps)
+    sim.step(graph.inputs[walk[steps]], graph.states[walk[steps]]);
+  return steps;
+}
+
+/// The vectors a walk applies: each state's input part.
+TestSequence sequence_of(const std::vector<std::uint32_t>& walk,
+                         const ExplicitCssg& graph) {
+  TestSequence seq;
+  seq.vectors.reserve(walk.size());
+  for (const std::uint32_t id : walk) seq.vectors.push_back(graph.inputs[id]);
+  return seq;
+}
+
 }  // namespace
 
 std::size_t AtpgEngine::FaultHash::operator()(const Fault& fault) const {
@@ -51,39 +87,18 @@ std::size_t AtpgEngine::FaultHash::operator()(const Fault& fault) const {
 AtpgEngine::AtpgEngine(const Netlist& netlist,
                        const std::vector<bool>& reset_state,
                        const AtpgOptions& options)
-    : netlist_(&netlist), reset_state_(reset_state), options_(options) {
-  const Expected<void> valid = options_.validate();
-  XATPG_CHECK_MSG(valid.has_value(),
-                  "invalid AtpgOptions — " << valid.error().message);
-  CssgOptions cssg_options;
-  cssg_options.k = options_.k;
-  cssg_options.order = options_.order;
-  cssg_options.reorder = options_.reorder;
-  cssg_ = std::make_unique<Cssg>(netlist, reset_state_, cssg_options);
-}
-
-LazyCssg& AtpgEngine::lazy() const {
-  if (!graph_) graph_.emplace(*cssg_);
-  return *graph_;
-}
-
-const ExplicitCssg& AtpgEngine::graph() const { return lazy().graph(); }
-
-const std::vector<std::uint32_t>& AtpgEngine::successors(
-    std::uint32_t id) const {
-  return lazy().successors(id);
-}
-
-std::size_t AtpgEngine::lists_built() const {
-  return graph_ ? graph_->lists_built() : 0;
-}
+    : netlist_(&netlist),
+      reset_state_(reset_state),
+      options_(options),
+      cssg_(std::make_unique<Cssg>(netlist, reset_state_,
+                                   validated_cssg_options(options_))),
+      graph_(*cssg_) {}
 
 std::optional<std::vector<std::uint32_t>> AtpgEngine::follow(
     const TestSequence& seq) const {
-  LazyCssg& graph = lazy();
   std::vector<std::uint32_t> path{kResetId};
   for (const auto& vec : seq.vectors) {
-    const auto next = graph.successor_applying(path.back(), vec);
+    const auto next = graph_.successor_applying(path.back(), vec);
     if (!next) return std::nullopt;
     path.push_back(*next);
   }
@@ -123,17 +138,11 @@ std::vector<std::vector<std::uint32_t>> random_walks(
 
 std::optional<std::pair<std::size_t, std::size_t>>
 AtpgEngine::first_detection(FaultSimulator& sim,
-                            const std::vector<Walk>& walks) const {
-  const ExplicitCssg& graph = this->graph();
+                            const std::vector<Walk>& walks,
+                            const ExplicitCssg& graph) {
   for (std::size_t w = 0; w < walks.size(); ++w) {
-    sim.reset();
-    DetectStatus status = sim.status();
-    for (std::size_t t = 0;
-         t < walks[w].size() && status == DetectStatus::Undetermined; ++t) {
-      const std::uint32_t to = walks[w][t];
-      status = sim.step(graph.inputs[to], graph.states[to]);
-      if (status == DetectStatus::Detected) return std::pair{w, t};
-    }
+    const std::size_t steps = replay(sim, walks[w], graph);
+    if (sim.status() == DetectStatus::Detected) return std::pair{w, steps - 1};
   }
   return std::nullopt;
 }
@@ -142,37 +151,19 @@ AtpgEngine::first_detection(FaultSimulator& sim,
 // 3-phase ATPG
 // ---------------------------------------------------------------------------
 
-AtpgEngine::DiffResult AtpgEngine::differentiate(
-    FaultSimulator& sim, const TestSequence& prefix) const {
-  const ExplicitCssg& graph = this->graph();
-  DiffResult result;
-
+AtpgEngine::SearchOutcome AtpgEngine::differentiate(
+    FaultSimulator& sim, const Walk& prefix, const ExplicitCssg& graph,
+    const AtpgOptions& options) {
   // Replay the (justification) prefix on the faulty circuit, from reset
   // even when an earlier sequence on this simulator detected the fault.
-  sim.reset();
-  if (sim.status() == DetectStatus::GaveUp) {
-    result.truncated = true;  // candidate cap blew at reset — nothing proven
-    return result;
+  const std::size_t applied = replay(sim, prefix, graph);
+  if (sim.status() == DetectStatus::Detected) {
+    // Corruption surfaced during justification — in all terminal states,
+    // so the shortened walk is already a test (paper, Fig. 3a).
+    return {Walk(prefix.begin(), prefix.begin() + applied), false};
   }
-  const auto path = follow(prefix);
-  if (!path) return result;
-  TestSequence applied;
-  for (std::size_t i = 0; i < prefix.vectors.size(); ++i) {
-    applied.vectors.push_back(prefix.vectors[i]);
-    const DetectStatus status =
-        sim.step(prefix.vectors[i], graph.states[(*path)[i + 1]]);
-    if (status == DetectStatus::Detected) {
-      // Corruption surfaced during justification — in all terminal states,
-      // so the shortened sequence is already a test (paper, Fig. 3a).
-      result.found = true;
-      result.sequence = applied;
-      return result;
-    }
-    if (status == DetectStatus::GaveUp) {
-      result.truncated = true;
-      return result;
-    }
-  }
+  // The candidate cap blew at reset or on the prefix: nothing proven.
+  if (sim.status() == DetectStatus::GaveUp) return {std::nullopt, true};
 
   // Phase 3: breadth-first search over valid vectors for the shortest
   // extension that makes every faulty execution observable.
@@ -180,7 +171,7 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
     std::uint32_t good_id;
     FaultSimulator::Snapshot sim_state;
     /// Good-state ids of the extension; it applies their input parts.
-    std::vector<std::uint32_t> suffix;
+    Walk suffix;
   };
   std::deque<Node> queue;
   // A search node is (good state, faulty candidate set); the candidates are
@@ -194,49 +185,46 @@ AtpgEngine::DiffResult AtpgEngine::differentiate(
     key.insert(key.end(), candidates.begin(), candidates.end());
     return key;
   };
-  queue.push_back(Node{path->back(), sim.snapshot(), {}});
-  visited.insert(key_of(path->back(), sim.candidates()));
+  const std::uint32_t start = prefix.empty() ? kResetId : prefix.back();
+  queue.push_back(Node{start, sim.snapshot(), {}});
+  visited.insert(key_of(start, sim.candidates()));
 
   // The per-fault budget is the DETERMINISTIC pair diff_depth /
   // diff_node_cap — both depend only on (circuit, options, fault), never on
   // machine speed, load, or scheduling, which is what makes outcomes
   // byte-identical across hosts and thread counts.
+  bool truncated = false;
   std::size_t expanded = 0;
   while (!queue.empty()) {
     const Node node = std::move(queue.front());
     queue.pop_front();
-    if (node.suffix.size() >= options_.diff_depth) {
-      result.truncated = true;  // deeper extensions exist but are unexplored
+    if (node.suffix.size() >= options.diff_depth) {
+      truncated = true;  // deeper extensions exist but are unexplored
       continue;
     }
-    for (const std::uint32_t to : successors(node.good_id)) {
-      if (++expanded > options_.diff_node_cap) {
-        result.truncated = true;
-        return result;
-      }
+    for (const std::uint32_t to : graph.edges[node.good_id]) {
+      if (++expanded > options.diff_node_cap) return {std::nullopt, true};
       sim.restore(node.sim_state);
       const DetectStatus status =
           sim.step(graph.inputs[to], graph.states[to]);
       if (status == DetectStatus::GaveUp) {
-        result.truncated = true;  // this branch is abandoned, not refuted
+        truncated = true;  // this branch is abandoned, not refuted
         continue;
       }
       if (status == DetectStatus::Detected) {
-        result.found = true;
-        result.sequence = applied;
-        for (const std::uint32_t id : node.suffix)
-          result.sequence.vectors.push_back(graph.inputs[id]);
-        result.sequence.vectors.push_back(graph.inputs[to]);
-        return result;
+        Walk walk = prefix;
+        walk.insert(walk.end(), node.suffix.begin(), node.suffix.end());
+        walk.push_back(to);
+        return {std::move(walk), false};
       }
       if (visited.insert(key_of(to, sim.candidates())).second) {
-        auto suffix = node.suffix;
+        Walk suffix = node.suffix;
         suffix.push_back(to);
         queue.push_back(Node{to, sim.snapshot(), std::move(suffix)});
       }
     }
   }
-  return result;
+  return {std::nullopt, truncated};
 }
 
 bool AtpgEngine::provably_redundant(const Fault& fault) const {
@@ -273,24 +261,25 @@ std::optional<TestSequence> AtpgEngine::activation_prefix(
 }
 
 AtpgEngine::SearchOutcome AtpgEngine::search(
-    FaultSimulator& sim, const std::optional<TestSequence>& prefix) const {
+    FaultSimulator& sim, const std::optional<Walk>& prefix,
+    const ExplicitCssg& graph, const AtpgOptions& options) {
   // Phase 3 — differentiation (§5.3), first from the justified activation
   // state.
   bool truncated = false;
   if (prefix) {
-    const DiffResult with_prefix = differentiate(sim, *prefix);
-    if (with_prefix.found) return SearchOutcome{with_prefix.sequence, false};
-    truncated = with_prefix.truncated;
+    SearchOutcome with_prefix = differentiate(sim, *prefix, graph, options);
+    if (with_prefix.walk) return with_prefix;
+    truncated = with_prefix.gave_up;
   }
   // Fall back to a full differentiation search from reset: complete within
   // the caps, subsumes any choice of activation state.
-  const DiffResult from_reset = differentiate(sim, TestSequence{});
-  if (from_reset.found) return SearchOutcome{from_reset.sequence, false};
+  SearchOutcome from_reset = differentiate(sim, Walk{}, graph, options);
   // No test.  "Gave up" iff any cap truncated either search — an
   // untruncated exhaustion means the fault really has no test within the
   // caps' full space (redundant-in-practice), which bench coverage floors
   // must not confuse with a cap blowout.
-  return SearchOutcome{std::nullopt, truncated || from_reset.truncated};
+  if (!from_reset.walk) from_reset.gave_up = from_reset.gave_up || truncated;
+  return from_reset;
 }
 
 // ---------------------------------------------------------------------------
@@ -374,21 +363,29 @@ bool AtpgEngine::generate_parallel(
   // Phases 1-2 run here, on the one thread that uses the BDD manager, in
   // fault-list order.  A token that fires during this pass skips the
   // search, so no search ever runs without its prefix.
-  std::vector<std::optional<TestSequence>> prefixes(faults.size());
+  std::vector<std::optional<TestSequence>> justified(faults.size());
   for (const std::size_t i : todo) {
     if (cancel_fired(cancel)) return false;
-    prefixes[i] = activation_prefix(faults[i]);
+    justified[i] = activation_prefix(faults[i]);
   }
-  // The explicit lists a search may read are built here too, so the
-  // workers' successors() calls only read.
-  lazy().complete();
+  // The searches read a finished graph: every list is built here, and each
+  // justification is followed to its walk over the built lists.
+  graph_.complete();
+  const ExplicitCssg& graph = graph_.graph();
+  std::vector<std::optional<Walk>> prefixes(faults.size());
+  for (const std::size_t i : todo) {
+    if (!justified[i]) continue;
+    const auto path = follow(*justified[i]);
+    XATPG_CHECK_MSG(path.has_value(), "a justification left the CSSG");
+    prefixes[i].emplace(path->begin() + 1, path->end());
+  }
 
   // Results land here first (slot per fault index, written by exactly one
   // worker) and are memoized after the join: the cache is not touched from
-  // worker threads.  A search reads only the netlist and the finished
-  // explicit graph, and it drives the fault's simulator from this run,
-  // which the replay fan-out's join handed over and this fan-out's join
-  // hands on to the merge.
+  // worker threads.  A search reads only the finished graph and the
+  // options, and it drives the fault's simulator from this run, which the
+  // replay fan-out's join handed over and this fan-out's join hands on to
+  // the merge.
   std::vector<SearchOutcome> generated(faults.size());
   std::vector<char> attempted(faults.size(), 0);
   const auto record_counts = [&](const FanOut& tally) {
@@ -396,10 +393,12 @@ bool AtpgEngine::generate_parallel(
       shard_done_.resize(tally.done.size(), 0);
     std::copy(tally.done.begin(), tally.done.end(), shard_done_.begin());
   };
+  const AtpgOptions& options = options_;
   const FanOut tally = fan_out(
       todo, cancel,
-      [&](std::size_t i) {
-        generated[i] = search(*sims[i], prefixes[i]);
+      [&generated, &attempted, &sims, &prefixes, &graph,
+       &options](std::size_t i) {
+        generated[i] = search(*sims[i], prefixes[i], graph, options);
         attempted[i] = 1;
       },
       [&](const FanOut& so_far) {
@@ -445,9 +444,8 @@ std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
 void AtpgEngine::cross_simulate(
     const std::vector<Fault>& faults,
     std::vector<std::unique_ptr<FaultSimulator>>& sims, std::size_t committed,
-    const TestSequence& seq, const std::vector<std::uint32_t>& path,
-    int seq_index, AtpgResult& result,
-    std::vector<std::size_t>& resolved) const {
+    const Walk& walk, const TestSequence& seq, int seq_index,
+    AtpgResult& result, std::vector<std::size_t>& resolved) const {
   std::vector<std::size_t> remaining;
   for (std::size_t j = 0; j < faults.size(); ++j) {
     if (j == committed) continue;
@@ -474,14 +472,10 @@ void AtpgEngine::cross_simulate(
     // exact simulator is the only remaining chance at coverage; skipping it
     // would regress coverage where ternary is too conservative.  Every
     // remaining fault was searched before the first commit.
-    if (!flagged[r] && generated_cache_.at(faults[j]).sequence) continue;
+    if (!flagged[r] && generated_cache_.at(faults[j]).walk) continue;
     FaultSimulator& sim = *sims[j];
-    sim.reset();
-    DetectStatus status = sim.status();
-    for (std::size_t t = 0;
-         t < seq.vectors.size() && status == DetectStatus::Undetermined; ++t)
-      status = sim.step(seq.vectors[t], graph().states[path[t + 1]]);
-    if (status == DetectStatus::Detected) {
+    replay(sim, walk, graph_.graph());
+    if (sim.status() == DetectStatus::Detected) {
       result.outcomes[j].covered_by = CoveredBy::FaultSim;
       result.outcomes[j].sequence_index = seq_index;
       ++result.stats.by_fault_sim;
@@ -511,11 +505,9 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
                                     const CancelToken* cancel) {
   const std::vector<Fault>& faults = universe_;
   Timer total_timer;
-  // Made here, on the calling thread, if no earlier call has: the fan-outs
-  // below only read it.
-  const ExplicitCssg& graph = this->graph();
-  const std::size_t lists_before = lazy().lists_built();
-  const std::size_t list_ids_before = lazy().list_ids();
+  const ExplicitCssg& graph = graph_.graph();
+  const std::size_t lists_before = graph_.lists_built();
+  const std::size_t list_ids_before = graph_.list_ids();
   AtpgResult result;
   result.outcomes.reserve(faults.size());
   for (const Fault& f : faults) result.outcomes.push_back(FaultOutcome{f});
@@ -553,8 +545,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
 
   // One exact simulator per fault serves the whole run: the replay fan-out
   // steps it along the random walks, the search fan-out hands it to the
-  // fault's differentiation search, and the merge resets it per committed
-  // sequence.  Each handoff crosses a fan-out join, so only one thread at
+  // fault's differentiation search, and the merge replays each committed
+  // walk on it.  Each handoff crosses a fan-out join, so only one thread at
   // a time drives a simulator and its settle memo carries over.
   std::vector<std::unique_ptr<FaultSimulator>> sims;
   sims.reserve(faults.size());
@@ -571,21 +563,20 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   if (observer != nullptr) observer->on_phase(RunPhase::RandomTpg);
   Timer random_timer;
   std::vector<Walk> walks;
-  if (options_.random_budget > 0 && !is_cancelled()) {
-    walks = random_walks(lazy(), options_);
-    // The image kept for the draw's last read would only hold BDD nodes.
-    lazy().release_image();
-  }
+  if (options_.random_budget > 0 && !is_cancelled())
+    walks = random_walks(graph_, options_);
   if (!walks.empty() && !faults.empty()) {
     // Each fault's first detecting (walk, step), written by the one worker
-    // that replays the fault.
+    // that replays the fault.  The draw interned every walked state.
     std::vector<std::optional<std::pair<std::size_t, std::size_t>>> first(
         faults.size());
     std::vector<std::size_t> all(faults.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
-    const FanOut replay = fan_out(
+    const FanOut replayed = fan_out(
         all, cancel,
-        [&](std::size_t i) { first[i] = first_detection(*sims[i], walks); },
+        [&first, &sims, &walks, &graph](std::size_t i) {
+          first[i] = first_detection(*sims[i], walks, graph);
+        },
         [&](const FanOut&) { emit_progress(RunPhase::RandomTpg); });
     // (walk, step, fault) of every first detection, in commit order.
     std::vector<std::tuple<std::size_t, std::size_t, std::size_t>> hits;
@@ -594,7 +585,7 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     std::sort(hits.begin(), hits.end());
 
     // A token that fired during the replay commits no walk.
-    if (!replay.complete) result.cancelled = true;
+    if (!replayed.complete) result.cancelled = true;
     auto hit = hits.begin();
     for (std::size_t w = 0; w < walks.size() && !result.cancelled; ++w) {
       if (is_cancelled()) break;
@@ -607,9 +598,7 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
         outcome.sequence_index = seq_index;
         ++result.stats.by_random;
       }
-      TestSequence& seq = result.sequences.emplace_back();
-      for (const std::uint32_t to : walks[w])
-        seq.vectors.push_back(graph.inputs[to]);
+      result.sequences.push_back(sequence_of(walks[w], graph));
       for (auto it = walk_first; it != hit; ++it)
         notify_resolved(std::get<2>(*it));
       emit_progress(RunPhase::RandomTpg);
@@ -662,19 +651,17 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
   for (const std::size_t i : todo) {
     if (result.cancelled || is_cancelled()) break;
     if (result.outcomes[i].covered_by != CoveredBy::None) continue;
-    const auto& sequence = generated_cache_.at(faults[i]).sequence;
-    if (!sequence) continue;  // undetected (redundant or gave up)
-    const TestSequence& seq = *sequence;
+    const auto& walk = generated_cache_.at(faults[i]).walk;
+    if (!walk) continue;  // undetected (redundant or gave up)
     const int seq_index = static_cast<int>(result.sequences.size());
     result.outcomes[i].covered_by = CoveredBy::ThreePhase;
     result.outcomes[i].sequence_index = seq_index;
     ++result.stats.by_three_phase;
 
-    const auto path = follow(seq);
-    XATPG_CHECK(path.has_value());
+    TestSequence seq = sequence_of(*walk, graph);
     std::vector<std::size_t> resolved;
-    cross_simulate(faults, sims, i, seq, *path, seq_index, result, resolved);
-    result.sequences.push_back(seq);
+    cross_simulate(faults, sims, i, *walk, seq, seq_index, result, resolved);
+    result.sequences.push_back(std::move(seq));
     notify_resolved(i);
     for (const std::size_t j : resolved) notify_resolved(j);
     emit_progress(RunPhase::ThreePhase);
@@ -701,8 +688,8 @@ AtpgResult AtpgEngine::run_universe(RunObserver* observer,
     result.stats.settles += sim->settles();
     result.stats.settles_memoized += sim->settles_memoized();
   }
-  result.stats.lists_built = lazy().lists_built() - lists_before;
-  result.stats.list_ids = lazy().list_ids() - list_ids_before;
+  result.stats.lists_built = graph_.lists_built() - lists_before;
+  result.stats.list_ids = graph_.list_ids() - list_ids_before;
   result.stats.covered = result.stats.by_random + result.stats.by_three_phase +
                          result.stats.by_fault_sim;
   result.stats.undetected = result.stats.total_faults - result.stats.covered;

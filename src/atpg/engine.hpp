@@ -13,20 +13,27 @@
 // Parallel architecture: a run fans out twice, the random phase's replay
 // and the explicit differentiation search, both through fan_out() on one
 // ThreadPool the engine owns.
-//   * The engine owns ONE Cssg on one BddManager, built by the constructor,
-//     and only the thread that calls run() touches it.  The explicit graph
-//     is a LazyCssg on that manager: a state's successor list is built on
-//     the calling thread when successors() first reads it, so a caller
-//     that only reads the CSSG statistics builds none.  Random walks and
-//     follow() take one successor at a time by a rank read, which counts
-//     the state's successors on the BDD and interns only the state it
-//     returns, so they build no long list (a walk reads a short list,
-//     kShortWalkList, whole).  Before the search fan-out the calling
-//     thread computes every searched fault's symbolic phases 1-2 —
-//     activation ∧ CSSG-reachable, then justify() — serially, in
-//     fault-list order, and then builds every list still missing, so the
-//     same BDD operations run in the same order, and the states take the
-//     same ids, at any thread count.
+//   * The engine owns ONE Cssg on one BddManager and the LazyCssg over it,
+//     both built by the constructor, and only the thread that calls run()
+//     touches them.  A state's successor list is built on the calling
+//     thread when something first reads it whole, so a caller that only
+//     reads the CSSG statistics builds none.  Random walks and follow()
+//     take one successor at a time by a rank read, which counts the
+//     state's successors on the BDD and interns only the state it returns,
+//     so they build no long list (a walk reads a short list,
+//     kShortWalkList, whole).
+//   * A walk is the good-state ids a sequence visits after reset, one per
+//     vector; the vector is the target's input part.  The random phase
+//     draws walks and a search returns one.  A fault's simulator replays a
+//     walk through one helper, in the random replay, a search's prefix and
+//     cross simulation alike, and vectors are built only when a walk is
+//     committed or exported.
+//   * A fan-out's work function takes only what it reads: the fault's
+//     FaultSimulator, walks, the options and a const ExplicitCssg that
+//     holds them finished (the draw interned the random walks; complete()
+//     built every list a search reads).  It is a static member, so it
+//     cannot reach the engine, its LazyCssg or the BDD manager; no worker
+//     holds a BDD node or runs a BDD operation.
 //   * A run makes one FaultSimulator per fault, and that simulator serves
 //     the fault for the whole run, so its settle memo answers every start
 //     state the fault met before: the replay fan-out, then the search
@@ -38,27 +45,31 @@
 //     replays the walks on each fault's simulator and records the fault's
 //     first detecting (walk, step); the calling thread commits in walk
 //     order.
-//   * The search workers run only phase 3, differentiate() from each
-//     justified prefix and then from reset.  It reads the netlist, the
-//     finished explicit graph (shared read-only: with every list built,
-//     successors() and follow()'s rank reads only read lists) and the
-//     fault's simulator from this run; no worker holds a BDD node or runs
-//     a BDD operation.
+//   * Before the search fan-out the calling thread computes every searched
+//     fault's symbolic phases 1-2 -- activation AND CSSG-reachable, then
+//     justify() -- serially, in fault-list order, then completes the graph
+//     and follows each justified prefix to its walk.  The same BDD
+//     operations therefore run in the same order, and the states take the
+//     same ids, at any thread count.  The search workers run only phase 3,
+//     differentiate() from each prefix walk and then from reset, over the
+//     finished graph's lists.
 //   * fan_out() hands out items in blocks of work_block_size() through one
 //     shared atomic cursor: a worker claims its next block with one
 //     fetch_add, so a worker pinned by a slow fault leaves the remaining
-//     blocks to the others.  The calling thread is worker 0; the pool
-//     holds the other min(threads, items) - 1, is created at the first
+//     blocks to the others.  The calling thread is worker 0 and streams
+//     progress after each of its blocks; every worker count, one included,
+//     splits a batch into about four blocks per worker.  The pool holds the
+//     other min(threads, items) - 1 workers, is created at the first
 //     fan-out that needs a helper and grown only when a later one needs
-//     more, and is joined by the engine's destructor.  threads=1 runs one
-//     inline block and makes no pool.
+//     more, and is joined by the engine's destructor.  threads=1 runs its
+//     blocks inline and makes no pool.
 //   * The merges are deterministic: each fault's replay and each fault's
 //     search depend only on the fault, not on scheduling or which worker
-//     ran it.  Random walks commit in walk order, then outcomes of the
-//     search commit strictly in fault-list order, and cross fault
-//     simulation of each committed sequence (the paper's "sim" column)
-//     runs as a post-merge word-parallel ternary pass in 64-lane batches
-//     (+ exact confirmation).  Every search cutoff is deterministic too
+//     ran it.  Random walks commit in walk order, then the searches' walks
+//     commit strictly in fault-list order, and cross fault simulation of
+//     each committed walk (the paper's "sim" column) runs as a post-merge
+//     word-parallel ternary pass in 64-lane batches (+ exact confirmation
+//     by replay).  Every search cutoff is deterministic too
 //     (diff_depth/diff_node_cap and the simulator caps).  Results are
 //     therefore byte-identical for any thread count and any claim order,
 //     including threads=1.
@@ -115,19 +126,13 @@ class AtpgEngine {
   /// The symbolic abstraction.  Its BddManager belongs to the thread that
   /// calls run(): query it from that thread, between runs.
   const Cssg& cssg() const { return *cssg_; }
-  /// The explicit CSSG as far as it is built: the reset state is id 0, a
-  /// state has an id once a built list or a rank read reaches it, and
-  /// edges[id] is empty until successors(id) has built it.  Read lists
-  /// through successors(); Cssg::extract_explicit() gives the whole graph.
-  const ExplicitCssg& graph() const;
-  /// State id's successor ids in the canonical order of their states: the
-  /// one accessor for the lists.  The first read builds the list on the
-  /// engine's manager, so it belongs to the thread that calls run() and
-  /// throws CheckError past the explicit state cap; a later read only
-  /// reads.  The reference holds until the next read that builds a list.
-  const std::vector<std::uint32_t>& successors(std::uint32_t id) const;
-  /// Successor lists built so far, by every run and read on this engine.
-  std::size_t lists_built() const;
+  /// The explicit CSSG as far as runs and follow() have built it: the
+  /// reset state is id 0, a state has an id once a built list or a rank
+  /// read reaches it, and edges[id] is empty until a run needs the whole
+  /// list.  Cssg::extract_explicit() gives the whole graph.
+  const ExplicitCssg& graph() const { return graph_.graph(); }
+  /// Successor lists built so far, by every run on this engine.
+  std::size_t lists_built() const { return graph_.lists_built(); }
   const AtpgOptions& options() const { return options_; }
 
   /// Run the full flow (random TPG -> fault-parallel 3-phase ->
@@ -169,30 +174,26 @@ class AtpgEngine {
   /// never change any gate's behaviour during test.
   bool provably_redundant(const Fault& fault) const;
 
-  /// Good-circuit states visited by a sequence (from reset); nullopt if a
-  /// vector is not a valid CSSG edge.  Each step is a rank read,
-  /// LazyCssg::successor_applying: it reads a built list, and otherwise
-  /// answers from the BDD and interns the one state it reaches, so
-  /// following builds no list.  Calling thread only, unless every list on
-  /// the path is built.
+  /// Good-circuit state ids visited by a sequence, reset (id 0) first;
+  /// nullopt if a vector is not a valid CSSG edge.  Each step is a rank
+  /// read, LazyCssg::successor_applying: it reads a built list, and
+  /// otherwise answers from the BDD and interns the one state it reaches,
+  /// so following builds no list.  It may run BDD operations on the
+  /// engine's manager, so it belongs to the thread that calls run(),
+  /// between runs; no fan-out calls it.
   std::optional<std::vector<std::uint32_t>> follow(
       const TestSequence& seq) const;
 
  private:
-  struct DiffResult {
-    bool found = false;
-    TestSequence sequence;
-    /// Some part of the space was cut off by a cap (depth, node count,
-    /// simulator candidate cap) — "not found" means "gave up", not "proved
-    /// absent".
-    bool truncated = false;
-  };
-  /// A completed 3-phase search: the test (nullopt = none found) plus
-  /// whether the search was cap-truncated.  gave_up is meaningful only when
-  /// sequence is empty — a found test is a found test however hard the
+  /// A walk from reset: the good-state ids it visits, one per vector (the
+  /// vector applied is the target's input part).
+  using Walk = std::vector<std::uint32_t>;
+  /// A completed 3-phase search: the test's walk (nullopt = none found)
+  /// plus whether a cap truncated the search.  gave_up is meaningful only
+  /// when walk is empty -- a found test is a found test however hard the
   /// search worked.
   struct SearchOutcome {
-    std::optional<TestSequence> sequence;
+    std::optional<Walk> walk;
     bool gave_up = false;
   };
   struct FaultHash {
@@ -204,9 +205,6 @@ class AtpgEngine {
     std::vector<std::size_t> done;
     bool complete = true;
   };
-  /// A random walk from reset: the good-state ids it visits, one per
-  /// vector (the vector applied is the target's input part).
-  using Walk = std::vector<std::uint32_t>;
 
   /// The engine's one fan-out: runs work(item) once for every item over
   /// fan_out_workers(threads, items) worker slots.  The calling thread is
@@ -221,55 +219,60 @@ class AtpgEngine {
                  const CancelToken* cancel,
                  const std::function<void(std::size_t)>& work,
                  const std::function<void(const FanOut&)>& on_block);
+
+  // The fan-outs' work functions: static, so a worker reaches only `sim`
+  // and what it reads, a finished graph holding every walk it is given.
+
   /// Replay `walks` in order on `sim`, each from a reset(), abandoning a
   /// walk once the simulator gives up.  Returns the first detecting
-  /// (walk, step), or nullopt.  Reads only the walked states besides
-  /// `sim`, so safe from any worker.
-  std::optional<std::pair<std::size_t, std::size_t>> first_detection(
-      FaultSimulator& sim, const std::vector<Walk>& walks) const;
-  /// Phase 3 BFS on `sim`'s fault, from a reset() of `sim`.  Touches only
-  /// `sim` and shared read-only state (netlist, finished explicit graph) —
-  /// safe from the worker that holds `sim`.
-  DiffResult differentiate(FaultSimulator& sim,
-                           const TestSequence& prefix) const;
+  /// (walk, step), or nullopt.
+  static std::optional<std::pair<std::size_t, std::size_t>> first_detection(
+      FaultSimulator& sim, const std::vector<Walk>& walks,
+      const ExplicitCssg& graph);
+  /// Phase 3 on `sim`'s fault: replay `prefix` from a reset() of `sim`,
+  /// then search breadth-first over graph.edges for the shortest extension
+  /// that detects the fault.  A found walk starts with the prefix, cut at
+  /// its detecting step if it has one.
+  static SearchOutcome differentiate(FaultSimulator& sim, const Walk& prefix,
+                                     const ExplicitCssg& graph,
+                                     const AtpgOptions& options);
+  /// Phase 3 for `sim`'s fault from `prefix` (if any), then from reset.
+  static SearchOutcome search(FaultSimulator& sim,
+                              const std::optional<Walk>& prefix,
+                              const ExplicitCssg& graph,
+                              const AtpgOptions& options);
+
   /// Phases 1-2 on the engine's BddManager (calling thread only): the
   /// justification of the fault's activation states, nullopt when no
   /// CSSG-reachable stable state activates it.
   std::optional<TestSequence> activation_prefix(const Fault& fault) const;
-  /// Phase 3 for `sim`'s fault from `prefix` (if any), then from reset.
-  /// Explicit only, so safe from the worker that holds `sim`.
-  SearchOutcome search(FaultSimulator& sim,
-                       const std::optional<TestSequence>& prefix) const;
-  /// graph_, made on the first call (calling thread only).
-  LazyCssg& lazy() const;
   /// The full deterministic flow over universe_ (shared by run/add_faults).
   AtpgResult run_universe(RunObserver* observer, const CancelToken* cancel);
   /// The 3-phase search for `todo` (fault indices): every activation
-  /// prefix on this thread first, then every explicit list still missing,
-  /// then the explicit searches fanned out over the workers, fault i on
-  /// sims[i], memoizing each completed search in generated_cache_.
-  /// Called once per run, before the first commit.  A token that fires
-  /// during the prefix pass skips the fan-out; faults skipped because
-  /// `cancel` fired are left unmemoized (a later run attempts them again),
-  /// and the call returns false if any was.  The run's per-worker search
-  /// counts land in shard_done_, updated before each `on_block` call that
-  /// streams progress.
+  /// prefix on this thread first, then every explicit list still missing
+  /// and each prefix's walk; then the explicit searches fanned out over
+  /// the workers, fault i on sims[i], memoizing each completed search in
+  /// generated_cache_.  Called once per run, before the first commit.  A
+  /// token that fires during the prefix pass skips the fan-out; faults
+  /// skipped because `cancel` fired are left unmemoized (a later run
+  /// attempts them again), and the call returns false if any was.  The
+  /// run's per-worker search counts land in shard_done_, updated before
+  /// each `on_block` call that streams progress.
   bool generate_parallel(const std::vector<Fault>& faults,
                          std::vector<std::unique_ptr<FaultSimulator>>& sims,
                          const std::vector<std::size_t>& todo,
                          const CancelToken* cancel,
                          const std::function<void()>& on_block);
-  /// Post-merge cross fault simulation of one committed sequence: 64-lane
-  /// ternary screen over the remaining uncovered faults, exact confirmation
-  /// of every flag, exact fallback for faults whose search found no test.
-  /// `sims` are the run's per-fault exact simulators, reset() per sequence
-  /// (a fault's own search may have left its simulator Detected).
-  /// `resolved` collects the indices whose outcome this call finalized
-  /// (for observer events).
+  /// Post-merge cross fault simulation of one committed walk: 64-lane
+  /// ternary screen of its sequence `seq` over the remaining uncovered
+  /// faults, exact confirmation of every flag by replaying the walk, and
+  /// the exact replay for faults whose search found no test.  `sims` are
+  /// the run's per-fault exact simulators.  `resolved` collects the
+  /// indices whose outcome this call finalized (for observer events).
   void cross_simulate(const std::vector<Fault>& faults,
                       std::vector<std::unique_ptr<FaultSimulator>>& sims,
-                      std::size_t committed, const TestSequence& seq,
-                      const std::vector<std::uint32_t>& path, int seq_index,
+                      std::size_t committed, const Walk& walk,
+                      const TestSequence& seq, int seq_index,
                       AtpgResult& result,
                       std::vector<std::size_t>& resolved) const;
 
@@ -279,12 +282,10 @@ class AtpgEngine {
   /// The symbolic abstraction on the engine's one BddManager, used only by
   /// the thread that calls run().
   std::unique_ptr<Cssg> cssg_;
-  /// The explicit graph, made by the first lazy() call; lists are built
-  /// and rank reads intern states into it on the calling thread only.  The
-  /// random replay reads just the walked states, and the search fan-out
-  /// starts after generate_parallel() has built every list, so workers
-  /// never write it.
-  mutable std::optional<LazyCssg> graph_;
+  /// The explicit graph over cssg_: lists are built and rank reads intern
+  /// states into it on the calling thread only.  Mutable because follow()
+  /// interns the states a const caller's sequence reaches.
+  mutable LazyCssg graph_;
   /// The current fault universe (run() replaces, add_faults() extends).
   std::vector<Fault> universe_;
   /// Per-worker 3-phase searches completed during the most recent run
@@ -293,9 +294,10 @@ class AtpgEngine {
   /// shard_bdd_stats().
   std::vector<std::size_t> shard_done_;
   /// Memoized 3-phase searches: presence means the search was *completed*
-  /// for that fault (SearchOutcome::sequence nullopt = search exhausted or
+  /// for that fault (SearchOutcome::walk nullopt = search exhausted or
   /// gave up, fault undetected by its own test).  Never invalidated — a
-  /// search outcome is a pure function of (circuit, reset, options, fault).
+  /// search outcome is a pure function of (circuit, reset, options, fault),
+  /// and graph_ never renumbers a state a walk visits.
   std::unordered_map<Fault, SearchOutcome, FaultHash> generated_cache_;
   /// fan_out's helper threads, shared by every fan-out of every run.
   /// Declared last so it is joined before the state its tasks read goes.

@@ -397,17 +397,18 @@ void ablation_detector(const AtpgOptions& /*options*/, std::ostream& out) {
 
     // One shared random walk over valid vectors; the reset state is the
     // explicit graph's state 0.
-    AtpgEngine engine(synth.netlist, synth.reset_state, AtpgOptions{});
+    const Cssg cssg(synth.netlist, synth.reset_state);
+    LazyCssg graph(cssg);
     Rng rng(17);
     std::vector<std::vector<bool>> vectors;
     std::vector<std::vector<bool>> good_states;
     std::uint32_t good_id = 0;
     for (int step = 0; step < 64; ++step) {
-      const auto& succs = engine.successors(good_id);
+      const auto& succs = graph.successors(good_id);
       if (succs.empty()) break;
       const std::uint32_t to = succs[rng.below(succs.size())];
-      vectors.push_back(engine.graph().inputs[to]);
-      good_states.push_back(engine.graph().states[to]);
+      vectors.push_back(graph.graph().inputs[to]);
+      good_states.push_back(graph.graph().states[to]);
       good_id = to;
     }
 

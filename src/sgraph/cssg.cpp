@@ -287,38 +287,18 @@ std::uint32_t LazyCssg::intern(const StateWord* row) {
   return id;
 }
 
-Bdd LazyCssg::compute_image(std::uint32_t id) const {
+Bdd LazyCssg::image(std::uint32_t id) const {
   const SymbolicEncoding& enc = cssg_->encoding();
   return enc.next_to_cur(enc.mgr().and_exists(
       cssg_->relation(), enc.state_minterm_cur(graph_.states[id]),
       cur_cube_));
 }
 
-const Bdd& LazyCssg::image(std::uint32_t id) {
-  if (image_id_ != id) {
-    image_ = compute_image(id);
-    image_id_ = id;
-  }
-  return image_;
-}
-
-Bdd LazyCssg::take_image(std::uint32_t id) {
-  if (image_id_ != id) return compute_image(id);
-  image_id_ = kNoState;
-  return std::move(image_);
-}
-
-void LazyCssg::release_image() {
-  image_id_ = kNoState;
-  image_ = Bdd();
-}
-
 const std::vector<std::uint32_t>& LazyCssg::successors(std::uint32_t id) {
   if (built_[id]) return graph_.edges[id];
-  // The list serves every later read of id, so a kept image is no use.
   const std::size_t width = graph_.index.width();
   rows_.clear();
-  cssg_->encoding().append_state_rows_cur(take_image(id), rows_);
+  cssg_->encoding().append_state_rows_cur(image(id), rows_);
   std::vector<std::uint32_t> list;
   list.reserve(rows_.size() / width);
   for (std::size_t r = 0; r < rows_.size(); r += width)
@@ -377,10 +357,9 @@ std::optional<std::uint32_t> LazyCssg::successor_applying(
     return applied_[*known];
   // CSSG_k keeps a pattern only when it has one outcome, so the image's
   // states with these inputs are none or the list's one entry applying
-  // them.  A replay seldom returns to a state, so the image is not kept.
+  // them.
   const SymbolicEncoding& enc = cssg_->encoding();
-  const Bdd hit =
-      take_image(id) & enc.mgr().make_minterm(input_vars_, inputs);
+  const Bdd hit = image(id) & enc.mgr().make_minterm(input_vars_, inputs);
   if (hit.is_false()) return std::nullopt;
   rows_.resize(graph_.index.width());
   enc.state_row_at_cur(hit, 0, rows_.data());

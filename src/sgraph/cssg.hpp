@@ -201,11 +201,14 @@ class Cssg {
 /// names the list's entry i, state for state (test_sgraph's LazyGraph.*).
 /// Counts come from the manager's count memo, and a repeated (state, rank)
 /// read from a sparse memo here, so nothing per state is sized by its
-/// list.
+/// list.  No image outlives the read that computes it: a walk that counts
+/// a state and then takes one successor computes the image twice, and the
+/// manager's computed cache answers the second.
 ///
-/// Building and rank reads on an unbuilt list run BDD operations, so like
-/// the Cssg's queries they belong to one thread; once every list a reader
-/// can reach is built, all reads only read.  Interning a state past
+/// A LazyCssg is single-threaded, like the Cssg's queries: every read may
+/// build a list, intern a state or run a BDD operation on the Cssg's
+/// manager.  Readers on other threads take graph() once complete() has
+/// built every list, as a const ExplicitCssg.  Interning a state past
 /// 200,000 throws CheckError; a rank read interns one state, so in
 /// practice the cap binds only the lists a whole read builds.
 class LazyCssg {
@@ -231,9 +234,6 @@ class LazyCssg {
   /// out of id applies that vector.
   std::optional<std::uint32_t> successor_applying(
       std::uint32_t id, const std::vector<bool>& inputs);
-  /// Drop the image successor_count keeps for the read that follows it,
-  /// so the graph holds no BDD node but the cur cube.
-  void release_image();
   /// Lists built so far, and the successor ids they hold.
   std::size_t lists_built() const { return lists_built_; }
   std::size_t list_ids() const { return list_ids_; }
@@ -248,11 +248,7 @@ class LazyCssg {
   /// Id of the packed state `row`, interned if it is new.
   std::uint32_t intern(const StateWord* row);
   /// The successor set of state id over cur: CSSG_k's image of its minterm.
-  Bdd compute_image(std::uint32_t id) const;
-  /// compute_image(id), kept for the next rank read of id.
-  const Bdd& image(std::uint32_t id);
-  /// compute_image(id), or the kept image, taken out.
-  Bdd take_image(std::uint32_t id);
+  Bdd image(std::uint32_t id) const;
 
   const Cssg* cssg_;
   ExplicitCssg graph_;
@@ -276,11 +272,6 @@ class LazyCssg {
   /// Fill applied_key_ with (id, inputs).
   void applied_key(std::uint32_t id, const std::vector<bool>& inputs);
   std::vector<StateWord> applied_key_;
-  /// The image the last count or rank read computed, kept for the read
-  /// that follows it (a walk counts a state's successors, then takes one).
-  static constexpr std::uint32_t kNoState = ~std::uint32_t{0};
-  std::uint32_t image_id_ = kNoState;
-  Bdd image_;
   /// The row buffer every build and rank read reuses.
   std::vector<StateWord> rows_;
 };

@@ -78,11 +78,12 @@ inline std::size_t fan_out_workers(std::size_t threads, std::size_t items) {
 /// Items per claimed block: about four blocks per worker, so a worker held
 /// up by a slow item (work per fault varies wildly — redundant faults
 /// exhaust their search caps) leaves the rest to the others, yet never
-/// less than one item.  A single worker takes the whole batch as one block.
-/// Whenever items >= workers the batch splits into at least `workers`
-/// blocks, so no worker starts empty-handed on a small fault list.
+/// less than one item.  A single worker takes about four blocks too: the
+/// calling thread reports progress after each of its blocks, so a
+/// one-worker batch is not silent until it ends.  Whenever items >=
+/// workers the batch splits into at least `workers` blocks, so no worker
+/// starts empty-handed on a small fault list.
 inline std::size_t work_block_size(std::size_t items, std::size_t workers) {
-  if (workers <= 1) return items > 0 ? items : 1;
   return std::max<std::size_t>(items / (4 * workers), 1);
 }
 

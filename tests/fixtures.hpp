@@ -136,10 +136,9 @@ inline Circuit pipeline2() {
   return Circuit{std::move(synth.netlist), std::move(synth.reset_state)};
 }
 
-/// An `inputs`-input balanced XOR2 parity tree parsed from .bench text
-/// (output p), reset all-false.  At 40 inputs it has 79 signals, more than
-/// one 64-bit state word.
-inline Circuit parity_tree(std::size_t inputs) {
+/// The .bench text of an `inputs`-input balanced XOR2 parity tree (output
+/// p).
+inline std::string parity_bench(std::size_t inputs) {
   std::string text = "OUTPUT(p)\n";
   std::vector<std::string> level;
   for (std::size_t i = 0; i < inputs; ++i) {
@@ -156,7 +155,13 @@ inline Circuit parity_tree(std::size_t inputs) {
     if (level.size() % 2 == 1) up.push_back(level.back());
     level = std::move(up);
   }
-  Circuit c{parse_bench_string(text), {}};
+  return text;
+}
+
+/// parity_bench(inputs) parsed, reset all-false.  At 40 inputs it has 79
+/// signals, more than one 64-bit state word.
+inline Circuit parity_tree(std::size_t inputs) {
+  Circuit c{parse_bench_string(parity_bench(inputs)), {}};
   c.reset.assign(c.netlist.num_signals(), false);
   return c;
 }

@@ -687,7 +687,7 @@ TEST(OneManager, WorkersHoldNoBddNodes) {
 
 TEST(FanOutSizing, BlockSizeHeuristic) {
   EXPECT_EQ(work_block_size(0, 1), 1u);
-  EXPECT_EQ(work_block_size(100, 1), 100u);   // serial: one block
+  EXPECT_EQ(work_block_size(100, 1), 25u);    // one worker: ~4 blocks too
   EXPECT_EQ(work_block_size(100, 4), 6u);     // ~4 blocks per worker
   EXPECT_EQ(work_block_size(3, 8), 1u);       // never zero
   EXPECT_EQ(work_block_size(5, 4), 1u);       // items barely >= workers

@@ -247,11 +247,14 @@ TEST(Serve, SubmitWithKPastTheBoundGetsAnErrorAndNoAck) {
   // Settling fig1b's oscillation takes time linear in k with no cancel
   // point, so a huge k would pin the worker and shutdown behind it; a huge
   // random budget would draw walks into the daemon's memory before the
-  // job's first cancel point.
+  // job's first cancel point; a huge node cap would let one fault's
+  // search, which has no cancel point, outrun --max-job-seconds and grow
+  // its queue without bound.
   ServeFixture fixture({});
   Client client = fixture.connect();
   for (const char* option :
-       {"\"k\":1048577", "\"random_budget\":9007199254740992"}) {
+       {"\"k\":1048577", "\"random_budget\":9007199254740992",
+        "\"diff_node_cap\":9007199254740992"}) {
     client.send(submit_benchmark("big", "fig1b", "si", false, option));
     const Value frame = client.expect_frame("error");
     EXPECT_EQ(json::string_field(frame, "id"), "big") << option;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <thread>
 
 #include "atpg/engine.hpp"  // cross-checks + the loud legacy constructor
@@ -127,12 +128,15 @@ TEST(OptionValidation, EachDegenerateKnobIsRejected) {
   EXPECT_TRUE(rejects([](AtpgOptions& o) { o.sim.k = (1u << 20) + 1; }));
   EXPECT_TRUE(
       rejects([](AtpgOptions& o) { o.random_budget = (1u << 20) + 1; }));
+  EXPECT_TRUE(
+      rejects([](AtpgOptions& o) { o.diff_node_cap = (1u << 20) + 1; }));
   // Boundary values stay valid.
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.threads = 4096; }));
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.threads = 0; }));  // = hardware
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.k = 1; }));
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.k = o.sim.k = 1u << 20; }));
   EXPECT_FALSE(rejects([](AtpgOptions& o) { o.random_budget = 1u << 20; }));
+  EXPECT_FALSE(rejects([](AtpgOptions& o) { o.diff_node_cap = 1u << 20; }));
 }
 
 TEST(OptionValidation, LegacyEngineConstructorRejectsLoudly) {
@@ -255,6 +259,53 @@ TEST(SessionFlow, FactoryLeavesTheExplicitGraphToItsFirstUse) {
   });
 }
 
+TEST(SessionFlow, RunsLeaveNoBddNodeBehind) {
+  // Every BDD root a run, an incremental run or an export makes dies with
+  // it, so a long-lived Session (a serve worker's, say) holds after each
+  // call exactly the nodes its factory left.
+  using Factory = std::function<Expected<Session>(const AtpgOptions&)>;
+  const std::vector<std::pair<std::string, Factory>> circuits{
+      {"chu150/si",
+       [](const AtpgOptions& o) {
+         return Session::from_benchmark("chu150",
+                                        SynthStyle::SpeedIndependent, o);
+       }},
+      {"chu150/bd",
+       [](const AtpgOptions& o) {
+         return Session::from_benchmark("chu150", SynthStyle::BoundedDelay,
+                                        o);
+       }},
+      {"vbe10b/bd",
+       [](const AtpgOptions& o) {
+         return Session::from_benchmark("vbe10b", SynthStyle::BoundedDelay,
+                                        o);
+       }},
+      {"parity-8.bench",
+       [](const AtpgOptions& o) {
+         return Session::from_bench(fixtures::parity_bench(8), o);
+       }},
+  };
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const auto& [name, make] : circuits) {
+      SCOPED_TRACE(name + " threads=" + std::to_string(threads));
+      AtpgOptions options;
+      options.threads = threads;
+      auto session = make(options);
+      ASSERT_TRUE(session.has_value());
+      const std::size_t live = session->bdd_stats().live_nodes;
+      ASSERT_TRUE(session->run(session->output_stuck_faults()).has_value());
+      EXPECT_EQ(session->bdd_stats().live_nodes, live) << "run(output)";
+      const auto result = session->run(session->input_stuck_faults());
+      ASSERT_TRUE(result.has_value());
+      EXPECT_EQ(session->bdd_stats().live_nodes, live) << "run(input)";
+      ASSERT_TRUE(session->add_faults({}).has_value());
+      EXPECT_EQ(session->bdd_stats().live_nodes, live) << "add_faults({})";
+      ASSERT_TRUE(session->test_program(*result).has_value());
+      EXPECT_EQ(session->bdd_stats().live_nodes, live) << "test_program()";
+    }
+  }
+}
+
 // --- observer contract --------------------------------------------------------
 
 class RecordingObserver : public RunObserver {
@@ -332,6 +383,29 @@ TEST(SessionObserver, EventStreamIsThreadCountInvariant) {
       EXPECT_EQ(*base, observer.resolved) << "threads=" << threads;
     }
   }
+}
+
+TEST(SessionObserver, OneWorkerBatchesReportProgressWhileTheyRun) {
+  // A one-worker search batch splits into blocks like any other, and the
+  // calling thread reports after each, so --progress and serve's per-job
+  // time budget see the batch while it runs, not only once it ends.
+  AtpgOptions options = session_options(1);
+  options.random_budget = 0;  // every fault joins the search batch
+  auto session = Session::from_benchmark("mmu", SynthStyle::BoundedDelay,
+                                         options);
+  ASSERT_TRUE(session.has_value());
+  RecordingObserver observer;
+  ASSERT_TRUE(
+      session->run(session->input_stuck_faults(), &observer).has_value());
+  // The batch's snapshots come before the phase's first commit.
+  std::vector<std::size_t> done;
+  for (const RunProgress& p : observer.snapshots)
+    if (p.phase == RunPhase::ThreePhase && p.sequences_committed == 0)
+      done.push_back(p.shards[0].faults_done);
+  ASSERT_GE(done.size(), 2u);
+  EXPECT_GE(done.back(), 8u);
+  for (std::size_t s = 1; s < done.size(); ++s)
+    EXPECT_LT(done[s - 1], done[s]) << "snapshot " << s;
 }
 
 // --- cancellation + incremental through the facade ----------------------------
