@@ -103,6 +103,10 @@ struct ShardBddStats {
   std::size_t faults_done = 0;  ///< 3-phase searches this worker completed
   std::size_t cache_lookups = 0;  ///< computed-cache probes (cumulative)
   std::size_t cache_hits = 0;     ///< probes answered from the cache
+  /// Garbage collections of the manager (cumulative; sifting's internal
+  /// sweeps are not counted).  Session::bdd_stats() collects once before
+  /// it reads the counters, so its value includes that collection.
+  std::size_t collections = 0;
   /// Always 0.  Kept only for existing readers of the struct.
   std::size_t blocks_stolen = 0;
   /// Unique-table load factor (chained entries / buckets, in [0, 2];

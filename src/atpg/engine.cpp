@@ -433,6 +433,7 @@ std::vector<ShardBddStats> AtpgEngine::shard_bdd_stats() const {
   stats.reorders = mgr.reorder_count();
   stats.cache_lookups = mgr.cache_lookups();
   stats.cache_hits = mgr.cache_hits();
+  stats.collections = mgr.gc_count();
   stats.unique_load = mgr.unique_load();
   return shards;
 }

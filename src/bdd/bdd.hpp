@@ -20,6 +20,11 @@
 //    (operation, operands); permutations get a per-permutation id so
 //    distinct variable maps never alias cache entries.  Hit/lookup counters
 //    feed the perf harness (src/perf) and the engine's progress stats.
+//    A collection does not touch the cache: each entry carries the sweep
+//    epoch it was made in, each sweep stamps the nodes it frees with the
+//    new epoch, and a probe hits only if no node the entry names was freed
+//    after the entry was made.  A recycled index therefore never answers
+//    for the function it used to hold, and a collection changes no hit.
 //  * Variable order is DYNAMIC: a level<->variable indirection separates a
 //    variable's identity (the `var` stored in nodes, stable for the life of
 //    the manager) from its position in the order (its level).  A fresh
@@ -199,8 +204,9 @@ class BddManager {
   /// decreasing-size order, is walked to every position in the order and
   /// parked at its minimum-size position.  The final table is never larger
   /// than the starting one; transient growth during a walk is bounded by
-  /// the reorder policy's max_growth.  Runs a garbage collection first and
-  /// invalidates the computed cache.  Must only be called between
+  /// the reorder policy's max_growth.  Runs a garbage collection first;
+  /// computed-cache entries over the surviving nodes stay usable, since a
+  /// swap keeps every node index's function.  Must only be called between
   /// operations (like GC, never from inside a recursion).
   ReorderStats sift();
 
@@ -463,7 +469,8 @@ class BddManager {
 
   void mark(std::uint32_t edge, std::vector<bool>& marked) const;
   /// Mark-and-sweep without touching gc_count_ (shared by collect_garbage
-  /// and the sifting size measurements).
+  /// and the sifting size measurements).  Starts a new sweep epoch and
+  /// stamps every node it frees with it.
   std::size_t sweep_dead();
 
   // --- dynamic reordering ---------------------------------------------------
@@ -489,31 +496,42 @@ class BddManager {
   enum class Op : std::uint64_t {
     Ite = 1, Exists, AndExists, Permute, Compose0, Cofactor,
   };
+  /// One cached result: key_lo packs operands a and b, key_hi the op tag
+  /// (shifted by 40) and operand c.  `epoch` is the sweep epoch the entry
+  /// was made in, 0 for an empty slot.  24 bytes.
   struct CacheEntry {
     std::uint64_t key_hi = 0;
     std::uint64_t key_lo = 0;
     std::uint32_t result = kNil;
-    bool valid = false;
+    std::uint32_t epoch = 0;
   };
-  std::uint32_t cache_lookup(Op op, std::uint64_t a, std::uint64_t b,
-                             std::uint64_t c) const;
-  void cache_insert(Op op, std::uint64_t a, std::uint64_t b, std::uint64_t c,
-                    std::uint32_t result);
-  /// Invalidate only the entries that reference a dead (about-to-be-recycled)
-  /// node; everything else survives a collection.  Sound because an entry
-  /// maps operand FUNCTIONS to a result function, node indices keep their
-  /// function across both GC (live ones) and in-place reordering — only
-  /// index reuse from the free list could alias, and that is exactly what
-  /// the dead-operand scrub rules out.
-  void cache_scrub_dead(const std::vector<bool>& marked);
+  /// Probe for (op, a, b, c): the cached result, or kNil.  Writes the
+  /// probed slot to `slot`, so the caller's cache_insert after a miss does
+  /// not hash again.  The slot stays right until the next operation entry,
+  /// the only place where the cache grows.
+  std::uint32_t cache_lookup(Op op, std::uint32_t a, std::uint32_t b,
+                             std::uint32_t c, std::size_t& slot);
+  void cache_insert(std::size_t slot, Op op, std::uint32_t a, std::uint32_t b,
+                    std::uint32_t c, std::uint32_t result);
+  /// True if no node the non-empty entry names was freed after it was
+  /// made.  Sound because an entry maps operand FUNCTIONS to a result
+  /// function and node indices keep their function across both GC (live
+  /// ones) and in-place reordering: only an index recycled from the free
+  /// list could alias, and its freed-at stamp is newer than the entry.
+  /// The named nodes are the result, operand a, and b and c where the
+  /// op's key layout makes them edges rather than scalars.
+  bool cache_entry_live(const CacheEntry& entry) const;
   /// Keep the direct-mapped cache sized to the node population (entries >=
   /// allocated nodes, capped): a fixed-size cache thrashes on 1000-variable
   /// circuits and recomputes subproblems into fresh garbage nodes.  Doubles
-  /// by rehashing the stored keys, so it can run at any operation entry.
+  /// by rehashing the live entries, so it can run at any operation entry.
   void maybe_grow_cache();
 
   // --- data ----------------------------------------------------------------
   std::vector<Node> nodes_;             // node arena, indexed by node index
+  /// Sweep epoch that last freed each node, 0 if none did; grows with
+  /// nodes_.
+  std::vector<std::uint32_t> freed_at_;
   std::vector<SubTable> subtables_;     // one unique subtable per variable
   std::uint32_t free_head_ = kNil;      // free list through Node::next
   std::size_t free_count_ = 0;
@@ -535,8 +553,13 @@ class BddManager {
   static constexpr std::size_t kCacheFloor = 1u << 12;
   std::vector<CacheEntry> cache_;
   std::size_t cache_mask_ = 0;
-  mutable std::size_t cache_lookups_ = 0;
-  mutable std::size_t cache_hits_ = 0;
+  std::size_t cache_lookups_ = 0;
+  std::size_t cache_hits_ = 0;
+  /// The epoch new cache entries carry: one more than the sweeps so far,
+  /// sifting's included.  Wrapping would make old stamps look new, so the
+  /// sweep that would wrap it empties the cache and clears the stamps and
+  /// the count instead.
+  std::uint32_t sweep_epoch_ = 1;
 
   Bdd* registry_head_ = nullptr;  // GC roots: live external handles
   static constexpr std::size_t kGcFloor = 1u << 12;

@@ -12,6 +12,7 @@
 #include "bdd/bdd.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -179,8 +180,10 @@ std::size_t Bdd::node_count() const {
 
 BddManager::BddManager(std::uint32_t num_vars) {
   nodes_.reserve(1u << 12);
+  freed_at_.reserve(1u << 12);
   // The single terminal node (TRUE); FALSE is its complemented edge.
   nodes_.push_back({kVarTerminal, 0, 0, kNil});
+  freed_at_.push_back(0);
   cache_.assign(kCacheFloor, CacheEntry{});
   cache_mask_ = cache_.size() - 1;
   for (std::uint32_t i = 0; i < num_vars; ++i) new_var();
@@ -255,6 +258,7 @@ std::uint32_t BddManager::unique_lookup(std::uint32_t var, std::uint32_t lo,
                     "BDD node arena exhausted (2^31-1 nodes)");
     idx = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back({});
+    freed_at_.push_back(0);
   }
   nodes_[idx] = {var, lo, hi, table.buckets[bucket]};
   table.buckets[bucket] = idx;
@@ -366,6 +370,16 @@ std::size_t BddManager::sweep_dead() {
   for (const std::uint32_t vn : var_nodes_)
     if (vn != kNil) mark(vn, marked);
 
+  // A new epoch for the nodes this sweep frees.  Were it to wrap, a stamp
+  // from the previous cycle could look older than an entry it must reject,
+  // so forget every entry and stamp first.
+  if (sweep_epoch_ == std::numeric_limits<std::uint32_t>::max()) {
+    std::fill(cache_.begin(), cache_.end(), CacheEntry{});
+    std::fill(freed_at_.begin(), freed_at_.end(), 0u);
+    sweep_epoch_ = 0;
+  }
+  ++sweep_epoch_;
+
   // Sweep: rebuild the free list and every unique subtable from scratch.
   for (SubTable& table : subtables_) {
     std::fill(table.buckets.begin(), table.buckets.end(), kNil);
@@ -377,6 +391,7 @@ std::size_t BddManager::sweep_dead() {
   for (std::uint32_t n = 1; n < nodes_.size(); ++n) {
     if (!marked[n]) {
       nodes_[n].var = kVarTerminal;
+      freed_at_[n] = sweep_epoch_;
       nodes_[n].next = free_head_;
       free_head_ = n;
       ++free_count_;
@@ -391,7 +406,6 @@ std::size_t BddManager::sweep_dead() {
       ++table.count;
     }
   }
-  cache_scrub_dead(marked);
   ++memo_epoch_;
   return freed;
 }
@@ -445,79 +459,53 @@ std::size_t BddManager::validate_canonical() const {
 // Computed cache
 // ---------------------------------------------------------------------------
 
-namespace {
-// Key packing assumes a and b fit in 32-bit lanes of key_lo and c fits below
-// the op tag's 40-bit shift in key_hi.  Operands are edges (32-bit by
-// construction, see the arena capacity check in unique_lookup) or small
-// scalars (variable ids, permutation ids, cofactor keys), but a silent
-// aliasing here corrupts results instead of crashing — so guard the pack
-// site itself against any future widening.
-inline void check_cache_key_widths(std::uint64_t a, std::uint64_t b,
-                                   std::uint64_t c) {
-  XATPG_CHECK_MSG((a >> 32) == 0 && (b >> 32) == 0 && (c >> 40) == 0,
-                  "computed-cache operand exceeds packed key width");
-}
-}  // namespace
-
-std::uint32_t BddManager::cache_lookup(Op op, std::uint64_t a, std::uint64_t b,
-                                       std::uint64_t c) const {
+std::uint32_t BddManager::cache_lookup(Op op, std::uint32_t a, std::uint32_t b,
+                                       std::uint32_t c, std::size_t& slot) {
   static_assert(static_cast<std::uint64_t>(Op::Cofactor) < (1ull << 24),
                 "op tag must survive the 40-bit shift in key_hi");
-  check_cache_key_widths(a, b, c);
   ++cache_lookups_;
-  const std::uint64_t key_lo = a | (b << 32);
+  const std::uint64_t key_lo = a | (std::uint64_t{b} << 32);
   const std::uint64_t key_hi = (static_cast<std::uint64_t>(op) << 40) | c;
-  const std::size_t slot = hash3(key_lo, key_hi, 0) & cache_mask_;
+  slot = hash3(key_lo, key_hi, 0) & cache_mask_;
   const CacheEntry& e = cache_[slot];
-  if (e.valid && e.key_lo == key_lo && e.key_hi == key_hi) {
-    ++cache_hits_;
-    return e.result;
-  }
-  return kNil;
+  if (e.key_lo != key_lo || e.key_hi != key_hi || !cache_entry_live(e))
+    return kNil;
+  ++cache_hits_;
+  return e.result;
 }
 
-void BddManager::cache_insert(Op op, std::uint64_t a, std::uint64_t b,
-                              std::uint64_t c, std::uint32_t result) {
-  check_cache_key_widths(a, b, c);
-  const std::uint64_t key_lo = a | (b << 32);
+void BddManager::cache_insert(std::size_t slot, Op op, std::uint32_t a,
+                              std::uint32_t b, std::uint32_t c,
+                              std::uint32_t result) {
+  const std::uint64_t key_lo = a | (std::uint64_t{b} << 32);
   const std::uint64_t key_hi = (static_cast<std::uint64_t>(op) << 40) | c;
-  const std::size_t slot = hash3(key_lo, key_hi, 0) & cache_mask_;
-  cache_[slot] = CacheEntry{key_hi, key_lo, result, true};
+  cache_[slot] = CacheEntry{key_hi, key_lo, result, sweep_epoch_};
 }
 
-void BddManager::cache_scrub_dead(const std::vector<bool>& marked) {
-  // Per-op key layouts (see the pack sites in ops.cpp): operand `a` and the
-  // result are always edges; `b` and `c` are edges or small scalars
-  // depending on the operation, and scalar lanes must NOT be interpreted as
-  // node references.
-  const auto live_edge = [&](std::uint64_t e) {
-    return marked[edge_node(static_cast<std::uint32_t>(e))];
+bool BddManager::cache_entry_live(const CacheEntry& entry) const {
+  if (entry.epoch == sweep_epoch_) return true;  // no sweep since it was made
+  const auto kept = [&](std::uint64_t lane) {
+    return freed_at_[edge_node(static_cast<std::uint32_t>(lane))] <=
+           entry.epoch;
   };
-  for (CacheEntry& entry : cache_) {
-    if (!entry.valid) continue;
-    const std::uint64_t a = entry.key_lo & 0xffffffffull;
-    const std::uint64_t b = entry.key_lo >> 32;
-    const std::uint64_t c = entry.key_hi & ((1ull << 40) - 1);
-    bool live = live_edge(entry.result) && live_edge(a);
-    if (live) {
-      switch (static_cast<Op>(entry.key_hi >> 40)) {
-        case Op::Ite:  // b = g edge, c = h edge
-          live = live_edge(b) && live_edge(c);
-          break;
-        case Op::AndExists:  // b = g edge, c = cube edge
-          live = live_edge(b) && live_edge(c);
-          break;
-        case Op::Exists:    // b = cube edge, c unused
-        case Op::Compose0:  // b = g edge, c = variable id (scalar)
-          live = live_edge(b);
-          break;
-        case Op::Permute:   // b = permutation id (scalar)
-        case Op::Cofactor:  // b = packed (variable, phase) scalar
-          break;
-      }
-    }
-    if (!live) entry.valid = false;
+  // Per-op key layouts (see the call sites in ops.cpp): operand `a` (the
+  // low lane of key_lo) and the result are always edges; `b` (key_lo's
+  // high lane) and `c` (key_hi's low lane) are edges or small scalars
+  // depending on the operation, and scalar lanes must NOT be read as node
+  // references.
+  if (!kept(entry.result) || !kept(entry.key_lo)) return false;
+  switch (static_cast<Op>(entry.key_hi >> 40)) {
+    case Op::Ite:        // b = g edge, c = h edge
+    case Op::AndExists:  // b = g edge, c = cube edge
+      return kept(entry.key_lo >> 32) && kept(entry.key_hi);
+    case Op::Exists:    // b = cube edge, c unused
+    case Op::Compose0:  // b = g edge, c = variable id (scalar)
+      return kept(entry.key_lo >> 32);
+    case Op::Permute:   // b = permutation id (scalar)
+    case Op::Cofactor:  // b = packed (variable, phase) scalar
+      return true;
   }
+  return false;
 }
 
 void BddManager::maybe_grow_cache() {
@@ -531,7 +519,7 @@ void BddManager::maybe_grow_cache() {
   std::vector<CacheEntry> grown(target);
   const std::size_t mask = target - 1;
   for (const CacheEntry& e : cache_) {
-    if (!e.valid) continue;
+    if (e.epoch == 0 || !cache_entry_live(e)) continue;
     grown[hash3(e.key_lo, e.key_hi, 0) & mask] = e;
   }
   cache_ = std::move(grown);

@@ -110,7 +110,8 @@ std::uint32_t BddManager::ite_rec(std::uint32_t f, std::uint32_t g,
     out_comp = true;
   }
 
-  const std::uint32_t hit = cache_lookup(Op::Ite, f, g, h);
+  std::size_t slot = 0;
+  const std::uint32_t hit = cache_lookup(Op::Ite, f, g, h, slot);
   if (hit != kNil) return out_comp ? edge_not(hit) : hit;
 
   const std::uint32_t top_level = std::min(
@@ -126,7 +127,7 @@ std::uint32_t BddManager::ite_rec(std::uint32_t f, std::uint32_t g,
   const std::uint32_t r0 = ite_rec(cof(f, false), cof(g, false), cof(h, false));
   const std::uint32_t r1 = ite_rec(cof(f, true), cof(g, true), cof(h, true));
   const std::uint32_t result = make_node(top_var, r0, r1);
-  cache_insert(Op::Ite, f, g, h, result);
+  cache_insert(slot, Op::Ite, f, g, h, result);
   return out_comp ? edge_not(result) : result;
 }
 
@@ -179,7 +180,8 @@ std::uint32_t BddManager::exists_rec(std::uint32_t f, std::uint32_t cube) {
     cube = nodes_[edge_node(cube)].hi;
   if (cube == kTrueEdge) return f;
 
-  const std::uint32_t hit = cache_lookup(Op::Exists, f, cube, 0);
+  std::size_t slot = 0;
+  const std::uint32_t hit = cache_lookup(Op::Exists, f, cube, 0, slot);
   if (hit != kNil) return hit;
 
   const std::uint32_t fc = f & 1u;
@@ -197,7 +199,7 @@ std::uint32_t BddManager::exists_rec(std::uint32_t f, std::uint32_t cube) {
     const std::uint32_t r = exists_rec(hi, cube);
     result = make_node(nf.var, l, r);
   }
-  cache_insert(Op::Exists, f, cube, 0, result);
+  cache_insert(slot, Op::Exists, f, cube, 0, result);
   return result;
 }
 
@@ -226,7 +228,8 @@ std::uint32_t BddManager::and_exists_rec(std::uint32_t f, std::uint32_t g,
   // The conjunction commutes: canonicalize the operand order so (f, g) and
   // (g, f) share one cache entry.
   if (edge_node(g) < edge_node(f)) std::swap(f, g);
-  const std::uint32_t hit = cache_lookup(Op::AndExists, f, g, cube);
+  std::size_t slot = 0;
+  const std::uint32_t hit = cache_lookup(Op::AndExists, f, g, cube, slot);
   if (hit != kNil) return hit;
 
   const std::uint32_t top_var = level_to_var_[top_level];
@@ -251,7 +254,7 @@ std::uint32_t BddManager::and_exists_rec(std::uint32_t f, std::uint32_t g,
     const std::uint32_t r1 = and_exists_rec(cof(f, true), cof(g, true), cube);
     result = make_node(top_var, r0, r1);
   }
-  cache_insert(Op::AndExists, f, g, cube, result);
+  cache_insert(slot, Op::AndExists, f, g, cube, result);
   return result;
 }
 
@@ -275,7 +278,8 @@ std::uint32_t BddManager::permute_rec(
   // edge, re-apply the bit on the way out — f and !f share the entry.
   const std::uint32_t fc = f & 1u;
   const std::uint32_t fr = edge_regular(f);
-  const std::uint32_t hit = cache_lookup(Op::Permute, fr, perm_id, 0);
+  std::size_t slot = 0;
+  const std::uint32_t hit = cache_lookup(Op::Permute, fr, perm_id, 0, slot);
   if (hit != kNil) return hit ^ fc;
   const Node nf = nodes_[edge_node(f)];
   const std::uint32_t l = permute_rec(nf.lo, perm_id, var_map);
@@ -294,7 +298,7 @@ std::uint32_t BddManager::permute_rec(
         make_node(var_map[nf.var], kFalseEdge, kTrueEdge);
     result = ite_rec(lit, r, l);
   }
-  cache_insert(Op::Permute, fr, perm_id, 0, result);
+  cache_insert(slot, Op::Permute, fr, perm_id, 0, result);
   return result ^ fc;
 }
 
@@ -313,7 +317,8 @@ std::uint32_t BddManager::compose_rec(std::uint32_t f, std::uint32_t v,
   // the cache, re-apply on return.
   const std::uint32_t fc = f & 1u;
   const std::uint32_t fr = edge_regular(f);
-  const std::uint32_t hit = cache_lookup(Op::Compose0, fr, g, v);
+  std::size_t slot = 0;
+  const std::uint32_t hit = cache_lookup(Op::Compose0, fr, g, v, slot);
   if (hit != kNil) return hit ^ fc;
   std::uint32_t result;
   if (nf.var == v) {
@@ -332,7 +337,7 @@ std::uint32_t BddManager::compose_rec(std::uint32_t f, std::uint32_t v,
       result = ite_rec(lit, r, l);
     }
   }
-  cache_insert(Op::Compose0, fr, g, v, result);
+  cache_insert(slot, Op::Compose0, fr, g, v, result);
   return result ^ fc;
 }
 
@@ -352,12 +357,13 @@ std::uint32_t BddManager::cofactor_rec(std::uint32_t f, std::uint32_t v,
   const std::uint32_t fr = edge_regular(f);
   const std::uint32_t key = (static_cast<std::uint32_t>(v) << 1) |
                             static_cast<std::uint32_t>(phase);
-  const std::uint32_t hit = cache_lookup(Op::Cofactor, fr, key, 0);
+  std::size_t slot = 0;
+  const std::uint32_t hit = cache_lookup(Op::Cofactor, fr, key, 0, slot);
   if (hit != kNil) return hit ^ fc;
   const std::uint32_t l = cofactor_rec(nf.lo, v, phase);
   const std::uint32_t r = cofactor_rec(nf.hi, v, phase);
   const std::uint32_t result = make_node(nf.var, l, r);
-  cache_insert(Op::Cofactor, fr, key, 0, result);
+  cache_insert(slot, Op::Cofactor, fr, key, 0, result);
   return result ^ fc;
 }
 

@@ -15,8 +15,9 @@
 // like live ones, which keeps every table-resident node consistent with the
 // current order (the no-duplicate argument in swap_adjacent_levels relies
 // on this).  Exact live sizes for the sifting decisions come from
-// mark-and-sweep (live_size) after each block move; the sweeps also clear
-// the computed cache, which is the required invalidation on reorder.
+// mark-and-sweep (live_size) after each block move.  Reordering needs no
+// computed-cache invalidation of its own: an entry stays usable until a
+// sweep frees a node it names (see cache_entry_live).
 #include <algorithm>
 
 #include "bdd/bdd.hpp"

@@ -349,6 +349,30 @@ TEST(BddManagerTest, GarbageCollectionKeepsLiveNodes) {
   EXPECT_EQ(keep & mgr.var(0), keep);
 }
 
+TEST(BddManagerTest, FreedNodeNeverAnswersAProbe) {
+  // The collection frees t's node and the free list hands that index to
+  // x2's literal.  The computed cache entry that made t still names the
+  // index, so a probe for x0 & x1 that trusted it would return x2.
+  BddManager mgr(3);
+  const Bdd x0 = mgr.var(0);
+  const Bdd x1 = mgr.var(1);
+  std::uint32_t t_index = 0;
+  {
+    const Bdd t = x0 & x1;
+    t_index = t.index();
+  }
+  mgr.collect_garbage();
+  const Bdd x2 = mgr.var(2);
+  ASSERT_EQ(x2.index(), t_index);  // the precondition: t's node is reused
+  const Bdd again = x0 & x1;
+  EXPECT_NE(again, x2);
+  for (unsigned bits = 0; bits < 8; ++bits) {
+    const std::vector<bool> a{(bits & 1u) != 0, (bits & 2u) != 0,
+                              (bits & 4u) != 0};
+    EXPECT_EQ(mgr.eval(again, a), a[0] && a[1]) << "assignment " << bits;
+  }
+}
+
 TEST(BddManagerTest, HandlesSurviveManagerScopesIndependently) {
   BddManager mgr(4);
   Bdd a;

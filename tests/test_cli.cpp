@@ -126,6 +126,16 @@ TEST(CliContract, RunJsonReportsEachUniversesSimulationWork) {
               static_cast<double>(stats.list_ids));
     EXPECT_GT(stats.settles_memoized, 0u) << key;
   }
+  // So are the BDD manager's counters, read after both runs.
+  const xatpg::ShardBddStats bdd = session->bdd_stats();
+  const Value* bdd_json = root.find("bdd");
+  ASSERT_NE(bdd_json, nullptr) << result.out;
+  EXPECT_EQ(xatpg::json::num_field(*bdd_json, "cache_lookups", -1),
+            static_cast<double>(bdd.cache_lookups));
+  EXPECT_EQ(xatpg::json::num_field(*bdd_json, "cache_hits", -1),
+            static_cast<double>(bdd.cache_hits));
+  EXPECT_EQ(xatpg::json::num_field(*bdd_json, "collections", -1),
+            static_cast<double>(bdd.collections));
 }
 
 TEST(CliContract, BenchFamilyPrintsTheReproductionWithSilentStderr) {

@@ -234,61 +234,68 @@ TEST(SmallBoundsGolden, RandomNetlistsAtK3) {
 /// One perf::default_corpus() entry run by perf::run_session at default
 /// options: both stuck-at universes summed, as the paper's tables count
 /// them, and the engine's BDD manager's lifetime peak nodes (CSSG
-/// construction included).
+/// construction included), computed-cache probes and hits, and garbage
+/// collections (the one Session::bdd_stats() runs included).
 struct CorpusRow {
   const char* id;
   std::size_t faults_total, faults_covered, gave_up, peak_nodes;
+  std::size_t cache_lookups, cache_hits, collections;
 };
 
 /// Peak nodes may grow by at most 25% over the recorded value; the fault
-/// counts are exact.
+/// counts, cache probes, cache hits and collections are exact.
 constexpr double kPeakNodeSlack = 1.25;
 
-// Totals: 1,008 of 1,446 faults covered, 21 gave up, 134,647 peak nodes.
+// Totals: 1,008 of 1,446 faults covered, 21 gave up, 134,647 peak nodes,
+// 433,047 of 2,042,495 cache probes hit, 164 collections.  The cache
+// columns equal those of a kernel that scrubs the computed cache at every
+// collection, so they lock that a collection changes no cache hit.
 // To re-record after an intended change, copy each failing entry's printed
-// `now:` row over its line here and say in the commit why it moved.
+// `now:` row over its line here and say in the commit why it moved.  The
+// cache and collection columns move only when the BDD kernel does other
+// work, so name the work that changed.
 constexpr CorpusRow kCorpus[] = {
-    {"si/alloc-outbound", 20, 20, 0, 1052},
-    {"si/atod", 18, 18, 0, 1206},
-    {"si/chu150", 14, 14, 0, 345},
-    {"si/converta", 16, 16, 0, 729},
-    {"si/dff", 10, 10, 0, 161},
-    {"si/ebergen", 20, 20, 0, 1254},
-    {"si/hazard", 24, 24, 0, 1812},
-    {"si/master-read", 32, 32, 0, 3157},
-    {"si/mmu", 28, 28, 0, 1967},
-    {"si/mp-forward-pkt", 22, 22, 0, 1932},
-    {"si/mr1", 30, 30, 0, 6748},
-    {"si/nak-pa", 30, 28, 0, 1180},
-    {"si/nowick", 16, 16, 0, 647},
-    {"si/ram-read-sbuf", 28, 28, 0, 4177},
-    {"si/rcv-setup", 12, 12, 0, 354},
-    {"si/rpdft", 10, 10, 0, 171},
-    {"si/sbuf-ram-write", 28, 26, 0, 2463},
-    {"si/sbuf-send-ctl", 32, 32, 0, 4223},
-    {"si/sbuf-send-pkt2", 26, 26, 0, 3765},
-    {"si/seq4", 24, 24, 0, 3608},
-    {"si/trimos-send", 42, 39, 0, 1011},
-    {"si/vbe10b", 28, 28, 0, 1422},
-    {"si/vbe5b", 24, 22, 0, 368},
-    {"si/vbe6a", 28, 26, 0, 653},
-    {"bd/chu150", 34, 34, 0, 1845},
-    {"bd/converta", 16, 16, 0, 727},
-    {"bd/ebergen", 20, 20, 0, 1251},
-    {"bd/hazard", 48, 48, 0, 4153},
-    {"bd/nowick", 16, 16, 0, 645},
-    {"bd/rpdft", 30, 30, 0, 1135},
-    {"bd/trimos-send", 98, 0, 2, 16449},
-    {"bd/vbe10b", 86, 16, 15, 9952},
-    {"bd/vbe6a", 70, 0, 4, 4517},
-    {"rand/s11", 56, 14, 0, 4541},
-    {"rand/s12", 58, 36, 0, 4389},
-    {"rand/s13", 60, 22, 0, 4388},
-    {"rand/s24", 72, 26, 0, 8229},
-    {"rand/s25", 70, 29, 0, 12942},
-    {"bench/c17", 46, 46, 0, 4355},
-    {"bench/parity5", 34, 34, 0, 3810},
-    {"bench/mux4", 70, 70, 0, 6914},
+    {"si/alloc-outbound", 20, 20, 0, 1052, 3191, 920, 1},
+    {"si/atod", 18, 18, 0, 1206, 3812, 974, 1},
+    {"si/chu150", 14, 14, 0, 345, 975, 238, 1},
+    {"si/converta", 16, 16, 0, 729, 2055, 447, 1},
+    {"si/dff", 10, 10, 0, 161, 472, 121, 1},
+    {"si/ebergen", 20, 20, 0, 1254, 3782, 771, 1},
+    {"si/hazard", 24, 24, 0, 1812, 6011, 1519, 1},
+    {"si/master-read", 32, 32, 0, 3157, 11244, 3127, 1},
+    {"si/mmu", 28, 28, 0, 1967, 6276, 2013, 1},
+    {"si/mp-forward-pkt", 22, 22, 0, 1932, 5830, 1481, 1},
+    {"si/mr1", 30, 30, 0, 6748, 41619, 11407, 3},
+    {"si/nak-pa", 30, 28, 0, 1180, 3635, 755, 1},
+    {"si/nowick", 16, 16, 0, 647, 1706, 397, 1},
+    {"si/ram-read-sbuf", 28, 28, 0, 4177, 18770, 5035, 2},
+    {"si/rcv-setup", 12, 12, 0, 354, 1007, 223, 1},
+    {"si/rpdft", 10, 10, 0, 171, 490, 120, 1},
+    {"si/sbuf-ram-write", 28, 26, 0, 2463, 8243, 1887, 1},
+    {"si/sbuf-send-ctl", 32, 32, 0, 4223, 35730, 9053, 3},
+    {"si/sbuf-send-pkt2", 26, 26, 0, 3765, 13641, 3209, 1},
+    {"si/seq4", 24, 24, 0, 3608, 12595, 3419, 1},
+    {"si/trimos-send", 42, 39, 0, 1011, 2722, 393, 1},
+    {"si/vbe10b", 28, 28, 0, 1422, 4167, 872, 1},
+    {"si/vbe5b", 24, 22, 0, 368, 982, 161, 1},
+    {"si/vbe6a", 28, 26, 0, 653, 1766, 285, 1},
+    {"bd/chu150", 34, 34, 0, 1845, 5337, 1063, 1},
+    {"bd/converta", 16, 16, 0, 727, 2056, 452, 1},
+    {"bd/ebergen", 20, 20, 0, 1251, 3798, 776, 1},
+    {"bd/hazard", 48, 48, 0, 4153, 35109, 7836, 3},
+    {"bd/nowick", 16, 16, 0, 645, 1703, 395, 1},
+    {"bd/rpdft", 30, 30, 0, 1135, 3244, 662, 1},
+    {"bd/trimos-send", 98, 0, 2, 16449, 708174, 144274, 36},
+    {"bd/vbe10b", 86, 16, 15, 9952, 280370, 50209, 23},
+    {"bd/vbe6a", 70, 0, 4, 4517, 106226, 17357, 10},
+    {"rand/s11", 56, 14, 0, 4541, 48636, 10892, 5},
+    {"rand/s12", 58, 36, 0, 4389, 74470, 15983, 6},
+    {"rand/s13", 60, 22, 0, 4388, 67324, 15403, 6},
+    {"rand/s24", 72, 26, 0, 8229, 116473, 26019, 10},
+    {"rand/s25", 70, 29, 0, 12942, 240637, 52084, 16},
+    {"bench/c17", 46, 46, 0, 4355, 35714, 9687, 3},
+    {"bench/parity5", 34, 34, 0, 3810, 11561, 3302, 1},
+    {"bench/mux4", 70, 70, 0, 6914, 110942, 27826, 11},
 };
 
 TEST(CorpusGolden, IdsAreTheDefaultCorpusInOrder) {
@@ -309,19 +316,28 @@ TEST(CorpusGolden, CoverageIsExactAndPeakNodesStayInBound) {
     const perf::SessionRun run = perf::run_session(corpus[i], AtpgOptions{});
     const AtpgStats& out = run.output_stuck.stats;
     const AtpgStats& in = run.input_stuck.stats;
-    const CorpusRow now{was.id, out.total_faults + in.total_faults,
-                        out.covered + in.covered, out.gave_up + in.gave_up,
-                        run.bdd.peak_nodes};
+    const CorpusRow now{was.id,
+                        out.total_faults + in.total_faults,
+                        out.covered + in.covered,
+                        out.gave_up + in.gave_up,
+                        run.bdd.peak_nodes,
+                        run.bdd.cache_lookups,
+                        run.bdd.cache_hits,
+                        run.bdd.collections};
     std::ostringstream row;
     row << "now: {\"" << now.id << "\", " << now.faults_total << ", "
         << now.faults_covered << ", " << now.gave_up << ", "
-        << now.peak_nodes << "},";
+        << now.peak_nodes << ", " << now.cache_lookups << ", "
+        << now.cache_hits << ", " << now.collections << "},";
     SCOPED_TRACE(row.str());
     EXPECT_EQ(now.faults_total, was.faults_total);
     EXPECT_EQ(now.faults_covered, was.faults_covered);
     EXPECT_EQ(now.gave_up, was.gave_up);
     EXPECT_LE(static_cast<double>(now.peak_nodes),
               kPeakNodeSlack * static_cast<double>(was.peak_nodes));
+    EXPECT_EQ(now.cache_lookups, was.cache_lookups);
+    EXPECT_EQ(now.cache_hits, was.cache_hits);
+    EXPECT_EQ(now.collections, was.collections);
   }
 }
 

@@ -491,6 +491,7 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
         << ", \"cache_lookups\": " << bdd.cache_lookups
         << ", \"cache_hits\": " << bdd.cache_hits
         << ", \"cache_hit_rate\": " << json::number(bdd.cache_hit_rate())
+        << ", \"collections\": " << bdd.collections
         << ", \"unique_load\": " << json::number(bdd.unique_load) << "}"
         << ",\n  \"timing\": {\"build_ms\": " << json::number(build_ms)
         << ", \"run_ms\": " << json::number(run_ms)
@@ -504,8 +505,8 @@ int cmd_run(Session& session, const CliArgs& args, std::ostream& out,
     if (in_result) print_universe_text(out, "input stuck-at", in_result->stats);
     out << "BDD: peak " << bdd.peak_nodes << " nodes, live " << bdd.live_nodes
         << ", sift passes " << bdd.reorders << ", cache hit rate "
-        << 100.0 * bdd.cache_hit_rate() << "%, unique load "
-        << bdd.unique_load << "\n";
+        << 100.0 * bdd.cache_hit_rate() << "%, collections "
+        << bdd.collections << ", unique load " << bdd.unique_load << "\n";
     out << "time: build " << build_ms << " ms, run " << run_ms << " ms\n";
   }
   return 0;
