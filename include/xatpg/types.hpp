@@ -151,6 +151,9 @@ struct CssgStats {
   double unstable_pairs = 0;           ///< pruned: unsettled k-step sibling
   double cssg_edges = 0;               ///< |CSSG_k|
   double cssg_reachable_states = 0;    ///< states reachable by valid vectors
+  /// Rounds of the chained TCSG closure, the last of which adds nothing:
+  /// each round applies the input step once and fires every gate into the
+  /// reached set once.
   std::size_t traversal_iterations = 0;
   std::size_t tcr_steps = 0;
   std::size_t peak_bdd_nodes = 0;

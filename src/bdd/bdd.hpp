@@ -183,11 +183,9 @@ class BddManager {
 
   // --- dynamic variable order ----------------------------------------------
   /// Position of variable v in the order (0 = root-most).
-  [[nodiscard]] std::uint32_t level_of(std::uint32_t v) const { return var_to_level_[v]; }
+  [[nodiscard]] std::uint32_t level_of(std::uint32_t v) const;
   /// Variable occupying position `level`.
-  [[nodiscard]] std::uint32_t var_at_level(std::uint32_t level) const {
-    return level_to_var_[level];
-  }
+  [[nodiscard]] std::uint32_t var_at_level(std::uint32_t level) const;
   /// Variables in level order (a permutation of 0..num_vars-1).
   [[nodiscard]] const std::vector<std::uint32_t>& current_order() const {
     return level_to_var_;
@@ -242,7 +240,8 @@ class BddManager {
   [[nodiscard]] Bdd and_exists(const Bdd& f, const Bdd& g, const Bdd& cube);
 
   /// Rename variables: var v in f becomes var_map[v].  var_map must be a
-  /// permutation vector of size num_vars().
+  /// permutation vector of size num_vars(), checked the first time the map
+  /// is seen.
   [[nodiscard]] Bdd permute(const Bdd& f, const std::vector<std::uint32_t>& var_map);
 
   /// Substitute g for variable v in f (Shannon composition).
@@ -571,7 +570,12 @@ class BddManager {
   std::size_t memo_epoch_ = 1;  // bumped by every sweep, swap and new_var
   std::uint32_t next_perm_id_ = 0;
   std::vector<std::vector<std::uint32_t>> registered_perms_;
+  /// Id of var_map, registered (and checked to be a permutation of the
+  /// variables) the first time it is seen.
   std::uint32_t register_perm(const std::vector<std::uint32_t>& var_map);
+  /// XATPG_CHECK that v names an allocated variable: every public entry
+  /// that takes a variable id asks before it indexes by one.
+  void check_var(std::uint32_t v) const;
 
   ReorderPolicy reorder_policy_;
   std::size_t next_reorder_at_ = 0;

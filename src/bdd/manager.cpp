@@ -212,15 +212,28 @@ std::uint32_t BddManager::new_var() {
   return v;
 }
 
-Bdd BddManager::var(std::uint32_t v) {
+void BddManager::check_var(std::uint32_t v) const {
   XATPG_CHECK_MSG(v < num_vars_, "variable " << v << " not allocated");
+}
+
+std::uint32_t BddManager::level_of(std::uint32_t v) const {
+  check_var(v);
+  return var_to_level_[v];
+}
+
+std::uint32_t BddManager::var_at_level(std::uint32_t level) const {
+  XATPG_CHECK_MSG(level < num_vars_, "level " << level << " not allocated");
+  return level_to_var_[level];
+}
+
+Bdd BddManager::var(std::uint32_t v) {
+  check_var(v);
   if (var_nodes_[v] == kNil)
     var_nodes_[v] = make_node(v, kFalseEdge, kTrueEdge);
   return Bdd(this, var_nodes_[v]);
 }
 
 Bdd BddManager::nvar(std::uint32_t v) {
-  XATPG_CHECK_MSG(v < num_vars_, "variable " << v << " not allocated");
   // !x_v shares x_v's node through a complemented edge.
   return Bdd(this, edge_not(var(v).index()));
 }
@@ -530,6 +543,12 @@ std::uint32_t BddManager::register_perm(
     const std::vector<std::uint32_t>& var_map) {
   for (std::uint32_t i = 0; i < registered_perms_.size(); ++i)
     if (registered_perms_[i] == var_map) return i;
+  std::vector<bool> seen(num_vars_, false);
+  for (const std::uint32_t v : var_map) {
+    check_var(v);
+    XATPG_CHECK_MSG(!seen[v], "variable " << v << " mapped to twice");
+    seen[v] = true;
+  }
   registered_perms_.push_back(var_map);
   return next_perm_id_++;
 }

@@ -304,6 +304,7 @@ std::uint32_t BddManager::permute_rec(
 
 Bdd BddManager::compose(const Bdd& f, std::uint32_t v, const Bdd& g) {
   XATPG_CHECK_SAME_MGR2(f, g);
+  check_var(v);
   maybe_gc();
   return Bdd(this, compose_rec(f.index(), v, g.index()));
 }
@@ -343,6 +344,7 @@ std::uint32_t BddManager::compose_rec(std::uint32_t f, std::uint32_t v,
 
 Bdd BddManager::cofactor(const Bdd& f, std::uint32_t v, bool phase) {
   XATPG_CHECK_SAME_MGR1(f);
+  check_var(v);
   maybe_gc();
   return Bdd(this, cofactor_rec(f.index(), v, phase));
 }
@@ -398,6 +400,7 @@ Bdd BddManager::support_cube(const Bdd& f) {
 }
 
 Bdd BddManager::make_cube(const std::vector<std::uint32_t>& vars) {
+  for (const std::uint32_t v : vars) check_var(v);
   // Build bottom-up (deepest level first) so each step is O(1).
   std::vector<std::uint32_t> sorted = vars;
   std::sort(sorted.begin(), sorted.end(),
@@ -413,6 +416,7 @@ Bdd BddManager::make_cube(const std::vector<std::uint32_t>& vars) {
 Bdd BddManager::make_minterm(const std::vector<std::uint32_t>& vars,
                              const std::vector<bool>& values) {
   XATPG_CHECK(vars.size() == values.size());
+  for (const std::uint32_t v : vars) check_var(v);
   std::vector<std::pair<std::uint32_t, bool>> lits;
   lits.reserve(vars.size());
   for (std::size_t i = 0; i < vars.size(); ++i)
@@ -511,6 +515,7 @@ std::vector<Tri> BddManager::pick_minterm(
     const Bdd& f, const std::vector<std::uint32_t>& vars) {
   XATPG_CHECK_SAME_MGR1(f);
   XATPG_CHECK_MSG(!f.is_false(), "cannot pick a minterm of the zero function");
+  for (const std::uint32_t v : vars) check_var(v);
   std::vector<Tri> by_var(num_vars_, Tri::DontCare);
   std::uint32_t e = f.index();
   while (edge_node(e) != 0) {
@@ -538,6 +543,7 @@ void BddManager::append_minterm_rows(const Bdd& f,
                                      std::size_t limit) {
   XATPG_CHECK_SAME_MGR1(f);
   XATPG_CHECK(bits.size() == vars.size());
+  for (const std::uint32_t v : vars) check_var(v);
   for (std::size_t i = 1; i < vars.size(); ++i)
     XATPG_CHECK_MSG(var_to_level_[vars[i - 1]] < var_to_level_[vars[i]],
                     "vars must be strictly ascending in level");
@@ -614,7 +620,7 @@ void BddManager::prepare_count_memo(const std::vector<std::uint32_t>& vars) {
   memo.epoch = memo_epoch_;
   memo.below.assign(num_vars_ + 1, 0);
   for (const std::uint32_t v : vars) {
-    XATPG_CHECK_MSG(v < num_vars_, "variable " << v << " not allocated");
+    check_var(v);
     memo.below[var_to_level_[v]] = 1;
   }
   for (std::uint32_t l = num_vars_; l-- > 0;)
@@ -669,6 +675,7 @@ void BddManager::minterm_row_at(const Bdd& f,
                                 std::uint64_t rank, std::uint64_t* row,
                                 std::size_t width) {
   XATPG_CHECK(bits.size() == vars.size());
+  for (const std::uint32_t v : vars) check_var(v);
   for (std::size_t i = 1; i < vars.size(); ++i)
     XATPG_CHECK_MSG(var_to_level_[vars[i - 1]] < var_to_level_[vars[i]],
                     "vars must be strictly ascending in level");

@@ -29,14 +29,28 @@ Cssg::Cssg(const Netlist& netlist, const std::vector<bool>& reset_state,
   XATPG_CHECK_MSG(netlist.is_stable_state(reset_state),
                   "reset state must be stable");
   reset_set_ = enc_.state_minterm_cur(reset_state);
-  const Equalities eq = build_relations();
-  traverse();
+  Equalities eq;
+  {
+    // The gates' excitations build R_delta and drive the traversal; they
+    // are dropped before the TCR_k loop, so they hold no nodes through it.
+    const std::vector<Bdd> excited = excitations();
+    eq = build_relations(excited);
+    traverse(excited);
+  }
   build_tcr_and_prune(eq);
   build_rings();
   stats_.peak_bdd_nodes = enc_.mgr().peak_nodes();
 }
 
-Cssg::Equalities Cssg::build_relations() {
+std::vector<Bdd> Cssg::excitations() const {
+  std::vector<Bdd> excited(enc_.num_signals());
+  for (SignalId s = 0; s < excited.size(); ++s)
+    if (!enc_.netlist().is_input(s))
+      excited[s] = enc_.cur(s) ^ enc_.target(s);
+  return excited;
+}
+
+Cssg::Equalities Cssg::build_relations(const std::vector<Bdd>& excited) {
   BddManager& mgr = enc_.mgr();
   const std::size_t n = enc_.num_signals();
 
@@ -58,9 +72,8 @@ Cssg::Equalities Cssg::build_relations() {
   Bdd r_delta = stable & all_eq;
   for (SignalId s = 0; s < n; ++s) {
     if (enc_.netlist().is_input(s)) continue;
-    const Bdd excited = enc_.cur(s) ^ enc_.target(s);
     const Bdd fires = enc_.cur(s) ^ enc_.next(s);  // next = !cur
-    r_delta |= excited & fires & prefix[s] & suffix[s + 1];
+    r_delta |= excited[s] & fires & prefix[s] & suffix[s + 1];
   }
   r_delta_ = r_delta;
 
@@ -78,25 +91,49 @@ Cssg::Equalities Cssg::build_relations() {
   return frame;
 }
 
-void Cssg::traverse() {
-  // Standard symbolic BFS over R = R_I ∪ R_delta (the TCSG recursion of
-  // §3.2, computed as in Coudert/Berthet/Madre).
+Bdd Cssg::input_cube() const {
+  std::vector<std::uint32_t> input_vars;
+  for (const SignalId in : enc_.netlist().inputs())
+    input_vars.push_back(enc_.cur_var(in));
+  return enc_.mgr().make_cube(input_vars);
+}
+
+void Cssg::traverse(const std::vector<Bdd>& excited) {
+  // The TCSG recursion of §3.2.  R_I's image joined with its source set F
+  // is F ∪ ∃x_in.(F ∧ stable).
   BddManager& mgr = enc_.mgr();
-  const Bdd relation = r_input_ | r_delta_;
-  const Bdd cur_cube = enc_.cur_cube();
-  Bdd reached = reset_set_;
-  Bdd frontier = reset_set_;
-  while (!frontier.is_false()) {
-    ++stats_.traversal_iterations;
-    const Bdd img_next = mgr.and_exists(relation, frontier, cur_cube);
-    const Bdd img = enc_.next_to_cur(img_next);
-    frontier = img & !reached;
-    reached |= frontier;
-  }
-  reachable_ = reached;
-  stable_reachable_ = reached & enc_.stable();
+  const Bdd inputs = input_cube();
+  const Bdd stable = enc_.stable();
+  reachable_ = close_under_firing(
+      reset_set_, excited,
+      [&](const Bdd& reached) {
+        return mgr.and_exists(reached, stable, inputs);
+      },
+      &stats_.traversal_iterations);
+  stable_reachable_ = reachable_ & stable;
   stats_.reachable_states = enc_.count_states_cur(reachable_);
   stats_.stable_states = enc_.count_states_cur(stable_reachable_);
+}
+
+Bdd Cssg::close_under_firing(Bdd seed, const std::vector<Bdd>& excited,
+                             const std::function<Bdd(const Bdd&)>& input_step,
+                             std::size_t* rounds) const {
+  // Chained firing: each gate fires into the set the gates before it in
+  // this round have already grown, so a transition sequence that follows
+  // signal order is reached in one round, not one BFS level per firing.
+  BddManager& mgr = enc_.mgr();
+  Bdd reached = std::move(seed);
+  while (true) {
+    if (rounds) ++*rounds;
+    const Bdd before = reached;
+    reached |= input_step(reached);
+    for (SignalId s = 0; s < excited.size(); ++s) {
+      if (enc_.netlist().is_input(s)) continue;
+      reached |= mgr.compose(reached & excited[s], enc_.cur_var(s),
+                             !enc_.cur(s));
+    }
+    if (reached == before) return reached;
+  }
 }
 
 void Cssg::build_tcr_and_prune(const Equalities& eq) {
@@ -107,10 +144,7 @@ void Cssg::build_tcr_and_prune(const Equalities& eq) {
   // persists via R_delta self-loops).  R_I keeps every gate and R_delta
   // never changes an input, so where a pattern leads depends on g and the
   // new inputs only; the source's input bits are quantified away up front.
-  std::vector<std::uint32_t> input_vars;
-  for (const SignalId in : enc_.netlist().inputs())
-    input_vars.push_back(enc_.cur_var(in));
-  Bdd s = mgr.exists(stable_reachable_, mgr.make_cube(input_vars)) & eq.gates;
+  Bdd s = mgr.exists(stable_reachable_, input_cube()) & eq.gates;
   // R_delta with present-state renamed to the aux group: Rd(w, y).
   const Bdd r_delta_wy = enc_.cur_to_aux(r_delta_);
   const Bdd aux_cube = enc_.aux_cube();
@@ -188,16 +222,10 @@ const Bdd& Cssg::test_mode_reachable() const {
 
   // Closure of the CSSG-reachable stable states under ValidRI and R_delta.
   const Bdd cur_cube = enc_.cur_cube();
-  const Bdd relation = valid_ri | r_delta_;
-  Bdd reached = cssg_reachable_;
-  Bdd frontier = reached;
-  while (!frontier.is_false()) {
-    const Bdd img = enc_.next_to_cur(
-        mgr.and_exists(relation, frontier, cur_cube));
-    frontier = img & !reached;
-    reached |= frontier;
-  }
-  test_mode_reachable_ = reached;
+  test_mode_reachable_ = close_under_firing(
+      cssg_reachable_, excitations(), [&](const Bdd& reached) {
+        return enc_.next_to_cur(mgr.and_exists(valid_ri, reached, cur_cube));
+      });
   test_mode_reachable_built_ = true;
   return test_mode_reachable_;
 }

@@ -5,7 +5,17 @@
 //   1. Transition relations:  R_delta (one excited gate fires; stable states
 //      self-loop) and R_I (any non-empty set of primary inputs flips on a
 //      stable state) — §3.1/§3.2.
-//   2. TCSG reachability from the reset state via R = R_I ∪ R_delta.
+//   2. TCSG reachability from the reset state: the closure under R_I and
+//      R_delta, chained.  R_delta's firing of gate s maps a set F to F ∧
+//      excited_s with s flipped, and its stable self-loops add nothing;
+//      F ∪ R_I(F) is F ∪ ∃x_in.(F ∧ stable), since a stable state reaches
+//      every other input pattern with its gates held.  Each round applies
+//      that input step once and then fires every gate in signal-id order
+//      straight into the reached set, so a gate reads what the gates
+//      before it just reached (the chaining of Roig, Cortadella & Pastor,
+//      ICATPN 1995), until a round adds nothing.  The fixpoint is the BFS
+//      closure over R_I ∪ R_delta, which tests/oracle.hpp keeps
+//      (test_sgraph's Tcr* and TestModeReachable suites, fuzz_structural).
 //   3. TCR_k: pairs (s, s') with s stable/reachable and s' reached from s by
 //      one input pattern followed by at most k gate transitions (§4.2).
 //      Because stable states self-loop in R_delta, the k-step frontier
@@ -46,6 +56,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -169,8 +180,21 @@ class Cssg {
   struct Equalities {
     Bdd gates, inputs;
   };
-  Equalities build_relations();
-  void traverse();
+  /// Per signal, over cur: where the gate is excited (its output differs
+  /// from its target).  An input's entry is left empty.
+  std::vector<Bdd> excitations() const;
+  Equalities build_relations(const std::vector<Bdd>& excited);
+  /// The positive cube of the inputs' cur variables.
+  Bdd input_cube() const;
+  void traverse(const std::vector<Bdd>& excited);
+  /// The least superset of `seed` (over cur) closed under `input_step` and
+  /// under every gate's firing: each round applies input_step once, then
+  /// fires each gate s in signal-id order as reached |= (reached ∧
+  /// excited[s]) with s flipped.  Rounds repeat until one adds nothing;
+  /// `rounds`, if given, receives their count, that last round included.
+  Bdd close_under_firing(Bdd seed, const std::vector<Bdd>& excited,
+                         const std::function<Bdd(const Bdd&)>& input_step,
+                         std::size_t* rounds = nullptr) const;
   void build_tcr_and_prune(const Equalities& eq);
   void build_rings();
   std::vector<bool> input_values_of(const std::vector<bool>& state) const;

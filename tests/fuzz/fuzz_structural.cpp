@@ -16,9 +16,10 @@
 //      must match explicit enumeration exactly, and on every mutant the
 //      packed explicit extraction must equal the oracle extraction id for
 //      id, every rank read of a fresh lazy graph must name the extracted
-//      list's entry without building a list, and the TCR_k loop over gate
-//      values must give the pair loop's CSSG_k (handle-equal) and
-//      statistics;
+//      list's entry without building a list, the chained traversal and
+//      test-mode closure must give the BFS closures' sets and the TCR_k
+//      loop over gate values the pair loop's CSSG_k (all handle-equal)
+//      and statistics;
 //   3. the packed settling kernel and fault simulator must match their
 //      set-based oracles (tests/oracle.hpp): equal stable sets and bound
 //      flags from every oracle-reachable state under every input pattern,
@@ -156,11 +157,14 @@ void check_tcr(const xatpg::Netlist& netlist, const std::vector<bool>& reset,
     options.k = kSettle;
     options.order = order;
     const xatpg::Cssg cssg(netlist, reset, options);
-    const std::string mismatch = xatpg::testing::tcr_oracle_mismatch(cssg);
+    std::string mismatch = xatpg::testing::tcr_oracle_mismatch(cssg);
+    if (mismatch.empty() && cssg.test_mode_reachable() !=
+                                xatpg::testing::oracle_test_mode_reachable(cssg))
+      mismatch = "the test-mode states are not the BFS closure's";
     if (!mismatch.empty())
       xatpg::fuzz::violation(
-          (std::string("TCR_k over gate values diverged from the pair loop "
-                       "under ") +
+          (std::string("the chained traversal or TCR_k over gate values "
+                       "diverged from the BFS and pair loop under ") +
            xatpg::var_order_name(order) + ": " + mismatch + "\ncircuit:\n" +
            xatpg::write_xnl_string(netlist))
               .c_str(),

@@ -654,23 +654,15 @@ inline std::string rank_read_mismatch(LazyCssg& lazy, std::uint32_t id,
 
 /// CSSG_k and its statistics as the pair loop derives them.
 struct OracleTcr {
+  Bdd reached;      ///< the TCSG states, by BFS over R_I ∪ R_delta
   Bdd relation;     ///< CSSG_k, on the Cssg's own manager
-  CssgStats stats;  ///< every field but peak_bdd_nodes
+  CssgStats stats;  ///< every field but peak_bdd_nodes and traversal_iterations
 };
 
-/// Cssg's traversal, TCR_k loop and sibling analysis as they ran before
-/// the loop iterated over the source's gate values: A(x, y) over whole
-/// source states x, starting from R_I AND SR(x).  Runs on `cssg`'s own
-/// manager, so its relation compares handle for handle, from the reset
-/// states (ring 0) over the Cssg's R_delta, with R_I rebuilt from the
-/// encoding as Cssg::build_relations builds it.
-inline OracleTcr oracle_tcr_and_prune(const Cssg& cssg) {
-  const SymbolicEncoding& enc = cssg.encoding();
+/// R_I as Cssg::build_relations builds it: on a stable state some
+/// non-empty set of inputs flips, gates held.
+inline Bdd oracle_r_input(const SymbolicEncoding& enc) {
   BddManager& mgr = enc.mgr();
-  const auto n_signals = static_cast<std::int64_t>(enc.num_signals());
-  OracleTcr out;
-
-  // R_I: on a stable state some non-empty set of inputs flips, gates held.
   Bdd gates_eq = mgr.bdd_true();
   Bdd inputs_eq = mgr.bdd_true();
   for (SignalId s = 0; s < enc.num_signals(); ++s) {
@@ -680,7 +672,22 @@ inline OracleTcr oracle_tcr_and_prune(const Cssg& cssg) {
       gates_eq &= enc.eq_cur_next(s);
     }
   }
-  const Bdd r_input = enc.stable() & gates_eq & !inputs_eq;
+  return enc.stable() & gates_eq & !inputs_eq;
+}
+
+/// Cssg's traversal, TCR_k loop and sibling analysis as they ran before
+/// the traversal chained its firings and the loop iterated over the
+/// source's gate values: a BFS over R_I ∪ R_delta, then A(x, y) over whole
+/// source states x, starting from R_I AND SR(x).  Runs on `cssg`'s own
+/// manager, so its sets and relation compare handle for handle, from the
+/// reset states (ring 0) over the Cssg's R_delta, with R_I rebuilt from
+/// the encoding.
+inline OracleTcr oracle_tcr_and_prune(const Cssg& cssg) {
+  const SymbolicEncoding& enc = cssg.encoding();
+  BddManager& mgr = enc.mgr();
+  const auto n_signals = static_cast<std::int64_t>(enc.num_signals());
+  OracleTcr out;
+  const Bdd r_input = oracle_r_input(enc);
 
   // TCSG reachability over R_I ∪ R_delta.
   const Bdd reset = cssg.rings().front();
@@ -689,12 +696,12 @@ inline OracleTcr oracle_tcr_and_prune(const Cssg& cssg) {
   Bdd reached = reset;
   Bdd frontier = reset;
   while (!frontier.is_false()) {
-    ++out.stats.traversal_iterations;
     frontier = enc.next_to_cur(mgr.and_exists(step_relation, frontier,
                                               cur_cube)) &
                !reached;
     reached |= frontier;
   }
+  out.reached = reached;
   const Bdd stable_reachable = reached & enc.stable();
   out.stats.reachable_states = enc.count_states_cur(reached);
   out.stats.stable_states = enc.count_states_cur(stable_reachable);
@@ -757,11 +764,15 @@ inline OracleTcr oracle_tcr_and_prune(const Cssg& cssg) {
   return out;
 }
 
-/// Diff `cssg` against oracle_tcr_and_prune: CSSG_k handle for handle and
-/// every CssgStats field but peak_bdd_nodes.  Returns "" on a perfect
-/// match, else a one-line description of the first divergence.
+/// Diff `cssg` against oracle_tcr_and_prune: the TCSG states and CSSG_k
+/// handle for handle, and every CssgStats field but peak_bdd_nodes and
+/// traversal_iterations (the chained traversal counts rounds, the BFS
+/// levels).  Returns "" on a perfect match, else a one-line description of
+/// the first divergence.
 inline std::string tcr_oracle_mismatch(const Cssg& cssg) {
   const OracleTcr oracle = oracle_tcr_and_prune(cssg);
+  if (cssg.reachable() != oracle.reached)
+    return "the TCSG states are not the BFS closure's";
   const CssgStats& got = cssg.stats();
   const CssgStats& want = oracle.stats;
   const std::pair<const char*, std::pair<double, double>> fields[] = {
@@ -773,9 +784,6 @@ inline std::string tcr_oracle_mismatch(const Cssg& cssg) {
       {"cssg_edges", {got.cssg_edges, want.cssg_edges}},
       {"cssg_reachable_states",
        {got.cssg_reachable_states, want.cssg_reachable_states}},
-      {"traversal_iterations",
-       {static_cast<double>(got.traversal_iterations),
-        static_cast<double>(want.traversal_iterations)}},
       {"tcr_steps",
        {static_cast<double>(got.tcr_steps),
         static_cast<double>(want.tcr_steps)}}};
@@ -790,6 +798,39 @@ inline std::string tcr_oracle_mismatch(const Cssg& cssg) {
   if (cssg.relation() != oracle.relation)
     return "CSSG_k is not the pair loop's relation";
   return {};
+}
+
+/// Cssg::test_mode_reachable as it ran before the closure chained its
+/// firings: a BFS from the CSSG-reachable states over ValidRI ∪ R_delta,
+/// where ValidRI is the R_I step whose pattern matches some CSSG edge out
+/// of its source.  On `cssg`'s own manager, so it compares handle for
+/// handle.
+inline Bdd oracle_test_mode_reachable(const Cssg& cssg) {
+  const SymbolicEncoding& enc = cssg.encoding();
+  BddManager& mgr = enc.mgr();
+
+  // ValidRI(x, z): input step of R_I whose pattern matches some CSSG edge
+  // out of x (i.e. the tester is allowed to apply it).
+  Bdd eq_inputs_zy = mgr.bdd_true();  // next(z) group vs aux(y) group
+  for (SignalId s = 0; s < enc.num_signals(); ++s)
+    if (enc.netlist().is_input(s))
+      eq_inputs_zy &= !(enc.next(s) ^ enc.aux(s));
+  const Bdd cssg_xw = enc.next_to_aux(cssg.relation());
+  const Bdd valid_ri = oracle_r_input(enc) &
+                       mgr.and_exists(cssg_xw, eq_inputs_zy, enc.aux_cube());
+
+  // Closure of the CSSG-reachable stable states under ValidRI and R_delta.
+  const Bdd cur_cube = enc.cur_cube();
+  const Bdd relation = valid_ri | cssg.r_delta();
+  Bdd reached = cssg.cssg_reachable();
+  Bdd frontier = reached;
+  while (!frontier.is_false()) {
+    const Bdd img = enc.next_to_cur(
+        mgr.and_exists(relation, frontier, cur_cube));
+    frontier = img & !reached;
+    reached |= frontier;
+  }
+  return reached;
 }
 
 /// All prime implicants of on ∪ dc (classic QM combining pass).  The

@@ -510,6 +510,37 @@ TEST(BddGuards, MixedManagerOperandsThrow) {
   EXPECT_THROW(m1.support_cube(b), CheckError);
 }
 
+// An unallocated variable id throws at the entry that takes it, as var()
+// and nvar() do, instead of indexing the level map or the unique subtables
+// past their end.  A permutation map is checked the first time it is seen.
+TEST(BddGuards, UnallocatedVariableIdsThrow) {
+  BddManager mgr(2);
+  const Bdd f = mgr.var(0) & mgr.var(1);
+  const Bdd g = mgr.var(1);
+  EXPECT_THROW(mgr.var(7), CheckError);
+  EXPECT_THROW(mgr.nvar(7), CheckError);
+  EXPECT_THROW(mgr.compose(f, 7, g), CheckError);
+  EXPECT_THROW(mgr.cofactor(f, 7, true), CheckError);
+  EXPECT_THROW(mgr.make_cube({0, 7}), CheckError);
+  EXPECT_THROW(mgr.make_minterm({7, 1}, {true, false}), CheckError);
+  EXPECT_THROW(mgr.permute(f, {1, 7}), CheckError);
+  EXPECT_THROW(mgr.permute(f, {1, 1}), CheckError);  // not a permutation
+  EXPECT_THROW(mgr.pick_minterm(f, {0, 7}), CheckError);
+  EXPECT_THROW(mgr.all_minterms(f, {0, 7}), CheckError);
+  std::vector<std::uint64_t> rows;
+  EXPECT_THROW(mgr.append_minterm_rows(f, {7, 0}, {0, 1}, 1, rows),
+               CheckError);
+  EXPECT_THROW((void)mgr.minterm_count(f, {0, 1, 7}), CheckError);
+  std::uint64_t row = 0;
+  EXPECT_THROW(mgr.minterm_row_at(f, {7, 0}, {0, 1}, 0, &row, 1), CheckError);
+  EXPECT_THROW((void)mgr.level_of(7), CheckError);
+  EXPECT_THROW((void)mgr.var_at_level(7), CheckError);
+  // The checks leave the manager usable, and a valid map still renames.
+  EXPECT_EQ(mgr.permute(mgr.var(0), {1, 0}), g);
+  EXPECT_EQ(mgr.compose(f, 0, mgr.bdd_true()), g);
+  mgr.validate_canonical();
+}
+
 // Orphaned handles (manager destroyed first) count as invalid operands.
 TEST(BddGuards, OrphanedHandleThrowsInsteadOfCrashing) {
   Bdd orphan;

@@ -661,10 +661,12 @@ TEST(LazyGraph, RandomNetlistsMatchEagerForEveryOrder) {
 // --- TCR_k over gate values vs the pair loop ---------------------------------
 // build_tcr_and_prune iterates S(g, y) over the source's gate values; the
 // loop it replaced, A(x, y) over whole source states, lives on in
-// tests/oracle.hpp.  The oracle runs on each Cssg's own manager, so CSSG_k
-// must come out handle-equal, and every statistic but the peak node count
-// equal, under every variable order with sifting firing throughout.  The
-// circuits and exemptions are the Extraction* suites'.
+// tests/oracle.hpp, behind the BFS over R_I ∪ R_delta that the chained
+// traversal replaced.  The oracle runs on each Cssg's own manager, so the
+// TCSG states and CSSG_k must come out handle-equal, and every statistic
+// but the peak node count and the traversal's round count equal, under
+// every variable order with sifting firing throughout.  The circuits and
+// exemptions are the Extraction* suites'.
 
 void expect_tcr_matches_oracle(
     const Netlist& netlist, const std::vector<bool>& reset, std::size_t k,
@@ -735,6 +737,73 @@ TEST(TcrTwoWords, GateValueLoopMatchesPairLoop) {
   expect_tcr_matches_oracle(
       two_word_netlist(), std::vector<bool>(72, false), 80,
       {VarOrder::Interleaved, VarOrder::ReverseInterleaved}, ReorderPolicy{});
+}
+
+// --- the chained test-mode closure vs the BFS --------------------------------
+// test_mode_reachable closes the CSSG-reachable states under ValidRI and
+// the gates' firings as the traversal does, chained; the BFS over
+// ValidRI ∪ R_delta it replaced lives on in tests/oracle.hpp.  Both run on
+// the Cssg's own manager, so the sets must come out handle-equal on the
+// Tcr* suites' circuits, orders and exemptions.
+
+/// Checks every order's test_mode_reachable() against the BFS; returns how
+/// many Cssgs it checked.
+std::size_t expect_test_mode_matches_oracle(
+    const Netlist& netlist, const std::vector<bool>& reset, std::size_t k,
+    const std::vector<VarOrder>& orders = kAllOrders,
+    const ReorderPolicy& reorder = aggressive_reorder()) {
+  for (const VarOrder order : orders) {
+    SCOPED_TRACE(std::string("order=") + var_order_name(order));
+    CssgOptions options;
+    options.k = k;
+    options.order = order;
+    options.reorder = reorder;
+    const Cssg cssg(netlist, reset, options);
+    EXPECT_TRUE(cssg.test_mode_reachable() ==
+                testing::oracle_test_mode_reachable(cssg));
+  }
+  return orders.size();
+}
+
+TEST(TestModeReachable, ChainedClosureEqualsBfs) {
+  std::size_t checked = 0;
+  for (const auto& [name, make] : kFixtures) {
+    SCOPED_TRACE(name);
+    const fixtures::Circuit fix = make();
+    checked += expect_test_mode_matches_oracle(fix.netlist, fix.reset, 20);
+  }
+  const auto check = [&](const std::string& name, SynthStyle style) {
+    SCOPED_TRACE(name);
+    const SynthResult r = benchmark_circuit(name, style);
+    if (r.netlist.num_signals() > 12) return;
+    checked +=
+        expect_test_mode_matches_oracle(r.netlist, r.reset_state, 24);
+  };
+  for (const std::string& name : si_benchmark_names())
+    check(name, SynthStyle::SpeedIndependent);
+  for (const std::string& name : bd_benchmark_names())
+    check(name, SynthStyle::BoundedDelay);
+  for (std::size_t inputs = 2; inputs <= 12; ++inputs) {
+    SCOPED_TRACE(std::to_string(inputs) + " inputs");
+    const fixtures::Circuit fix = fixtures::parity_tree(inputs);
+    checked += expect_test_mode_matches_oracle(
+        fix.netlist, fix.reset, 24,
+        inputs <= 6 ? kAllOrders
+                    : std::vector<VarOrder>{VarOrder::Interleaved,
+                                            VarOrder::ReverseInterleaved});
+  }
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    fixtures::RandomNetlistOptions options;
+    options.num_inputs = 3;
+    options.num_gates = 3 + seed % 3;
+    const fixtures::Circuit fix = fixtures::random_netlist(seed, options);
+    checked += expect_test_mode_matches_oracle(fix.netlist, fix.reset, 20);
+  }
+  checked += expect_test_mode_matches_oracle(
+      two_word_netlist(), std::vector<bool>(72, false), 80,
+      {VarOrder::Interleaved, VarOrder::ReverseInterleaved}, ReorderPolicy{});
+  RecordProperty("cssgs_checked", static_cast<int>(checked));
 }
 
 TEST(CssgOrdering, AllOrdersAgreeOnCounts) {
